@@ -27,7 +27,6 @@ from .baselines import (
 from .core import (
     FactorModel,
     NormMode,
-    PenaltyParams,
     ProblemData,
     UnitRankFactor,
     column_normalize,
@@ -96,7 +95,6 @@ __all__ = [
     "LassoInitializer",
     "NormMode",
     "PathStep",
-    "PenaltyParams",
     "ProblemData",
     "RrrInitializer",
     "SelectionRates",

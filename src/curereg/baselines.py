@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .core import (
     SV_TOL,
@@ -27,6 +26,7 @@ from .core import (
     p_orthogonal_svd,
     renormalize_factor,
 )
+from .tuning import CriterionInput, _fold_indices, information_criterion
 
 __all__ = [
     "LassoConfig",
@@ -148,8 +148,6 @@ def lasso_gic_path(problem, grid=None, config=None, criterion="gic"):
     ``(C_best, lam_best, path)`` where path is a list of ``(lam, C)``
     down the grid.
     """
-    from .tuning import CriterionInput, information_criterion
-
     grid = default_lambda_grid(problem) if grid is None else np.asarray(grid, dtype=float)
     best = None
     warm = None
@@ -222,12 +220,12 @@ def _ridge_ols(X, Y, ridge):
     if ridge > 0:
         XtX = XtX + ridge * np.eye(X.shape[1])
     try:
-        cf = linalg.cho_factor(XtX)
+        L = np.linalg.cholesky(XtX)
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             "singular normal equations; a positive ridge is required (p >= n?)"
         ) from exc
-    return linalg.cho_solve(cf, X.T @ Y)
+    return np.linalg.solve(L.T, np.linalg.solve(L, X.T @ Y))
 
 
 def svd_of_ols_factor(problem, ridge=None):
@@ -481,10 +479,7 @@ def select_rank_cv(X, Y, r_max, folds=5, ridge=0.0, seed=0):
     n = X.shape[0]
     if r_max < 0 or r_max > min(X.shape[1], Y.shape[1]):
         raise ValueError("r_max out of range")
-    if folds < 2 or folds > n:
-        raise ValueError("folds must be in [2, n]")
-    order = np.random.default_rng(seed).permutation(n)
-    parts = np.array_split(order, folds)
+    parts = _fold_indices(n, folds, seed)
     errs = np.zeros((folds, r_max + 1))
     all_rows = np.arange(n)
     for f, test in enumerate(parts):

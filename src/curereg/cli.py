@@ -251,10 +251,8 @@ def _sim_spec(opts):
     )
 
 
-def _stagewise_config(opts, record_criterion=None):
-    crit = record_criterion
-    if crit is None:
-        crit = opts["criterion"] if opts["criterion"] in ("gic", "aic", "bic") else "none"
+def _stagewise_config(opts):
+    crit = "none" if opts["criterion"] == "cv" else opts["criterion"]
     return StagewiseConfig(
         epsilon=opts["epsilon"],
         xi=opts["xi"],
@@ -282,7 +280,6 @@ def _deflation_config(method, opts, threads):
         solver=solver,
         initializer=initializer,
         s_threshold=opts["s_threshold"],
-        parallel_layers_concurrent=threads > 1,
         criterion=opts["criterion"],
         cv_folds=opts["cv_folds"],
         cv_seed=opts["seed"],
@@ -298,13 +295,15 @@ def _fit_scaled(problem, method, opts, threads):
     if method == "lasso":
         if opts["criterion"] == "cv":
             grid = default_lambda_grid(problem)
+            path = lasso_gic_path(problem, grid)[2]
             sel = kfold_cv_select(
                 problem,
+                path,
                 lambda pb: lasso_gic_path(pb, grid)[2],
                 folds=opts["cv_folds"],
                 seed=opts["seed"],
             )
-            C = lasso_gic_path(problem, grid)[2][sel.index][1]
+            C = path[sel.index][1]
         else:
             C, _, _ = lasso_gic_path(problem, criterion=opts["criterion"])
         if not C.any():
@@ -386,7 +385,9 @@ def _write_timing(path, rows):
 
 def _load_truth(path):
     model, doc = load_factor_model(path)
-    return model, float(doc["sigma"])
+    if not isinstance(doc.get("sigma"), (int, float)):
+        raise ValueError(f"{path}: truth needs a numeric 'sigma' field")
+    return model
 
 
 def _cmd_simulate(opts):
@@ -423,6 +424,7 @@ def _cmd_fit(opts):
     if not opts["method"]:
         raise SystemExit("--method is required")
     X, Y, mask = _read_xy(opts)
+    truth_model = _load_truth(opts["truth"]) if opts["truth"] else None
     threads = _resolve_threads(opts)
     t0 = time.perf_counter()
     model = fit_method(X, Y, mask, opts["method"], opts, threads)
@@ -432,8 +434,7 @@ def _cmd_fit(opts):
         model,
         extra={"method": opts["method"]},
     )
-    if opts["truth"]:
-        truth_model, _ = _load_truth(opts["truth"])
+    if truth_model is not None:
         report = score_model(model, truth_model, truth_model.to_matrix(), X)
     else:
         report = EvalReport()
@@ -449,15 +450,7 @@ def _cmd_paths(opts):
     out = opts["out_dir"]
     os.makedirs(out, exist_ok=True)
     X, Y, mask = _read_xy(opts)
-    config = StagewiseConfig(
-        epsilon=opts["epsilon"],
-        xi=opts["xi"],
-        mu=opts["mu"],
-        max_steps=opts["max_steps"],
-        early_stop_window=opts["early_stop_window"],
-        criterion=opts["criterion"],
-    )
-    path = run_path(ProblemData(X, Y, mask), config)
+    path = run_path(ProblemData(X, Y, mask), _stagewise_config(opts))
     write_path_jsonl(os.path.join(out, "path.jsonl"), path)
     return 0
 
@@ -469,7 +462,7 @@ def _cmd_eval(opts):
         if not opts[key]:
             raise SystemExit("--model-json, --truth and --x are required")
     model, _ = load_factor_model(opts["model_json"])
-    truth_model, _ = _load_truth(opts["truth"])
+    truth_model = _load_truth(opts["truth"])
     X, x_mask = read_matrix_csv(opts["x"], allow_missing=True)
     if x_mask is not None:
         raise SystemExit(f"{opts['x']}: X must not contain missing entries")
@@ -492,6 +485,11 @@ def _benchmark_rep(payload):
     return out
 
 
+def _benchmark_workers(threads, reps):
+    """Pool size; a forked pool starts all its workers at once, so cap it."""
+    return min(threads, reps, os.cpu_count() or 1)
+
+
 def _cmd_benchmark(opts):
     out = opts["out_dir"]
     os.makedirs(out, exist_ok=True)
@@ -507,8 +505,9 @@ def _cmd_benchmark(opts):
         ({**asdict(base), "seed": base.seed + i}, methods, opts)
         for i in range(opts["reps"])
     ]
-    if threads > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = _benchmark_workers(threads, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_benchmark_rep, payloads))
     else:
         results = [_benchmark_rep(pl) for pl in payloads]

@@ -30,7 +30,6 @@ __all__ = [
     "ProblemData",
     "UnitRankFactor",
     "FactorModel",
-    "PenaltyParams",
     "eval_loss",
     "eval_penalty",
     "residual",
@@ -128,18 +127,6 @@ class ProblemData:
             return self.Y.copy()
         Y0 = np.where(self.mask, self.Y, 0.0)
         return Y0
-
-
-@dataclass(frozen=True)
-class PenaltyParams:
-    """Penalty configuration: l1 weight ``lam`` and ridge weight ``mu``."""
-
-    lam: float
-    mu: float = 0.0
-
-    def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,8 @@ class DeflationConfig:
     ``criterion`` picks the per-layer tuning rule; None defers to the
     stagewise config's criterion (or gic for the alternating solver).
     ``initializer`` and ``s_threshold`` only apply to the parallel strategy.
+    ``max_workers`` above 1 solves the layers of parallel pursuit in a thread
+    pool of that many threads.
     """
 
     strategy: str
@@ -85,11 +87,10 @@ class DeflationConfig:
     solver: object  # StagewiseConfig | AcsConfig
     initializer: object | None = None
     s_threshold: int | None = None
-    parallel_layers_concurrent: bool = False
     criterion: str | None = None
     cv_folds: int = 5
     cv_seed: int = 0
-    max_workers: int | None = None
+    max_workers: int = 1
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -153,19 +154,17 @@ def _fit_unit_rank(problem, cfg):
     solver = cfg.solver
     criterion = cfg.resolved_criterion()
     if isinstance(solver, StagewiseConfig):
+        path = run_path(problem, solver)
         if criterion == "cv":
             def fit_fn(pb):
-                path = run_path(pb, solver)
                 return [
                     (lam, fac.to_matrix())
-                    for lam, fac in _stagewise_grid_points(path)
+                    for lam, fac in _stagewise_grid_points(run_path(pb, solver))
                 ]
 
-            sel = kfold_cv_select(problem, fit_fn, cfg.cv_folds, cfg.cv_seed)
-            full = _stagewise_grid_points(run_path(problem, solver))
-            lams = np.array([lam for lam, _ in full])
-            return full[int(np.argmin(np.abs(lams - sel.lam)))][1]
-        path = run_path(problem, solver)
+            points = _stagewise_grid_points(path)
+            sel = kfold_cv_select(problem, points, fit_fn, cfg.cv_folds, cfg.cv_seed)
+            return points[sel.index][1]
         if len(path.steps) == 1 and path.steps[0].factor.is_zero:
             return path.steps[0].factor
         return select_on_path(path, criterion).factor
@@ -182,7 +181,7 @@ def _fit_unit_rank(problem, cfg):
                 for lam, fac in acs_path(pb, grid, mu=solver.mu, config=solver)
             ]
 
-        sel = kfold_cv_select(problem, fit_fn, cfg.cv_folds, cfg.cv_seed)
+        sel = kfold_cv_select(problem, pairs, fit_fn, cfg.cv_folds, cfg.cv_seed)
         return pairs[sel.index][1]
     return _acs_select_ic(problem, pairs, criterion)
 
@@ -243,8 +242,8 @@ def parallel_pursuit(problem, cfg):
 
     The pilot coefficient matrix is split by the predictor-metric SVD; a
     pilot of lower rank shrinks the target rank with a warning.  Layer
-    subproblems are independent; ``parallel_layers_concurrent`` runs them in
-    a thread pool with results identical to the serial order.
+    subproblems are independent; ``max_workers`` above 1 runs them in a
+    thread pool with results identical to the serial order.
     """
     if cfg.strategy != "parallel":
         raise ValueError("config strategy is not 'parallel'")
@@ -274,8 +273,8 @@ def parallel_pursuit(problem, cfg):
         return _fit_unit_rank(ProblemData(X, Yk, problem.mask), cfg)
 
     order = range(len(mats))
-    if cfg.parallel_layers_concurrent and len(mats) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_workers or len(mats)) as pool:
+    if cfg.max_workers > 1 and len(mats) > 1:
+        with ThreadPoolExecutor(max_workers=cfg.max_workers) as pool:
             fits = list(pool.map(solve_layer, order))
     else:
         fits = [solve_layer(k) for k in order]

@@ -147,21 +147,25 @@ def factor_model_to_dict(model):
 
 
 def factor_model_from_dict(doc):
-    layers = []
-    for entry in doc["layers"]:
-        layers.append(
+    """Rebuild a FactorModel; a missing or ill-typed field raises ValueError."""
+    try:
+        layers = tuple(
             UnitRankFactor(
                 float(entry["d"]),
                 np.asarray(entry["u"], dtype=float),
                 np.asarray(entry["v"], dtype=float),
                 NormMode(entry["norm_mode"]),
             )
+            for entry in doc["layers"]
         )
-    model = FactorModel(tuple(layers))
-    if model.rank != int(doc["rank"]):
-        raise ValueError(
-            f"rank field {doc['rank']} does not match {model.rank} layers"
-        )
+        rank = int(doc["rank"])
+    except KeyError as exc:
+        raise ValueError(f"factor model has no {exc.args[0]!r} field") from None
+    except TypeError as exc:
+        raise ValueError(f"factor model has an ill-typed field: {exc}") from None
+    model = FactorModel(layers)
+    if model.rank != rank:
+        raise ValueError(f"rank field {rank} does not match {model.rank} layers")
     return model
 
 
@@ -179,7 +183,10 @@ def save_factor_model(path, model, extra=None):
 def load_factor_model(path):
     with open(path) as fh:
         doc = json.load(fh)
-    return factor_model_from_dict(doc), doc
+    try:
+        return factor_model_from_dict(doc), doc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _nonzeros(vec):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .core import ZERO_TOL
 
@@ -197,8 +196,8 @@ class EvalReport:
 def trimmed_mean_sd(values, trim=0.0):
     """Symmetric trimmed mean and SD: drop ``floor(trim*m)`` points per tail.
 
-    ``trim=0`` is the plain mean/SD (ddof=1).  The mean agrees with
-    ``scipy.stats.trim_mean(values, trim)``.
+    ``trim=0`` is the plain mean/SD (ddof=1).  The tests check that the mean
+    agrees with ``scipy.stats.trim_mean(values, trim)``.
     """
     x = np.sort(np.asarray(values, dtype=float))
     m = x.size
@@ -209,10 +208,6 @@ def trimmed_mean_sd(values, trim=0.0):
     k = int(np.floor(trim * m))
     kept = x[k : m - k]
     mean = float(kept.mean())
-    if trim > 0:
-        check = float(stats.trim_mean(values, trim))
-        if not np.isclose(mean, check, rtol=1e-12, atol=1e-12):  # pragma: no cover
-            raise AssertionError("trimmed mean disagrees with scipy")
     sd = float(kept.std(ddof=1)) if kept.size > 1 else 0.0
     return mean, sd
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .core import FactorModel, NormMode, UnitRankFactor
 
@@ -178,7 +177,9 @@ def gen_design(U_star, spec, rng):
     X1 = rng.standard_normal((n, r))
     if r == p:
         return np.linalg.solve(U_star.T, X1.T).T
-    U_perp = linalg.null_space(U_star.T)
+    # Null space of U*^T: the rows of vh past its rank r (checked above), in
+    # C order, since the products below round differently in another order.
+    U_perp = np.ascontiguousarray(np.linalg.svd(U_star.T)[2][r:].T)
     P = np.hstack([U_star, U_perp])
     Gamma = _ar1_cov(p, 0.5)
     S = P.T @ Gamma @ P

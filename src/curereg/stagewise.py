@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import NormMode, UnitRankFactor
-from .tuning import CriterionInput, information_criterion
+from .tuning import CriterionInput, EarlyStop, information_criterion
 
 __all__ = [
     "StagewiseConfig",
@@ -406,7 +406,7 @@ def _zero_out(state):
     state.l2c = 0.0
 
 
-def propose_backward(state, problem, config):
+def propose_backward(state, config):
     """Try the best shrinking move inside the active sets.
 
     Executes it and returns the recorded step when its loss increase stays
@@ -475,7 +475,7 @@ def propose_backward(state, problem, config):
     return _record(state, move)
 
 
-def propose_forward(state, problem, config):
+def propose_forward(state, config):
     """Execute the best growing move over all coordinates of both sides.
 
     The side whose move yields the smaller post-move loss wins (du on ties).
@@ -548,29 +548,24 @@ def run_path(problem, config=None):
     if state.lam <= 0.0:
         path.terminated_by = "lambda_nonpositive"
         return path
-    track = config.criterion != "none"
-    best_val = math.inf
-    last_improve = 0
-    if track and step0.criterion_value is not None and step0.criterion_value < best_val:
-        best_val = step0.criterion_value
+    stop = None if config.criterion == "none" else EarlyStop(config.early_stop_window)
+    if stop is not None:
+        stop.update(step0.criterion_value)
     while True:
         if state.t >= config.max_steps:
             path.terminated_by = "max_steps"
             break
-        step = propose_backward(state, problem, config)
+        step = propose_backward(state, config)
         if step is None:
-            step = propose_forward(state, problem, config)
+            step = propose_forward(state, config)
         path.steps.append(step)
         if state.t % RECOMPUTE_EVERY == 0:
             state._refresh_exact()
-        if track and step.criterion_value is not None and np.isfinite(step.criterion_value):
-            if step.criterion_value < best_val:
-                best_val = step.criterion_value
-                last_improve = len(path.steps) - 1
+        stalled = stop is not None and stop.update(step.criterion_value)
         if state.lam <= 0.0:
             path.terminated_by = "lambda_nonpositive"
             break
-        if track and (len(path.steps) - 1) - last_improve >= config.early_stop_window:
+        if stalled:
             path.terminated_by = "early_stop"
             break
     return path

@@ -23,6 +23,7 @@ from .core import ProblemData
 __all__ = [
     "CriterionInput",
     "information_criterion",
+    "EarlyStop",
     "early_stop_check",
     "kfold_cv_select",
     "CvSelection",
@@ -71,28 +72,35 @@ def information_criterion(kind, inp):
     return N * math.log(inp.rss / N) + math.log(N) * inp.df
 
 
-def early_stop_check(history, window):
-    """True when the running minimum has not improved in the last ``window`` entries.
+class EarlyStop:
+    """Incremental early-stop rule, fed one criterion value per step.
 
-    ``history`` is the criterion value per step, in step order.  Entries that
-    are None or non-finite never count as improvements.
+    :meth:`update` returns True once the running minimum has not improved in
+    the last ``window`` entries.  None or non-finite values never improve it.
     """
-    if window < 1:
-        raise ValueError("window must be a positive integer")
-    best = math.inf
-    last_improve = 0
-    count = 0
-    for idx, val in enumerate(history):
-        count = idx + 1
-        if val is None:
-            continue
-        val = float(val)
-        if math.isfinite(val) and val < best:
-            best = val
-            last_improve = idx
-    if count == 0:
-        return False
-    return (count - 1) - last_improve >= window
+
+    def __init__(self, window):
+        if window < 1:
+            raise ValueError("window must be a positive integer")
+        self.window = window
+        self.best = math.inf
+        self.count = self.last_improve = 0
+
+    def update(self, value):
+        if value is not None and math.isfinite(value) and value < self.best:
+            self.best = float(value)
+            self.last_improve = self.count
+        self.count += 1
+        return self.count - 1 - self.last_improve >= self.window
+
+
+def early_stop_check(history, window):
+    """The :class:`EarlyStop` rule applied to a whole history, in step order."""
+    stop = EarlyStop(window)
+    stalled = False
+    for val in history:
+        stalled = stop.update(val)
+    return stalled
 
 
 class CvSelection(NamedTuple):
@@ -112,20 +120,20 @@ def _fold_indices(n, folds, seed):
     return parts
 
 
-def kfold_cv_select(problem, fit_fn, folds=5, seed=0):
-    """Pick a path point by row-wise K-fold cross-validation.
+def kfold_cv_select(problem, full_path, fit_fn, folds=5, seed=0):
+    """Pick a point of a full-data path by row-wise K-fold cross-validation.
 
-    ``fit_fn(problem)`` must return a list of ``(lam, C)`` pairs with ``lam``
-    nonincreasing -- a solution path.  The full-data path fixes the lambda
-    grid; each fold's path is aligned to it by nearest lambda (earlier point
-    on ties).  Held-out error for a candidate C is
-    ``||P(Y_test - X_test C)||_F^2 / (2 * n_test)`` summed over observed
-    entries, averaged across folds.  Returns the argmin grid point (first on
-    ties) with the per-point mean errors.
+    ``full_path`` is the caller's full-data path of ``(lam, model)`` pairs,
+    ``lam`` nonincreasing; its lambdas fix the grid, and
+    ``full_path[sel.index]`` is the pick.  ``fit_fn(problem)`` must return a
+    training fold's path as ``(lam, C)`` pairs; it is aligned to the grid by
+    nearest lambda (earlier point on ties).  Held-out error for a candidate
+    C is ``||P(Y_test - X_test C)||_F^2 / (2 * n_test)`` summed over
+    observed entries, averaged across folds.  Returns the argmin grid point
+    (first on ties) with the per-point mean errors.
     """
-    full_path = list(fit_fn(problem))
     if not full_path:
-        raise ValueError("fit_fn returned an empty path")
+        raise ValueError("the full-data path is empty")
     grid = np.array([lam for lam, _ in full_path], dtype=float)
     parts = _fold_indices(problem.n, folds, seed)
     all_rows = np.arange(problem.n)

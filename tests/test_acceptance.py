@@ -258,9 +258,9 @@ def _median_step_time(p, seed):
     times = []
     for _ in range(200):
         t0 = time.perf_counter()
-        step = propose_backward(state, prob, cfg)
+        step = propose_backward(state, cfg)
         if step is None:
-            step = propose_forward(state, prob, cfg)
+            step = propose_forward(state, cfg)
         times.append(time.perf_counter() - t0)
         if state.lam <= 0.0:
             break

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from curereg.cli import _resolve_threads, fit_method, main
+import curereg.cli as cli
+from curereg.cli import _benchmark_workers, _resolve_threads, fit_method, main
 from curereg.io import load_factor_model, read_matrix_csv, write_matrix_csv
 
 
@@ -94,6 +95,31 @@ def test_paths_command_accepts_missing_entries(tmp_path):
     lines = (tmp_path / "path.jsonl").read_text().splitlines()
     assert 0 < len(lines) <= 31
     assert json.loads(lines[0])["t"] == 0
+
+
+def test_lasso_cv_fits_the_full_data_path_once(tmp_path, monkeypatch):
+    x, y, _ = simulate_into(tmp_path)
+    orig = cli.lasso_gic_path
+    rows = []
+
+    def counted(problem, *args, **kwargs):
+        rows.append(problem.n)
+        return orig(problem, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "lasso_gic_path", counted)
+    assert run("fit", "--x", x, "--y", y, "--method", "lasso", "--criterion", "cv",
+               "--cv-folds", 3, "--out-dir", tmp_path / "fit") == 0
+    assert len(rows) == 3 + 1
+    assert rows.count(20) == 1
+
+
+def test_runtime_imports_no_scipy():
+    code = ("import sys, curereg, curereg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +211,27 @@ def test_usage_errors(tmp_path):
             "--method", "rrr", "--rank", 1, "--out-dir", tmp_path)
 
 
+def test_malformed_json_inputs_give_one_line_errors(tmp_path, capsys):
+    x, y, truth = simulate_into(tmp_path)
+    bad_model = tmp_path / "model.json"
+    bad_model.write_text(json.dumps({"rank": 1}))
+    assert run("eval", "--model-json", bad_model, "--truth", truth, "--x", x,
+               "--out-dir", tmp_path / "eval") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("curereg eval: ") and "'layers'" in err
+    assert len(err.splitlines()) == 1
+
+    doc = json.loads(truth.read_text())
+    del doc["sigma"]
+    no_sigma = tmp_path / "no_sigma.json"
+    no_sigma.write_text(json.dumps(doc))
+    assert run("fit", "--x", x, "--y", y, "--method", "rrr", "--rank", 1,
+               "--truth", no_sigma, "--out-dir", tmp_path / "fit") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("curereg fit: ") and "'sigma'" in err
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
@@ -227,6 +274,42 @@ def test_threads_resolution(monkeypatch):
     assert _resolve_threads({"threads": 2}) == 2
     with pytest.raises(SystemExit, match="positive"):
         _resolve_threads({"threads": 0})
+
+
+def test_benchmark_workers_are_capped(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    assert _benchmark_workers(64, 2) == 2
+    assert _benchmark_workers(64, 20) == 8
+    assert _benchmark_workers(3, 20) == 3
+    assert _benchmark_workers(1, 20) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert _benchmark_workers(64, 20) == 1
+
+
+def test_benchmark_pool_gets_the_capped_count(tmp_path, monkeypatch):
+    seen = []
+
+    class FakePool:
+        """Records its size and maps in-process; starts no workers."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    assert run("benchmark", "--model", "I", "--n", 35, "--p", 20, "--q", 30,
+               "--methods", "rrr", "--reps", 2, "--rank", 1, "--threads", 64,
+               "--out-dir", tmp_path) == 0
+    assert seen == [2]
 
 
 def test_help_documents_solver_defaults(capsys):

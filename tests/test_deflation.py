@@ -175,7 +175,7 @@ def test_parallel_concurrent_matches_serial_bitwise():
     )
     serial = parallel_pursuit(prob, DeflationConfig(**base))
     threaded = parallel_pursuit(
-        prob, DeflationConfig(**base, parallel_layers_concurrent=True)
+        prob, DeflationConfig(**base, max_workers=2)
     )
     models_bitwise_equal(serial, threaded)
 
@@ -263,6 +263,36 @@ def test_cv_layer_selection_is_deterministic():
         b = deflate(prob, cfg)
         assert a.rank == b.rank == 1
         models_bitwise_equal(a, b)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call records the row count of its problem."""
+    orig = getattr(module, name)
+    rows = []
+
+    def counted(problem, *args, **kwargs):
+        rows.append(problem.n)
+        return orig(problem, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return rows
+
+
+@pytest.mark.parametrize("solver", [StagewiseConfig(epsilon=0.25), AcsConfig()])
+def test_cv_layer_fits_the_full_data_path_once(monkeypatch, solver):
+    import curereg.deflation as dfl
+
+    rng = np.random.default_rng(12)
+    prob, _ = lowrank_instance(rng, 30, 6, 5, 1, noise=0.5)
+    folds = 3
+    name = "run_path" if isinstance(solver, StagewiseConfig) else "acs_path"
+    rows = _count_calls(monkeypatch, dfl, name)
+    cfg = DeflationConfig(
+        strategy="sequential", rank=1, solver=solver, criterion="cv", cv_folds=folds
+    )
+    assert deflate(prob, cfg).rank == 1
+    assert len(rows) == folds + 1
+    assert rows.count(prob.n) == 1
 
 
 def test_masked_deflation_recovers_structure():

@@ -21,7 +21,7 @@ from curereg.stagewise import (
     run_path,
     select_on_path,
 )
-from curereg.tuning import CriterionInput, information_criterion
+from curereg.tuning import CriterionInput, early_stop_check, information_criterion
 
 
 def rank1_problem(rng, n, p, q, noise=0.3, mask_frac=0.0):
@@ -107,7 +107,7 @@ def drive_and_check(prob, cfg, max_moves):
         base = product_loss(prob, du, dv, d, mu)
         assert state.loss == pytest.approx(base, abs=1e-10)
 
-        step = propose_backward(state, prob, cfg)
+        step = propose_backward(state, cfg)
         back = backward_deltas(prob, du, dv, d, eps, mu, base)
         if step is not None:
             assert step.move in ("backward_u", "backward_v")
@@ -128,7 +128,7 @@ def drive_and_check(prob, cfg, max_moves):
         else:
             if back:
                 assert min(back.values()) >= lam * eps - xi - 1e-9
-            step = propose_forward(state, prob, cfg)
+            step = propose_forward(state, cfg)
             fwd = forward_deltas(prob, du, dv, d, eps, mu, base)
             got = step.loss - base
             assert got <= min(fwd.values()) + 1e-9
@@ -251,7 +251,7 @@ def test_backward_refused_right_after_init():
     cfg = StagewiseConfig(epsilon=0.5)
     state, _ = initialize_path(prob, cfg)
     assert state.lam > 0
-    assert propose_backward(state, prob, cfg) is None
+    assert propose_backward(state, cfg) is None
 
 
 def test_backward_penalty_decrement_identity():
@@ -269,7 +269,7 @@ def test_backward_penalty_decrement_identity():
     state._refresh_exact()
     state.lam = 5.0  # high enough that the shrink is accepted
     pre_penalty = state.lam * state.d
-    step = propose_backward(state, prob, cfg)
+    step = propose_backward(state, cfg)
     assert step is not None
     assert step.move == "backward_u"
     assert step.lam == 5.0
@@ -307,8 +307,8 @@ def test_forward_on_perfect_fit_sends_lambda_negative():
     state._refresh_exact()
     assert state.rss == pytest.approx(0.0, abs=1e-20)
     state.lam = 1e-3  # small enough that no shrink is acceptable
-    assert propose_backward(state, prob, cfg) is None
-    step = propose_forward(state, prob, cfg)
+    assert propose_backward(state, cfg) is None
+    step = propose_forward(state, cfg)
     assert step.lam < 0
 
 
@@ -321,8 +321,8 @@ def test_first_forward_step_matches_exhaustive_scan():
     state, _ = initialize_path(prob, cfg)
     du, dv, d = state.du.copy(), state.dv.copy(), state.d
     base = product_loss(prob, du, dv, d, cfg.mu)
-    assert propose_backward(state, prob, cfg) is None
-    step = propose_forward(state, prob, cfg)
+    assert propose_backward(state, cfg) is None
+    step = propose_forward(state, cfg)
     fwd = forward_deltas(prob, du, dv, d, cfg.epsilon, cfg.mu, base)
     got = step.loss - base
     assert got <= min(fwd.values()) + 1e-9
@@ -336,9 +336,9 @@ def test_forward_closed_form_equals_reevaluated_loss_change():
     prev = step0.loss
     for _ in range(12):
         du, dv, d = state.du.copy(), state.dv.copy(), state.d
-        step = propose_backward(state, prob, cfg)
+        step = propose_backward(state, cfg)
         if step is None:
-            step = propose_forward(state, prob, cfg)
+            step = propose_forward(state, cfg)
         want = eval_loss(prob, step.factor, cfg.mu)
         assert step.loss - prev == pytest.approx(want - prev, abs=1e-10)
         prev = step.loss
@@ -431,6 +431,9 @@ def test_run_path_early_stop_on_noise():
     path = run_path(ProblemData(X, Y), cfg)
     assert path.terminated_by == "early_stop"
     assert len(path) < cfg.max_steps
+    history = [s.criterion_value for s in path.steps]
+    assert early_stop_check(history, cfg.early_stop_window) is True
+    assert early_stop_check(history[:-1], cfg.early_stop_window) is False
 
 
 def test_all_true_mask_runs_identically():

@@ -137,7 +137,7 @@ def test_cv_picks_the_true_model_on_noiseless_data():
     X = rng.standard_normal((24, 4))
     C0 = rng.standard_normal((4, 3))
     prob = ProblemData(X, X @ C0)
-    sel = kfold_cv_select(prob, two_model_fit_fn, folds=4, seed=0)
+    sel = kfold_cv_select(prob, two_model_fit_fn(prob), two_model_fit_fn, folds=4, seed=0)
     assert isinstance(sel, CvSelection)
     assert sel.index == 1
     assert sel.lam == 0.1
@@ -149,7 +149,8 @@ def test_cv_leave_one_out_boundary():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((7, 2))
     Y = X @ rng.standard_normal((2, 2))
-    sel = kfold_cv_select(ProblemData(X, Y), two_model_fit_fn, folds=7, seed=1)
+    prob = ProblemData(X, Y)
+    sel = kfold_cv_select(prob, two_model_fit_fn(prob), two_model_fit_fn, folds=7, seed=1)
     assert sel.index in (0, 1)
     assert sel.cv_errors.shape == (2,)
 
@@ -159,8 +160,8 @@ def test_cv_same_seed_same_answer():
     X = rng.standard_normal((18, 3))
     Y = X @ rng.standard_normal((3, 2)) + 0.5 * rng.standard_normal((18, 2))
     prob = ProblemData(X, Y)
-    a = kfold_cv_select(prob, two_model_fit_fn, folds=3, seed=9)
-    b = kfold_cv_select(prob, two_model_fit_fn, folds=3, seed=9)
+    a = kfold_cv_select(prob, two_model_fit_fn(prob), two_model_fit_fn, folds=3, seed=9)
+    b = kfold_cv_select(prob, two_model_fit_fn(prob), two_model_fit_fn, folds=3, seed=9)
     assert a.index == b.index and a.lam == b.lam
     np.testing.assert_array_equal(a.cv_errors, b.cv_errors)
 
@@ -181,7 +182,8 @@ def test_cv_error_uses_observed_entries_only():
     Y = X @ C0
     mask = rng.uniform(size=(16, 2)) > 0.3
     Y = np.where(mask, Y, np.nan)
-    sel = kfold_cv_select(ProblemData(X, Y, mask), masked_ols_fit_fn, folds=4, seed=0)
+    prob = ProblemData(X, Y, mask)
+    sel = kfold_cv_select(prob, masked_ols_fit_fn(prob), masked_ols_fit_fn, folds=4, seed=0)
     assert sel.index == 1
     assert sel.cv_errors[1] == pytest.approx(0.0, abs=1e-16)
 
@@ -190,8 +192,10 @@ def test_cv_fold_validation():
     rng = np.random.default_rng(5)
     prob = ProblemData(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
     with pytest.raises(ValueError):
-        kfold_cv_select(prob, two_model_fit_fn, folds=6)
+        kfold_cv_select(prob, two_model_fit_fn(prob), two_model_fit_fn, folds=6)
     with pytest.raises(ValueError):
-        kfold_cv_select(prob, two_model_fit_fn, folds=1)
+        kfold_cv_select(prob, two_model_fit_fn(prob), two_model_fit_fn, folds=1)
     with pytest.raises(ValueError):
-        kfold_cv_select(prob, lambda pb: [], folds=2)
+        kfold_cv_select(prob, [], two_model_fit_fn, folds=2)
+    with pytest.raises(ValueError):
+        kfold_cv_select(prob, two_model_fit_fn(prob), lambda pb: [], folds=2)
