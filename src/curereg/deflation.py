@@ -116,15 +116,15 @@ class DeflationConfig:
 
 def _stagewise_grid_points(path, max_points=CV_GRID_MAX):
     """Thin a path to one snapshot per lambda level, capped at ``max_points``."""
-    points = []
-    for i, step in enumerate(path.steps):
-        nxt = path.steps[i + 1].lam if i + 1 < len(path.steps) else None
-        if nxt is None or nxt < step.lam:
-            points.append((step.lam, step.factor))
-    if len(points) > max_points:
-        idx = np.linspace(0, len(points) - 1, max_points).round().astype(int)
-        points = [points[i] for i in sorted(set(idx.tolist()))]
-    return points
+    steps = path.steps
+    last = [
+        step for i, step in enumerate(steps)
+        if i + 1 == len(steps) or steps[i + 1].lam < step.lam
+    ]
+    if len(last) > max_points:
+        idx = np.linspace(0, len(last) - 1, max_points).round().astype(int)
+        last = [last[i] for i in sorted(set(idx.tolist()))]
+    return [(step.lam, step.factor) for step in last]
 
 
 def _acs_select_ic(problem, pairs, criterion):
@@ -157,10 +157,7 @@ def _fit_unit_rank(problem, cfg):
         path = run_path(problem, solver)
         if criterion == "cv":
             def fit_fn(pb):
-                return [
-                    (lam, fac.to_matrix())
-                    for lam, fac in _stagewise_grid_points(run_path(pb, solver))
-                ]
+                return _stagewise_grid_points(run_path(pb, solver))
 
             points = _stagewise_grid_points(path)
             sel = kfold_cv_select(problem, points, fit_fn, cfg.cv_folds, cfg.cv_seed)
@@ -176,10 +173,7 @@ def _fit_unit_rank(problem, cfg):
         return pairs[0][1]
     if criterion == "cv":
         def fit_fn(pb):
-            return [
-                (lam, fac.to_matrix())
-                for lam, fac in acs_path(pb, grid, mu=solver.mu, config=solver)
-            ]
+            return acs_path(pb, grid, mu=solver.mu, config=solver)
 
         sel = kfold_cv_select(problem, pairs, fit_fn, cfg.cv_folds, cfg.cv_seed)
         return pairs[sel.index][1]

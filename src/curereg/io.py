@@ -7,6 +7,7 @@ the double exactly.  Missing response entries are spelled ``NA`` in CSV.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io as _io
 import json
@@ -37,19 +38,26 @@ def fmt17(x):
     return f"{float(x):.17g}"
 
 
-def atomic_write_text(path, text):
-    """Write text to ``path`` atomically (temp file + rename)."""
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Yield a text handle on a temp file that replaces ``path`` on success."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text):
+    """Write text to ``path`` atomically (temp file + rename)."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _parse_cell(tok, where, allow_missing):
@@ -62,6 +70,19 @@ def _parse_cell(tok, where, allow_missing):
         return float(tok), True
     except ValueError:
         raise ValueError(f"{where}: cannot parse {tok!r} as a number") from None
+
+
+def _parse_row(row, where, allow_missing):
+    """Parse a row cell by cell; returns its values and the columns that are NA."""
+    values, missing = [], []
+    for j, tok in enumerate(row):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            # float() strips whitespace as str.strip() does: this cell is NA or an error
+            values.append(_parse_cell(tok, f"{where}, column {j + 1}", allow_missing)[0])
+            missing.append(j)
+    return values, missing
 
 
 def _row_is_header(row):
@@ -103,12 +124,12 @@ def read_matrix_csv(path, allow_missing=False):
             raise ValueError(
                 f"{path}: line {line_no} has {len(row)} columns, expected {width}"
             )
-        for j, tok in enumerate(row):
-            val, obs = _parse_cell(tok, f"{path}: line {line_no}, column {j + 1}", allow_missing)
-            out[i, j] = val
-            if not obs:
-                observed[i, j] = False
-                any_missing = True
+        try:
+            out[i] = [float(tok) for tok in row]
+        except ValueError:  # an NA or a bad cell
+            out[i], missing = _parse_row(row, f"{path}: line {line_no}", allow_missing)
+            observed[i, missing] = False
+            any_missing = any_missing or bool(missing)
     return out, (observed if any_missing else None)
 
 
@@ -190,8 +211,8 @@ def load_factor_model(path):
 
 
 def _nonzeros(vec):
-    idx = np.nonzero(vec)[0]
-    return [[int(i), float(vec[i])] for i in idx]
+    idx = np.flatnonzero(vec)
+    return [[i, x] for i, x in zip(idx.tolist(), vec[idx].tolist())]
 
 
 def write_path_jsonl(path, sw_path):
@@ -200,19 +221,20 @@ def write_path_jsonl(path, sw_path):
     Each line carries ``{t, lambda, move, d, u_nonzeros, v_nonzeros, loss,
     penalty, criterion}`` with the loading vectors in sparse ``[index, value]``
     form.  This is the interchange format for external path plotting.
+    Records are written one at a time, so the text never sits in memory.
     """
-    lines = []
-    for step in sw_path.steps:
-        rec = {
-            "t": step.t,
-            "lambda": step.lam,
-            "move": step.move,
-            "d": step.factor.d,
-            "u_nonzeros": _nonzeros(step.factor.u),
-            "v_nonzeros": _nonzeros(step.factor.v),
-            "loss": step.loss,
-            "penalty": step.penalty,
-            "criterion": step.criterion_value,
-        }
-        lines.append(json.dumps(rec))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with _atomic_open(path) as fh:
+        for step in sw_path.steps:
+            factor = step.factor
+            rec = {
+                "t": step.t,
+                "lambda": step.lam,
+                "move": step.move,
+                "d": factor.d,
+                "u_nonzeros": _nonzeros(factor.u),
+                "v_nonzeros": _nonzeros(factor.v),
+                "loss": step.loss,
+                "penalty": step.penalty,
+                "criterion": step.criterion_value,
+            }
+            fh.write(json.dumps(rec) + "\n")

@@ -16,11 +16,26 @@ the step size epsilon:
   executes, and lam is lowered to ``min(lam, (loss_drop - xi) / eps)`` if
   the move no longer pays for itself at the current level.
 
-Both proposals price their candidates with closed-form loss changes, so a
-step costs O(|B| nq + |A| np) like the surrounding matrix products.  With a
-partial observation mask the residual is kept projected onto the observed
-entries and the quadratic terms sum only observed rows, which keeps the
-bookkeeping identities exact in the masked case as well.
+Both proposals price their candidates with closed-form loss changes from
+one set of quantities per step: the gradients ``gu = X^T E v / n`` and
+``Ew = E^T w / (n d)`` of the residual ``E`` along ``v = dv/d`` and
+``w = X du``.  Which engine keeps them depends on the mask alone:
+
+* *Covariance engine* (no mask).  Then ``E = Y0 - w v^T`` exactly, so
+  ``gu = S v - (G du) ||v||^2`` and ``Ew = (S^T du - v ||w||^2/n) / d`` with
+  ``S = X^T Y0 / n`` and ``G = X^T X / n``.  It keeps ``G du``, ``S dv``,
+  ``S^T du`` and ``||w||^2/n`` up to date, reading the Gram column of a
+  coordinate (cached on its first activation, O(np) once) and one row or
+  column of ``S``; a step costs O(p + q) and never touches the n x q
+  residual.
+* *Residual engine* (a mask).  It keeps the projected residual ``P(E)``
+  and ``w``; pricing a step costs O(nq + np) matrix-vector products and the
+  quadratic terms sum only observed rows, which keeps the bookkeeping
+  identities exact in the masked case as well.
+
+Every ``RECOMPUTE_EVERY`` steps the maintained quantities are rebuilt from
+``du``/``dv`` and the largest relative gap to the rebuilt values is kept
+as ``StagewisePath.max_drift``.
 
 The per-step objective bookkeeping gives, by construction,
 
@@ -35,8 +50,8 @@ criterion has not improved for ``early_stop_window`` consecutive steps.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,39 +119,261 @@ class StagewiseConfig:
         return 1e-6 * self.epsilon ** 2 if self.xi is None else self.xi
 
 
-class _Workspace:
-    """Problem-derived constants shared by every step of one path."""
+class _Prices(NamedTuple):
+    """Quantities that price every candidate move of one step.
+
+    The arrays run over the stacked coordinates ``(du, dv)``: ``g`` holds
+    the gradients ``gu`` then ``Ew``, ``quad`` their quadratic terms, and
+    ``c22`` the squared l2 norm of the other side's unit loading (``v22`` on
+    the du part, ``u22`` on the dv part).  ``v``/``Ev`` are the residual
+    engine's extras (None otherwise).
+    """
+
+    t: int
+    v22: float
+    u22: float
+    g: np.ndarray
+    quad: np.ndarray
+    c22: np.ndarray
+    v: np.ndarray | None = None
+    Ev: np.ndarray | None = None
+
+
+def _stack_prices(t, v22, u22, gu, Ew, quad_u, quad_v, v=None, Ev=None):
+    p = gu.size
+    c22 = np.empty(p + Ew.size)
+    c22[:p] = v22
+    c22[p:] = u22
+    return _Prices(t, v22, u22, np.concatenate((gu, Ew)),
+                   np.concatenate((quad_u, quad_v)), c22, v, Ev)
+
+
+class _Engine:
+    """Problem constants of one path plus the quantities an engine maintains.
+
+    Subclasses implement one small interface: ``entry_quad`` (per-entry
+    quadratic terms of the first move), ``enter`` (the first move out of
+    the zero state), ``price``, ``move_u``/``move_v`` (apply a move, return
+    the inner product that prices its rss change), ``scale_du``/``scale_dv``
+    (one side rescaled to keep ``||du||_1 = ||dv||_1``), ``rebuild`` (exact
+    recomputation from ``du``/``dv``, returns the rss) and ``tracked`` (the
+    maintained gradients that ``rebuild`` checks for drift).
+    """
 
     def __init__(self, problem):
-        self.problem = problem
         self.X = np.asfortranarray(problem.X)
         self.Y0 = problem.observed_response()
-        self.n = problem.n
+        self.n, self.p, self.q = problem.n, problem.p, problem.q
         self.col_x2 = np.einsum("ij,ij->j", self.X, self.X)
-        self.masked = problem.mask is not None
-        if self.masked:
-            self.Hf = problem.mask.astype(float)
-            self.X2 = np.asfortranarray(self.X * self.X)
-        self.observed = None if not self.masked else problem.n_observed
+        self.S = self.X.T @ self.Y0 / self.n
+        self.y2 = float(np.vdot(self.Y0, self.Y0))
+        self.observed = None if problem.mask is None else problem.n_observed
+
+    def tracked(self, state):
+        return ()
 
 
-@dataclass
+class _ResidualEngine(_Engine):
+    """Masked problems: keep ``E = P(Y0 - w v^T)`` and ``w = X du``."""
+
+    def __init__(self, problem):
+        super().__init__(problem)
+        self.Hf = problem.mask.astype(float)
+        self.X2 = np.asfortranarray(self.X * self.X)
+        self.E = self.Y0.copy()
+        self.w = np.zeros(self.n)
+
+    def entry_quad(self):
+        return self.X2.T @ self.Hf  # (p, q): column norms over observed rows
+
+    def enter(self, j, k, s, eps):
+        self.E[:, k] -= s * self.X[:, j] * self.Hf[:, k]
+        self.w = eps * self.X[:, j]
+
+    def price(self, state):
+        n, d = self.n, state.d
+        v = state.dv / d
+        Ev = self.E @ v
+        return _stack_prices(
+            state.t,
+            v22=float(state.dv @ state.dv) / d ** 2,
+            u22=float(state.du @ state.du) / d ** 2,
+            gu=(self.X.T @ Ev) / n,
+            Ew=(self.E.T @ self.w) / (n * d),
+            quad_u=self.X2.T @ (self.Hf @ (v * v)),
+            quad_v=((self.w * self.w) @ self.Hf) / d ** 2,
+            v=v,
+            Ev=Ev,
+        )
+
+    def move_u(self, j, s, pr):
+        xj = self.X[:, j]
+        xe = float(xj @ pr.Ev)
+        self.E -= s * (xj[:, None] * self.Hf) * pr.v[None, :]
+        self.w = self.w + s * xj
+        return xe
+
+    def move_v(self, k, h, d_old, pr):
+        we = float(self.w @ self.E[:, k])
+        self.E[:, k] -= (h / d_old) * self.w * self.Hf[:, k]
+        return we
+
+    def scale_du(self, r):
+        self.w *= r
+
+    def scale_dv(self, r):
+        pass
+
+    def rebuild(self, du, dv, d):
+        if d <= 0.0:
+            self.w = np.zeros(self.n)
+            self.E = self.Y0.copy()
+        else:
+            self.w = self.X @ du
+            fit = np.outer(self.w, dv) / d
+            fit *= self.Hf
+            self.E = self.Y0 - fit
+        return float(np.vdot(self.E, self.E))
+
+
+class _CovarianceEngine(_Engine):
+    """Unmasked problems: keep ``G du``, ``S dv``, ``S^T du`` and ``||w||^2/n``."""
+
+    def __init__(self, problem):
+        super().__init__(problem)
+        self.g_diag = self.col_x2 / self.n
+        self._gram = {}
+        self._clear()
+
+    def _clear(self):
+        self.Gdu = np.zeros(self.p)
+        self.Sdv = np.zeros(self.p)
+        self.Stdu = np.zeros(self.q)
+        self.ww = 0.0
+
+    def _gram_col(self, j):
+        col = self._gram.get(j)
+        if col is None:
+            col = self._gram[j] = self.X.T @ self.X[:, j] / self.n
+        return col
+
+    def entry_quad(self):
+        return np.broadcast_to(self.col_x2[:, None], self.S.shape)
+
+    def enter(self, j, k, s, eps):
+        self.Gdu = eps * self._gram_col(j)
+        self.Sdv = s * self.S[:, k]
+        self.Stdu = eps * self.S[j]
+        self.ww = eps * eps * self.g_diag[j]
+
+    def _gradients(self, state, v22):
+        d = state.d
+        gu = self.Sdv / d - self.Gdu * v22
+        Ew = (self.Stdu - (state.dv / d) * self.ww) / d
+        return gu, Ew
+
+    def price(self, state):
+        d = state.d
+        v22 = float(state.dv @ state.dv) / d ** 2
+        gu, Ew = self._gradients(state, v22)
+        return _stack_prices(
+            state.t,
+            v22=v22,
+            u22=float(state.du @ state.du) / d ** 2,
+            gu=gu,
+            Ew=Ew,
+            quad_u=self.col_x2 * v22,
+            quad_v=np.full(self.q, self.n * self.ww / d ** 2),
+        )
+
+    def move_u(self, j, s, pr):
+        self.ww += 2.0 * s * self.Gdu[j] + s * s * self.g_diag[j]
+        self.Gdu += s * self._gram_col(j)
+        self.Stdu += s * self.S[j]
+        return self.n * float(pr.g[j])
+
+    def move_v(self, k, h, d_old, pr):
+        self.Sdv += h * self.S[:, k]
+        return self.n * d_old * float(pr.g[self.p + k])
+
+    def scale_du(self, r):
+        self.Gdu *= r
+        self.Stdu *= r
+        self.ww *= r * r
+
+    def scale_dv(self, r):
+        self.Sdv *= r
+
+    def rebuild(self, du, dv, d):
+        if d <= 0.0:
+            self._clear()
+            return self.y2
+        w = self.X @ du
+        self.Gdu = (self.X.T @ w) / self.n
+        self.Sdv = self.S @ dv
+        self.Stdu = self.S.T @ du
+        self.ww = float(w @ w) / self.n
+        E = self.Y0 - np.outer(w, dv / d)
+        return float(np.vdot(E, E))
+
+    def tracked(self, state):
+        if state.d <= 0.0:
+            return ()
+        return self._gradients(state, float(state.dv @ state.dv) / state.d ** 2)
+
+
+def _make_engine(problem):
+    if problem.mask is None:
+        return _CovarianceEngine(problem)
+    return _ResidualEngine(problem)
+
+
+def _rel_gap(kept, exact):
+    scale = float(np.max(np.abs(exact)))
+    gap = float(np.max(np.abs(np.subtract(kept, exact))))
+    return gap / scale if scale > 0.0 else gap
+
+
+@dataclass(slots=True)
 class PathStep:
-    """One recorded state of the path (after the move named by ``move``)."""
+    """One recorded state of the path (after the move named by ``move``).
+
+    The loadings are kept sparse: ``index`` holds the positions of the
+    nonzeros of the stacked vector ``(du, dv)`` (length ``p + q``) and
+    ``value`` their values; :attr:`factor` rebuilds the dense L1-mode
+    factor on demand.
+    """
 
     t: int
     lam: float
     move: str
-    factor: UnitRankFactor
+    d: float
+    index: np.ndarray
+    value: np.ndarray
+    p: int
+    q: int
     loss: float
     penalty: float
     criterion_value: float | None = None
     rss: float = np.nan
     df: int = 0
 
+    @property
+    def factor(self):
+        if self.d <= 0.0:
+            return UnitRankFactor.zero(self.p, self.q, NormMode.L1)
+        full = np.zeros(self.p + self.q)
+        full[self.index] = self.value
+        return UnitRankFactor(
+            self.d, full[: self.p] / self.d, full[self.p:] / self.d, NormMode.L1
+        )
+
 
 @dataclass
 class StagewisePath:
+    """A recorded path; ``max_drift`` is the largest relative gap between the
+    maintained and the rebuilt bookkeeping seen at the periodic rebuilds."""
+
     steps: list = field(default_factory=list)
     config: StagewiseConfig | None = None
     terminated_by: str = ""
@@ -144,6 +381,7 @@ class StagewisePath:
     p: int = 0
     q: int = 0
     observed: int | None = None
+    max_drift: float = 0.0
 
     def lambdas(self):
         return np.array([s.lam for s in self.steps])
@@ -156,100 +394,133 @@ class StagewisePath:
 
 
 class StagewiseState:
-    """Mutable solver state; field names follow the working parameterization."""
+    """Mutable solver state; field names follow the working parameterization.
 
-    def __init__(self, ws, config, du, dv, lam, E, w, rss, l2c, t=0):
-        self._ws = ws
+    ``du`` and ``dv`` are views into one stacked buffer.  After editing them
+    by hand, call :meth:`_refresh_exact` to bring the bookkeeping along.
+    """
+
+    def __init__(self, engine, config, lam):
+        self._engine = engine
         self._config = config
-        self.du = du
-        self.dv = dv
-        self.active_A = set(np.nonzero(du)[0].tolist())
-        self.active_B = set(np.nonzero(dv)[0].tolist())
+        self._duv = np.zeros(engine.p + engine.q)
+        self.du = self._duv[: engine.p]
+        self.dv = self._duv[engine.p:]
         self.lam = lam
-        self.E = E
-        self.t = t
-        self.w = w          # X @ du, cached
-        self.rss = rss      # ||E||_F^2 over observed entries
-        self.l2c = l2c      # ||d u v^T||_F^2
-        self.d = float(np.abs(du).sum())
+        self.t = 0
+        self.d = 0.0
+        self.rss = engine.y2  # ||P(Y0 - fit)||_F^2
+        self.l2c = 0.0        # ||d u v^T||_F^2
+        self._prices = None
+        self._support = None
+
+    @property
+    def active_A(self):
+        return np.flatnonzero(self.du)
+
+    @property
+    def active_B(self):
+        return np.flatnonzero(self.dv)
 
     @property
     def loss(self):
-        return self.rss / (2.0 * self._ws.n) + 0.5 * self._config.mu * self.l2c
-
-    def snapshot_factor(self):
-        p, q = self.du.size, self.dv.size
-        if self.d <= 0.0:
-            return UnitRankFactor.zero(p, q, NormMode.L1)
-        return UnitRankFactor(self.d, self.du / self.d, self.dv / self.d, NormMode.L1)
+        return self.rss / (2.0 * self._engine.n) + 0.5 * self._config.mu * self.l2c
 
     def _refresh_exact(self):
-        """Recompute the cached residual quantities from scratch (drift control)."""
-        ws = self._ws
+        """Rebuild the bookkeeping from du/dv (drift control).
+
+        Returns the largest relative gap between the maintained rss (and
+        the covariance engine's gradients) and their rebuilt values.
+        """
+        engine = self._engine
+        kept = (self.rss, *engine.tracked(self))
         self.d = float(np.abs(self.du).sum())
         if self.d <= 0.0:
-            self.w = np.zeros(ws.n)
-            self.E = ws.Y0.copy()
             self.l2c = 0.0
         else:
-            self.w = ws.X @ self.du
-            fit = np.outer(self.w, self.dv) / self.d
-            if ws.masked:
-                fit *= ws.Hf
-            self.E = ws.Y0 - fit
             self.l2c = float(self.du @ self.du) * float(self.dv @ self.dv) / self.d ** 2
-        self.rss = float(np.vdot(self.E, self.E))
+        self.rss = engine.rebuild(self.du, self.dv, self.d)
+        self._prices = self._support = None
+        exact = (self.rss, *engine.tracked(self))
+        return max(_rel_gap(a, b) for a, b in zip(kept, exact))
 
 
-def _criterion_value(ws, config, rss, df):
+def _prices(state):
+    """The step's priced quantities, computed once and shared by both proposals."""
+    pr = state._prices
+    if pr is None or pr.t != state.t:
+        pr = state._prices = state._engine.price(state)
+    return pr
+
+
+def _support(state):
+    """Positions of the nonzeros of the stacked ``(du, dv)``, found once per step."""
+    sup = state._support
+    if sup is None or sup[0] != state.t:
+        sup = state._support = (state.t, np.flatnonzero(state._duv))
+    return sup[1]
+
+
+def _criterion_value(engine, config, rss, df):
     if config.criterion == "none":
         return None
     if rss <= 0.0:
         return None
-    n, p, q = ws.n, ws.X.shape[1], ws.Y0.shape[1]
     return information_criterion(
-        config.criterion, CriterionInput(rss, n, p, q, df, ws.observed)
+        config.criterion,
+        CriterionInput(rss, engine.n, engine.p, engine.q, df, engine.observed),
     )
 
 
 def _record(state, move):
-    ws = state._ws
-    config = state._config
-    df = len(state.active_A) + len(state.active_B) - 1 if state.d > 0 else 0
+    engine = state._engine
+    index = _support(state)
+    df = index.size - 1 if state.d > 0 else 0
     return PathStep(
         t=state.t,
         lam=state.lam,
         move=move,
-        factor=state.snapshot_factor(),
+        d=state.d,
+        index=index.astype(np.int32),
+        value=state._duv[index],
+        p=engine.p,
+        q=engine.q,
         loss=state.loss,
         penalty=state.lam * state.d,
-        criterion_value=_criterion_value(ws, config, state.rss, df),
+        criterion_value=_criterion_value(engine, state._config, state.rss, df),
         rss=state.rss,
         df=df,
     )
 
 
-def _init_search(ws, eps, mu):
-    """Best single-entry model of the current (residual) response.
+def _init_search(engine, eps, mu):
+    """Best single-entry model of the response.
 
     Scans every (row, column) pair for the entry s*e_j e_k^T, |s| = eps,
     that minimizes the loss; returns indices, the signed step on the v side,
-    the lambda level at which the move exactly pays for itself, and the loss
-    change of executing it from zero.
+    the lambda level at which the move exactly pays for itself, and the
+    entry's ``S`` and quadratic terms.
     """
-    n = ws.n
-    G = ws.X.T @ ws.Y0 / n
-    if ws.masked:
-        quad = ws.X2.T @ ws.Hf  # (p, q): column norms over observed rows
-    else:
-        quad = np.broadcast_to(ws.col_x2[:, None], G.shape)
-    obj = (eps / (2.0 * n)) * quad - np.abs(G)
+    G = engine.S
+    quad = engine.entry_quad()
+    obj = (eps / (2.0 * engine.n)) * quad - np.abs(G)
     flat = int(np.argmin(obj))
     j, k = np.unravel_index(flat, G.shape)
-    lam0 = float(np.abs(G[j, k]) - (eps / (2.0 * n)) * quad[j, k] - 0.5 * mu * eps)
+    lam0 = float(np.abs(G[j, k]) - (eps / (2.0 * engine.n)) * quad[j, k] - 0.5 * mu * eps)
     s = eps if G[j, k] >= 0 else -eps
-    delta_loss = -eps * lam0
-    return int(j), int(k), s, lam0, delta_loss, float(G[j, k]), float(quad[j, k])
+    return int(j), int(k), s, lam0, float(G[j, k]), float(quad[j, k])
+
+
+def _enter(state, j, k, s, G_jk, quad_jk):
+    """Move from the zero state to the single entry du[j] = eps, dv[k] = s."""
+    engine = state._engine
+    eps = abs(s)
+    state.du[j] = eps
+    state.dv[k] = s
+    state.d = eps
+    state.l2c = eps ** 2
+    state.rss = state.rss - 2.0 * s * engine.n * G_jk + eps ** 2 * quad_jk
+    engine.enter(j, k, s, eps)
 
 
 def initialize_path(problem, config):
@@ -261,149 +532,83 @@ def initialize_path(problem, config):
     """
     if problem.mask is not None and problem.n_observed == 0:
         raise ValueError("no observed entries in Y")
-    ws = _Workspace(problem)
+    engine = _make_engine(problem)
     eps = config.epsilon
-    mu = config.mu
-    j, k, s, lam0, _, G_jk, quad_jk = _init_search(ws, eps, mu)
+    j, k, s, lam0, G_jk, quad_jk = _init_search(engine, eps, config.mu)
     xi = config.xi_resolved
     if xi >= eps * max(lam0, 1.0):
         raise ValueError(
             f"xi={xi} is too large for epsilon={eps} at lam0={lam0}; "
             "every move would be rejected"
         )
-    p, q = problem.p, problem.q
-    if lam0 <= 0.0:
-        state = StagewiseState(
-            ws, config,
-            du=np.zeros(p), dv=np.zeros(q), lam=lam0,
-            E=ws.Y0.copy(), w=np.zeros(ws.n),
-            rss=float(np.vdot(ws.Y0, ws.Y0)), l2c=0.0,
-        )
-        return state, _record(state, MOVE_INIT)
-    du = np.zeros(p)
-    du[j] = eps
-    dv = np.zeros(q)
-    dv[k] = s
-    E = ws.Y0.copy()
-    if ws.masked:
-        E[:, k] -= s * ws.X[:, j] * ws.Hf[:, k]
-    else:
-        E[:, k] -= s * ws.X[:, j]
-    rss0 = float(np.vdot(ws.Y0, ws.Y0))
-    rss = rss0 - 2.0 * s * ws.n * G_jk + eps ** 2 * quad_jk
-    w = eps * ws.X[:, j]
-    state = StagewiseState(ws, config, du, dv, lam0, E, w, rss, l2c=eps ** 2)
+    state = StagewiseState(engine, config, lam0)
+    if lam0 > 0.0:
+        _enter(state, j, k, s, G_jk, quad_jk)
     return state, _record(state, MOVE_INIT)
 
 
-def _u_side_quantities(state):
-    ws = state._ws
-    d = state.d
-    v = state.dv / d
-    Ev = state.E @ v
-    v22 = float(state.dv @ state.dv) / d ** 2
-    if ws.masked:
-        quad_u = ws.X2.T @ (ws.Hf @ (v * v))
-    else:
-        quad_u = ws.col_x2 * v22
-    return v, Ev, v22, quad_u
-
-
-def _v_side_quantities(state):
-    ws = state._ws
-    d = state.d
-    u22 = float(state.du @ state.du) / d ** 2
-    Ew = (state.E.T @ state.w) / (ws.n * d)
-    if ws.masked:
-        quad_v = ((state.w * state.w) @ ws.Hf) / d ** 2
-    else:
-        quad_v = np.full(state.dv.size, float(state.w @ state.w) / d ** 2)
-    return u22, Ew, quad_v
-
-
-def _execute_u(state, j, s, Ev, v, v22, quad_fit):
+def _execute_u(state, j, s, pr):
     """Apply du[j] += s; returns the exact loss change."""
-    ws = state._ws
-    n = ws.n
-    xj = ws.X[:, j]
-    xe = float(xj @ Ev)
+    n = state._engine.n
     d_old = state.d
     old = state.du[j]
     new = old + s
     if abs(new) <= SNAP_TOL:
         new = 0.0
-    d_rss = -2.0 * s * xe + s * s * quad_fit
-    d_l2 = (new * new - old * old) * v22
-    if ws.masked:
-        state.E -= s * (xj[:, None] * ws.Hf) * v[None, :]
-    else:
-        state.E -= s * np.outer(xj, v)
-    state.w = state.w + s * xj
+    xe = state._engine.move_u(j, s, pr)
+    d_rss = -2.0 * s * xe + s * s * float(pr.quad[j])
+    d_l2 = (new * new - old * old) * pr.v22
     state.du[j] = new
-    if new == 0.0:
-        state.active_A.discard(j)
-    elif old == 0.0:
-        state.active_A.add(j)
+    delta = d_rss / (2.0 * n) + 0.5 * state._config.mu * d_l2
     d_new = d_old + abs(new) - abs(old)
-    if d_new <= SNAP_TOL or not state.active_A:
+    if d_new <= SNAP_TOL or (new == 0.0 and not state.du.any()):
         _zero_out(state)
-        return d_rss / (2.0 * n) + 0.5 * state._config.mu * d_l2
-    state.dv *= d_new / d_old
+        return delta
+    r = d_new / d_old
+    state.dv *= r
+    state._engine.scale_dv(r)
     state.d = d_new
     state.rss += d_rss
     state.l2c += d_l2
-    return d_rss / (2.0 * n) + 0.5 * state._config.mu * d_l2
+    return delta
 
 
-def _execute_v(state, k, h, u22, quad_fit_scaled):
+def _execute_v(state, k, h, pr):
     """Apply dv[k] += h; returns the exact loss change.
 
-    ``quad_fit_scaled`` is ||X u||^2 restricted to observed rows of column k,
+    ``pr.quad[p + k]`` is ||X u||^2 restricted to observed rows of column k,
     already divided by d^2 (the same scale as the proposal quantities).
     """
-    ws = state._ws
-    n = ws.n
+    n, p = state._engine.n, state._engine.p
     d_old = state.d
-    we = float(state.w @ state.E[:, k])
     old = state.dv[k]
     new = old + h
     if abs(new) <= SNAP_TOL:
         new = 0.0
-    d_rss = -2.0 * (h / d_old) * we + h * h * quad_fit_scaled
-    d_l2 = (new * new - old * old) * u22
-    if ws.masked:
-        state.E[:, k] -= (h / d_old) * state.w * ws.Hf[:, k]
-    else:
-        state.E[:, k] -= (h / d_old) * state.w
+    we = state._engine.move_v(k, h, d_old, pr)
+    d_rss = -2.0 * (h / d_old) * we + h * h * float(pr.quad[p + k])
+    d_l2 = (new * new - old * old) * pr.u22
     state.dv[k] = new
-    if new == 0.0:
-        state.active_B.discard(k)
-    elif old == 0.0:
-        state.active_B.add(k)
+    delta = d_rss / (2.0 * n) + 0.5 * state._config.mu * d_l2
     d_new = d_old + abs(new) - abs(old)
-    if d_new <= SNAP_TOL or not state.active_B:
+    if d_new <= SNAP_TOL or (new == 0.0 and not state.dv.any()):
         _zero_out(state)
-        return d_rss / (2.0 * n) + 0.5 * state._config.mu * d_l2
-    state.du *= d_new / d_old
-    state.w *= d_new / d_old
+        return delta
+    r = d_new / d_old
+    state.du *= r
+    state._engine.scale_du(r)
     state.d = d_new
     state.rss += d_rss
     state.l2c += d_l2
-    return d_rss / (2.0 * n) + 0.5 * state._config.mu * d_l2
+    return delta
 
 
 def _zero_out(state):
     """Collapse to the exact zero state (both sides empty)."""
-    ws = state._ws
-    state.du[:] = 0.0
-    state.dv[:] = 0.0
-    state.active_A.clear()
-    state.active_B.clear()
+    state._duv[:] = 0.0
     state.d = 0.0
-    state.w = np.zeros(ws.n)
-    state.E = ws.Y0.copy()
-    state.rss = float(np.vdot(ws.Y0, ws.Y0))
     state.l2c = 0.0
+    state.rss = state._engine.rebuild(state.du, state.dv, 0.0)
 
 
 def propose_backward(state, config):
@@ -413,63 +618,38 @@ def propose_backward(state, config):
     below ``lam * eps - xi``; returns None otherwise (including when there is
     nothing active to shrink).  lambda never changes on a backward move.
     """
-    if state.d <= 0.0 or not state.active_A or not state.active_B:
+    if state.d <= 0.0:
         return None
-    ws = state._ws
     eps = config.epsilon
     mu = config.mu
     xi = config.xi_resolved
-    n = ws.n
-    v, Ev, v22, quad_u = _u_side_quantities(state)
-    A = np.fromiter(state.active_A, int)
-    A.sort()
-    duA = state.du[A]
-    elig_u = np.abs(duA) >= eps - SNAP_TOL
-    best_u = None
-    if np.any(elig_u):
-        Ae = A[elig_u]
-        duAe = duA[elig_u]
-        geA = (ws.X[:, Ae].T @ Ev) / n
-        dl = (
-            (eps ** 2 / (2.0 * n)) * quad_u[Ae]
-            + eps * np.sign(duAe) * geA
-            - mu * eps * np.abs(duAe) * v22
-            + 0.5 * mu * eps ** 2 * v22
-        )
-        i = int(np.argmin(dl))
-        best_u = (float(dl[i]), int(Ae[i]))
-    u22, Ew, quad_v = _v_side_quantities(state)
-    B = np.fromiter(state.active_B, int)
-    B.sort()
-    dvB = state.dv[B]
-    elig_v = np.abs(dvB) >= eps - SNAP_TOL
-    best_v = None
-    if np.any(elig_v):
-        Be = B[elig_v]
-        dvBe = dvB[elig_v]
-        dl = (
-            (eps ** 2 / (2.0 * n)) * quad_v[Be]
-            + eps * np.sign(dvBe) * Ew[Be]
-            - mu * eps * np.abs(dvBe) * u22
-            + 0.5 * mu * eps ** 2 * u22
-        )
-        i = int(np.argmin(dl))
-        best_v = (float(dl[i]), int(Be[i]))
-    if best_u is None and best_v is None:
+    n = state._engine.n
+    pr = _prices(state)
+    nz = _support(state)
+    duv = state._duv[nz]
+    elig = np.abs(duv) >= eps - SNAP_TOL
+    if not elig.any():
         return None
-    take_u = best_v is None or (best_u is not None and best_u[0] <= best_v[0])
-    predicted = best_u[0] if take_u else best_v[0]
-    if not predicted < state.lam * eps - xi:
+    cand = nz[elig]
+    duv = duv[elig]
+    c22 = pr.c22[cand]
+    dl = (
+        (eps ** 2 / (2.0 * n)) * pr.quad[cand]
+        + eps * np.sign(duv) * pr.g[cand]
+        - mu * eps * np.abs(duv) * c22
+        + 0.5 * mu * eps ** 2 * c22
+    )
+    i = int(dl.argmin())  # du candidates come first, so du wins ties
+    if not float(dl[i]) < state.lam * eps - xi:
         return None
-    if take_u:
-        j = best_u[1]
-        s = -eps if state.du[j] > 0 else eps
-        _execute_u(state, j, s, Ev, v, v22, float(quad_u[j]))
+    p = state._engine.p
+    j = int(cand[i])
+    if j < p:
+        _execute_u(state, j, -eps if state.du[j] > 0 else eps, pr)
         move = MOVE_BACKWARD_U
     else:
-        k = best_v[1]
-        h = -eps if state.dv[k] > 0 else eps
-        _execute_v(state, k, h, u22, float(quad_v[k]))
+        k = j - p
+        _execute_v(state, k, -eps if state.dv[k] > 0 else eps, pr)
         move = MOVE_BACKWARD_V
     state.t += 1
     return _record(state, move)
@@ -481,48 +661,33 @@ def propose_forward(state, config):
     The side whose move yields the smaller post-move loss wins (du on ties).
     Afterwards lambda is updated to ``min(lam, (loss_drop - xi) / eps)``.
     From the all-zero state the search runs over single (j, k) entry pairs,
-    exactly like initialization, against the current residual.
+    exactly like initialization.
     """
-    ws = state._ws
     eps = config.epsilon
     mu = config.mu
     xi = config.xi_resolved
-    n = ws.n
+    n = state._engine.n
     if state.d <= 0.0:
-        j, k, s, lam_val, delta_loss, G_jk, quad_jk = _init_search(ws, eps, mu)
-        state.du[j] = eps
-        state.dv[k] = s
-        state.active_A = {j}
-        state.active_B = {k}
-        state.d = eps
-        if ws.masked:
-            state.E[:, k] -= s * ws.X[:, j] * ws.Hf[:, k]
-        else:
-            state.E[:, k] -= s * ws.X[:, j]
-        state.w = eps * ws.X[:, j]
-        state.rss += -2.0 * s * n * G_jk + eps ** 2 * quad_jk
-        state.l2c = eps ** 2
-        state.lam = min(state.lam, (-delta_loss - xi) / eps)
+        j, k, s, lam_val, G_jk, quad_jk = _init_search(state._engine, eps, mu)
+        _enter(state, j, k, s, G_jk, quad_jk)
+        state.lam = min(state.lam, (eps * lam_val - xi) / eps)
         state.t += 1
         return _record(state, MOVE_FORWARD_U)
-    v, Ev, v22, quad_u = _u_side_quantities(state)
-    gu = (ws.X.T @ Ev) / n
-    inner_u = gu - mu * state.du * v22
-    score_u = np.abs(inner_u) - (eps / (2.0 * n)) * quad_u
-    j = int(np.argmax(score_u))
-    dl_u = -eps * abs(inner_u[j]) + (eps ** 2 / (2.0 * n)) * quad_u[j] + 0.5 * mu * eps ** 2 * v22
-    u22, Ew, quad_v = _v_side_quantities(state)
-    inner_v = Ew - mu * state.dv * u22
-    score_v = np.abs(inner_v) - (eps / (2.0 * n)) * quad_v
-    k = int(np.argmax(score_v))
-    dl_v = -eps * abs(inner_v[k]) + (eps ** 2 / (2.0 * n)) * quad_v[k] + 0.5 * mu * eps ** 2 * u22
+    pr = _prices(state)
+    p = state._engine.p
+    inner = pr.g - mu * state._duv * pr.c22
+    score = np.abs(inner) - (eps / (2.0 * n)) * pr.quad
+    j = int(score[:p].argmax())
+    dl_u = (-eps * abs(inner[j]) + (eps ** 2 / (2.0 * n)) * pr.quad[j]
+            + 0.5 * mu * eps ** 2 * pr.v22)
+    k = int(score[p:].argmax())
+    dl_v = (-eps * abs(inner[p + k]) + (eps ** 2 / (2.0 * n)) * pr.quad[p + k]
+            + 0.5 * mu * eps ** 2 * pr.u22)
     if dl_u <= dl_v + FORWARD_TIE_TOL:
-        s = eps if inner_u[j] >= 0 else -eps
-        delta_loss = _execute_u(state, j, s, Ev, v, v22, float(quad_u[j]))
+        delta_loss = _execute_u(state, j, eps if inner[j] >= 0 else -eps, pr)
         move = MOVE_FORWARD_U
     else:
-        h = eps if inner_v[k] >= 0 else -eps
-        delta_loss = _execute_v(state, k, h, u22, float(quad_v[k]))
+        delta_loss = _execute_v(state, k, eps if inner[p + k] >= 0 else -eps, pr)
         move = MOVE_FORWARD_V
     state.lam = min(state.lam, (-delta_loss - xi) / eps)
     state.t += 1
@@ -560,7 +725,7 @@ def run_path(problem, config=None):
             step = propose_forward(state, config)
         path.steps.append(step)
         if state.t % RECOMPUTE_EVERY == 0:
-            state._refresh_exact()
+            path.max_drift = max(path.max_drift, state._refresh_exact())
         stalled = stop is not None and stop.update(step.criterion_value)
         if state.lam <= 0.0:
             path.terminated_by = "lambda_nonpositive"

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ProblemData
+from .core import ProblemData, UnitRankFactor
 
 __all__ = [
     "CriterionInput",
@@ -120,17 +120,26 @@ def _fold_indices(n, folds, seed):
     return parts
 
 
+def _predict(X, model):
+    """``X C`` for a coefficient matrix, ``d (X u) v^T`` for a unit-rank factor."""
+    if isinstance(model, UnitRankFactor):
+        return np.outer(model.d * (X @ model.u), model.v)
+    return X @ model
+
+
 def kfold_cv_select(problem, full_path, fit_fn, folds=5, seed=0):
     """Pick a point of a full-data path by row-wise K-fold cross-validation.
 
     ``full_path`` is the caller's full-data path of ``(lam, model)`` pairs,
     ``lam`` nonincreasing; its lambdas fix the grid, and
     ``full_path[sel.index]`` is the pick.  ``fit_fn(problem)`` must return a
-    training fold's path as ``(lam, C)`` pairs; it is aligned to the grid by
-    nearest lambda (earlier point on ties).  Held-out error for a candidate
-    C is ``||P(Y_test - X_test C)||_F^2 / (2 * n_test)`` summed over
-    observed entries, averaged across folds.  Returns the argmin grid point
-    (first on ties) with the per-point mean errors.
+    training fold's path as ``(lam, model)`` pairs, each model a p x q
+    coefficient matrix or a :class:`UnitRankFactor` (scored without forming
+    its matrix); the fold path is aligned to the grid by nearest lambda
+    (earlier point on ties).  Held-out error for a candidate C is
+    ``||P(Y_test - X_test C)||_F^2 / (2 * n_test)`` summed over observed
+    entries, averaged across folds.  Returns the argmin grid point (first on
+    ties) with the per-point mean errors.
     """
     if not full_path:
         raise ValueError("the full-data path is empty")
@@ -154,8 +163,7 @@ def kfold_cv_select(problem, full_path, fit_fn, folds=5, seed=0):
         n_te = test_rows.size
         for g, lam in enumerate(grid):
             j = int(np.argmin(np.abs(fold_lams - lam)))
-            C = fold_path[j][1]
-            R = Yte - Xte @ C
+            R = Yte - _predict(Xte, fold_path[j][1])
             if te_mask is not None:
                 R = np.where(te_mask, R, 0.0)
             errors[f, g] = float(np.vdot(R, R)) / (2.0 * n_te)

@@ -6,6 +6,7 @@ import pytest
 
 from curereg.core import FactorModel, NormMode, ProblemData, UnitRankFactor
 from curereg.io import (
+    _parse_cell,
     atomic_write_text,
     factor_model_from_dict,
     factor_model_to_dict,
@@ -104,6 +105,37 @@ def test_malformed_csv_errors_name_the_location(tmp_path):
     header_only.write_text("a,b\n")
     with pytest.raises(ValueError, match="no data rows"):
         read_matrix_csv(header_only)
+
+
+def test_fast_row_parse_matches_cell_parser(tmp_path):
+    # whole rows go through float(); rows holding an NA fall back to the
+    # per-cell parser.  Both must give the arrays the cell parser alone gives.
+    rng = np.random.default_rng(3)
+    pads = ["", " ", "  ", "\t"]
+    for trial in range(5):
+        n, m = rng.integers(1, 9, size=2)
+        M = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-5, 6, size=(n, m))
+        na = rng.random((n, m)) < 0.2
+        lines = [",".join(f"col{j}" for j in range(m))] if trial % 2 else []
+        for i in range(n):
+            cells = []
+            for j in range(m):
+                tok = "NA" if na[i, j] else fmt17(M[i, j])
+                cells.append(pads[rng.integers(4)] + tok + pads[rng.integers(4)])
+            lines.append(",".join(cells))
+        path = tmp_path / f"t{trial}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got, observed = read_matrix_csv(path, allow_missing=True)
+        want = np.empty((n, m))
+        want_obs = np.ones((n, m), dtype=bool)
+        for i, line in enumerate(lines[trial % 2:]):
+            for j, tok in enumerate(line.split(",")):
+                want[i, j], want_obs[i, j] = _parse_cell(tok, "here", True)
+        assert got.tobytes() == want.tobytes()
+        if na.any():
+            np.testing.assert_array_equal(observed, want_obs)
+        else:
+            assert observed is None
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

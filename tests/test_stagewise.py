@@ -12,6 +12,7 @@ from curereg.core import (
     residual,
 )
 from curereg.stagewise import (
+    RECOMPUTE_EVERY,
     PathStep,
     StagewiseConfig,
     StagewisePath,
@@ -187,8 +188,8 @@ def test_init_symmetry_forced_winner():
     Y = np.array([[2.0], [0.0]])
     cfg = StagewiseConfig(epsilon=1.0, mu=0.0, criterion="none")
     state, step = initialize_path(ProblemData(X, Y), cfg)
-    assert state.active_A == {0}
-    assert state.active_B == {0}
+    assert state.active_A.tolist() == [0]
+    assert state.active_B.tolist() == [0]
     np.testing.assert_allclose(state.du, [1.0, 0.0])
     np.testing.assert_allclose(state.dv, [1.0])
     assert state.dv[0] > 0  # sign follows x_1' y > 0
@@ -216,8 +217,8 @@ def test_init_matches_exhaustive_single_entry_scan():
                 if best is None or val < best[0]:
                     best = (val, j, k, s)
     val, j, k, s = best
-    assert state.active_A == {j}
-    assert state.active_B == {k}
+    assert state.active_A.tolist() == [j]
+    assert state.active_B.tolist() == [k]
     assert state.dv[k] == pytest.approx(s)
     assert step.loss == pytest.approx(val, abs=1e-12)
     # lam0 is the per-unit loss drop of that best entry
@@ -264,8 +265,6 @@ def test_backward_penalty_decrement_identity():
     state, _ = initialize_path(prob, cfg)
     state.du[:] = [2.0, 0.0]
     state.dv[:] = [2.0]
-    state.active_A = {0}
-    state.active_B = {0}
     state._refresh_exact()
     state.lam = 5.0  # high enough that the shrink is accepted
     pre_penalty = state.lam * state.d
@@ -302,8 +301,6 @@ def test_forward_on_perfect_fit_sends_lambda_negative():
     state, _ = initialize_path(prob, cfg)
     state.du[:] = u
     state.dv[:] = 2.0 * v
-    state.active_A = {0}
-    state.active_B = {0}
     state._refresh_exact()
     assert state.rss == pytest.approx(0.0, abs=1e-20)
     state.lam = 1e-3  # small enough that no shrink is acceptable
@@ -464,7 +461,11 @@ def make_step(t, value, rss=1.0, df=1):
         t=t,
         lam=1.0,
         move="forward_u",
-        factor=UnitRankFactor.zero(2, 2),
+        d=0.0,
+        index=np.zeros(0, dtype=np.int32),
+        value=np.zeros(0),
+        p=2,
+        q=2,
         loss=0.5,
         penalty=0.1,
         criterion_value=value,
@@ -555,3 +556,91 @@ def test_config_rejects_bad_values(kwargs):
 def test_config_default_tolerance_scales_with_step():
     assert StagewiseConfig(epsilon=0.5).xi_resolved == pytest.approx(2.5e-7)
     assert StagewiseConfig(epsilon=0.5, xi=1e-9).xi_resolved == 1e-9
+
+
+# ---------------------------------------------------------------------------
+# engines: covariance form (no mask) against the residual form (a mask)
+
+
+def with_all_true_mask(prob):
+    """The same problem with an explicit all-true mask.
+
+    ProblemData normalizes such a mask away; setting it afterwards keeps it,
+    so the path runs on the residual engine instead of the covariance one.
+    """
+    masked = ProblemData(prob.X, prob.Y)
+    object.__setattr__(masked, "mask", np.ones(prob.Y.shape, dtype=bool))
+    return masked
+
+
+@pytest.mark.parametrize(
+    "spec_kwargs, eps",
+    [
+        (dict(n=60, p=100, q=60, seed=100), 0.1),  # instance A
+        (dict(n=200, p=500, q=200, seed=1), 0.05),  # instance B
+    ],
+    ids=["A", "B"],
+)
+def test_engines_take_the_same_moves(spec_kwargs, eps):
+    # Both engines price the same moves in different arithmetic; a move may
+    # only differ on a near-tie below FORWARD_TIE_TOL, and none occurs here.
+    from curereg.core import column_normalize
+    from curereg.simgen import SimSpec, gen_dataset
+    from curereg.stagewise import _CovarianceEngine, _ResidualEngine
+
+    truth = gen_dataset(
+        SimSpec(model="II", r_star=3, snr=1.0, rho=0.3, **spec_kwargs)
+    )
+    prob = ProblemData(column_normalize(truth.X)[0], truth.Y)
+    masked = with_all_true_mask(prob)
+    cfg = StagewiseConfig(epsilon=eps, criterion="none", max_steps=2000)
+    assert isinstance(initialize_path(prob, cfg)[0]._engine, _CovarianceEngine)
+    assert isinstance(initialize_path(masked, cfg)[0]._engine, _ResidualEngine)
+    a = run_path(prob, cfg)
+    b = run_path(masked, cfg)
+    assert len(a) == len(b) == 2001
+    for sa, sb in zip(a.steps, b.steps):
+        assert sa.move == sb.move, f"engines diverge at step {sa.t}"
+        np.testing.assert_array_equal(sa.index, sb.index)
+        np.testing.assert_array_equal(sa.value, sb.value)
+        assert sa.d == sb.d
+        assert sa.lam == pytest.approx(sb.lam, rel=1e-9)
+        assert sa.loss == pytest.approx(sb.loss, rel=1e-9)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["covariance", "residual"])
+def test_bookkeeping_drift_is_measured_and_small(masked):
+    # 3,500 steps cross three rebuilds; each compares the maintained rss
+    # (and the covariance engine's gradients) with the rebuilt values.
+    rng = np.random.default_rng(20)
+    X = rng.standard_normal((30, 12))
+    Y = X[:, :3] @ rng.standard_normal((3, 8)) + rng.standard_normal((30, 8))
+    mask = rng.random((30, 8)) > 0.2 if masked else None
+    cfg = StagewiseConfig(epsilon=0.005, criterion="none", max_steps=3500)
+    path = run_path(ProblemData(X, Y, mask), cfg)
+    assert len(path) - 1 >= 3 * RECOMPUTE_EVERY
+    assert 0.0 < path.max_drift <= 1e-9
+
+
+def test_recorded_steps_are_sparse_and_detached():
+    import gc
+    import weakref
+
+    rng = np.random.default_rng(21)
+    prob = rank1_problem(rng, 20, 30, 25, noise=0.5)
+    cfg = StagewiseConfig(epsilon=0.2, criterion="none", max_steps=150)
+    state, step = initialize_path(prob, cfg)
+    steps = [step]
+    while state.t < cfg.max_steps and state.lam > 0:
+        steps.append(propose_backward(state, cfg) or propose_forward(state, cfg))
+        full = np.concatenate([state.du, state.dv])
+        np.testing.assert_array_equal(steps[-1].index, np.flatnonzero(full))
+        np.testing.assert_array_equal(steps[-1].value, full[full != 0])
+        fac = steps[-1].factor
+        np.testing.assert_array_equal(fac.u, state.du / state.d)
+        np.testing.assert_array_equal(fac.v, state.dv / state.d)
+    engine = weakref.ref(state._engine)
+    del state
+    gc.collect()
+    assert engine() is None
+    assert len(steps) > 50

@@ -199,3 +199,27 @@ def test_cv_fold_validation():
         kfold_cv_select(prob, [], two_model_fit_fn, folds=2)
     with pytest.raises(ValueError):
         kfold_cv_select(prob, two_model_fit_fn(prob), lambda pb: [], folds=2)
+
+
+def test_cv_scores_a_factor_like_its_matrix():
+    # a unit-rank candidate is scored as d (X u) v^T without forming C; the
+    # errors match scoring its p x q matrix, masked entries included
+    from curereg.stagewise import StagewiseConfig, run_path
+
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((20, 6))
+    Y = np.outer(X[:, 0] - X[:, 2], rng.standard_normal(4)) + 0.3 * rng.standard_normal((20, 4))
+    mask = rng.uniform(size=(20, 4)) > 0.2
+    prob = ProblemData(X, np.where(mask, Y, np.nan), mask)
+    cfg = StagewiseConfig(epsilon=0.3, criterion="none", max_steps=60)
+
+    def factors(pb):
+        return [(s.lam, s.factor) for s in run_path(pb, cfg).steps[::6]]
+
+    def matrices(pb):
+        return [(lam, fac.to_matrix()) for lam, fac in factors(pb)]
+
+    a = kfold_cv_select(prob, factors(prob), factors, folds=4, seed=2)
+    b = kfold_cv_select(prob, factors(prob), matrices, folds=4, seed=2)
+    assert a.index == b.index
+    np.testing.assert_allclose(a.cv_errors, b.cv_errors, rtol=1e-12)
