@@ -6,10 +6,16 @@ The alternating solver attacks the unit-rank objective
         + lam * ||a||_1 ||v||_1
 
 by exact block minimization: with v fixed the problem in ``a`` is a weighted
-single-response lasso (solved by coordinate descent); with ``a`` fixed the
-problem in the response loadings decouples across columns and has a closed
-form.  The objective only depends on the product ``a v^T``, so the loadings
-are free to be rescaled between blocks.
+single-response lasso; with ``a`` fixed the problem in the response loadings
+decouples across columns and has a closed form.  The objective only depends
+on the product ``a v^T``, so the loadings are free to be rescaled between
+blocks.
+
+The a-block and each response column of the matrix lasso are one problem,
+``1/2 s x^T H x + 1/2 c ||x||^2 - b^T x + pen ||x||_1`` with
+``H = X^T diag(w) X / n``, solved by one covariance-form coordinate descent
+(:func:`_weighted_lasso`).  Unweighted Gram columns live in the problem's
+:class:`~curereg.core.GramCache`, so penalty levels share them.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import numpy as np
 
 from .core import (
     SV_TOL,
+    GramCache,
     NormMode,
     UnitRankFactor,
     p_orthogonal_svd,
@@ -42,11 +49,65 @@ __all__ = [
     "default_lambda_grid",
 ]
 
-GRAM_MAX_P = 2000
+# Sweep cap of an a-block solve.  Coordinate descent converges slowly on an
+# ill-conditioned active set: one instance-A layer needed 5,435 sweeps.
+ACS_MAX_SWEEPS = 20_000
 
 
 def _soft(x, t):
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+def _weighted_lasso(gram, s, c, b, pen, x, tol, max_sweeps):
+    """Minimize ``1/2 s x^T H x + 1/2 c ||x||^2 - b^T x + pen ||x||_1`` from ``x``.
+
+    ``gram`` supplies ``H``'s diagonal and columns; ``g = H x`` is kept up to
+    date.  A vectorized check of every coordinate's subgradient condition
+    adds the violators to the active set, which is cycled on Python floats
+    until no coordinate moves by more than ``tol`` (gradient units).  It ends
+    when every violation is at most ``tol`` or after ``max_sweeps`` active
+    passes.  Zero-curvature coordinates stay zero.  Returns ``(x, worst, sweeps)``.
+    """
+    curv = s * gram.diag + c
+    live = curv > 0.0
+    x = np.where(live, x, 0.0)
+    g = np.zeros(b.size)  # H x
+    for j in np.flatnonzero(x):
+        g += x[j] * gram.col(j)
+    bl, cl, sd, xl = b.tolist(), curv.tolist(), (s * gram.diag).tolist(), x.tolist()
+    active = set(np.flatnonzero(x).tolist())
+    sweeps = 0
+    while True:
+        grad = s * g + c * x - b
+        viol = np.where(x != 0.0, np.abs(grad + pen * np.sign(x)), np.abs(grad) - pen)
+        viol[~live] = 0.0
+        worst = float(viol.max(initial=0.0))
+        if worst <= tol or sweeps >= max_sweeps:
+            return x, worst, sweeps
+        active.update(np.flatnonzero(viol > tol).tolist())
+        order = sorted(active)
+        cols = [gram.col(j) for j in order]
+        while True:
+            sweeps += 1
+            biggest = 0.0
+            for j, col in zip(order, cols):
+                old = xl[j]
+                z = bl[j] - s * g.item(j) + sd[j] * old
+                if z > pen:
+                    new = (z - pen) / cl[j]
+                elif z < -pen:
+                    new = (z + pen) / cl[j]
+                else:
+                    new = 0.0
+                if new != old:
+                    g += (new - old) * col
+                    xl[j] = new
+                    moved = abs(new - old) * cl[j]
+                    if moved > biggest:
+                        biggest = moved
+            if biggest <= tol or sweeps >= max_sweeps:
+                break
+        x = np.array(xl)
 
 
 @dataclass
@@ -67,64 +128,42 @@ def lasso_objective(problem, C, lam):
 
 
 def lasso_cd(problem, lam, config=None, warm=None, return_info=False):
-    """Entrywise-l1 multivariate lasso by cyclic coordinate descent.
+    """Entrywise-l1 multivariate lasso by coordinate descent.
 
-    Minimizes ``||P(Y - XC)||_F^2 / (2n) + lam ||C||_1``.  Response columns
-    decouple when fully observed; under a mask the per-entry curvature uses
-    only observed rows.  Returns C, satisfying the stationarity bound
-    ``n^-1 ||X^T P(Y - XC)||_max <= lam + tol`` on convergence; otherwise the
-    last iterate is returned with a warning.
+    Minimizes ``||P(Y - XC)||_F^2 / (2n) + lam ||C||_1``.  Response column k
+    is a weighted lasso whose weights are the mask column (none when fully
+    observed).  On convergence every entry meets the subgradient condition
+    within ``tol``: ``|g_jk + lam sign(C_jk)| <= tol`` where ``C_jk != 0``
+    and ``|g_jk| <= lam + tol`` elsewhere, with ``g = -X^T P(Y - XC) / n``.
+    Otherwise the last iterate is returned with a warning.
     """
     config = config or LassoConfig()
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     X = problem.X
     n, p, q = problem.n, problem.p, problem.q
-    Y0 = problem.observed_response()
     C = np.zeros((p, q)) if warm is None else np.array(warm, dtype=float)
     if C.shape != (p, q):
         raise ValueError("warm start has the wrong shape")
-    R = Y0 - X @ C
-    masked = problem.mask is not None
-    if masked:
-        Hf = problem.mask.astype(float)
-        R[~problem.mask] = 0.0
-        Qc = (X * X).T @ Hf / n  # p x q per-entry curvatures
-    else:
-        cx2 = np.einsum("ij,ij->j", X, X) / n
-    converged = False
+    B = X.T @ problem.observed_response() / n
+    Hf = None if problem.mask is None else problem.mask.astype(float)
+    trace = [lasso_objective(problem, C, lam)] if return_info else []
+    worst = 0.0
     sweeps = 0
-    trace = []
-    for sweeps in range(1, config.max_sweeps + 1):
-        for j in range(p):
-            xj = X[:, j]
-            cj = C[j].copy()
-            if masked:
-                denom = Qc[j]
-                rho = (xj @ R) / n + denom * cj
-                cnew = np.where(denom > 0, _soft(rho, lam) / np.where(denom > 0, denom, 1.0), 0.0)
-            else:
-                if cx2[j] == 0.0:
-                    continue
-                rho = (xj @ R) / n + cx2[j] * cj
-                cnew = _soft(rho, lam) / cx2[j]
-            delta = cnew - cj
-            if np.any(delta):
-                if masked:
-                    R -= (xj[:, None] * Hf) * delta[None, :]
-                else:
-                    R -= np.outer(xj, delta)
-                C[j] = cnew
-        kkt = float(np.abs(X.T @ R).max()) / n
+    for k in range(q):
+        gram = problem.gram if problem.mask is None else GramCache(X, Hf[:, k])
+        C[:, k], viol, used = _weighted_lasso(
+            gram, 1.0, 0.0, B[:, k], lam, C[:, k], config.tol, config.max_sweeps
+        )
+        worst = max(worst, viol)
+        sweeps = max(sweeps, used)
         if return_info:
             trace.append(lasso_objective(problem, C, lam))
-        if kkt <= lam + config.tol:
-            converged = True
-            break
+    converged = worst <= config.tol
     if not converged:
         warnings.warn(
             f"lasso_cd did not meet the stationarity tolerance in "
-            f"{config.max_sweeps} sweeps (kkt={kkt:.3e}, lam={lam:.3e})",
+            f"{config.max_sweeps} sweeps (violation={worst:.3e}, lam={lam:.3e})",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -183,23 +222,20 @@ class AcsConfig:
     """Controls for the alternating solver.
 
     ``lambda_grid`` is only consumed by path/deflation drivers; a single
-    call works at one penalty level.  ``init`` names the starting point rule
-    (currently only the rank-1 layer of a ridge-OLS fit).
+    call works at one penalty level.  The starting point is the rank-1
+    layer of a ridge-OLS fit unless a factor is passed.
     """
 
     lambda_grid: np.ndarray | None = None
     mu: float = 1e-4
     tol: float = 1e-8
     max_iters: int = 500
-    init: str = "svd_of_ols"
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iters < 1:
             raise ValueError("tol must be positive and max_iters at least 1")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
-        if self.init not in ("svd_of_ols", "given"):
-            raise ValueError(f"unknown init rule {self.init!r}")
         if self.lambda_grid is not None:
             g = np.asarray(self.lambda_grid, dtype=float)
             if g.ndim != 1 or g.size == 0:
@@ -249,108 +285,38 @@ def svd_of_ols_factor(problem, ridge=None):
     return model.layers[0]
 
 
-class _AcsWorkspace:
-    """Per-problem precomputations shared across penalty levels."""
-
-    def __init__(self, problem):
-        self.problem = problem
-        self.X = problem.X
-        self.Y0 = problem.observed_response()
-        self.XtY = self.X.T @ self.Y0
-        self.masked = problem.mask is not None
-        if self.masked:
-            self.Hf = problem.mask.astype(float)
-            self.X2 = self.X * self.X
-            self.gram = None
-        elif problem.p <= GRAM_MAX_P:
-            self.gram = self.X.T @ self.X / problem.n
-        else:
-            self.gram = None
-        self.cx2 = np.einsum("ij,ij->j", self.X, self.X) / problem.n
-
-
-def _acs_objective(ws, a, v, lam, mu):
-    w = ws.X @ a
-    R = ws.Y0 - np.outer(w, v)
-    if ws.masked:
-        R[~ws.problem.mask] = 0.0
+def _acs_objective(problem, Y0, a, v, lam, mu):
+    R = Y0 - np.outer(problem.X @ a, v)
+    if problem.mask is not None:
+        R[~problem.mask] = 0.0
     rss = float(np.vdot(R, R))
     l2 = float(a @ a) * float(v @ v)
     l1 = float(np.abs(a).sum()) * float(np.abs(v).sum())
-    return rss / (2.0 * ws.problem.n) + 0.5 * mu * l2 + lam * l1
+    return rss / (2.0 * problem.n) + 0.5 * mu * l2 + lam * l1
 
 
-def _a_step_gram(ws, a, v, lam, mu, inner_tol, max_inner=5000):
-    """Exact lasso in a with v fixed, using the Gram matrix."""
-    G = ws.gram
-    n = ws.problem.n
+def _a_step(problem, Y0, Hf, a, v, lam, mu, inner_tol):
+    """Exact weighted lasso in a with v fixed; returns ``(a, converged)``."""
+    X = problem.X
     v22 = float(v @ v)
-    v1 = float(np.abs(v).sum())
-    lin = (ws.XtY @ v) / n  # = X^T Y v / n
-    diag = np.diag(G)
-    g = G @ a
-    for _ in range(max_inner):
-        biggest = 0.0
-        for j in range(a.size):
-            dj = diag[j]
-            if dj == 0.0:
-                continue
-            old = a[j]
-            rho = lin[j] - v22 * (g[j] - dj * old)
-            new = _soft(rho, lam * v1) / (v22 * (dj + mu))
-            if new != old:
-                g += G[:, j] * (new - old)
-                a[j] = new
-                biggest = max(biggest, abs(new - old))
-        if biggest <= inner_tol * max(1.0, float(np.abs(a).max(initial=0.0))):
-            break
-    return a
+    gram, s = (problem.gram, v22) if Hf is None else (GramCache(X, Hf @ (v * v)), 1.0)
+    b = X.T @ (Y0 @ v) / problem.n
+    tol = inner_tol * max(1.0, float(np.abs(b).max()))
+    a, worst, _ = _weighted_lasso(
+        gram, s, mu * v22, b, lam * float(np.abs(v).sum()), a, tol, ACS_MAX_SWEEPS
+    )
+    return a, worst <= tol
 
 
-def _a_step_direct(ws, a, v, lam, mu, inner_tol, max_inner=2000):
-    """Residual-update lasso in a; used under masks or very wide designs."""
-    X = ws.X
-    n = ws.problem.n
-    v22 = float(v @ v)
-    v1 = float(np.abs(v).sum())
-    w = X @ a
-    R = ws.Y0 - np.outer(w, v)
-    if ws.masked:
-        R[~ws.problem.mask] = 0.0
-        qv = ws.X2.T @ (ws.Hf @ (v * v)) / n  # per-coordinate curvature
-        Hv = ws.Hf * v[None, :]
-    else:
-        qv = ws.cx2 * v22
-    for _ in range(max_inner):
-        biggest = 0.0
-        for j in range(a.size):
-            if qv[j] == 0.0:
-                continue
-            xj = X[:, j]
-            old = a[j]
-            rho = (xj @ (R @ v)) / n + qv[j] * old
-            new = _soft(rho, lam * v1) / (qv[j] + mu * v22)
-            if new != old:
-                if ws.masked:
-                    R += (old - new) * (xj[:, None] * Hv)
-                else:
-                    R += (old - new) * np.outer(xj, v)
-                a[j] = new
-                biggest = max(biggest, abs(new - old))
-        if biggest <= inner_tol * max(1.0, float(np.abs(a).max(initial=0.0))):
-            break
-    return a
-
-
-def _b_step(ws, a, lam, mu):
+def _b_step(problem, Y0, Hf, a, lam, mu):
     """Closed-form response loadings with a fixed; columns decouple."""
-    n = ws.problem.n
-    w = ws.X @ a
+    n = problem.n
+    w = problem.X @ a
     a1 = float(np.abs(a).sum())
     a22 = float(a @ a)
-    c = (ws.Y0.T @ w) / n
-    if ws.masked:
-        denom = (ws.Hf * (w * w)[:, None]).sum(axis=0) / n + mu * a22
+    c = (Y0.T @ w) / n
+    if Hf is not None:
+        denom = (Hf * (w * w)[:, None]).sum(axis=0) / n + mu * a22
         b = np.zeros_like(c)
         ok = denom > 0
         b[ok] = _soft(c[ok], lam * a1) / denom[ok]
@@ -361,22 +327,21 @@ def _b_step(ws, a, lam, mu):
     return _soft(c, lam * a1) / denom
 
 
-def acs_cure(problem, lam, mu=1e-4, init=None, config=None, return_trace=False):
+def acs_cure(problem, lam, init=None, config=None, return_trace=False):
     """Alternating block minimization of the unit-rank objective at one lam.
 
     ``init`` is a UnitRankFactor starting point (default: rank-1 layer of a
-    ridge-OLS fit).  Alternates exact a- and v-blocks until the objective
-    change falls below ``config.tol`` (relative) or the factor collapses to
-    zero.  Returns the factor in L1 normalization (plus the objective trace
-    when asked).
+    ridge-OLS fit); ``mu``, ``tol`` and ``max_iters`` come from ``config``.
+    Alternates exact a- and v-blocks until the objective change falls below
+    ``config.tol`` (relative) or the factor collapses to zero, and warns when
+    ``max_iters`` runs out first or an a-block solve hits its sweep cap.
+    Returns the factor in L1 normalization (plus the objective trace when
+    asked).
     """
     config = config or AcsConfig()
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    ws = _AcsWorkspace(problem)
     if init is None:
-        if config.init == "given":
-            raise ValueError("config.init is 'given' but no init factor was passed")
         init = svd_of_ols_factor(problem)
     zero = UnitRankFactor.zero(problem.p, problem.q, NormMode.L1)
     if init.is_zero:
@@ -390,39 +355,48 @@ def acs_cure(problem, lam, mu=1e-4, init=None, config=None, return_trace=False):
         return (zero, [0.0]) if return_trace else zero
     a *= nv
     v = v / nv
+    mu = config.mu
+    Y0 = problem.observed_response()
+    Hf = None if problem.mask is None else problem.mask.astype(float)
     inner_tol = min(1e-9, config.tol)
-    trace = [_acs_objective(ws, a, v, lam, mu)]
+    trace = [_acs_objective(problem, Y0, a, v, lam, mu)]
     result = None
+    capped = 0
     for _ in range(config.max_iters):
-        if ws.gram is not None and not ws.masked:
-            a = _a_step_gram(ws, a, v, lam, mu, inner_tol)
-        else:
-            a = _a_step_direct(ws, a, v, lam, mu, inner_tol)
+        a, ok = _a_step(problem, Y0, Hf, a, v, lam, mu, inner_tol)
+        capped += not ok
         if not np.any(a):
             result = zero
             break
-        b = _b_step(ws, a, lam, mu)
+        b = _b_step(problem, Y0, Hf, a, lam, mu)
         nb = np.linalg.norm(b)
         if nb == 0.0:
             result = zero
             break
         a = a * nb
         v = b / nb
-        q_now = _acs_objective(ws, a, v, lam, mu)
+        q_now = _acs_objective(problem, Y0, a, v, lam, mu)
         trace.append(q_now)
         if abs(trace[-2] - q_now) <= config.tol * max(1.0, abs(trace[-2])):
             break
+    else:
+        warnings.warn(f"acs_cure did not converge in {config.max_iters} iterations"
+                      f" at lam={lam:.3e}", RuntimeWarning, stacklevel=2)
+    if capped:
+        warnings.warn(f"acs_cure: {capped} a-block solves hit the {ACS_MAX_SWEEPS}"
+                      f"-sweep cap at lam={lam:.3e}", RuntimeWarning, stacklevel=2)
     if result is None:
         raw = UnitRankFactor(1.0, a, v, NormMode.RAW)
         result = renormalize_factor(raw, NormMode.L1)
     return (result, trace) if return_trace else result
 
 
-def acs_path(problem, grid=None, mu=1e-4, config=None):
+def acs_path(problem, grid=None, config=None):
     """Warm-started alternating solves down a decreasing penalty grid.
 
     Returns a list of ``(lam, factor)``; a zero factor at one level does not
-    poison later levels (the next level restarts from the OLS layer).
+    poison later levels (the next level restarts from the OLS layer).  The
+    levels share the problem's cached Gram columns.
     """
     config = config or AcsConfig()
     if grid is None:
@@ -433,7 +407,7 @@ def acs_path(problem, grid=None, mu=1e-4, config=None):
     out = []
     for lam in grid:
         start = warm if (warm is not None and not warm.is_zero) else cold
-        fac = acs_cure(problem, float(lam), mu=mu, init=start, config=config)
+        fac = acs_cure(problem, float(lam), init=start, config=config)
         out.append((float(lam), fac))
         warm = fac
     return out

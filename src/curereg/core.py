@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -127,6 +128,35 @@ class ProblemData:
             return self.Y.copy()
         Y0 = np.where(self.mask, self.Y, 0.0)
         return Y0
+
+    @cached_property
+    def gram(self):
+        """Unweighted :class:`GramCache` of X, kept for the problem's lifetime."""
+        return GramCache(self.X)
+
+
+class GramCache:
+    """Columns of ``H = X^T diag(weights) X / n``, each formed on first use.
+
+    ``diag`` is the whole diagonal.  Without weights column j is ``X^T x_j / n``.
+    """
+
+    def __init__(self, X, weights=None):
+        self.X = X
+        self.n = X.shape[0]
+        self.weights = weights
+        if weights is None:
+            self.diag = np.einsum("ij,ij->j", X, X) / self.n
+        else:
+            self.diag = weights @ (X * X) / self.n
+        self._cols = {}
+
+    def col(self, j):
+        col = self._cols.get(j)
+        if col is None:
+            xj = self.X[:, j] if self.weights is None else self.weights * self.X[:, j]
+            col = self._cols[j] = self.X.T @ xj / self.n
+        return col
 
 
 @dataclass(frozen=True)

@@ -168,12 +168,12 @@ def _fit_unit_rank(problem, cfg):
     grid = solver.lambda_grid
     if grid is None:
         grid = default_lambda_grid(problem)
-    pairs = acs_path(problem, grid, mu=solver.mu, config=solver)
+    pairs = acs_path(problem, grid, config=solver)
     if len(pairs) == 1:
         return pairs[0][1]
     if criterion == "cv":
         def fit_fn(pb):
-            return acs_path(pb, grid, mu=solver.mu, config=solver)
+            return acs_path(pb, grid, config=solver)
 
         sel = kfold_cv_select(problem, pairs, fit_fn, cfg.cv_folds, cfg.cv_seed)
         return pairs[sel.index][1]

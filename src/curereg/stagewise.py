@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NormMode, UnitRankFactor
+from .core import GramCache, NormMode, UnitRankFactor
 from .tuning import CriterionInput, EarlyStop, information_criterion
 
 __all__ = [
@@ -241,8 +241,7 @@ class _CovarianceEngine(_Engine):
 
     def __init__(self, problem):
         super().__init__(problem)
-        self.g_diag = self.col_x2 / self.n
-        self._gram = {}
+        self.gram = GramCache(self.X)
         self._clear()
 
     def _clear(self):
@@ -251,20 +250,14 @@ class _CovarianceEngine(_Engine):
         self.Stdu = np.zeros(self.q)
         self.ww = 0.0
 
-    def _gram_col(self, j):
-        col = self._gram.get(j)
-        if col is None:
-            col = self._gram[j] = self.X.T @ self.X[:, j] / self.n
-        return col
-
     def entry_quad(self):
         return np.broadcast_to(self.col_x2[:, None], self.S.shape)
 
     def enter(self, j, k, s, eps):
-        self.Gdu = eps * self._gram_col(j)
+        self.Gdu = eps * self.gram.col(j)
         self.Sdv = s * self.S[:, k]
         self.Stdu = eps * self.S[j]
-        self.ww = eps * eps * self.g_diag[j]
+        self.ww = eps * eps * self.gram.diag[j]
 
     def _gradients(self, state, v22):
         d = state.d
@@ -287,8 +280,8 @@ class _CovarianceEngine(_Engine):
         )
 
     def move_u(self, j, s, pr):
-        self.ww += 2.0 * s * self.Gdu[j] + s * s * self.g_diag[j]
-        self.Gdu += s * self._gram_col(j)
+        self.ww += 2.0 * s * self.Gdu[j] + s * s * self.gram.diag[j]
+        self.Gdu += s * self.gram.col(j)
         self.Stdu += s * self.S[j]
         return self.n * float(pr.g[j])
 

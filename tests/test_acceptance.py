@@ -153,7 +153,7 @@ def test_criterion_1_stagewise_tracks_alternating_search(convergence_runs):
             C_stl = snap.factor.to_matrix()
             if not C_stl.any():
                 continue  # zero-model grid points are excluded
-            fac_acs = acs_cure(prob, float(g), mu=MU, init=snap.factor)
+            fac_acs = acs_cure(prob, float(g), init=snap.factor, config=AcsConfig(mu=MU))
             C_acs = fac_acs.to_matrix()
             norm_acs = np.linalg.norm(C_acs)
             if norm_acs == 0.0:
@@ -347,8 +347,8 @@ def test_criterion_7_masked_runs_match_and_complete():
 
     worst = max(worst, gap(lasso_cd(full, 0.1), lasso_cd(trivial, 0.1)))
 
-    ga = acs_cure(full, 0.05, mu=MU)
-    gb = acs_cure(trivial, 0.05, mu=MU)
+    ga = acs_cure(full, 0.05, config=AcsConfig(mu=MU))
+    gb = acs_cure(trivial, 0.05, config=AcsConfig(mu=MU))
     worst = max(worst, gap(ga.d, gb.d), gap(ga.u, gb.u), gap(ga.v, gb.v))
 
     dcfg = DeflationConfig(strategy="sequential", rank=2, solver=cfg)
@@ -363,7 +363,7 @@ def test_criterion_7_masked_runs_match_and_complete():
     sel = select_on_path(run_path(holed, cfg)).factor
     assert np.isfinite(sel.d)
     assert np.all(np.isfinite(lasso_cd(holed, 0.1)))
-    fac = acs_cure(holed, 0.05, mu=MU)
+    fac = acs_cure(holed, 0.05, config=AcsConfig(mu=MU))
     fac.validate(X)
     dm = deflate(holed, dcfg)
     assert np.all(np.isfinite(dm.to_matrix(shape=(p, q))))

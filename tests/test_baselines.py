@@ -15,7 +15,16 @@ from curereg.baselines import (
     select_rank_cv,
     svd_of_ols_factor,
 )
-from curereg.core import NormMode, ProblemData, UnitRankFactor, eval_loss, eval_penalty
+from curereg import baselines
+from curereg.core import (
+    NormMode,
+    ProblemData,
+    UnitRankFactor,
+    column_normalize,
+    eval_loss,
+    eval_penalty,
+)
+from curereg.simgen import SimSpec, gen_dataset
 from curereg.tuning import CriterionInput, information_criterion
 
 
@@ -132,6 +141,26 @@ def test_lasso_gic_path_selects_criterion_argmin():
     np.testing.assert_array_equal(C_best, path[k][1])
 
 
+def test_lasso_path_levels_meet_the_subgradient_condition():
+    # Warm-started levels used to stop once max |X^T R| / n <= lam + tol,
+    # which nonzero entries can meet far from optimal (this draw: ~0.3).
+    truth = gen_dataset(SimSpec(model="II", n=40, p=12, q=8, r_star=2, seed=3))
+    X, _ = column_normalize(truth.X)
+    mask = np.random.default_rng(3).random(truth.Y.shape) >= 0.2
+    tol = LassoConfig().tol
+    for m in (None, mask):
+        prob = ProblemData(X, truth.Y, m)
+        _, _, path = lasso_gic_path(prob, grid=default_lambda_grid(prob, num=20))
+        for lam, C in path:
+            R = prob.observed_response() - X @ C
+            if m is not None:
+                R[~m] = 0.0
+            grad = -X.T @ R / prob.n
+            on = C != 0
+            assert np.all(np.abs(grad[on] - (-lam * np.sign(C[on]))) <= tol)
+            assert np.all(np.abs(grad[~on]) <= lam + tol)
+
+
 def test_default_lambda_grid_shape():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((10, 4))
@@ -170,7 +199,7 @@ def test_acs_full_shrinkage_gives_zero_factor():
 def test_acs_unpenalized_recovers_noiseless_truth():
     rng = np.random.default_rng(9)
     prob, C = rank1_instance(rng)
-    fac = acs_cure(prob, 0.0, mu=0.0)
+    fac = acs_cure(prob, 0.0, config=AcsConfig(mu=0.0))
     assert np.linalg.norm(fac.to_matrix() - C) <= 1e-6 * np.linalg.norm(C)
     fac.validate()  # L1 normalization holds on output
 
@@ -201,10 +230,34 @@ def test_acs_output_is_a_fixed_point():
 def test_acs_tiny_ridge_keeps_l1_constraints():
     rng = np.random.default_rng(12)
     prob, _ = rank1_instance(rng, noise=0.3)
-    fac = acs_cure(prob, 0.05, mu=1e-10)
+    fac = acs_cure(prob, 0.05, config=AcsConfig(mu=1e-10))
     assert not fac.is_zero
     assert fac.norm_mode == NormMode.L1
     fac.validate()
+
+
+def test_acs_takes_mu_from_config():
+    rng = np.random.default_rng(17)
+    prob, _ = rank1_instance(rng, noise=0.3)
+    heavy = AcsConfig(mu=5.0)
+    fac = acs_cure(prob, 0.05, config=heavy)
+    default = acs_cure(prob, 0.05)
+    assert fac.d < 0.5 * default.d  # the ridge term shrinks the layer
+    assert acs_objective(prob, fac, 0.05, 5.0) < acs_objective(prob, default, 0.05, 5.0)
+    (_, on_path), = acs_path(prob, grid=[0.05], config=heavy)
+    assert on_path.d == pytest.approx(fac.d, rel=1e-12)
+
+
+def test_acs_warns_instead_of_stopping_silently(monkeypatch):
+    rng = np.random.default_rng(18)
+    prob, _ = rank1_instance(rng, noise=0.5)
+    _, trace = acs_cure(prob, 0.05, return_trace=True)
+    assert len(trace) > 2  # this draw needs more than one outer iteration
+    with pytest.warns(RuntimeWarning, match="acs_cure did not converge in 1 iterations"):
+        acs_cure(prob, 0.05, config=AcsConfig(max_iters=1))
+    monkeypatch.setattr(baselines, "ACS_MAX_SWEEPS", 1)
+    with pytest.warns(RuntimeWarning, match="acs_cure: .*sweep cap"):
+        acs_cure(prob, 0.05)
 
 
 def test_acs_rejects_degenerate_and_misconfigured_input():
@@ -214,8 +267,6 @@ def test_acs_rejects_degenerate_and_misconfigured_input():
     bad = UnitRankFactor(1.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="degenerate"):
         acs_cure(prob, 0.1, init=bad)
-    with pytest.raises(ValueError, match="given"):
-        acs_cure(prob, 0.1, config=AcsConfig(init="given"))
     with pytest.raises(ValueError):
         acs_cure(prob, -1.0)
     with pytest.raises(ValueError):
@@ -260,8 +311,9 @@ def test_acs_path_warm_starts_match_cold_solutions():
     prob, _ = rank1_instance(rng, n=20, p=8, q=6, noise=0.5)
     grid = default_lambda_grid(prob, num=8, floor=0.05)
     mu = 1e-4
-    for lam, fac in acs_path(prob, grid=grid, mu=mu):
-        cold = acs_cure(prob, lam, mu=mu)
+    cfg = AcsConfig(mu=mu)
+    for lam, fac in acs_path(prob, grid=grid, config=cfg):
+        cold = acs_cure(prob, lam, config=cfg)
         a = acs_objective(prob, fac, lam, mu)
         b = acs_objective(prob, cold, lam, mu)
         assert abs(a - b) <= 1e-4 * max(1.0, abs(b))

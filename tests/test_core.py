@@ -3,6 +3,7 @@ import pytest
 
 from curereg.core import (
     FactorModel,
+    GramCache,
     NormMode,
     ProblemData,
     UnitRankFactor,
@@ -65,6 +66,20 @@ def test_problem_nan_only_under_mask():
     bad_mask[0, 0] = False
     with pytest.raises(ValueError):
         ProblemData(X, Y, bad_mask)
+
+
+def test_gram_cache_columns_match_the_dense_matrix():
+    rng = np.random.default_rng(30)
+    X = rng.standard_normal((9, 5))
+    w = rng.uniform(0.0, 2.0, 9)
+    for weights, H in ((None, X.T @ X / 9), (w, X.T @ (w[:, None] * X) / 9)):
+        gram = GramCache(X, weights)
+        np.testing.assert_allclose(gram.diag, np.diag(H), rtol=1e-13)
+        for j in (3, 0, 3):
+            np.testing.assert_allclose(gram.col(j), H[:, j], rtol=1e-13, atol=1e-15)
+        assert sorted(gram._cols) == [0, 3]  # formed on first use, then kept
+    prob = ProblemData(X, rng.standard_normal((9, 2)))
+    assert prob.gram is prob.gram
 
 
 def test_problem_rejects_bad_shapes():

@@ -232,7 +232,7 @@ def test_acs_layer_selection_matches_manual_gic_scan():
     cfg = DeflationConfig(strategy="sequential", rank=1, solver=solver)
     model = sequential_pursuit(prob, cfg)
     best = None
-    for lam, fac in acs_path(prob, grid, mu=solver.mu, config=solver):
+    for lam, fac in acs_path(prob, grid, config=solver):
         R = residual(prob, fac)
         rss = float(np.vdot(R, R))
         df = 0 if fac.is_zero else np.count_nonzero(fac.u) + np.count_nonzero(fac.v) - 1

@@ -398,7 +398,7 @@ def test_run_path_invariants_default_config():
 
 
 def test_run_path_agrees_with_acs_at_matched_lambda():
-    from curereg.baselines import acs_cure
+    from curereg.baselines import AcsConfig, acs_cure
     from curereg.simgen import SimSpec, gen_dataset
 
     truth = gen_dataset(SimSpec(model="I", n=40, p=40, q=40, seed=11))
@@ -406,7 +406,7 @@ def test_run_path_agrees_with_acs_at_matched_lambda():
     cfg = StagewiseConfig(epsilon=0.1)
     chosen = select_on_path(run_path(prob, cfg))
     assert chosen.lam > 0
-    exact = acs_cure(prob, chosen.lam, mu=cfg.mu)
+    exact = acs_cure(prob, chosen.lam, config=AcsConfig(mu=cfg.mu))
     gap = np.linalg.norm(chosen.factor.to_matrix() - exact.to_matrix())
     assert gap <= 0.15 * np.linalg.norm(exact.to_matrix())
 
