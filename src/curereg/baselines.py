@@ -14,8 +14,12 @@ blocks.
 The a-block and each response column of the matrix lasso are one problem,
 ``1/2 s x^T H x + 1/2 c ||x||^2 - b^T x + pen ||x||_1`` with
 ``H = X^T diag(w) X / n``, solved by one covariance-form coordinate descent
-(:func:`_weighted_lasso`).  Unweighted Gram columns live in the problem's
-:class:`~curereg.core.GramCache`, so penalty levels share them.
+(:func:`_weighted_lasso`).  Once a pass leaves every sign unchanged, the
+nonzero block is finished by a linear solve on its sign pattern
+(feature-sign search).  The problem keeps the Gram columns: unweighted in
+``ProblemData.gram`` and, for the masked lasso, one weighted cache per
+response column in ``ProblemData.column_grams``, so penalty levels share
+them.
 """
 
 from __future__ import annotations
@@ -49,8 +53,11 @@ __all__ = [
     "default_lambda_grid",
 ]
 
-# Sweep cap of an a-block solve.  Coordinate descent converges slowly on an
-# ill-conditioned active set: one instance-A layer needed 5,435 sweeps.
+# Sweep cap (passes plus exact solves) of an a-block solve.  Passes alone can
+# take thousands of sweeps on an ill-conditioned active block (5,435 on one
+# instance-A layer, condition number ~5.4e3); the sign-pattern solve ends
+# every a-block of that fit within 14.  The margin is for singular blocks,
+# which fall back to plain passes.
 ACS_MAX_SWEEPS = 20_000
 
 
@@ -63,10 +70,14 @@ def _weighted_lasso(gram, s, c, b, pen, x, tol, max_sweeps):
 
     ``gram`` supplies ``H``'s diagonal and columns; ``g = H x`` is kept up to
     date.  A vectorized check of every coordinate's subgradient condition
-    adds the violators to the active set, which is cycled on Python floats
-    until no coordinate moves by more than ``tol`` (gradient units).  It ends
-    when every violation is at most ``tol`` or after ``max_sweeps`` active
-    passes.  Zero-curvature coordinates stay zero.  Returns ``(x, worst, sweeps)``.
+    adds the violators to the active set, which is cycled on Python floats.
+    After a pass in which no coordinate entered, left or changed sign,
+    :func:`_sign_solve` finishes the nonzero block exactly and control goes
+    back to the check.  Where it cannot (a singular block), passes go on
+    until a sign changes; they also stop once no coordinate moves by more
+    than ``tol`` (gradient units).  The routine ends when every violation is
+    at most ``tol`` or after ``max_sweeps`` passes and solves.
+    Zero-curvature coordinates stay zero.  Returns ``(x, worst, sweeps)``.
     """
     curv = s * gram.diag + c
     live = curv > 0.0
@@ -87,9 +98,11 @@ def _weighted_lasso(gram, s, c, b, pen, x, tol, max_sweeps):
         active.update(np.flatnonzero(viol > tol).tolist())
         order = sorted(active)
         cols = [gram.col(j) for j in order]
+        stale = False  # a solve failed and no sign has changed since
         while True:
             sweeps += 1
             biggest = 0.0
+            flipped = False
             for j, col in zip(order, cols):
                 old = xl[j]
                 z = bl[j] - s * g.item(j) + sd[j] * old
@@ -102,12 +115,82 @@ def _weighted_lasso(gram, s, c, b, pen, x, tol, max_sweeps):
                 if new != old:
                     g += (new - old) * col
                     xl[j] = new
+                    if old * new <= 0.0:
+                        flipped = True
                     moved = abs(new - old) * cl[j]
                     if moved > biggest:
                         biggest = moved
-            if biggest <= tol or sweeps >= max_sweeps:
+            if sweeps >= max_sweeps:
+                break
+            if flipped:
+                stale = False
+            elif not stale and biggest > 0.0:
+                P = [j for j in order if xl[j] != 0.0]
+                xP, g, used, exact = _sign_solve(
+                    gram, P, s, c, b, pen, np.array([xl[j] for j in P]),
+                    max_sweeps - sweeps,
+                )
+                sweeps += used
+                for j, v in zip(P, xP.tolist()):
+                    xl[j] = v
+                if exact or sweeps >= max_sweeps:
+                    break
+                stale = exact is None
+            if biggest <= tol:
                 break
         x = np.array(xl)
+
+
+def _sign_solve(gram, P, s, c, b, pen, x, budget):
+    """Finish the nonzero block P on its sign pattern (feature-sign search).
+
+    Solves ``(s H_PP + c I) x_P = b_P - pen sign(x_P)``.  If every sign
+    holds, that is the block's minimizer.  Otherwise the point moves toward
+    the solution as far as the first sign crossing, that coordinate is set
+    to zero and the smaller block is solved again (Lee, Battle, Raina & Ng
+    2007, *Efficient sparse coding algorithms*).  Each move lowers the
+    objective, a convex quadratic on the current orthant.  ``x`` holds the
+    block's values and is updated in place.  Returns
+    ``(x, g, solves, exact)`` with ``g = H x``.  ``exact`` is True when
+    the signs held, None when a block was singular (its solve inaccurate or
+    not a descent), and False when the block emptied or ``budget`` solves
+    ran out.
+    """
+    Hc = np.column_stack([gram.col(j) for j in P])
+    H = s * Hc[P]
+    bP = b[P]
+    on = np.arange(len(P))
+    solves = 0
+    exact = False
+    while on.size and solves < budget:
+        solves += 1
+        A = H[np.ix_(on, on)]
+        A.flat[:: on.size + 1] += c
+        xo = x[on]
+        r = bP[on] - pen * np.sign(xo)
+        try:
+            xs = np.linalg.solve(A, r)
+        except np.linalg.LinAlgError:
+            exact = None
+            break
+        d = xs - xo
+        # Both tests are False for a non-finite solution.
+        accurate = np.abs(A @ xs - r).max() <= 1e-6 * np.abs(r).max()
+        if not (accurate and d @ (A @ (xo + 0.5 * d) - r) <= 0.0):
+            exact = None
+            break
+        cross = xs * xo <= 0.0
+        if not cross.any():
+            x[on] = xs
+            exact = True
+            break
+        t = xo[cross] / (xo[cross] - xs[cross])
+        xt = xo + t.min() * d
+        xt[np.flatnonzero(cross)[np.argmin(t)]] = 0.0
+        xt[xt * xo < 0.0] = 0.0
+        x[on] = xt
+        on = on[xt != 0.0]
+    return x, Hc @ x, solves, exact
 
 
 @dataclass
@@ -135,7 +218,9 @@ def lasso_cd(problem, lam, config=None, warm=None, return_info=False):
     observed).  On convergence every entry meets the subgradient condition
     within ``tol``: ``|g_jk + lam sign(C_jk)| <= tol`` where ``C_jk != 0``
     and ``|g_jk| <= lam + tol`` elsewhere, with ``g = -X^T P(Y - XC) / n``.
-    Otherwise the last iterate is returned with a warning.
+    Otherwise the last iterate is returned with a warning.  With
+    ``return_info``, ``info["sweeps"]`` is the most passes plus exact
+    solves that any response column took.
     """
     config = config or LassoConfig()
     if lam < 0:
@@ -146,12 +231,10 @@ def lasso_cd(problem, lam, config=None, warm=None, return_info=False):
     if C.shape != (p, q):
         raise ValueError("warm start has the wrong shape")
     B = X.T @ problem.observed_response() / n
-    Hf = None if problem.mask is None else problem.mask.astype(float)
     trace = [lasso_objective(problem, C, lam)] if return_info else []
     worst = 0.0
     sweeps = 0
-    for k in range(q):
-        gram = problem.gram if problem.mask is None else GramCache(X, Hf[:, k])
+    for k, gram in enumerate(problem.column_grams):
         C[:, k], viol, used = _weighted_lasso(
             gram, 1.0, 0.0, B[:, k], lam, C[:, k], config.tol, config.max_sweeps
         )

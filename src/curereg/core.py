@@ -134,6 +134,18 @@ class ProblemData:
         """Unweighted :class:`GramCache` of X, kept for the problem's lifetime."""
         return GramCache(self.X)
 
+    @cached_property
+    def column_grams(self):
+        """The :class:`GramCache` of each response column's lasso.
+
+        Column k weights the rows by its mask column; without a mask every
+        column shares :attr:`gram`.  Kept for the problem's lifetime.
+        """
+        if self.mask is None:
+            return [self.gram] * self.q
+        H = self.mask.astype(float)
+        return [GramCache(self.X, H[:, k]) for k in range(self.q)]
+
 
 class GramCache:
     """Columns of ``H = X^T diag(weights) X / n``, each formed on first use.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from curereg.baselines import (
 )
 from curereg import baselines
 from curereg.core import (
+    GramCache,
     NormMode,
     ProblemData,
     UnitRankFactor,
@@ -161,6 +164,37 @@ def test_lasso_path_levels_meet_the_subgradient_condition():
             assert np.all(np.abs(grad[~on]) <= lam + tol)
 
 
+def test_masked_lasso_path_builds_one_weighted_cache_per_column(monkeypatch):
+    built = []
+    init = GramCache.__init__
+
+    def counting(self, X, weights=None):
+        built.append(weights is not None)
+        init(self, X, weights)
+
+    monkeypatch.setattr(GramCache, "__init__", counting)
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((30, 8))
+    Y = X[:, :2] @ rng.standard_normal((2, 5)) + 0.3 * rng.standard_normal((30, 5))
+    prob = ProblemData(X, Y, rng.random((30, 5)) >= 0.2)
+    lasso_gic_path(prob, grid=default_lambda_grid(prob, num=6))
+    assert sum(built) == 5  # one per response column, shared by the 6 levels
+
+
+def test_lasso_converges_on_an_ill_conditioned_design():
+    # One shared factor plus 5% noise: cond(X^T X) ~ 1.5e4.  Plain coordinate
+    # descent is still at a violation of 1.7e-3 after 2,000 passes here.
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((200, 1)) + 0.05 * rng.standard_normal((200, 20))
+    X, _ = column_normalize(X)
+    Y = X @ rng.standard_normal((20, 2)) + 0.1 * rng.standard_normal((200, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        C, info = lasso_cd(ProblemData(X, Y[:, :1]), 1e-3, return_info=True)
+    assert info["converged"]  # within LassoConfig().max_sweeps
+    assert np.count_nonzero(C) > 10
+
+
 def test_default_lambda_grid_shape():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((10, 4))
@@ -172,6 +206,76 @@ def test_default_lambda_grid_shape():
     # flat response falls back to a unit level
     g0 = default_lambda_grid(ProblemData(X, np.zeros((10, 3))))
     assert g0[0] == 1.0
+
+
+def _degenerate_problem(name, masked):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    n, p, q = {"n=1": (1, 4, 3), "n=2": (2, 4, 3), "n=3": (3, 4, 3),
+               "p>n": (6, 15, 4), "p=1": (10, 1, 3), "q=1": (10, 5, 1),
+               "duplicate": (12, 5, 3), "zero column": (12, 5, 3),
+               "duplicate p>n": (4, 6, 2)}[name]
+    X = rng.standard_normal((n, p))
+    if name.startswith("duplicate"):
+        X[:, 3] = X[:, 1]
+    if name == "zero column":
+        X[:, 2] = 0.0
+    Y = X @ rng.standard_normal((p, q)) + 0.1 * rng.standard_normal((n, q))
+    mask = None
+    if masked:
+        mask = rng.random((n, q)) >= 0.3
+        mask[0, 0] = False
+    return ProblemData(X, Y, mask)
+
+
+def _kernel_violation(gram, s, c, b, pen, x):
+    """Worst subgradient violation of a weighted-lasso point, from dense H."""
+    w = np.ones(gram.n) if gram.weights is None else gram.weights
+    H = gram.X.T @ (w[:, None] * gram.X) / gram.n
+    grad = s * (H @ x) + c * x - b
+    viol = np.where(x != 0.0, np.abs(grad + pen * np.sign(x)), np.abs(grad) - pen)
+    viol[s * np.diag(H) + c <= 0.0] = 0.0  # zero-curvature coordinates stay 0
+    return float(viol.max(initial=0.0))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+@pytest.mark.parametrize("name", ["n=1", "n=2", "n=3", "p>n", "p=1", "q=1",
+                                  "duplicate", "zero column", "duplicate p>n"])
+def test_degenerate_inputs_converge_or_warn(monkeypatch, name, masked):
+    prob = _degenerate_problem(name, masked)
+    results = []
+    kernel = baselines._weighted_lasso
+
+    def checked(gram, s, c, b, pen, x, tol, max_sweeps):
+        out = kernel(gram, s, c, b, pen, x, tol, max_sweeps)
+        results.append((_kernel_violation(gram, s, c, b, pen, out[0]), tol))
+        return out
+
+    monkeypatch.setattr(baselines, "_weighted_lasso", checked)
+    lam_max = float(np.abs(prob.X.T @ prob.observed_response()).max()) / prob.n
+    tol = LassoConfig().tol
+    for lam in (0.0, 1e-3 * lam_max, 0.3 * lam_max):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            C, info = lasso_cd(prob, lam, return_info=True)
+        warned = any("stationarity tolerance" in str(w.message) for w in caught)
+        assert np.all(np.isfinite(C))
+        assert info["converged"] == (not warned)
+        if not warned:
+            R = prob.observed_response() - prob.X @ C
+            if prob.mask is not None:
+                R[~prob.mask] = 0.0
+            grad = -prob.X.T @ R / prob.n
+            viol = np.where(C != 0.0, np.abs(grad + lam * np.sign(C)), np.abs(grad) - lam)
+            assert viol.max() <= tol + 1e-12
+
+        results.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fac = acs_cure(prob, lam)
+        capped = any("sweep cap" in str(w.message) for w in caught)
+        assert np.all(np.isfinite(fac.u)) and np.all(np.isfinite(fac.v))
+        fac.validate()
+        assert capped or all(viol <= t + 1e-12 for viol, t in results)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,7 @@ def test_gram_cache_columns_match_the_dense_matrix():
         assert sorted(gram._cols) == [0, 3]  # formed on first use, then kept
     prob = ProblemData(X, rng.standard_normal((9, 2)))
     assert prob.gram is prob.gram
+    assert all(g is prob.gram for g in prob.column_grams)
 
 
 def test_problem_rejects_bad_shapes():
