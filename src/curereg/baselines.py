@@ -334,6 +334,20 @@ def default_rrr_ridge(X):
     return 1e-3 * float(np.einsum("ij,ij->", X, X)) / X.shape[1]
 
 
+def _rrr_ridge(X):
+    """Ridge 0 when ``X^T X`` is positive definite, else the default ridge
+    (with a warning when n > p, as then X is rank-deficient)."""
+    if X.shape[0] > X.shape[1]:
+        try:
+            np.linalg.cholesky(X.T @ X)
+            return 0.0
+        except np.linalg.LinAlgError:
+            warnings.warn("X is rank-deficient (X^T X is singular); reduced-rank"
+                          " regression uses default_rrr_ridge(X)",
+                          RuntimeWarning, stacklevel=3)
+    return default_rrr_ridge(X)
+
+
 def _ridge_ols(X, Y, ridge):
     XtX = X.T @ X
     if ridge > 0:
@@ -342,7 +356,8 @@ def _ridge_ols(X, Y, ridge):
         L = np.linalg.cholesky(XtX)
     except np.linalg.LinAlgError as exc:
         raise ValueError(
-            "singular normal equations; a positive ridge is required (p >= n?)"
+            "singular normal equations (X is rank-deficient);"
+            " a positive ridge is required"
         ) from exc
     return np.linalg.solve(L.T, np.linalg.solve(L, X.T @ Y))
 

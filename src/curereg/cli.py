@@ -32,8 +32,8 @@ import numpy as np
 
 from .baselines import (
     AcsConfig,
+    _rrr_ridge,
     default_lambda_grid,
-    default_rrr_ridge,
     fit_rrr,
     lasso_gic_path,
     select_rank_cv,
@@ -314,7 +314,7 @@ def _fit_scaled(problem, method, opts, threads):
     if method == "rrr":
         if problem.mask is not None:
             raise SystemExit("method rrr requires a fully observed Y")
-        ridge = 0.0 if n > p else default_rrr_ridge(X)
+        ridge = _rrr_ridge(X)
         rank = opts["rank"]
         if rank is None:
             rank, _ = select_rank_cv(

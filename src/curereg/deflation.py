@@ -23,9 +23,9 @@ import numpy as np
 
 from .baselines import (
     AcsConfig,
+    _rrr_ridge,
     acs_path,
     default_lambda_grid,
-    default_rrr_ridge,
     fit_rrr,
     lasso_gic_path,
 )
@@ -66,7 +66,8 @@ class LassoInitializer:
 @dataclass(frozen=True)
 class RrrInitializer:
     """Pilot estimate via reduced-rank regression; ridge None picks a default
-    (0 for tall designs, ``default_rrr_ridge`` when p >= n)."""
+    (0 for a full-column-rank X, else ``default_rrr_ridge`` with a warning
+    when X is tall)."""
 
     ridge: float | None = None
 
@@ -224,9 +225,7 @@ def _pilot_matrix(problem, cfg):
         C, _, _ = lasso_gic_path(problem)
         return C
     if isinstance(init, RrrInitializer):
-        ridge = init.ridge
-        if ridge is None:
-            ridge = 0.0 if problem.n > problem.p else default_rrr_ridge(problem.X)
+        ridge = _rrr_ridge(problem.X) if init.ridge is None else init.ridge
         return fit_rrr(problem.X, problem.observed_response(), cfg.rank, ridge)
     raise TypeError("initializer must be a LassoInitializer or RrrInitializer")
 

@@ -18,20 +18,21 @@ the step size epsilon:
 
 Both proposals price their candidates with closed-form loss changes from
 one set of quantities per step: the gradients ``gu = X^T E v / n`` and
-``Ew = E^T w / (n d)`` of the residual ``E`` along ``v = dv/d`` and
-``w = X du``.  Which engine keeps them depends on the mask alone:
+``Ew = E^T w / (n d)`` of the projected residual ``E = P(Y0 - w v^T)``
+along ``v = dv/d`` and ``w = X du``.  With ``S = X^T Y0 / n``, the 0/1 mask
+``H`` and ``h = H (v o v)``, ``E v = Y0 v - w o h`` and
+``E^T w = n S^T du - v o H^T (w o w)``.  The engine keeps ``S dv`` and
+``S^T du`` from one row or column of ``S`` per move, never forms the n x q
+residual, and only three terms depend on the mask:
 
-* *Covariance engine* (no mask).  Then ``E = Y0 - w v^T`` exactly, so
-  ``gu = S v - (G du) ||v||^2`` and ``Ew = (S^T du - v ||w||^2/n) / d`` with
-  ``S = X^T Y0 / n`` and ``G = X^T X / n``.  It keeps ``G du``, ``S dv``,
-  ``S^T du`` and ``||w||^2/n`` up to date, reading the Gram column of a
-  coordinate (cached on its first activation, O(np) once) and one row or
-  column of ``S``; a step costs O(p + q) and never touches the n x q
-  residual.
-* *Residual engine* (a mask).  It keeps the projected residual ``P(E)``
-  and ``w``; pricing a step costs O(nq + np) matrix-vector products and the
-  quadratic terms sum only observed rows, which keeps the bookkeeping
-  identities exact in the masked case as well.
+* ``X^T (w o h)`` is ``n ||v||^2 G du`` without a mask (``G = X^T X / n``,
+  read one Gram column per move); under a mask, one O(np) product a step.
+* ``H^T (w o w)`` is ``||w||^2`` in every entry without a mask; under a
+  mask it is recomputed, O(nq), after a u move and rescaled by a v move.
+* ``(X o X)^T h`` is ``col_x2 ||v||^2`` without a mask; under a mask it is
+  kept as ``(X o X)^T H dv^2``, which a v move updates by one column.
+
+An unmasked step thus costs O(p + q).
 
 Every ``RECOMPUTE_EVERY`` steps the maintained quantities are rebuilt from
 ``du``/``dv`` and the largest relative gap to the rebuilt values is kept
@@ -125,8 +126,7 @@ class _Prices(NamedTuple):
     The arrays run over the stacked coordinates ``(du, dv)``: ``g`` holds
     the gradients ``gu`` then ``Ew``, ``quad`` their quadratic terms, and
     ``c22`` the squared l2 norm of the other side's unit loading (``v22`` on
-    the du part, ``u22`` on the dv part).  ``v``/``Ev`` are the residual
-    engine's extras (None otherwise).
+    the du part, ``u22`` on the dv part).
     """
 
     t: int
@@ -135,133 +135,99 @@ class _Prices(NamedTuple):
     g: np.ndarray
     quad: np.ndarray
     c22: np.ndarray
-    v: np.ndarray | None = None
-    Ev: np.ndarray | None = None
 
 
-def _stack_prices(t, v22, u22, gu, Ew, quad_u, quad_v, v=None, Ev=None):
+def _stack_prices(t, v22, u22, gu, Ew, quad_u, quad_v):
     p = gu.size
     c22 = np.empty(p + Ew.size)
     c22[:p] = v22
     c22[p:] = u22
     return _Prices(t, v22, u22, np.concatenate((gu, Ew)),
-                   np.concatenate((quad_u, quad_v)), c22, v, Ev)
+                   np.concatenate((quad_u, quad_v)), c22)
 
 
 class _Engine:
-    """Problem constants of one path plus the quantities an engine maintains.
+    """Problem constants of one path plus the quantities it maintains.
 
-    Subclasses implement one small interface: ``entry_quad`` (per-entry
-    quadratic terms of the first move), ``enter`` (the first move out of
-    the zero state), ``price``, ``move_u``/``move_v`` (apply a move, return
-    the inner product that prices its rss change), ``scale_du``/``scale_dv``
-    (one side rescaled to keep ``||du||_1 = ||dv||_1``), ``rebuild`` (exact
-    recomputation from ``du``/``dv``, returns the rss) and ``tracked`` (the
-    maintained gradients that ``rebuild`` checks for drift).
+    ``x2h = (X o X)^T H`` holds the per-entry quadratic terms of the first
+    move, ``enter`` makes that move, ``move_u``/``move_v`` apply a move and
+    return the inner product that prices its rss change, ``scale_du`` and
+    ``scale_dv`` follow the rescale that keeps ``||du||_1 = ||dv||_1``,
+    ``rebuild`` recomputes everything from ``du``/``dv`` (returns the rss on
+    observed cells) and ``tracked`` gives the gradients it checks for drift.
+    Without a mask (``H`` is None) it keeps ``G du`` and ``ww = ||w||^2/n``;
+    under one, ``w``, ``hdv2 = H dv^2``, ``qdv2 = (X o X)^T H dv^2`` and the
+    vector ``ww = H^T (w o w)/n``.
     """
 
     def __init__(self, problem):
         self.X = np.asfortranarray(problem.X)
         self.Y0 = problem.observed_response()
         self.n, self.p, self.q = problem.n, problem.p, problem.q
-        self.col_x2 = np.einsum("ij,ij->j", self.X, self.X)
         self.S = self.X.T @ self.Y0 / self.n
         self.y2 = float(np.vdot(self.Y0, self.Y0))
         self.observed = None if problem.mask is None else problem.n_observed
-
-    def tracked(self, state):
-        return ()
-
-
-class _ResidualEngine(_Engine):
-    """Masked problems: keep ``E = P(Y0 - w v^T)`` and ``w = X du``."""
-
-    def __init__(self, problem):
-        super().__init__(problem)
-        self.Hf = problem.mask.astype(float)
-        self.X2 = np.asfortranarray(self.X * self.X)
-        self.E = self.Y0.copy()
-        self.w = np.zeros(self.n)
-
-    def entry_quad(self):
-        return self.X2.T @ self.Hf  # (p, q): column norms over observed rows
-
-    def enter(self, j, k, s, eps):
-        self.E[:, k] -= s * self.X[:, j] * self.Hf[:, k]
-        self.w = eps * self.X[:, j]
-
-    def price(self, state):
-        n, d = self.n, state.d
-        v = state.dv / d
-        Ev = self.E @ v
-        return _stack_prices(
-            state.t,
-            v22=float(state.dv @ state.dv) / d ** 2,
-            u22=float(state.du @ state.du) / d ** 2,
-            gu=(self.X.T @ Ev) / n,
-            Ew=(self.E.T @ self.w) / (n * d),
-            quad_u=self.X2.T @ (self.Hf @ (v * v)),
-            quad_v=((self.w * self.w) @ self.Hf) / d ** 2,
-            v=v,
-            Ev=Ev,
-        )
-
-    def move_u(self, j, s, pr):
-        xj = self.X[:, j]
-        xe = float(xj @ pr.Ev)
-        self.E -= s * (xj[:, None] * self.Hf) * pr.v[None, :]
-        self.w = self.w + s * xj
-        return xe
-
-    def move_v(self, k, h, d_old, pr):
-        we = float(self.w @ self.E[:, k])
-        self.E[:, k] -= (h / d_old) * self.w * self.Hf[:, k]
-        return we
-
-    def scale_du(self, r):
-        self.w *= r
-
-    def scale_dv(self, r):
-        pass
-
-    def rebuild(self, du, dv, d):
-        if d <= 0.0:
-            self.w = np.zeros(self.n)
-            self.E = self.Y0.copy()
+        if problem.mask is None:
+            self.H = None
+            self.gram = GramCache(self.X)
+            self.col_x2 = np.einsum("ij,ij->j", self.X, self.X)
+            self.x2h = np.broadcast_to(self.col_x2[:, None], self.S.shape)
         else:
-            self.w = self.X @ du
-            fit = np.outer(self.w, dv) / d
-            fit *= self.Hf
-            self.E = self.Y0 - fit
-        return float(np.vdot(self.E, self.E))
-
-
-class _CovarianceEngine(_Engine):
-    """Unmasked problems: keep ``G du``, ``S dv``, ``S^T du`` and ``||w||^2/n``."""
-
-    def __init__(self, problem):
-        super().__init__(problem)
-        self.gram = GramCache(self.X)
+            self.H = np.asfortranarray(problem.mask, dtype=float)
+            self.x2h = np.asfortranarray((self.X * self.X).T @ self.H)
         self._clear()
 
     def _clear(self):
-        self.Gdu = np.zeros(self.p)
         self.Sdv = np.zeros(self.p)
         self.Stdu = np.zeros(self.q)
-        self.ww = 0.0
+        if self.H is None:
+            self.Gdu = np.zeros(self.p)
+            self.ww = 0.0
+        else:
+            self.w = np.zeros(self.n)
+            self.hdv2 = np.zeros(self.n)
+            self.qdv2 = np.zeros(self.p)
+            self.ww = np.zeros(self.q)
 
-    def entry_quad(self):
-        return np.broadcast_to(self.col_x2[:, None], self.S.shape)
+    # The three terms that depend on the mask (see the module docstring).
+
+    def _fit_u(self, d, v22):
+        """``X^T (w o h) / n``, the fitted part of ``gu``."""
+        if self.H is None:
+            return self.Gdu * v22
+        return self.X.T @ (self.w * self.hdv2) / (self.n * d * d)
+
+    def _move_w(self, j, s):
+        """Bring ``w`` (``G du`` without a mask) and ``ww`` along after
+        ``du[j] += s``; under a mask ``H^T (w o w)`` is recomputed."""
+        if self.H is None:
+            self.ww += 2.0 * s * self.Gdu[j] + s * s * self.gram.diag[j]
+            self.Gdu += s * self.gram.col(j)
+        else:
+            self.w += s * self.X[:, j]
+            self.ww = self.H.T @ (self.w * self.w) / self.n
+
+    def _quad_u(self, d, v22):
+        """``(X o X)^T h``, the quadratic terms of the u moves."""
+        if self.H is None:
+            return self.col_x2 * v22
+        return self.qdv2 / (d * d)
 
     def enter(self, j, k, s, eps):
-        self.Gdu = eps * self.gram.col(j)
         self.Sdv = s * self.S[:, k]
         self.Stdu = eps * self.S[j]
-        self.ww = eps * eps * self.gram.diag[j]
+        if self.H is None:
+            self.Gdu = eps * self.gram.col(j)
+            self.ww = eps * eps * self.gram.diag[j]
+        else:
+            self.w = eps * self.X[:, j]
+            self.hdv2 = (s * s) * self.H[:, k]
+            self.qdv2 = (s * s) * self.x2h[:, k]
+            self.ww = (eps * eps / self.n) * self.x2h[j]
 
     def _gradients(self, state, v22):
         d = state.d
-        gu = self.Sdv / d - self.Gdu * v22
+        gu = self.Sdv / d - self._fit_u(d, v22)
         Ew = (self.Stdu - (state.dv / d) * self.ww) / d
         return gu, Ew
 
@@ -275,50 +241,62 @@ class _CovarianceEngine(_Engine):
             u22=float(state.du @ state.du) / d ** 2,
             gu=gu,
             Ew=Ew,
-            quad_u=self.col_x2 * v22,
+            quad_u=self._quad_u(d, v22),
+            # ww is a scalar without a mask and a q-vector under one
             quad_v=np.full(self.q, self.n * self.ww / d ** 2),
         )
 
     def move_u(self, j, s, pr):
-        self.ww += 2.0 * s * self.Gdu[j] + s * s * self.gram.diag[j]
-        self.Gdu += s * self.gram.col(j)
+        self._move_w(j, s)
         self.Stdu += s * self.S[j]
         return self.n * float(pr.g[j])
 
-    def move_v(self, k, h, d_old, pr):
+    def move_v(self, k, h, dsq, d_old, pr):
+        """``dv[k] += h``; ``dsq`` is the change of ``dv[k]**2``."""
         self.Sdv += h * self.S[:, k]
+        if self.H is not None:
+            self.hdv2 += dsq * self.H[:, k]
+            self.qdv2 += dsq * self.x2h[:, k]
         return self.n * d_old * float(pr.g[self.p + k])
 
     def scale_du(self, r):
-        self.Gdu *= r
         self.Stdu *= r
         self.ww *= r * r
+        if self.H is None:
+            self.Gdu *= r
+        else:
+            self.w *= r
 
     def scale_dv(self, r):
         self.Sdv *= r
+        if self.H is not None:
+            self.hdv2 *= r * r
+            self.qdv2 *= r * r
 
     def rebuild(self, du, dv, d):
         if d <= 0.0:
             self._clear()
             return self.y2
         w = self.X @ du
-        self.Gdu = (self.X.T @ w) / self.n
         self.Sdv = self.S @ dv
         self.Stdu = self.S.T @ du
-        self.ww = float(w @ w) / self.n
-        E = self.Y0 - np.outer(w, dv / d)
+        fit = np.outer(w, dv / d)
+        if self.H is None:
+            self.Gdu = (self.X.T @ w) / self.n
+            self.ww = float(w @ w) / self.n
+        else:
+            self.w = w
+            self.hdv2 = self.H @ (dv * dv)
+            self.qdv2 = self.x2h @ (dv * dv)
+            self.ww = self.H.T @ (w * w) / self.n
+            fit *= self.H
+        E = self.Y0 - fit
         return float(np.vdot(E, E))
 
     def tracked(self, state):
         if state.d <= 0.0:
             return ()
         return self._gradients(state, float(state.dv @ state.dv) / state.d ** 2)
-
-
-def _make_engine(problem):
-    if problem.mask is None:
-        return _CovarianceEngine(problem)
-    return _ResidualEngine(problem)
 
 
 def _rel_gap(kept, exact):
@@ -422,8 +400,8 @@ class StagewiseState:
     def _refresh_exact(self):
         """Rebuild the bookkeeping from du/dv (drift control).
 
-        Returns the largest relative gap between the maintained rss (and
-        the covariance engine's gradients) and their rebuilt values.
+        Returns the largest relative gap between the maintained rss and
+        gradients and their rebuilt values.
         """
         engine = self._engine
         kept = (self.rss, *engine.tracked(self))
@@ -495,7 +473,7 @@ def _init_search(engine, eps, mu):
     entry's ``S`` and quadratic terms.
     """
     G = engine.S
-    quad = engine.entry_quad()
+    quad = engine.x2h
     obj = (eps / (2.0 * engine.n)) * quad - np.abs(G)
     flat = int(np.argmin(obj))
     j, k = np.unravel_index(flat, G.shape)
@@ -525,7 +503,7 @@ def initialize_path(problem, config):
     """
     if problem.mask is not None and problem.n_observed == 0:
         raise ValueError("no observed entries in Y")
-    engine = _make_engine(problem)
+    engine = _Engine(problem)
     eps = config.epsilon
     j, k, s, lam0, G_jk, quad_jk = _init_search(engine, eps, config.mu)
     xi = config.xi_resolved
@@ -578,9 +556,10 @@ def _execute_v(state, k, h, pr):
     new = old + h
     if abs(new) <= SNAP_TOL:
         new = 0.0
-    we = state._engine.move_v(k, h, d_old, pr)
+    dsq = new * new - old * old
+    we = state._engine.move_v(k, h, dsq, d_old, pr)
     d_rss = -2.0 * (h / d_old) * we + h * h * float(pr.quad[p + k])
-    d_l2 = (new * new - old * old) * pr.u22
+    d_l2 = dsq * pr.u22
     state.dv[k] = new
     delta = d_rss / (2.0 * n) + 0.5 * state._config.mu * d_l2
     d_new = d_old + abs(new) - abs(old)

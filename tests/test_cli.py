@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import curereg.cli as cli
+from curereg.baselines import _rrr_ridge
 from curereg.cli import _benchmark_workers, _resolve_threads, fit_method, main
 from curereg.io import load_factor_model, read_matrix_csv, write_matrix_csv
 
@@ -82,6 +84,30 @@ def test_fit_lasso_and_parallel_methods(tmp_path):
                    "--truth", truth, "--out-dir", out, *extra) == 0
         _, doc = load_factor_model(out / "model.json")
         assert doc["method"] == method
+
+
+@pytest.mark.parametrize("method", ["parstl_r", "paracs_r", "rrr"])
+def test_rank_deficient_tall_x_falls_back_to_the_default_ridge(tmp_path, method):
+    # n > p, so the reduced-rank fits try ridge 0 first; an all-zero column
+    # makes X^T X singular, and the RRR pilot and the rrr baseline then warn
+    # and use default_rrr_ridge instead of exiting.
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20, 8))
+    Y = X @ rng.standard_normal((8, 6)) + 0.1 * rng.standard_normal((20, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _rrr_ridge(X) == 0.0  # a full-rank X keeps the zero ridge
+    X[:, 3] = 0.0
+    write_matrix_csv(tmp_path / "X.csv", X)
+    write_matrix_csv(tmp_path / "Y.csv", Y)
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        code = run("fit", "--x", tmp_path / "X.csv", "--y", tmp_path / "Y.csv",
+                   "--method", method, "--rank", 2, "--out-dir", tmp_path)
+    assert code == 0
+    model, _ = load_factor_model(tmp_path / "model.json")
+    assert model.rank == 2
+    C = model.to_matrix()
+    assert np.all(np.isfinite(C)) and not np.any(C[3])
 
 
 def test_paths_command_accepts_missing_entries(tmp_path):

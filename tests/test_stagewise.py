@@ -16,6 +16,7 @@ from curereg.stagewise import (
     PathStep,
     StagewiseConfig,
     StagewisePath,
+    _stack_prices,
     initialize_path,
     propose_backward,
     propose_forward,
@@ -559,14 +560,15 @@ def test_config_default_tolerance_scales_with_step():
 
 
 # ---------------------------------------------------------------------------
-# engines: covariance form (no mask) against the residual form (a mask)
+# the engine: unmasked and masked forms, and the residual oracle
 
 
 def with_all_true_mask(prob):
     """The same problem with an explicit all-true mask.
 
     ProblemData normalizes such a mask away; setting it afterwards keeps it,
-    so the path runs on the residual engine instead of the covariance one.
+    so the path prices its steps with the engine's mask terms instead of
+    their unmasked closed forms.
     """
     masked = ProblemData(prob.X, prob.Y)
     object.__setattr__(masked, "mask", np.ones(prob.Y.shape, dtype=bool))
@@ -582,11 +584,11 @@ def with_all_true_mask(prob):
     ids=["A", "B"],
 )
 def test_engines_take_the_same_moves(spec_kwargs, eps):
-    # Both engines price the same moves in different arithmetic; a move may
-    # only differ on a near-tie below FORWARD_TIE_TOL, and none occurs here.
+    # The unmasked and masked forms price the same moves in different
+    # arithmetic; a move may only differ on a near-tie below FORWARD_TIE_TOL,
+    # and none occurs here.
     from curereg.core import column_normalize
     from curereg.simgen import SimSpec, gen_dataset
-    from curereg.stagewise import _CovarianceEngine, _ResidualEngine
 
     truth = gen_dataset(
         SimSpec(model="II", r_star=3, snr=1.0, rho=0.3, **spec_kwargs)
@@ -594,13 +596,118 @@ def test_engines_take_the_same_moves(spec_kwargs, eps):
     prob = ProblemData(column_normalize(truth.X)[0], truth.Y)
     masked = with_all_true_mask(prob)
     cfg = StagewiseConfig(epsilon=eps, criterion="none", max_steps=2000)
-    assert isinstance(initialize_path(prob, cfg)[0]._engine, _CovarianceEngine)
-    assert isinstance(initialize_path(masked, cfg)[0]._engine, _ResidualEngine)
+    assert initialize_path(prob, cfg)[0]._engine.H is None
+    assert initialize_path(masked, cfg)[0]._engine.H is not None
     a = run_path(prob, cfg)
     b = run_path(masked, cfg)
     assert len(a) == len(b) == 2001
     for sa, sb in zip(a.steps, b.steps):
         assert sa.move == sb.move, f"engines diverge at step {sa.t}"
+        np.testing.assert_array_equal(sa.index, sb.index)
+        np.testing.assert_array_equal(sa.value, sb.value)
+        assert sa.d == sb.d
+        assert sa.lam == pytest.approx(sb.lam, rel=1e-9)
+        assert sa.loss == pytest.approx(sb.loss, rel=1e-9)
+
+
+class ResidualOracle:
+    """Reference masked engine: keeps the projected residual ``E = P(Y0 - w v^T)``.
+
+    It serves the interface of ``stagewise._Engine`` but prices every step
+    from the n x q residual with O(n(p + q)) matrix-vector products, and
+    rewrites all of ``E`` on a u move.  Only tests use it.
+    """
+
+    def __init__(self, problem):
+        self.X = np.asfortranarray(problem.X)
+        self.Y0 = problem.observed_response()
+        self.n, self.p, self.q = problem.n, problem.p, problem.q
+        self.S = self.X.T @ self.Y0 / self.n
+        self.y2 = float(np.vdot(self.Y0, self.Y0))
+        self.observed = problem.n_observed
+        self.Hf = problem.mask.astype(float)
+        self.X2 = np.asfortranarray(self.X * self.X)
+        self.x2h = self.X2.T @ self.Hf  # (p, q): column norms over observed rows
+        self.E = self.Y0.copy()
+        self.w = np.zeros(self.n)
+
+    def enter(self, j, k, s, eps):
+        self.E[:, k] -= s * self.X[:, j] * self.Hf[:, k]
+        self.w = eps * self.X[:, j]
+
+    def price(self, state):
+        n, d = self.n, state.d
+        # a move always follows the pricing of its own step
+        self.v = v = state.dv / d
+        self.Ev = self.E @ v
+        return _stack_prices(
+            state.t,
+            v22=float(state.dv @ state.dv) / d ** 2,
+            u22=float(state.du @ state.du) / d ** 2,
+            gu=(self.X.T @ self.Ev) / n,
+            Ew=(self.E.T @ self.w) / (n * d),
+            quad_u=self.X2.T @ (self.Hf @ (v * v)),
+            quad_v=((self.w * self.w) @ self.Hf) / d ** 2,
+        )
+
+    def move_u(self, j, s, pr):
+        xj = self.X[:, j]
+        xe = float(xj @ self.Ev)
+        self.E -= s * (xj[:, None] * self.Hf) * self.v[None, :]
+        self.w = self.w + s * xj
+        return xe
+
+    def move_v(self, k, h, dsq, d_old, pr):
+        we = float(self.w @ self.E[:, k])
+        self.E[:, k] -= (h / d_old) * self.w * self.Hf[:, k]
+        return we
+
+    def scale_du(self, r):
+        self.w *= r
+
+    def scale_dv(self, r):
+        pass
+
+    def rebuild(self, du, dv, d):
+        if d <= 0.0:
+            self.w = np.zeros(self.n)
+            self.E = self.Y0.copy()
+        else:
+            self.w = self.X @ du
+            fit = np.outer(self.w, dv) / d
+            fit *= self.Hf
+            self.E = self.Y0 - fit
+        return float(np.vdot(self.E, self.E))
+
+    def tracked(self, state):
+        return ()
+
+
+@pytest.mark.parametrize("seed, mask_seed", [(1878216440, 3561458197)])
+def test_masked_engine_takes_the_oracles_moves(monkeypatch, seed, mask_seed):
+    # Instance M of the masked_cv benchmark workload, set 0 of seed 1: model
+    # II, n=120, p=200, q=100, r*=2, 20% of Y missing, X column-normalized.
+    # Covariance form and the residual oracle price the same moves in
+    # different arithmetic; a move may only differ on a near-tie below
+    # FORWARD_TIE_TOL, and none occurs in these 1,733 steps (lambda reaches
+    # zero before the 2,000-step cap).
+    from curereg import stagewise
+    from curereg.core import column_normalize
+    from curereg.simgen import SimSpec, gen_dataset
+
+    truth = gen_dataset(
+        SimSpec(model="II", n=120, p=200, q=100, r_star=2, snr=1.0, rho=0.3, seed=seed)
+    )
+    mask = np.random.default_rng(mask_seed).random(truth.Y.shape) >= 0.2
+    prob = ProblemData(column_normalize(truth.X)[0], truth.Y, mask)
+    cfg = StagewiseConfig(epsilon=0.2, criterion="none", max_steps=2000)
+    a = run_path(prob, cfg)
+    monkeypatch.setattr(stagewise, "_Engine", ResidualOracle)
+    b = run_path(prob, cfg)
+    assert a.terminated_by == b.terminated_by == "lambda_nonpositive"
+    assert len(a) == len(b) > 1500
+    for sa, sb in zip(a.steps, b.steps):
+        assert sa.move == sb.move, f"engine and oracle diverge at step {sa.t}"
         np.testing.assert_array_equal(sa.index, sb.index)
         np.testing.assert_array_equal(sa.value, sb.value)
         assert sa.d == sb.d
