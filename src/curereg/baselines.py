@@ -37,7 +37,7 @@ from .core import (
     p_orthogonal_svd,
     renormalize_factor,
 )
-from .tuning import CriterionInput, _fold_indices, information_criterion
+from .tuning import GridScan, _fold_indices
 
 __all__ = [
     "LassoConfig",
@@ -193,14 +193,27 @@ def _sign_solve(gram, P, s, c, b, pen, x, budget):
     return x, Hc @ x, solves, exact
 
 
+def _check_grid_stop_window(window):
+    if window is not None and window < 1:
+        raise ValueError("grid_stop_window must be None or a positive integer")
+
+
 @dataclass
 class LassoConfig:
+    """Controls for the lasso solver.
+
+    ``grid_stop_window`` ends :func:`lasso_gic_path` once the criterion has
+    not improved for that many levels; None solves the whole grid.
+    """
+
     tol: float = 1e-8
     max_sweeps: int = 2000
+    grid_stop_window: int | None = 10
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_sweeps < 1:
             raise ValueError("tol must be positive and max_sweeps at least 1")
+        _check_grid_stop_window(self.grid_stop_window)
 
 
 def lasso_objective(problem, C, lam):
@@ -266,34 +279,30 @@ def default_lambda_grid(problem, num=50, floor=1e-3):
 def lasso_gic_path(problem, grid=None, config=None, criterion="gic"):
     """Warm-started lasso path with information-criterion selection.
 
-    Degrees of freedom is the nonzero entry count.  Returns
-    ``(C_best, lam_best, path)`` where path is a list of ``(lam, C)``
-    down the grid.
+    Degrees of freedom is the nonzero entry count; the first argmin wins.
+    The path stops ``config.grid_stop_window`` levels after the last
+    improvement of the criterion (:class:`~curereg.tuning.GridScan`), or runs
+    the whole grid when that window is None.  Returns
+    ``(C_best, lam_best, path)`` where path is the list of ``(lam, C)``
+    solved down the grid.
     """
+    config = config or LassoConfig()
     grid = default_lambda_grid(problem) if grid is None else np.asarray(grid, dtype=float)
-    best = None
+    scan = GridScan(problem, criterion, config.grid_stop_window)
+    Y0 = problem.observed_response()
     warm = None
     path = []
-    observed = None if problem.mask is None else problem.n_observed
     for lam in grid:
         C = lasso_cd(problem, float(lam), config=config, warm=warm)
         warm = C
-        path.append((float(lam), C.copy()))
-        R = problem.observed_response() - problem.X @ C
+        path.append((float(lam), C))
+        R = Y0 - problem.X @ C
         if problem.mask is not None:
             R[~problem.mask] = 0.0
-        rss = float(np.vdot(R, R))
-        df = int(np.count_nonzero(C))
-        if rss <= 0.0:
-            val = -np.inf
-        else:
-            val = information_criterion(
-                criterion,
-                CriterionInput(rss, problem.n, problem.p, problem.q, df, observed),
-            )
-        if best is None or val < best[0]:
-            best = (val, float(lam), C.copy())
-    return best[2], best[1], path
+        if scan.update(float(np.vdot(R, R)), int(np.count_nonzero(C))):
+            break
+    lam_best, C_best = path[scan.best]
+    return C_best, lam_best, path
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +313,26 @@ def lasso_gic_path(problem, grid=None, config=None, criterion="gic"):
 class AcsConfig:
     """Controls for the alternating solver.
 
-    ``lambda_grid`` is only consumed by path/deflation drivers; a single
-    call works at one penalty level.  The starting point is the rank-1
-    layer of a ridge-OLS fit unless a factor is passed.
+    ``lambda_grid`` and ``grid_stop_window`` are only consumed by
+    path/deflation drivers; a single call works at one penalty level.  The
+    starting point is the rank-1 layer of a ridge-OLS fit unless a factor is
+    passed.  ``grid_stop_window`` ends an information-criterion selection
+    down the grid once the criterion has not improved for that many levels;
+    None solves the whole grid.
     """
 
     lambda_grid: np.ndarray | None = None
     mu: float = 1e-4
     tol: float = 1e-8
     max_iters: int = 500
+    grid_stop_window: int | None = 10
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iters < 1:
             raise ValueError("tol must be positive and max_iters at least 1")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
+        _check_grid_stop_window(self.grid_stop_window)
         if self.lambda_grid is not None:
             g = np.asarray(self.lambda_grid, dtype=float)
             if g.ndim != 1 or g.size == 0:
@@ -489,12 +503,16 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
     return (result, trace) if return_trace else result
 
 
-def acs_path(problem, grid=None, config=None):
+def acs_path(problem, grid=None, config=None, stop=None):
     """Warm-started alternating solves down a decreasing penalty grid.
 
     Returns a list of ``(lam, factor)``; a zero factor at one level does not
     poison later levels (the next level restarts from the OLS layer).  The
-    levels share the problem's cached Gram columns.
+    levels share the problem's cached Gram columns.  ``stop``, when given,
+    is called with each level's factor as soon as it is solved, and the path
+    ends after the first level on which it returns True; deflation passes
+    the update of a :class:`~curereg.tuning.GridScan`, so selection happens
+    in the same pass.  Without it the whole grid is solved.
     """
     config = config or AcsConfig()
     if grid is None:
@@ -508,6 +526,8 @@ def acs_path(problem, grid=None, config=None):
         fac = acs_cure(problem, float(lam), init=start, config=config)
         out.append((float(lam), fac))
         warm = fac
+        if stop is not None and stop(fac):
+            break
     return out
 
 
@@ -558,10 +578,17 @@ def select_rank_cv(X, Y, r_max, folds=5, ridge=0.0, seed=0):
         train = np.setdiff1d(all_rows, test)
         Xtr, Ytr = X[train], Y[train]
         Xte, Yte = X[test], Y[test]
-        use_ridge = ridge
-        if use_ridge == 0.0 and X.shape[1] > train.size:
+        if ridge == 0.0 and X.shape[1] > train.size:
             raise ValueError("p exceeds a training fold; pass a positive ridge")
-        B = _ridge_ols(Xtr, Ytr, use_ridge)
+        try:
+            B = _ridge_ols(Xtr, Ytr, ridge)
+        except ValueError:
+            if ridge > 0.0:
+                raise
+            warnings.warn(f"training fold {f + 1} is rank-deficient (X^T X is"
+                          " singular); its fit uses default_rrr_ridge",
+                          RuntimeWarning, stacklevel=2)
+            B = _ridge_ols(Xtr, Ytr, default_rrr_ridge(Xtr))
         _, _, Vt = np.linalg.svd(Xtr @ B, full_matrices=False)
         for r in range(r_max + 1):
             if r == 0:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .baselines import (
     AcsConfig,
+    LassoConfig,
     _rrr_ridge,
     default_lambda_grid,
     fit_rrr,
@@ -136,6 +137,10 @@ def _add_solver_flags(parser, defaults):
     _opt(parser, defaults, "--early-stop-window", default=300, type=int,
          help="stop a stagewise path after this many steps without"
               " criterion improvement")
+    _opt(parser, defaults, "--grid-stop-window", default=10, type=int,
+         help="stop a lasso or alternating-search penalty grid after this many"
+              " levels without criterion improvement; 0 solves the whole grid"
+              " (CV always does)")
     _opt(parser, defaults, "--max-steps", default=100_000, type=int,
          help="stagewise step budget")
     _opt(parser, defaults, "--s-threshold", type=int,
@@ -263,17 +268,29 @@ def _stagewise_config(opts):
     )
 
 
+def _grid_stop_window(opts):
+    """``--grid-stop-window`` as a config value; 0 means the whole grid (None)."""
+    window = opts["grid_stop_window"]
+    if window is not None and window < 0:
+        raise SystemExit("--grid-stop-window must be 0 or a positive integer")
+    return window or None
+
+
 def _deflation_config(method, opts, threads):
     if opts["rank"] is None:
         raise SystemExit(f"method {method} requires --rank")
+    window = _grid_stop_window(opts)
     if "stl" in method:
         solver = _stagewise_config(opts)
     else:
-        solver = AcsConfig(mu=opts["mu"])
+        solver = AcsConfig(mu=opts["mu"], grid_stop_window=window)
     strategy = "sequential" if method.startswith("seq") else "parallel"
     initializer = None
     if strategy == "parallel":
-        initializer = LassoInitializer() if method.endswith("_l") else RrrInitializer()
+        if method.endswith("_l"):
+            initializer = LassoInitializer(config=LassoConfig(grid_stop_window=window))
+        else:
+            initializer = RrrInitializer()
     return DeflationConfig(
         strategy=strategy,
         rank=opts["rank"],
@@ -294,18 +311,21 @@ def _fit_scaled(problem, method, opts, threads):
     q = Y.shape[1]
     if method == "lasso":
         if opts["criterion"] == "cv":
+            # The folds are aligned to the full-data grid, so all of it is solved.
+            full = LassoConfig(grid_stop_window=None)
             grid = default_lambda_grid(problem)
-            path = lasso_gic_path(problem, grid)[2]
+            path = lasso_gic_path(problem, grid, full)[2]
             sel = kfold_cv_select(
                 problem,
                 path,
-                lambda pb: lasso_gic_path(pb, grid)[2],
+                lambda pb: lasso_gic_path(pb, grid, full)[2],
                 folds=opts["cv_folds"],
                 seed=opts["seed"],
             )
             C = path[sel.index][1]
         else:
-            C, _, _ = lasso_gic_path(problem, criterion=opts["criterion"])
+            config = LassoConfig(grid_stop_window=_grid_stop_window(opts))
+            C, _, _ = lasso_gic_path(problem, config=config, criterion=opts["criterion"])
         if not C.any():
             return FactorModel(())
         with warnings.catch_warnings():
@@ -331,9 +351,15 @@ def _fit_scaled(problem, method, opts, threads):
 
 
 def fit_method(X_raw, Y, mask, method, opts, threads=1):
-    """Column-normalize, fit by name, return the model on the raw X scale."""
+    """Column-normalize, fit by name, return the model on the raw X scale.
+
+    Every method but ``lasso`` rejects a rank above min(p, q).
+    """
     if method not in METHODS:
         raise SystemExit(f"unknown method {method!r}")
+    top = min(X_raw.shape[1], Y.shape[1])
+    if method != "lasso" and opts["rank"] is not None and opts["rank"] > top:
+        raise ValueError(f"rank must lie in [0, min(p, q)] = [0, {top}]")
     Xn, scale = column_normalize(X_raw)
     model = _fit_scaled(ProblemData(Xn, Y, mask), method, opts, threads)
     return FactorModel(tuple(rescale_factor_rows(lay, scale) for lay in model.layers))

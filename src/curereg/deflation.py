@@ -23,6 +23,7 @@ import numpy as np
 
 from .baselines import (
     AcsConfig,
+    LassoConfig,
     _rrr_ridge,
     acs_path,
     default_lambda_grid,
@@ -39,7 +40,9 @@ from .core import (
     residual,
 )
 from .stagewise import StagewiseConfig, run_path, select_on_path
-from .tuning import CriterionInput, information_criterion, kfold_cv_select
+from .tuning import GridScan, kfold_cv_select
+# Unused here; perfbench/tracer.py looks this name up when it installs.
+from .tuning import information_criterion  # noqa: F401
 
 __all__ = [
     "LassoInitializer",
@@ -58,9 +61,14 @@ CV_GRID_MAX = 50
 
 @dataclass(frozen=True)
 class LassoInitializer:
-    """Pilot estimate via the entrywise lasso; lam0 None means GIC over a grid."""
+    """Pilot estimate via the entrywise lasso; lam0 None means GIC over a grid.
+
+    ``config`` (default :class:`LassoConfig`) sets the solver and the grid
+    stop window.
+    """
 
     lam0: float | None = None
+    config: LassoConfig | None = None
 
 
 @dataclass(frozen=True)
@@ -128,26 +136,14 @@ def _stagewise_grid_points(path, max_points=CV_GRID_MAX):
     return [(step.lam, step.factor) for step in last]
 
 
-def _acs_select_ic(problem, pairs, criterion):
-    """Information-criterion selection over (lam, factor) candidates."""
-    observed = None if problem.mask is None else problem.n_observed
-    best = None
-    for idx, (_, fac) in enumerate(pairs):
-        R = residual(problem, fac)
-        rss = float(np.vdot(R, R))
-        if fac.is_zero:
-            df = 0
-        else:
-            df = int(np.count_nonzero(fac.u)) + int(np.count_nonzero(fac.v)) - 1
-        if rss <= 0.0:
-            val = -np.inf
-        else:
-            val = information_criterion(
-                criterion, CriterionInput(rss, problem.n, problem.p, problem.q, df, observed)
-            )
-        if best is None or val < best[0]:
-            best = (val, idx)
-    return pairs[best[1]][1]
+def _acs_rss_df(problem, fac):
+    """Residual sum of squares and ``||u||_0 + ||v||_0 - 1`` of an ACS level."""
+    R = residual(problem, fac)
+    if fac.is_zero:
+        df = 0
+    else:
+        df = int(np.count_nonzero(fac.u)) + int(np.count_nonzero(fac.v)) - 1
+    return float(np.vdot(R, R)), df
 
 
 def _fit_unit_rank(problem, cfg):
@@ -169,16 +165,20 @@ def _fit_unit_rank(problem, cfg):
     grid = solver.lambda_grid
     if grid is None:
         grid = default_lambda_grid(problem)
-    pairs = acs_path(problem, grid, config=solver)
-    if len(pairs) == 1:
-        return pairs[0][1]
+    if len(grid) == 1:
+        return acs_path(problem, grid, config=solver)[0][1]
     if criterion == "cv":
+        # The folds are aligned to the full-data grid, so all of it is solved.
         def fit_fn(pb):
             return acs_path(pb, grid, config=solver)
 
+        pairs = acs_path(problem, grid, config=solver)
         sel = kfold_cv_select(problem, pairs, fit_fn, cfg.cv_folds, cfg.cv_seed)
         return pairs[sel.index][1]
-    return _acs_select_ic(problem, pairs, criterion)
+    scan = GridScan(problem, criterion, solver.grid_stop_window)
+    pairs = acs_path(problem, grid, config=solver,
+                     stop=lambda fac: scan.update(*_acs_rss_df(problem, fac)))
+    return pairs[scan.best][1]
 
 
 def deflate(problem, cfg):
@@ -221,8 +221,8 @@ def _pilot_matrix(problem, cfg):
         if init.lam0 is not None:
             from .baselines import lasso_cd
 
-            return lasso_cd(problem, init.lam0)
-        C, _, _ = lasso_gic_path(problem)
+            return lasso_cd(problem, init.lam0, config=init.config)
+        C, _, _ = lasso_gic_path(problem, config=init.config)
         return C
     if isinstance(init, RrrInitializer):
         ridge = _rrr_ridge(problem.X) if init.ridge is None else init.ridge

@@ -25,6 +25,7 @@ __all__ = [
     "information_criterion",
     "EarlyStop",
     "early_stop_check",
+    "GridScan",
     "kfold_cv_select",
     "CvSelection",
 ]
@@ -101,6 +102,39 @@ def early_stop_check(history, window):
     for val in history:
         stalled = stop.update(val)
     return stalled
+
+
+class GridScan:
+    """Information-criterion selection down a penalty grid, with a stop rule.
+
+    Fed one solved level at a time through :meth:`update`, it scores the
+    level on ``problem`` (an rss of 0 scores -inf), keeps the index of the
+    first argmin in ``best`` and returns True once :class:`EarlyStop` with
+    ``window`` levels finds the criterion stalled.  A window of None never
+    stops.  Levels past the stop cannot change the pick unless the
+    criterion improves again after ``window`` levels without improvement.
+    """
+
+    def __init__(self, problem, criterion, window=None):
+        self.criterion = criterion
+        self.shape = (problem.n, problem.p, problem.q)
+        self.observed = None if problem.mask is None else problem.n_observed
+        self.stop = None if window is None else EarlyStop(window)
+        self.best = None
+        self.best_value = None
+        self.levels = 0
+
+    def update(self, rss, df):
+        if rss <= 0.0:
+            value = -math.inf
+        else:
+            value = information_criterion(
+                self.criterion, CriterionInput(rss, *self.shape, df, self.observed)
+            )
+        if self.best is None or value < self.best_value:
+            self.best, self.best_value = self.levels, value
+        self.levels += 1
+        return self.stop is not None and self.stop.update(value)
 
 
 class CvSelection(NamedTuple):

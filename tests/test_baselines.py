@@ -144,6 +144,80 @@ def test_lasso_gic_path_selects_criterion_argmin():
     np.testing.assert_array_equal(C_best, path[k][1])
 
 
+def _grid_draw(seed, masked):
+    """A seeded model-II draw with a normalized X, 20% missing when masked."""
+    truth = gen_dataset(SimSpec(model="II", n=60, p=20, q=12, r_star=2, seed=seed))
+    X, _ = column_normalize(truth.X)
+    mask = None
+    if masked:
+        mask = np.random.default_rng(seed).random(truth.Y.shape) >= 0.2
+    return ProblemData(X, truth.Y, mask)
+
+
+def _full_grid_lasso(prob, grid):
+    """Every level of the grid, warm started, and the first GIC argmin."""
+    observed = None if prob.mask is None else prob.n_observed
+    warm, levels, vals = None, [], []
+    for lam in grid:
+        warm = lasso_cd(prob, float(lam), warm=warm)
+        levels.append((float(lam), warm))
+        R = prob.observed_response() - prob.X @ warm
+        if prob.mask is not None:
+            R[~prob.mask] = 0.0
+        df = int(np.count_nonzero(warm))
+        vals.append(information_criterion(
+            "gic", CriterionInput(float(np.vdot(R, R)), prob.n, prob.p, prob.q, df,
+                                  observed)))
+    return levels, int(np.argmin(vals))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+def test_lasso_path_without_grid_stop_solves_every_level(masked):
+    prob = _grid_draw(1, masked)
+    grid = default_lambda_grid(prob)
+    levels, k = _full_grid_lasso(prob, grid)
+    C_best, lam_best, path = lasso_gic_path(
+        prob, grid=grid, config=LassoConfig(grid_stop_window=None))
+    assert len(path) == grid.size
+    for (lam, C), (want_lam, want_C) in zip(path, levels):
+        assert lam == want_lam
+        np.testing.assert_array_equal(C, want_C)
+    assert lam_best == levels[k][0]
+    np.testing.assert_array_equal(C_best, levels[k][1])
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lasso_grid_stop_keeps_the_full_grid_pick(monkeypatch, seed, masked):
+    prob = _grid_draw(seed, masked)
+    grid = default_lambda_grid(prob)
+    C_full, lam_full, _ = lasso_gic_path(
+        prob, grid=grid, config=LassoConfig(grid_stop_window=None))
+    calls = []
+    orig = baselines.lasso_cd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "lasso_cd", counted)
+    window = LassoConfig().grid_stop_window
+    C_best, lam_best, path = lasso_gic_path(prob, grid=grid)
+    assert lam_best == lam_full
+    np.testing.assert_array_equal(C_best != 0, C_full != 0)
+    np.testing.assert_array_equal(C_best, C_full)
+    k = [lam for lam, _ in path].index(lam_best)
+    # The stop lands exactly `window` levels after the pick, before the grid ends.
+    assert len(path) == len(calls) == k + window + 1 < grid.size
+
+
+def test_grid_stop_window_is_validated():
+    for cls in (LassoConfig, AcsConfig):
+        assert cls(grid_stop_window=None).grid_stop_window is None
+        with pytest.raises(ValueError, match="grid_stop_window"):
+            cls(grid_stop_window=0)
+
+
 def test_lasso_path_levels_meet_the_subgradient_condition():
     # Warm-started levels used to stop once max |X^T R| / n <= lam + tol,
     # which nonzero entries can meet far from optimal (this draw: ~0.3).
@@ -541,6 +615,19 @@ def test_select_rank_cv_is_deterministic_in_seed():
     b = select_rank_cv(X, Y, r_max=4, folds=5, seed=42)
     assert a[0] == b[0]
     np.testing.assert_array_equal(a[1], b[1])
+
+
+def test_select_rank_cv_falls_back_to_the_default_ridge_on_a_singular_fold():
+    # X has full column rank, but column 3 is nonzero on row 5 only, so the
+    # training fold without row 5 has a singular X^T X at ridge 0.
+    truth = gen_dataset(SimSpec(model="II", n=20, p=8, q=6, r_star=2, seed=1))
+    X = truth.X.copy()
+    X[:, 3] = 0.0
+    X[5, 3] = 1.0
+    assert np.linalg.matrix_rank(X) == 8
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        rank, errs = select_rank_cv(X, truth.Y, r_max=6, folds=5, ridge=0.0, seed=0)
+    assert 0 <= rank <= 6 and np.all(np.isfinite(errs))
 
 
 def test_select_rank_cv_validates_folds():

@@ -110,6 +110,60 @@ def test_rank_deficient_tall_x_falls_back_to_the_default_ridge(tmp_path, method)
     assert np.all(np.isfinite(C)) and not np.any(C[3])
 
 
+def test_rrr_rank_cv_survives_a_singular_training_fold(tmp_path):
+    # X has full column rank, but column 3 is nonzero on row 5 only, so one
+    # training fold of the rank CV has a singular X^T X at ridge 0.
+    sim = tmp_path / "sim"
+    x, y, _ = simulate_into(sim, n=20, p=8, q=6, seed=1)
+    X, _ = read_matrix_csv(x)
+    X[:, 3] = 0.0
+    X[5, 3] = 1.0
+    write_matrix_csv(sim / "X3.csv", X)
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        code = run("fit", "--x", sim / "X3.csv", "--y", y, "--method", "rrr",
+                   "--out-dir", tmp_path / "fit")
+    assert code == 0
+    model, _ = load_factor_model(tmp_path / "fit" / "model.json")
+    assert np.all(np.isfinite(model.to_matrix(shape=(8, 6))))
+
+
+RANK_METHODS = [m for m in cli.METHODS if m != "lasso"]
+
+
+@pytest.mark.parametrize("method", RANK_METHODS)
+def test_rank_above_min_p_q_is_rejected_by_every_method(tmp_path, capsys, method):
+    x, y, _ = simulate_into(tmp_path, n=20, p=10, q=8)
+    X, _ = read_matrix_csv(x)
+    Y, _ = read_matrix_csv(y)
+    opts = {**cli._DEFAULTS["fit"], "rank": 9}
+    with pytest.raises(ValueError, match=r"^rank must lie in \[0, min\(p, q\)\] = \[0, 8\]$"):
+        fit_method(X, Y, None, method, opts)
+    assert run("fit", "--x", x, "--y", y, "--method", method, "--rank", 9,
+               "--out-dir", tmp_path / "fit") == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "curereg fit: rank must lie in [0, min(p, q)] = [0, 8]"
+
+
+@pytest.mark.parametrize("method,extra", [
+    ("lasso", []),
+    ("seqacs", ["--rank", "2"]),
+    ("paracs_l", ["--rank", "2"]),
+    ("paracs_r", ["--rank", "2"]),
+])
+def test_full_grid_flag_writes_the_same_model(tmp_path, method, extra):
+    x, y, _ = simulate_into(tmp_path / "sim", n=60, p=20, q=12, seed=5)
+    docs = []
+    for name, flag in (("default", []), ("full", ["--grid-stop-window", "0"])):
+        out = tmp_path / name
+        assert run("fit", "--x", x, "--y", y, "--method", method, *extra, *flag,
+                   "--out-dir", out) == 0
+        docs.append((out / "model.json").read_bytes())
+    assert docs[0] == docs[1]
+    with pytest.raises(SystemExit, match="--grid-stop-window"):
+        run("fit", "--x", x, "--y", y, "--method", method, *extra,
+            "--grid-stop-window", -1, "--out-dir", tmp_path / "bad")
+
+
 def test_paths_command_accepts_missing_entries(tmp_path):
     x, y, _ = simulate_into(tmp_path)
     Y, _ = read_matrix_csv(y)

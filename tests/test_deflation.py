@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from curereg.baselines import AcsConfig, acs_path, default_rrr_ridge, fit_rrr
+from curereg.baselines import (
+    AcsConfig,
+    acs_path,
+    default_lambda_grid,
+    default_rrr_ridge,
+    fit_rrr,
+)
 from curereg.core import (
+    FactorModel,
     NormMode,
     ProblemData,
+    column_normalize,
     p_orthogonal_svd,
     renormalize_factor,
     residual,
@@ -19,6 +27,7 @@ from curereg.deflation import (
     sequential_pursuit,
 )
 from curereg.metrics import estimation_errors
+from curereg.simgen import SimSpec, gen_dataset
 from curereg.stagewise import StagewiseConfig, run_path, select_on_path
 from curereg.tuning import CriterionInput, information_criterion
 
@@ -245,6 +254,78 @@ def test_acs_layer_selection_matches_manual_gic_scan():
             best = (val, fac)
     want = renormalize_factor(best[1], NormMode.PORTH, prob.X)
     models_bitwise_equal(model, type(model)((want,)))
+
+
+def _record_acs_paths(monkeypatch):
+    """Wrap ``deflation.acs_path`` so each returned path is kept."""
+    import curereg.deflation as dfl
+
+    orig = dfl.acs_path
+    paths = []
+
+    def recorded(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        paths.append(out)
+        return out
+
+    monkeypatch.setattr(dfl, "acs_path", recorded)
+    return paths
+
+
+def _grid_draw(seed, masked):
+    """A seeded model-II draw with a normalized X, 20% missing when masked."""
+    truth = gen_dataset(SimSpec(model="II", n=60, p=20, q=12, r_star=1, seed=seed))
+    X, _ = column_normalize(truth.X)
+    mask = None
+    if masked:
+        mask = np.random.default_rng(seed).random(truth.Y.shape) >= 0.2
+    return ProblemData(X, truth.Y, mask)
+
+
+def _gic_scan(prob, pairs):
+    """Index of the first GIC argmin over ``(lam, factor)`` levels."""
+    observed = None if prob.mask is None else prob.n_observed
+    vals = []
+    for _, fac in pairs:
+        R = residual(prob, fac)
+        df = 0 if fac.is_zero else np.count_nonzero(fac.u) + np.count_nonzero(fac.v) - 1
+        vals.append(information_criterion("gic", CriterionInput(
+            float(np.vdot(R, R)), prob.n, prob.p, prob.q, int(df), observed)))
+    return int(np.argmin(vals))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+def test_acs_selection_without_grid_stop_solves_every_level(monkeypatch, masked):
+    prob = _grid_draw(1, masked)
+    solver = AcsConfig(grid_stop_window=None)
+    grid = default_lambda_grid(prob)
+    full = acs_path(prob, grid, config=solver)
+    paths = _record_acs_paths(monkeypatch)
+    model = sequential_pursuit(prob, DeflationConfig("sequential", 1, solver))
+    (solved,) = paths
+    assert len(solved) == grid.size
+    for (lam, fac), (want_lam, want) in zip(solved, full):
+        assert lam == want_lam
+        models_bitwise_equal(FactorModel((fac,)), FactorModel((want,)))
+    want = renormalize_factor(full[_gic_scan(prob, full)][1], NormMode.PORTH, prob.X)
+    models_bitwise_equal(model, FactorModel((want,)))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_acs_grid_stop_keeps_the_full_grid_pick(monkeypatch, seed, masked):
+    prob = _grid_draw(seed, masked)
+    grid = default_lambda_grid(prob)
+    paths = _record_acs_paths(monkeypatch)
+    full = sequential_pursuit(
+        prob, DeflationConfig("sequential", 1, AcsConfig(grid_stop_window=None)))
+    stopped = sequential_pursuit(prob, DeflationConfig("sequential", 1, AcsConfig()))
+    models_bitwise_equal(stopped, full)
+    whole, solved = paths
+    k = _gic_scan(prob, whole)
+    assert len(whole) == grid.size
+    assert len(solved) == min(k + AcsConfig().grid_stop_window + 1, grid.size)
+    assert solved[k][0] == whole[k][0]
 
 
 def test_cv_layer_selection_is_deterministic():

@@ -717,8 +717,8 @@ def test_masked_engine_takes_the_oracles_moves(monkeypatch, seed, mask_seed):
 
 @pytest.mark.parametrize("masked", [False, True], ids=["covariance", "residual"])
 def test_bookkeeping_drift_is_measured_and_small(masked):
-    # 3,500 steps cross three rebuilds; each compares the maintained rss
-    # (and the covariance engine's gradients) with the rebuilt values.
+    # 3,500 steps cross three rebuilds; each compares the maintained rss and
+    # both gradients, in u and in v, with the rebuilt values.
     rng = np.random.default_rng(20)
     X = rng.standard_normal((30, 12))
     Y = X[:, :3] @ rng.standard_normal((3, 8)) + rng.standard_normal((30, 8))

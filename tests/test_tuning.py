@@ -7,6 +7,7 @@ from curereg.core import ProblemData
 from curereg.tuning import (
     CriterionInput,
     CvSelection,
+    GridScan,
     early_stop_check,
     information_criterion,
     kfold_cv_select,
@@ -120,6 +121,26 @@ def test_early_stop_is_monotone_under_nonimproving_extension():
     assert early_stop_check([], 3) is False
     with pytest.raises(ValueError):
         early_stop_check([1.0], 0)
+
+
+def test_grid_scan_keeps_the_first_argmin_and_stops_after_the_window():
+    prob = ProblemData(np.ones((10, 2)), np.ones((10, 3)))
+    # gic = log(rss) + c * df: equal values at levels 1 and 3, worse after.
+    levels = [(4.0, 0), (2.0, 1), (3.0, 1), (2.0, 1)] + [(5.0, 1)] * 5
+    scan = GridScan(prob, "gic", window=3)
+    stops = [scan.update(rss, df) for rss, df in levels]
+    assert scan.best == 1
+    assert stops.index(True) == 1 + 3
+    full = GridScan(prob, "gic")
+    assert not any(full.update(rss, df) for rss, df in levels)
+    assert full.best == 1
+
+
+def test_grid_scan_prefers_a_perfect_fit():
+    prob = ProblemData(np.ones((10, 2)), np.ones((10, 3)))
+    scan = GridScan(prob, "aic", window=2)
+    assert [scan.update(rss, 0) for rss in (3.0, 0.0, 4.0)] == [False, False, True]
+    assert scan.best == 1
 
 
 # ---------------------------------------------------------------------------
