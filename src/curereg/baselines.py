@@ -37,7 +37,7 @@ from .core import (
     p_orthogonal_svd,
     renormalize_factor,
 )
-from .tuning import GridScan, _fold_indices
+from .tuning import GRID_STOP_WINDOW, GridScan, _fold_indices
 
 __all__ = [
     "LassoConfig",
@@ -193,27 +193,14 @@ def _sign_solve(gram, P, s, c, b, pen, x, budget):
     return x, Hc @ x, solves, exact
 
 
-def _check_grid_stop_window(window):
-    if window is not None and window < 1:
-        raise ValueError("grid_stop_window must be None or a positive integer")
-
-
 @dataclass
 class LassoConfig:
-    """Controls for the lasso solver.
-
-    ``grid_stop_window`` ends :func:`lasso_gic_path` once the criterion has
-    not improved for that many levels; None solves the whole grid.
-    """
-
     tol: float = 1e-8
     max_sweeps: int = 2000
-    grid_stop_window: int | None = 10
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_sweeps < 1:
             raise ValueError("tol must be positive and max_sweeps at least 1")
-        _check_grid_stop_window(self.grid_stop_window)
 
 
 def lasso_objective(problem, C, lam):
@@ -276,19 +263,19 @@ def default_lambda_grid(problem, num=50, floor=1e-3):
     return np.geomspace(lam_max, floor * lam_max, num)
 
 
-def lasso_gic_path(problem, grid=None, config=None, criterion="gic"):
+def lasso_gic_path(problem, grid=None, config=None, criterion="gic", *, _whole_grid=False):
     """Warm-started lasso path with information-criterion selection.
 
     Degrees of freedom is the nonzero entry count; the first argmin wins.
-    The path stops ``config.grid_stop_window`` levels after the last
-    improvement of the criterion (:class:`~curereg.tuning.GridScan`), or runs
-    the whole grid when that window is None.  Returns
+    The path stops ``tuning.GRID_STOP_WINDOW`` levels after the last
+    improvement of the criterion (:class:`~curereg.tuning.GridScan`).
+    ``_whole_grid`` solves every level instead; CV needs it, because its
+    folds are aligned to the full-data grid.  Returns
     ``(C_best, lam_best, path)`` where path is the list of ``(lam, C)``
     solved down the grid.
     """
-    config = config or LassoConfig()
     grid = default_lambda_grid(problem) if grid is None else np.asarray(grid, dtype=float)
-    scan = GridScan(problem, criterion, config.grid_stop_window)
+    scan = GridScan(problem, criterion, None if _whole_grid else GRID_STOP_WINDOW)
     Y0 = problem.observed_response()
     warm = None
     path = []
@@ -313,26 +300,21 @@ def lasso_gic_path(problem, grid=None, config=None, criterion="gic"):
 class AcsConfig:
     """Controls for the alternating solver.
 
-    ``lambda_grid`` and ``grid_stop_window`` are only consumed by
-    path/deflation drivers; a single call works at one penalty level.  The
-    starting point is the rank-1 layer of a ridge-OLS fit unless a factor is
-    passed.  ``grid_stop_window`` ends an information-criterion selection
-    down the grid once the criterion has not improved for that many levels;
-    None solves the whole grid.
+    ``lambda_grid`` is only consumed by path/deflation drivers; a single
+    call works at one penalty level.  The starting point is the rank-1
+    layer of a ridge-OLS fit unless a factor is passed.
     """
 
     lambda_grid: np.ndarray | None = None
     mu: float = 1e-4
     tol: float = 1e-8
     max_iters: int = 500
-    grid_stop_window: int | None = 10
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iters < 1:
             raise ValueError("tol must be positive and max_iters at least 1")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
-        _check_grid_stop_window(self.grid_stop_window)
         if self.lambda_grid is not None:
             g = np.asarray(self.lambda_grid, dtype=float)
             if g.ndim != 1 or g.size == 0:

@@ -32,7 +32,6 @@ import numpy as np
 
 from .baselines import (
     AcsConfig,
-    LassoConfig,
     _rrr_ridge,
     default_lambda_grid,
     fit_rrr,
@@ -137,10 +136,6 @@ def _add_solver_flags(parser, defaults):
     _opt(parser, defaults, "--early-stop-window", default=300, type=int,
          help="stop a stagewise path after this many steps without"
               " criterion improvement")
-    _opt(parser, defaults, "--grid-stop-window", default=10, type=int,
-         help="stop a lasso or alternating-search penalty grid after this many"
-              " levels without criterion improvement; 0 solves the whole grid"
-              " (CV always does)")
     _opt(parser, defaults, "--max-steps", default=100_000, type=int,
          help="stagewise step budget")
     _opt(parser, defaults, "--s-threshold", type=int,
@@ -268,29 +263,17 @@ def _stagewise_config(opts):
     )
 
 
-def _grid_stop_window(opts):
-    """``--grid-stop-window`` as a config value; 0 means the whole grid (None)."""
-    window = opts["grid_stop_window"]
-    if window is not None and window < 0:
-        raise SystemExit("--grid-stop-window must be 0 or a positive integer")
-    return window or None
-
-
 def _deflation_config(method, opts, threads):
     if opts["rank"] is None:
         raise SystemExit(f"method {method} requires --rank")
-    window = _grid_stop_window(opts)
     if "stl" in method:
         solver = _stagewise_config(opts)
     else:
-        solver = AcsConfig(mu=opts["mu"], grid_stop_window=window)
+        solver = AcsConfig(mu=opts["mu"])
     strategy = "sequential" if method.startswith("seq") else "parallel"
     initializer = None
     if strategy == "parallel":
-        if method.endswith("_l"):
-            initializer = LassoInitializer(config=LassoConfig(grid_stop_window=window))
-        else:
-            initializer = RrrInitializer()
+        initializer = LassoInitializer() if method.endswith("_l") else RrrInitializer()
     return DeflationConfig(
         strategy=strategy,
         rank=opts["rank"],
@@ -311,21 +294,18 @@ def _fit_scaled(problem, method, opts, threads):
     q = Y.shape[1]
     if method == "lasso":
         if opts["criterion"] == "cv":
-            # The folds are aligned to the full-data grid, so all of it is solved.
-            full = LassoConfig(grid_stop_window=None)
             grid = default_lambda_grid(problem)
-            path = lasso_gic_path(problem, grid, full)[2]
+            path = lasso_gic_path(problem, grid, _whole_grid=True)[2]
             sel = kfold_cv_select(
                 problem,
                 path,
-                lambda pb: lasso_gic_path(pb, grid, full)[2],
+                lambda pb: lasso_gic_path(pb, grid, _whole_grid=True)[2],
                 folds=opts["cv_folds"],
                 seed=opts["seed"],
             )
             C = path[sel.index][1]
         else:
-            config = LassoConfig(grid_stop_window=_grid_stop_window(opts))
-            C, _, _ = lasso_gic_path(problem, config=config, criterion=opts["criterion"])
+            C, _, _ = lasso_gic_path(problem, criterion=opts["criterion"])
         if not C.any():
             return FactorModel(())
         with warnings.catch_warnings():

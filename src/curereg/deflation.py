@@ -23,7 +23,6 @@ import numpy as np
 
 from .baselines import (
     AcsConfig,
-    LassoConfig,
     _rrr_ridge,
     acs_path,
     default_lambda_grid,
@@ -41,7 +40,9 @@ from .core import (
 )
 from .stagewise import StagewiseConfig, run_path, select_on_path
 from .tuning import GridScan, kfold_cv_select
-# Unused here; perfbench/tracer.py looks this name up when it installs.
+# Unused here.  perfbench/tracer.py still wraps this name to count criterion
+# evaluations, so its tuning.ic count reads 0 until the tracer wraps the one
+# in tuning (ROADMAP item 4); the tracer fails to install without the name.
 from .tuning import information_criterion  # noqa: F401
 
 __all__ = [
@@ -61,14 +62,9 @@ CV_GRID_MAX = 50
 
 @dataclass(frozen=True)
 class LassoInitializer:
-    """Pilot estimate via the entrywise lasso; lam0 None means GIC over a grid.
-
-    ``config`` (default :class:`LassoConfig`) sets the solver and the grid
-    stop window.
-    """
+    """Pilot estimate via the entrywise lasso; lam0 None means GIC over a grid."""
 
     lam0: float | None = None
-    config: LassoConfig | None = None
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,7 @@ def _fit_unit_rank(problem, cfg):
         pairs = acs_path(problem, grid, config=solver)
         sel = kfold_cv_select(problem, pairs, fit_fn, cfg.cv_folds, cfg.cv_seed)
         return pairs[sel.index][1]
-    scan = GridScan(problem, criterion, solver.grid_stop_window)
+    scan = GridScan(problem, criterion)
     pairs = acs_path(problem, grid, config=solver,
                      stop=lambda fac: scan.update(*_acs_rss_df(problem, fac)))
     return pairs[scan.best][1]
@@ -221,8 +217,8 @@ def _pilot_matrix(problem, cfg):
         if init.lam0 is not None:
             from .baselines import lasso_cd
 
-            return lasso_cd(problem, init.lam0, config=init.config)
-        C, _, _ = lasso_gic_path(problem, config=init.config)
+            return lasso_cd(problem, init.lam0)
+        C, _, _ = lasso_gic_path(problem)
         return C
     if isinstance(init, RrrInitializer):
         ridge = _rrr_ridge(problem.X) if init.ridge is None else init.ridge

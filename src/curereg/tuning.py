@@ -32,6 +32,9 @@ __all__ = [
 
 CRITERIA = ("gic", "aic", "bic")
 
+# Levels without criterion improvement after which a penalty grid stops.
+GRID_STOP_WINDOW = 10
+
 
 @dataclass(frozen=True)
 class CriterionInput:
@@ -110,12 +113,12 @@ class GridScan:
     Fed one solved level at a time through :meth:`update`, it scores the
     level on ``problem`` (an rss of 0 scores -inf), keeps the index of the
     first argmin in ``best`` and returns True once :class:`EarlyStop` with
-    ``window`` levels finds the criterion stalled.  A window of None never
-    stops.  Levels past the stop cannot change the pick unless the
+    ``window`` levels (default :data:`GRID_STOP_WINDOW`) finds the criterion
+    stalled.  A window of None never stops.  Levels past the stop cannot change the pick unless the
     criterion improves again after ``window`` levels without improvement.
     """
 
-    def __init__(self, problem, criterion, window=None):
+    def __init__(self, problem, criterion, window=GRID_STOP_WINDOW):
         self.criterion = criterion
         self.shape = (problem.n, problem.p, problem.q)
         self.observed = None if problem.mask is None else problem.n_observed

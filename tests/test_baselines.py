@@ -28,7 +28,7 @@ from curereg.core import (
     eval_penalty,
 )
 from curereg.simgen import SimSpec, gen_dataset
-from curereg.tuning import CriterionInput, information_criterion
+from curereg.tuning import GRID_STOP_WINDOW, CriterionInput, information_criterion
 
 
 def acs_objective(prob, fac, lam, mu):
@@ -176,8 +176,7 @@ def test_lasso_path_without_grid_stop_solves_every_level(masked):
     prob = _grid_draw(1, masked)
     grid = default_lambda_grid(prob)
     levels, k = _full_grid_lasso(prob, grid)
-    C_best, lam_best, path = lasso_gic_path(
-        prob, grid=grid, config=LassoConfig(grid_stop_window=None))
+    C_best, lam_best, path = lasso_gic_path(prob, grid=grid, _whole_grid=True)
     assert len(path) == grid.size
     for (lam, C), (want_lam, want_C) in zip(path, levels):
         assert lam == want_lam
@@ -191,8 +190,7 @@ def test_lasso_path_without_grid_stop_solves_every_level(masked):
 def test_lasso_grid_stop_keeps_the_full_grid_pick(monkeypatch, seed, masked):
     prob = _grid_draw(seed, masked)
     grid = default_lambda_grid(prob)
-    C_full, lam_full, _ = lasso_gic_path(
-        prob, grid=grid, config=LassoConfig(grid_stop_window=None))
+    C_full, lam_full, _ = lasso_gic_path(prob, grid=grid, _whole_grid=True)
     calls = []
     orig = baselines.lasso_cd
 
@@ -201,21 +199,13 @@ def test_lasso_grid_stop_keeps_the_full_grid_pick(monkeypatch, seed, masked):
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(baselines, "lasso_cd", counted)
-    window = LassoConfig().grid_stop_window
     C_best, lam_best, path = lasso_gic_path(prob, grid=grid)
     assert lam_best == lam_full
     np.testing.assert_array_equal(C_best != 0, C_full != 0)
     np.testing.assert_array_equal(C_best, C_full)
     k = [lam for lam, _ in path].index(lam_best)
-    # The stop lands exactly `window` levels after the pick, before the grid ends.
-    assert len(path) == len(calls) == k + window + 1 < grid.size
-
-
-def test_grid_stop_window_is_validated():
-    for cls in (LassoConfig, AcsConfig):
-        assert cls(grid_stop_window=None).grid_stop_window is None
-        with pytest.raises(ValueError, match="grid_stop_window"):
-            cls(grid_stop_window=0)
+    # The stop lands exactly GRID_STOP_WINDOW levels after the pick, before the grid ends.
+    assert len(path) == len(calls) == k + GRID_STOP_WINDOW + 1 < grid.size
 
 
 def test_lasso_path_levels_meet_the_subgradient_condition():
@@ -236,6 +226,28 @@ def test_lasso_path_levels_meet_the_subgradient_condition():
             on = C != 0
             assert np.all(np.abs(grad[on] - (-lam * np.sign(C[on]))) <= tol)
             assert np.all(np.abs(grad[~on]) <= lam + tol)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+def test_whole_lasso_path_meets_the_subgradient_condition(masked):
+    # The test above stops its grid early; the smallest penalties, where
+    # coordinate descent works hardest, are checked here on the whole grid.
+    truth = gen_dataset(SimSpec(model="II", n=40, p=12, q=8, r_star=2, seed=3))
+    X, _ = column_normalize(truth.X)
+    m = np.random.default_rng(3).random(truth.Y.shape) >= 0.2 if masked else None
+    prob = ProblemData(X, truth.Y, m)
+    tol = LassoConfig().tol
+    _, _, path = lasso_gic_path(prob, grid=default_lambda_grid(prob, num=20),
+                                _whole_grid=True)
+    assert len(path) == 20
+    for lam, C in path:
+        R = prob.observed_response() - X @ C
+        if m is not None:
+            R[~m] = 0.0
+        grad = -X.T @ R / prob.n
+        on = C != 0
+        assert np.all(np.abs(grad[on] - (-lam * np.sign(C[on]))) <= tol)
+        assert np.all(np.abs(grad[~on]) <= lam + tol)
 
 
 def test_masked_lasso_path_builds_one_weighted_cache_per_column(monkeypatch):

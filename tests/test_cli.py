@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import curereg.cli as cli
+from curereg import baselines, deflation
 from curereg.baselines import _rrr_ridge
 from curereg.cli import _benchmark_workers, _resolve_threads, fit_method, main
 from curereg.io import load_factor_model, read_matrix_csv, write_matrix_csv
+from curereg.tuning import GridScan
 
 
 def run(*argv):
@@ -150,18 +152,17 @@ def test_rank_above_min_p_q_is_rejected_by_every_method(tmp_path, capsys, method
     ("paracs_l", ["--rank", "2"]),
     ("paracs_r", ["--rank", "2"]),
 ])
-def test_full_grid_flag_writes_the_same_model(tmp_path, method, extra):
+def test_grid_stop_writes_the_whole_grid_model(tmp_path, monkeypatch, method, extra):
     x, y, _ = simulate_into(tmp_path / "sim", n=60, p=20, q=12, seed=5)
-    docs = []
-    for name, flag in (("default", []), ("full", ["--grid-stop-window", "0"])):
-        out = tmp_path / name
-        assert run("fit", "--x", x, "--y", y, "--method", method, *extra, *flag,
-                   "--out-dir", out) == 0
-        docs.append((out / "model.json").read_bytes())
-    assert docs[0] == docs[1]
-    with pytest.raises(SystemExit, match="--grid-stop-window"):
-        run("fit", "--x", x, "--y", y, "--method", method, *extra,
-            "--grid-stop-window", -1, "--out-dir", tmp_path / "bad")
+    argv = ["fit", "--x", x, "--y", y, "--method", method, *extra]
+    assert run(*argv, "--out-dir", tmp_path / "stop") == 0
+    # Every penalty grid of the fit solved to its last level.
+    for module in (baselines, deflation):
+        monkeypatch.setattr(module, "GridScan",
+                            lambda pb, crit, window=None: GridScan(pb, crit, None))
+    assert run(*argv, "--out-dir", tmp_path / "whole") == 0
+    stop, whole = (tmp_path / name / "model.json" for name in ("stop", "whole"))
+    assert stop.read_bytes() == whole.read_bytes()
 
 
 def test_paths_command_accepts_missing_entries(tmp_path):

@@ -29,7 +29,7 @@ from curereg.deflation import (
 from curereg.metrics import estimation_errors
 from curereg.simgen import SimSpec, gen_dataset
 from curereg.stagewise import StagewiseConfig, run_path, select_on_path
-from curereg.tuning import CriterionInput, information_criterion
+from curereg.tuning import GRID_STOP_WINDOW, CriterionInput, GridScan, information_criterion
 
 EXACT_ACS = AcsConfig(lambda_grid=np.array([0.0]), mu=0.0, tol=1e-12, max_iters=2000)
 
@@ -296,12 +296,14 @@ def _gic_scan(prob, pairs):
 
 @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
 def test_acs_selection_without_grid_stop_solves_every_level(monkeypatch, masked):
+    import curereg.deflation as dfl
+
     prob = _grid_draw(1, masked)
-    solver = AcsConfig(grid_stop_window=None)
     grid = default_lambda_grid(prob)
-    full = acs_path(prob, grid, config=solver)
+    full = acs_path(prob, grid)
     paths = _record_acs_paths(monkeypatch)
-    model = sequential_pursuit(prob, DeflationConfig("sequential", 1, solver))
+    monkeypatch.setattr(dfl, "GridScan", lambda pb, crit: GridScan(pb, crit, None))
+    model = sequential_pursuit(prob, DeflationConfig("sequential", 1, AcsConfig()))
     (solved,) = paths
     assert len(solved) == grid.size
     for (lam, fac), (want_lam, want) in zip(solved, full):
@@ -316,16 +318,15 @@ def test_acs_selection_without_grid_stop_solves_every_level(monkeypatch, masked)
 def test_acs_grid_stop_keeps_the_full_grid_pick(monkeypatch, seed, masked):
     prob = _grid_draw(seed, masked)
     grid = default_lambda_grid(prob)
-    paths = _record_acs_paths(monkeypatch)
-    full = sequential_pursuit(
-        prob, DeflationConfig("sequential", 1, AcsConfig(grid_stop_window=None)))
-    stopped = sequential_pursuit(prob, DeflationConfig("sequential", 1, AcsConfig()))
-    models_bitwise_equal(stopped, full)
-    whole, solved = paths
+    whole = acs_path(prob, grid)
     k = _gic_scan(prob, whole)
-    assert len(whole) == grid.size
-    assert len(solved) == min(k + AcsConfig().grid_stop_window + 1, grid.size)
-    assert solved[k][0] == whole[k][0]
+    paths = _record_acs_paths(monkeypatch)
+    stopped = sequential_pursuit(prob, DeflationConfig("sequential", 1, AcsConfig()))
+    want = renormalize_factor(whole[k][1], NormMode.PORTH, prob.X)
+    models_bitwise_equal(stopped, FactorModel((want,)))
+    (solved,) = paths
+    assert len(solved) == min(k + GRID_STOP_WINDOW + 1, grid.size)
+    assert [lam for lam, _ in solved] == [lam for lam, _ in whole[:len(solved)]]
 
 
 def test_cv_layer_selection_is_deterministic():

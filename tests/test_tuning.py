@@ -5,6 +5,7 @@ import pytest
 
 from curereg.core import ProblemData
 from curereg.tuning import (
+    GRID_STOP_WINDOW,
     CriterionInput,
     CvSelection,
     GridScan,
@@ -131,9 +132,16 @@ def test_grid_scan_keeps_the_first_argmin_and_stops_after_the_window():
     stops = [scan.update(rss, df) for rss, df in levels]
     assert scan.best == 1
     assert stops.index(True) == 1 + 3
-    full = GridScan(prob, "gic")
+    full = GridScan(prob, "gic", window=None)
     assert not any(full.update(rss, df) for rss, df in levels)
     assert full.best == 1
+
+
+def test_grid_scan_stops_after_the_default_window():
+    prob = ProblemData(np.ones((10, 2)), np.ones((10, 3)))
+    scan = GridScan(prob, "gic")
+    stops = [scan.update(rss, 1) for rss in [2.0] + [3.0] * 2 * GRID_STOP_WINDOW]
+    assert scan.best == 0 and stops.index(True) == GRID_STOP_WINDOW
 
 
 def test_grid_scan_prefers_a_perfect_fit():
