@@ -20,6 +20,7 @@ command-line flags override config values, which override built-in defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -389,6 +390,14 @@ def _write_timing(path, rows):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+@contextlib.contextmanager
+def _stage(times, name):
+    """Add the wall time of the block to ``times[name]``."""
+    t0 = time.perf_counter()
+    yield
+    times[name] = times.get(name, 0.0) + time.perf_counter() - t0
+
+
 def _load_truth(path):
     model, doc = load_factor_model(path)
     if not isinstance(doc.get("sigma"), (int, float)):
@@ -410,13 +419,15 @@ def _cmd_simulate(opts):
     return 0
 
 
-def _read_xy(opts):
+def _read_xy(opts, times):
     if not opts["x"] or not opts["y"]:
         raise SystemExit("--x and --y are required")
-    X, x_mask = read_matrix_csv(opts["x"], allow_missing=True)
+    with _stage(times, "read_x"):
+        X, x_mask = read_matrix_csv(opts["x"], allow_missing=True)
     if x_mask is not None:
         raise SystemExit(f"{opts['x']}: X must not contain missing entries")
-    Y, mask = read_matrix_csv(opts["y"], allow_missing=True)
+    with _stage(times, "read_y"):
+        Y, mask = read_matrix_csv(opts["y"], allow_missing=True)
     if X.shape[0] != Y.shape[0]:
         raise SystemExit(
             f"row mismatch: X has {X.shape[0]} rows, Y has {Y.shape[0]}"
@@ -429,17 +440,18 @@ def _cmd_fit(opts):
     os.makedirs(out, exist_ok=True)
     if not opts["method"]:
         raise SystemExit("--method is required")
-    X, Y, mask = _read_xy(opts)
+    times = {}
+    X, Y, mask = _read_xy(opts, times)
     truth_model = _load_truth(opts["truth"]) if opts["truth"] else None
     threads = _resolve_threads(opts)
-    t0 = time.perf_counter()
-    model = fit_method(X, Y, mask, opts["method"], opts, threads)
-    wall = time.perf_counter() - t0
-    save_factor_model(
-        os.path.join(out, "model.json"),
-        model,
-        extra={"method": opts["method"]},
-    )
+    with _stage(times, "fit"):
+        model = fit_method(X, Y, mask, opts["method"], opts, threads)
+    with _stage(times, "write"):
+        save_factor_model(
+            os.path.join(out, "model.json"),
+            model,
+            extra={"method": opts["method"]},
+        )
     if truth_model is not None:
         report = score_model(model, truth_model, truth_model.to_matrix(), X)
     else:
@@ -447,17 +459,23 @@ def _cmd_fit(opts):
         if model.rank > 0:
             counts = sparsity_summary(model)
             report.u_l0, report.u_l20, report.v_l0, report.v_l20 = counts
-    _write_report(os.path.join(out, "report.csv"), report)
-    _write_timing(os.path.join(out, "timing.csv"), [("fit", wall)])
+    with _stage(times, "write"):
+        _write_report(os.path.join(out, "report.csv"), report)
+    stages = ("fit", "read_x", "read_y", "write")
+    _write_timing(os.path.join(out, "timing.csv"), [(k, times[k]) for k in stages])
     return 0
 
 
 def _cmd_paths(opts):
     out = opts["out_dir"]
     os.makedirs(out, exist_ok=True)
-    X, Y, mask = _read_xy(opts)
-    path = run_path(ProblemData(X, Y, mask), _stagewise_config(opts))
-    write_path_jsonl(os.path.join(out, "path.jsonl"), path)
+    times = {}
+    X, Y, mask = _read_xy(opts, times)
+    with _stage(times, "path"):
+        path = run_path(ProblemData(X, Y, mask), _stagewise_config(opts))
+    with _stage(times, "write"):
+        write_path_jsonl(os.path.join(out, "path.jsonl"), path)
+    _write_timing(os.path.join(out, "timing.csv"), list(times.items()))
     return 0
 
 

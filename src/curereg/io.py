@@ -1,16 +1,18 @@
 """File formats: CSV matrices, JSON factor models, JSON-lines path dumps.
 
 All writers are atomic (write to a temp file in the same directory, then
-rename) and emit floats with 17 significant digits so round trips preserve
-the double exactly.  Missing response entries are spelled ``NA`` in CSV.
+rename), and every float they write reads back as the same double: CSV cells
+carry 17 significant digits, JSON numbers the shortest round-trip ``repr``
+(as :mod:`json` writes them).  Missing response entries are spelled ``NA``
+in CSV.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io as _io
 import json
+import math
 import os
 import tempfile
 
@@ -31,6 +33,10 @@ __all__ = [
 ]
 
 NA_TOKEN = "NA"
+# The loadings along a path repeat (about a quarter of those written are
+# distinct), so ``write_path_jsonl`` memoizes their text; the memo is
+# cleared whenever it holds more than this many values.
+REPR_MEMO_SIZE = 4096
 
 
 def fmt17(x):
@@ -103,23 +109,40 @@ def read_matrix_csv(path, allow_missing=False):
     Returns ``(M, mask)`` where mask is None when nothing was missing and a
     boolean observed-entry matrix otherwise.  A single leading header row is
     detected (any non-numeric cell) and skipped.  Malformed input raises
-    ValueError naming the offending line and column.
+    ValueError naming the offending line (as numbered in the file) and
+    column.
+
+    A file whose first line is numeric is parsed in bulk by ``np.loadtxt``,
+    which converts cells as ``float`` does; anything it rejects (an ``NA``,
+    a blank or ragged row, a bad cell) is parsed again cell by cell, so the
+    result and the error are those of the cell parser.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and not all(c.strip() == "" for c in r)]
+        first = next(csv.reader(fh), [])
+    if first and not _row_is_header(first):
+        try:
+            M = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=float)
+            return M, None
+        except ValueError:
+            pass
+    return _read_cells(path, allow_missing)
+
+
+def _read_cells(path, allow_missing):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if any(c.strip() for c in r)]
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
-    start = 1 if _row_is_header(rows[0]) else 0
+    start = 1 if _row_is_header(rows[0][1]) else 0
     data_rows = rows[start:]
     if not data_rows:
         raise ValueError(f"{path}: header but no data rows")
-    width = len(data_rows[0])
+    width = len(data_rows[0][1])
     out = np.empty((len(data_rows), width))
     observed = np.ones((len(data_rows), width), dtype=bool)
     any_missing = False
-    for i, row in enumerate(data_rows):
-        line_no = start + i + 1
+    for i, (line_no, row) in enumerate(data_rows):
         if len(row) != width:
             raise ValueError(
                 f"{path}: line {line_no} has {len(row)} columns, expected {width}"
@@ -134,22 +157,21 @@ def read_matrix_csv(path, allow_missing=False):
 
 
 def write_matrix_csv(path, M, mask=None, header=None):
-    """Write a matrix as CSV; masked-out entries become ``NA``."""
+    """Write a matrix as CSV; NaN and masked-out entries become ``NA``."""
     M = np.asarray(M, dtype=float)
-    buf = _io.StringIO()
-    if header is not None:
-        buf.write(",".join(header) + "\n")
-    for i in range(M.shape[0]):
-        cells = []
-        for j in range(M.shape[1]):
-            if mask is not None and not mask[i, j]:
-                cells.append(NA_TOKEN)
-            elif np.isnan(M[i, j]):
-                cells.append(NA_TOKEN)
-            else:
-                cells.append(fmt17(M[i, j]))
-        buf.write(",".join(cells) + "\n")
-    atomic_write_text(path, buf.getvalue())
+    na = np.isnan(M)
+    if mask is not None:
+        na |= ~np.asarray(mask, dtype=bool)
+    na_cols = {i: np.flatnonzero(na[i]).tolist() for i in np.flatnonzero(na.any(axis=1))}
+    fmt = "{:.17g}".format
+    with _atomic_open(path) as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for i, row in enumerate(M.tolist()):
+            cells = list(map(fmt, row))
+            for j in na_cols.get(i, ()):
+                cells[j] = NA_TOKEN
+            fh.write(",".join(cells) + "\n")
 
 
 def factor_model_to_dict(model):
@@ -210,31 +232,76 @@ def load_factor_model(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _nonzeros(vec):
-    idx = np.flatnonzero(vec)
-    return [[i, x] for i, x in zip(idx.tolist(), vec[idx].tolist())]
+def _json_float(x):
+    """A float as :mod:`json` spells it: ``NaN``, ``Infinity`` or its repr."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_value(x):
+    if isinstance(x, float):
+        return _json_float(x)
+    return json.dumps(x)
+
+
+class _ReprMemo(dict):
+    """float -> JSON text; holds only nonzero loadings, so 0.0 == -0.0 never
+    merges two spellings."""
+
+    def __missing__(self, x):
+        text = self[x] = _json_float(x)
+        return text
+
+
+def _nonzeros_text(prefix, index, value, memo):
+    """The ``[[i, x], ...]`` list of a sparse loading vector."""
+    return "[" + ", ".join([prefix[i] + memo[x] + "]" for i, x in zip(index, value)]) + "]"
 
 
 def write_path_jsonl(path, sw_path):
     """Dump a stagewise path as JSON-lines, one record per step.
 
     Each line carries ``{t, lambda, move, d, u_nonzeros, v_nonzeros, loss,
-    penalty, criterion}`` with the loading vectors in sparse ``[index, value]``
-    form.  This is the interchange format for external path plotting.
-    Records are written one at a time, so the text never sits in memory.
+    penalty, criterion}`` with the loading vectors of the L1-mode factor in
+    sparse ``[index, value]`` form.  This is the interchange format for
+    external path plotting.  Lines are built from each step's sparse
+    record, byte for byte as ``json.dumps`` would write them, one at a
+    time, so the text never sits in memory.
     """
+    width = max((max(s.p, s.q) for s in sw_path.steps), default=0)
+    prefix = [f"[{i}, " for i in range(width)]
+    memo = _ReprMemo()
     with _atomic_open(path) as fh:
         for step in sw_path.steps:
-            factor = step.factor
-            rec = {
-                "t": step.t,
-                "lambda": step.lam,
-                "move": step.move,
-                "d": factor.d,
-                "u_nonzeros": _nonzeros(factor.u),
-                "v_nonzeros": _nonzeros(factor.v),
-                "loss": step.loss,
-                "penalty": step.penalty,
-                "criterion": step.criterion_value,
-            }
-            fh.write(json.dumps(rec) + "\n")
+            d = step.d
+            if d <= 0.0:  # the zero factor
+                d, u, v = 0.0, "[]", "[]"
+            else:
+                d = float(d)
+                if not math.isfinite(d):
+                    raise ValueError(f"d must be a finite nonnegative scalar, got {d}")
+                loads = step.value / d
+                index = step.index
+                if not loads.all():  # a loading that underflowed to zero
+                    keep = loads != 0.0
+                    loads, index = loads[keep], index[keep]
+                k = np.searchsorted(index, step.p)
+                u = _nonzeros_text(prefix, index[:k].tolist(), loads[:k].tolist(), memo)
+                v = _nonzeros_text(
+                    prefix, (index[k:] - step.p).tolist(), loads[k:].tolist(), memo
+                )
+                if len(memo) > REPR_MEMO_SIZE:
+                    memo.clear()
+            fh.write(
+                f'{{"t": {_json_value(step.t)}, "lambda": {_json_value(step.lam)}, '
+                f'"move": {_json_value(step.move)}, "d": {_json_float(d)}, '
+                f'"u_nonzeros": {u}, "v_nonzeros": {v}, '
+                f'"loss": {_json_value(step.loss)}, '
+                f'"penalty": {_json_value(step.penalty)}, '
+                f'"criterion": {_json_value(step.criterion_value)}}}\n'
+            )

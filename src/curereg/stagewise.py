@@ -309,9 +309,9 @@ def _rel_gap(kept, exact):
 class PathStep:
     """One recorded state of the path (after the move named by ``move``).
 
-    The loadings are kept sparse: ``index`` holds the positions of the
-    nonzeros of the stacked vector ``(du, dv)`` (length ``p + q``) and
-    ``value`` their values; :attr:`factor` rebuilds the dense L1-mode
+    The loadings are kept sparse: ``index`` holds the ascending positions
+    of the nonzeros of the stacked vector ``(du, dv)`` (length ``p + q``)
+    and ``value`` their values; :attr:`factor` rebuilds the dense L1-mode
     factor on demand.
     """
 

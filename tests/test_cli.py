@@ -61,6 +61,26 @@ def test_simulate_fit_eval_pipeline(tmp_path):
     assert (eval_dir / "report.csv").read_bytes() == (fit_dir / "report.csv").read_bytes()
 
 
+def _timing_rows(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == "stage,seconds"
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(float(sec) >= 0.0 for _, sec in rows)
+    return [name for name, _ in rows]
+
+
+def test_timing_csv_has_a_row_per_stage(tmp_path):
+    x, y, _ = simulate_into(tmp_path / "sim")
+    assert run("fit", "--x", x, "--y", y, "--method", "seqstl", "--rank", 1,
+               "--max-steps", 50, "--out-dir", tmp_path / "fit") == 0
+    assert _timing_rows(tmp_path / "fit" / "timing.csv") == [
+        "fit", "read_x", "read_y", "write"]
+    assert run("paths", "--x", x, "--y", y, "--max-steps", 50,
+               "--out-dir", tmp_path / "paths") == 0
+    assert _timing_rows(tmp_path / "paths" / "timing.csv") == [
+        "read_x", "read_y", "path", "write"]
+
+
 def test_fit_zero_response_writes_zero_model(tmp_path):
     rng = np.random.default_rng(0)
     write_matrix_csv(tmp_path / "X.csv", rng.standard_normal((10, 4)))

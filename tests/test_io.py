@@ -1,9 +1,12 @@
+import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from curereg import io as cureio
 from curereg.core import FactorModel, NormMode, ProblemData, UnitRankFactor
 from curereg.io import (
     _parse_cell,
@@ -17,7 +20,7 @@ from curereg.io import (
     write_matrix_csv,
     write_path_jsonl,
 )
-from curereg.stagewise import StagewiseConfig, run_path
+from curereg.stagewise import StagewiseConfig, StagewisePath, run_path
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +141,127 @@ def test_fast_row_parse_matches_cell_parser(tmp_path):
             assert observed is None
 
 
+def reference_read_matrix_csv(path, allow_missing=False):
+    """The cell-by-cell reader: csv.reader, then float() or NA per cell."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if any(c.strip() for c in r)]
+    if not rows:
+        raise ValueError(f"{path}: empty matrix file")
+    if any(_not_number(tok) for tok in rows[0][1]):
+        rows = rows[1:]
+    if not rows:
+        raise ValueError(f"{path}: header but no data rows")
+    width = len(rows[0][1])
+    out = np.empty((len(rows), width))
+    observed = np.ones((len(rows), width), dtype=bool)
+    for i, (line_no, row) in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(
+                f"{path}: line {line_no} has {len(row)} columns, expected {width}"
+            )
+        for j, tok in enumerate(row):
+            where = f"{path}: line {line_no}, column {j + 1}"
+            out[i, j], observed[i, j] = _parse_cell(tok, where, allow_missing)
+    return out, (None if observed.all() else observed)
+
+
+def _not_number(tok):
+    if tok.strip() == "NA":
+        return False
+    try:
+        float(tok)
+    except ValueError:
+        return True
+    return False
+
+
+def _outcome(reader, path, allow_missing):
+    try:
+        M, mask = reader(path, allow_missing=allow_missing)
+    except ValueError as exc:
+        return "error", str(exc)
+    return M.shape, M.tobytes(), None if mask is None else mask.tobytes()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("padded", " 1.5 ,\t-2e-3\n  3, 4 \n"),
+    ("crlf", "1,2\r\n3,4\r\n"),
+    ("blank_lines", "\n1,2\n\n  \n3,4\n\n"),
+    ("header", "a,b\n1,2\n3,4\n"),
+    ("one_row", "1,2,3\n"),
+    ("one_column", "1\n2\n3\n"),
+    ("one_cell_no_newline", "7.25"),
+    ("specials", "inf,-Infinity\nnan,-0.0\n1e-320,1e400\n"),
+    ("underscore", "1_0,2\n3,4\n"),
+    ("na_cell", "1,NA\n3,4\n"),
+    ("hash_cell", "1,2\n#3,4\n"),
+    ("ragged", "1,2\n3\n"),
+    ("trailing_comma", "1,2,\n3,4,\n"),
+    ("quoted", '"1",2\n3,4\n'),
+    ("blank_cells_row", "1,2\n , \n3,4\n"),
+    ("late_header", "\na,b\n1,2\n"),
+    ("bad_cell", "1,2\n3,x\n"),
+    ("empty", "\n\n"),
+    ("header_only", "a,b\n"),
+])
+@pytest.mark.parametrize("allow_missing", [False, True])
+def test_bulk_reader_matches_cell_reader(tmp_path, name, text, allow_missing):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode())
+    got = _outcome(read_matrix_csv, path, allow_missing)
+    assert got == _outcome(reference_read_matrix_csv, path, allow_missing)
+
+
+def test_bulk_reader_matches_cell_reader_on_written_matrices(tmp_path):
+    rng = np.random.default_rng(5)
+    for trial in range(4):
+        n, m = rng.integers(1, 30, size=2)
+        M = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-300, 300, size=(n, m))
+        path = tmp_path / f"w{trial}.csv"
+        write_matrix_csv(path, M)
+        got = _outcome(read_matrix_csv, path, False)
+        assert got == _outcome(reference_read_matrix_csv, path, False)
+        assert got[1] == M.tobytes()
+
+
+def test_csv_errors_name_the_physical_line(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2\n\n\n3,x\n")
+    with pytest.raises(ValueError, match=r"line 4, column 2.*'x'"):
+        read_matrix_csv(bad)
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("a,b\n\n1,2\n3\n")
+    with pytest.raises(ValueError, match="line 4 has 1 columns"):
+        read_matrix_csv(ragged)
+
+
+def reference_write_matrix_csv(path, M, mask=None):
+    """The cell-by-cell writer: NA for masked or NaN cells, else 17 digits."""
+    with open(path, "w", newline="") as fh:
+        for i in range(M.shape[0]):
+            cells = []
+            for j in range(M.shape[1]):
+                if (mask is not None and not mask[i, j]) or np.isnan(M[i, j]):
+                    cells.append("NA")
+                else:
+                    cells.append(fmt17(M[i, j]))
+            fh.write(",".join(cells) + "\n")
+
+
+def test_matrix_writer_matches_cell_writer(tmp_path):
+    rng = np.random.default_rng(6)
+    M = rng.standard_normal((9, 7)) * 10.0 ** rng.integers(-12, 12, size=(9, 7))
+    M[0, 0], M[1, 2], M[2, 3] = np.nan, np.inf, -0.0
+    keep = rng.random((9, 7)) > 0.3
+    keep[3] = True
+    for mask in (None, keep):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_matrix_csv(got, M, mask=mask)
+        reference_write_matrix_csv(want, M, mask=mask)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = tmp_path / "out.txt"
     atomic_write_text(path, "hello\n")
@@ -243,3 +367,87 @@ def test_path_jsonl_without_criterion(tmp_path):
     write_path_jsonl(out, path_obj)
     rec = json.loads(out.read_text().splitlines()[0])
     assert rec["criterion"] is None
+
+
+def reference_write_path_jsonl(path, sw_path):
+    """The dense writer: ``json.dumps`` of each step's ``factor``."""
+    with open(path, "w", newline="") as fh:
+        for step in sw_path.steps:
+            factor = step.factor
+            rec = {
+                "t": step.t,
+                "lambda": step.lam,
+                "move": step.move,
+                "d": factor.d,
+                "u_nonzeros": _dense_nonzeros(factor.u),
+                "v_nonzeros": _dense_nonzeros(factor.v),
+                "loss": step.loss,
+                "penalty": step.penalty,
+                "criterion": step.criterion_value,
+            }
+            fh.write(json.dumps(rec) + "\n")
+
+
+def _dense_nonzeros(vec):
+    idx = np.flatnonzero(vec)
+    return [[i, x] for i, x in zip(idx.tolist(), vec[idx].tolist())]
+
+
+def assert_path_files_equal(tmp_path, path_obj):
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    write_path_jsonl(got, path_obj)
+    reference_write_path_jsonl(want, path_obj)
+    assert got.read_bytes() == want.read_bytes()
+    return want
+
+
+def small_path(seed, masked=False, criterion="gic", n=15, p=6, q=4, steps=80):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    Y = X[:, :2] @ rng.standard_normal((2, q)) + 0.1 * rng.standard_normal((n, q))
+    mask = rng.random((n, q)) > 0.2 if masked else None
+    cfg = StagewiseConfig(epsilon=0.1, criterion=criterion, max_steps=steps)
+    return run_path(ProblemData(X, Y, mask), cfg)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("criterion", ["gic", "none"])
+def test_path_writer_matches_dense_writer(tmp_path, masked, criterion):
+    path_obj = small_path(7, masked=masked, criterion=criterion)
+    assert len(path_obj.steps) > 10
+    want = assert_path_files_equal(tmp_path, path_obj)
+    if criterion == "none":
+        assert "\"criterion\": null" in want.read_text()
+
+
+def test_path_writer_matches_dense_writer_through_zero_and_specials(tmp_path):
+    # a path that passes through the zero state (d = 0 and d = -0.0),
+    # non-finite scalars, and a loading that underflows to zero over d
+    steps = small_path(8, steps=12).steps
+    edited = [
+        dataclasses.replace(steps[3], d=0.0),
+        dataclasses.replace(steps[4], d=-0.0, criterion_value=float("inf")),
+        dataclasses.replace(steps[5], lam=float("nan"), loss=float("-inf")),
+        dataclasses.replace(
+            steps[6], d=1e10, value=np.concatenate(([1e-320], steps[6].value[1:]))
+        ),
+    ]
+    path_obj = StagewisePath(steps=steps[:3] + edited + steps[7:])
+    want = assert_path_files_equal(tmp_path, path_obj)
+    text = want.read_text()
+    assert '"d": 0.0, "u_nonzeros": [], "v_nonzeros": []' in text
+    assert "Infinity" in text and "NaN" in text
+    bad = StagewisePath(steps=[dataclasses.replace(steps[1], d=float("nan"))])
+    for writer in (write_path_jsonl, reference_write_path_jsonl):
+        with pytest.raises(ValueError, match="finite"):
+            writer(tmp_path / "bad.jsonl", bad)
+
+
+def test_path_writer_matches_dense_writer_past_the_memo_bound(tmp_path):
+    path_obj = small_path(9, n=30, p=40, q=30, steps=400)
+    want = assert_path_files_equal(tmp_path, path_obj)
+    distinct = set()
+    for line in want.read_text().splitlines():
+        rec = json.loads(line)
+        distinct.update(x for _, x in rec["u_nonzeros"] + rec["v_nonzeros"])
+    assert len(distinct) > cureio.REPR_MEMO_SIZE
