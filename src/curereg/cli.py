@@ -143,7 +143,8 @@ def _add_solver_flags(parser, defaults):
          help="keep only this many largest entries of each pilot layer"
               " (parallel methods)")
     _opt(parser, defaults, "--threads", type=int,
-         help="worker count; falls back to env CURE_THREADS, then 1")
+         help="benchmark worker processes; falls back to env CURE_THREADS,"
+              " then 1 (fit accepts it without effect)")
 
 
 def build_parser():
@@ -207,24 +208,26 @@ def build_parser():
     return top
 
 
-def _merge_options(args):
-    ns = vars(args)
-    command = ns.pop("command")
-    merged = dict(_DEFAULTS[command])
-    config_path = ns.pop("config", None)
-    if config_path is not None:
+def _config_tokens(command, config_path):
+    """A JSON config file as flag tokens, so it meets the flags' own checks.
+
+    Placed before the command line's flags, which then override it; a null
+    value leaves the built-in default.
+    """
+    try:
         with open(config_path) as fh:
             doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise SystemExit(f"config {config_path}: expected a JSON object")
-        unknown = sorted(set(doc) - set(merged))
-        if unknown:
-            raise SystemExit(
-                f"config {config_path}: unknown option(s) {', '.join(unknown)}"
-            )
-        merged.update(doc)
-    merged.update(ns)
-    return command, merged
+    except ValueError as exc:
+        raise ValueError(f"config {config_path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SystemExit(f"config {config_path}: expected a JSON object")
+    unknown = sorted(set(doc) - set(_DEFAULTS[command]))
+    if unknown:
+        raise SystemExit(
+            f"config {config_path}: unknown option(s) {', '.join(unknown)}"
+        )
+    return [f"--{key.replace('_', '-')}={val}"
+            for key, val in doc.items() if val is not None]
 
 
 def _resolve_threads(opts):
@@ -264,7 +267,7 @@ def _stagewise_config(opts):
     )
 
 
-def _deflation_config(method, opts, threads):
+def _deflation_config(method, opts):
     if opts["rank"] is None:
         raise SystemExit(f"method {method} requires --rank")
     if "stl" in method:
@@ -284,11 +287,19 @@ def _deflation_config(method, opts, threads):
         criterion=opts["criterion"],
         cv_folds=opts["cv_folds"],
         cv_seed=opts["seed"],
-        max_workers=threads,
     )
 
 
-def _fit_scaled(problem, method, opts, threads):
+def _porth_model(X, C, rank):
+    """Split a coefficient matrix into predictor-metric orthogonal layers."""
+    if not C.any():
+        return FactorModel(())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return p_orthogonal_svd(X, C, rank)
+
+
+def _fit_scaled(problem, method, opts):
     """Fit on an already column-normalized problem; returns a FactorModel."""
     X, Y = problem.X, problem.Y
     n, p = X.shape
@@ -307,11 +318,7 @@ def _fit_scaled(problem, method, opts, threads):
             C = path[sel.index][1]
         else:
             C, _, _ = lasso_gic_path(problem, criterion=opts["criterion"])
-        if not C.any():
-            return FactorModel(())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return p_orthogonal_svd(X, C, min(n, p, q))
+        return _porth_model(X, C, min(n, p, q))
     if method == "rrr":
         if problem.mask is not None:
             raise SystemExit("method rrr requires a fully observed Y")
@@ -322,16 +329,11 @@ def _fit_scaled(problem, method, opts, threads):
                 X, Y, r_max=min(n, p, q, RRR_RANK_CAP),
                 folds=opts["cv_folds"], ridge=ridge, seed=opts["seed"],
             )
-        C = fit_rrr(X, Y, rank, ridge)
-        if not C.any():
-            return FactorModel(())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return p_orthogonal_svd(X, C, rank)
-    return deflate(problem, _deflation_config(method, opts, threads))
+        return _porth_model(X, fit_rrr(X, Y, rank, ridge), rank)
+    return deflate(problem, _deflation_config(method, opts))
 
 
-def fit_method(X_raw, Y, mask, method, opts, threads=1):
+def fit_method(X_raw, Y, mask, method, opts):
     """Column-normalize, fit by name, return the model on the raw X scale.
 
     Every method but ``lasso`` rejects a rank above min(p, q).
@@ -342,7 +344,7 @@ def fit_method(X_raw, Y, mask, method, opts, threads=1):
     if method != "lasso" and opts["rank"] is not None and opts["rank"] > top:
         raise ValueError(f"rank must lie in [0, min(p, q)] = [0, {top}]")
     Xn, scale = column_normalize(X_raw)
-    model = _fit_scaled(ProblemData(Xn, Y, mask), method, opts, threads)
+    model = _fit_scaled(ProblemData(Xn, Y, mask), method, opts)
     return FactorModel(tuple(rescale_factor_rows(lay, scale) for lay in model.layers))
 
 
@@ -443,9 +445,9 @@ def _cmd_fit(opts):
     times = {}
     X, Y, mask = _read_xy(opts, times)
     truth_model = _load_truth(opts["truth"]) if opts["truth"] else None
-    threads = _resolve_threads(opts)
+    _resolve_threads(opts)  # only validates: fit solves its layers serially
     with _stage(times, "fit"):
-        model = fit_method(X, Y, mask, opts["method"], opts, threads)
+        model = fit_method(X, Y, mask, opts["method"], opts)
     with _stage(times, "write"):
         save_factor_model(
             os.path.join(out, "model.json"),
@@ -501,7 +503,7 @@ def _benchmark_rep(payload):
     out = {}
     for method in methods:
         t0 = time.perf_counter()
-        model = fit_method(truth.X, truth.Y, None, method, opts, threads=1)
+        model = fit_method(truth.X, truth.Y, None, method, opts)
         wall = time.perf_counter() - t0
         report = score_model(model, truth.factors, truth.c_star, truth.X)
         report.wall_time_s = wall
@@ -569,10 +571,15 @@ _COMMANDS = {
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    command, opts = _merge_options(args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = vars(parser.parse_args(argv))
+    command = ns.pop("command")
     try:
-        return _COMMANDS[command](opts)
+        if "config" in ns:
+            tokens = _config_tokens(command, ns["config"])
+            ns = vars(parser.parse_args(argv[:1] + tokens + argv[1:]))
+            del ns["command"], ns["config"]
+        return _COMMANDS[command]({**_DEFAULTS[command], **ns})
     except (ValueError, OSError) as exc:
         print(f"curereg {command}: {exc}", file=sys.stderr)
         return 1

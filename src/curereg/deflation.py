@@ -5,8 +5,8 @@ layer k is fitted to ``Y - X (C_1 + ... + C_{k-1})``.  Parallel pursuit
 instead starts from a pilot estimate of the full coefficient matrix (lasso
 or reduced-rank regression), splits it into predictor-metric orthogonal
 layers, and refits layer k against ``Y - X * (pilot minus its own layer)``;
-the layer subproblems are independent, so they can run concurrently and in
-any order with identical results.
+the layer subproblems are independent and may be solved in any order with
+identical results.
 
 Each unit-rank subproblem is solved either by the stagewise path solver
 (selecting a path point by an information criterion or CV) or by the
@@ -16,7 +16,9 @@ alternating solver on a decreasing penalty grid.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+# Unused here.  perfbench/tracer.py still replaces this name to attribute
+# pooled layer solves, and fails to install without it (ROADMAP item 4).
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +85,6 @@ class DeflationConfig:
     ``criterion`` picks the per-layer tuning rule; None defers to the
     stagewise config's criterion (or gic for the alternating solver).
     ``initializer`` and ``s_threshold`` only apply to the parallel strategy.
-    ``max_workers`` above 1 solves the layers of parallel pursuit in a thread
-    pool of that many threads.
     """
 
     strategy: str
@@ -95,7 +95,6 @@ class DeflationConfig:
     criterion: str | None = None
     cv_folds: int = 5
     cv_seed: int = 0
-    max_workers: int = 1
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -231,8 +230,7 @@ def parallel_pursuit(problem, cfg):
 
     The pilot coefficient matrix is split by the predictor-metric SVD; a
     pilot of lower rank shrinks the target rank with a warning.  Layer
-    subproblems are independent; ``max_workers`` above 1 runs them in a
-    thread pool with results identical to the serial order.
+    subproblems are independent and may be solved in any order.
     """
     if cfg.strategy != "parallel":
         raise ValueError("config strategy is not 'parallel'")
@@ -257,18 +255,10 @@ def parallel_pursuit(problem, cfg):
     total = np.zeros((problem.p, problem.q))
     for M in mats:
         total += M
-    def solve_layer(k):
-        Yk = problem.Y - X @ (total - mats[k])
-        return _fit_unit_rank(ProblemData(X, Yk, problem.mask), cfg)
-
-    order = range(len(mats))
-    if cfg.max_workers > 1 and len(mats) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_workers) as pool:
-            fits = list(pool.map(solve_layer, order))
-    else:
-        fits = [solve_layer(k) for k in order]
     layers = []
-    for k, fac in enumerate(fits):
+    for k, M in enumerate(mats):
+        Yk = problem.Y - X @ (total - M)
+        fac = _fit_unit_rank(ProblemData(X, Yk, problem.mask), cfg)
         if fac.is_zero:
             warnings.warn(f"parallel layer {k + 1} refit to zero; dropping it",
                           RuntimeWarning, stacklevel=2)

@@ -295,7 +295,7 @@ def test_usage_errors(tmp_path):
     with pytest.raises(SystemExit, match="unknown method 'nope'"):
         run("benchmark", "--methods", "rrr,nope", "--reps", 1)
     with pytest.raises(SystemExit, match="unknown method"):
-        fit_method(np.eye(3), np.eye(3), None, "bogus", {}, 1)
+        fit_method(np.eye(3), np.eye(3), None, "bogus", {})
 
     write_matrix_csv(tmp_path / "Xna.csv", np.eye(3),
                      mask=np.eye(3, dtype=bool))
@@ -366,7 +366,42 @@ def test_config_file_and_flag_precedence(tmp_path):
         run("paths", "--x", x, "--y", y, "--config", notdict)
 
 
-def test_threads_resolution(monkeypatch):
+@pytest.mark.parametrize("doc, same_as, error", [
+    ({"epsilon": "0.2", "rank": 1}, ["--epsilon", "0.2", "--rank", "1"], None),
+    ({"threads": "2", "rank": 1}, ["--threads", "2", "--rank", "1"], None),
+    ({"rank": 1.5}, None, "invalid int value: '1.5'"),
+    ({"rank": 1, "criterion": "best"}, None, "invalid choice: 'best'"),
+    ({"rank": 1, "threads": 0}, None, "--threads must be a positive integer"),
+    (None, None, "No such file"),
+    ("{bad", None, "cfg.json: Expecting property name"),
+], ids=["str-float", "str-int", "float-int", "bad-choice", "zero-threads",
+        "missing-file", "bad-json"])
+def test_config_values_meet_the_flags_checks(tmp_path, capsys, doc, same_as, error):
+    x, y, _ = simulate_into(tmp_path / "sim")
+    cfg = tmp_path / "cfg.json"
+    if doc is not None:
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    base = ["fit", "--x", x, "--y", y, "--method", "seqstl"]
+    try:
+        code = run(*base, "--config", cfg, "--out-dir", tmp_path / "cfg")
+    except SystemExit as exc:
+        code = exc.code
+    if error is None:
+        assert code == 0
+        assert run(*base, *same_as, "--out-dir", tmp_path / "flags") == 0
+        assert ((tmp_path / "cfg" / "model.json").read_bytes()
+                == (tmp_path / "flags" / "model.json").read_bytes())
+        return
+    assert code not in (0, None)
+    err = capsys.readouterr().err
+    if isinstance(code, str):  # a SystemExit message, printed on exit
+        err = code
+    assert error in err.splitlines()[-1]
+    if code == 1:
+        assert err.startswith("curereg fit: ") and len(err.splitlines()) == 1
+
+
+def test_threads_resolution(tmp_path, monkeypatch):
     monkeypatch.delenv("CURE_THREADS", raising=False)
     assert _resolve_threads({"threads": None}) == 1
     assert _resolve_threads({"threads": 4}) == 4
@@ -375,6 +410,18 @@ def test_threads_resolution(monkeypatch):
     assert _resolve_threads({"threads": 2}) == 2
     with pytest.raises(SystemExit, match="positive"):
         _resolve_threads({"threads": 0})
+
+    # fit still parses and checks --threads, but it cannot change the answer
+    x, y, _ = simulate_into(tmp_path / "sim")
+    fit = ["fit", "--x", x, "--y", y, "--method", "paracs_r", "--rank", 2]
+    models = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert run(*fit, "--threads", threads, "--out-dir", out) == 0
+        models.append((out / "model.json").read_bytes())
+    assert models[0] == models[1]
+    with pytest.raises(SystemExit, match="--threads must be a positive integer"):
+        run(*fit, "--threads", 0, "--out-dir", tmp_path / "threads0")
 
 
 def test_benchmark_workers_are_capped(monkeypatch):

@@ -173,22 +173,6 @@ def test_parallel_unpenalized_recovers_noiseless_truth():
     assert fit_gap <= 1e-5 * np.linalg.norm(prob.X @ C0)
 
 
-def test_parallel_concurrent_matches_serial_bitwise():
-    rng = np.random.default_rng(7)
-    prob, _ = lowrank_instance(rng, 24, 7, 6, 2, noise=0.4)
-    base = dict(
-        strategy="parallel",
-        rank=2,
-        solver=StagewiseConfig(epsilon=0.25),
-        initializer=RrrInitializer(),
-    )
-    serial = parallel_pursuit(prob, DeflationConfig(**base))
-    threaded = parallel_pursuit(
-        prob, DeflationConfig(**base, max_workers=2)
-    )
-    models_bitwise_equal(serial, threaded)
-
-
 def test_parallel_pilot_rank_below_target_warns_and_shrinks():
     rng = np.random.default_rng(8)
     prob, _ = lowrank_instance(rng, 25, 6, 5, 1)  # exactly rank one
