@@ -72,6 +72,7 @@ from .stagewise import (
     StagewisePath,
     initialize_path,
     run_path,
+    run_paths,
     select_on_path,
 )
 from .tuning import (
@@ -134,6 +135,7 @@ __all__ = [
     "rescale_factor_rows",
     "residual",
     "run_path",
+    "run_paths",
     "select_on_path",
     "select_rank_cv",
     "selection_rates",

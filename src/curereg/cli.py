@@ -234,7 +234,14 @@ def _resolve_threads(opts):
     threads = opts.get("threads")
     if threads is None:
         env = os.environ.get("CURE_THREADS", "").strip()
-        threads = int(env) if env else 1
+        if not env:
+            return 1
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise SystemExit(f"CURE_THREADS must be a positive integer, got {env!r}")
     if threads < 1:
         raise SystemExit("--threads must be a positive integer")
     return threads
@@ -311,7 +318,8 @@ def _fit_scaled(problem, method, opts):
             sel = kfold_cv_select(
                 problem,
                 path,
-                lambda pb: lasso_gic_path(pb, grid, _whole_grid=True)[2],
+                lambda folds: [lasso_gic_path(pb, grid, _whole_grid=True)[2]
+                               for pb in folds],
                 folds=opts["cv_folds"],
                 seed=opts["seed"],
             )
@@ -442,10 +450,10 @@ def _cmd_fit(opts):
     os.makedirs(out, exist_ok=True)
     if not opts["method"]:
         raise SystemExit("--method is required")
+    _resolve_threads(opts)  # only validates: fit solves its layers serially
     times = {}
     X, Y, mask = _read_xy(opts, times)
     truth_model = _load_truth(opts["truth"]) if opts["truth"] else None
-    _resolve_threads(opts)  # only validates: fit solves its layers serially
     with _stage(times, "fit"):
         model = fit_method(X, Y, mask, opts["method"], opts)
     with _stage(times, "write"):

@@ -40,7 +40,7 @@ from .core import (
     renormalize_factor,
     residual,
 )
-from .stagewise import StagewiseConfig, run_path, select_on_path
+from .stagewise import StagewiseConfig, run_path, run_paths, select_on_path
 from .tuning import GridScan, kfold_cv_select
 # Unused here.  perfbench/tracer.py still wraps this name to count criterion
 # evaluations, so its tuning.ic count reads 0 until the tracer wraps the one
@@ -148,11 +148,12 @@ def _fit_unit_rank(problem, cfg):
     if isinstance(solver, StagewiseConfig):
         path = run_path(problem, solver)
         if criterion == "cv":
-            def fit_fn(pb):
-                return _stagewise_grid_points(run_path(pb, solver))
+            # The training folds' paths run in lockstep on one engine.
+            def fit_folds(folds):
+                return [_stagewise_grid_points(p) for p in run_paths(folds, solver)]
 
             points = _stagewise_grid_points(path)
-            sel = kfold_cv_select(problem, points, fit_fn, cfg.cv_folds, cfg.cv_seed)
+            sel = kfold_cv_select(problem, points, fit_folds, cfg.cv_folds, cfg.cv_seed)
             return points[sel.index][1]
         if len(path.steps) == 1 and path.steps[0].factor.is_zero:
             return path.steps[0].factor
@@ -164,11 +165,11 @@ def _fit_unit_rank(problem, cfg):
         return acs_path(problem, grid, config=solver)[0][1]
     if criterion == "cv":
         # The folds are aligned to the full-data grid, so all of it is solved.
-        def fit_fn(pb):
-            return acs_path(pb, grid, config=solver)
+        def fit_folds(folds):
+            return [acs_path(pb, grid, config=solver) for pb in folds]
 
         pairs = acs_path(problem, grid, config=solver)
-        sel = kfold_cv_select(problem, pairs, fit_fn, cfg.cv_folds, cfg.cv_seed)
+        sel = kfold_cv_select(problem, pairs, fit_folds, cfg.cv_folds, cfg.cv_seed)
         return pairs[sel.index][1]
     scan = GridScan(problem, criterion)
     pairs = acs_path(problem, grid, config=solver,

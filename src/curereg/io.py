@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -33,6 +34,10 @@ __all__ = [
 ]
 
 NA_TOKEN = "NA"
+# The NA of a cell that ends in NA and spaces or tabs, and whose NA has no
+# sign before it.  Read as "nan", such a cell parses as a float only if
+# nothing but whitespace precedes its NA, that is, if it is an NA cell.
+_NA_CELL = re.compile(r"(?m)NA(?<![+-]NA)(?=[ \t]*(?:,|$))")
 # The loadings along a path repeat (about a quarter of those written are
 # distinct), so ``write_path_jsonl`` memoizes their text; the memo is
 # cleared whenever it holds more than this many values.
@@ -113,9 +118,12 @@ def read_matrix_csv(path, allow_missing=False):
     column.
 
     A file whose first line is numeric is parsed in bulk by ``np.loadtxt``,
-    which converts cells as ``float`` does; anything it rejects (an ``NA``,
-    a blank or ragged row, a bad cell) is parsed again cell by cell, so the
-    result and the error are those of the cell parser.
+    which converts cells as ``float`` does.  When missing entries are
+    allowed, ``NA`` cells are read as NaN in bulk too, and the mask is
+    taken from their positions.  Anything the bulk parse rejects (a blank
+    or ragged row, a bad cell), and a file whose NaN count is not its
+    ``NA`` count (a literal ``nan`` cell), is parsed again cell by cell, so
+    the result and the error are those of the cell parser.
     """
     with open(path, newline="") as fh:
         first = next(csv.reader(fh), [])
@@ -125,7 +133,28 @@ def read_matrix_csv(path, allow_missing=False):
             return M, None
         except ValueError:
             pass
+        if allow_missing:
+            parsed = _read_bulk_na(path)
+            if parsed is not None:
+                return parsed
     return _read_cells(path, allow_missing)
+
+
+def _read_bulk_na(path):
+    """``(M, mask)`` with ``NA`` cells read as NaN by ``np.loadtxt``, or None
+    when the file has no ``NA`` cell, fails to parse, or holds other NaNs."""
+    try:
+        with open(path) as fh:
+            text, count = _NA_CELL.subn("nan", fh.read())
+        if not count:
+            return None
+        M = np.loadtxt(text.split("\n"), delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    missing = np.isnan(M)
+    if int(missing.sum()) != count:
+        return None
+    return M, ~missing
 
 
 def _read_cells(path, allow_missing):

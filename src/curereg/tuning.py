@@ -164,16 +164,18 @@ def _predict(X, model):
     return X @ model
 
 
-def kfold_cv_select(problem, full_path, fit_fn, folds=5, seed=0):
+def kfold_cv_select(problem, full_path, fit_folds, folds=5, seed=0):
     """Pick a point of a full-data path by row-wise K-fold cross-validation.
 
     ``full_path`` is the caller's full-data path of ``(lam, model)`` pairs,
     ``lam`` nonincreasing; its lambdas fix the grid, and
-    ``full_path[sel.index]`` is the pick.  ``fit_fn(problem)`` must return a
-    training fold's path as ``(lam, model)`` pairs, each model a p x q
-    coefficient matrix or a :class:`UnitRankFactor` (scored without forming
-    its matrix); the fold path is aligned to the grid by nearest lambda
-    (earlier point on ties).  Held-out error for a candidate C is
+    ``full_path[sel.index]`` is the pick.  ``fit_folds(problems)`` gets the
+    K training folds at once, as a list of problems, and must return one
+    path per fold, in order, each a list of ``(lam, model)`` pairs; a model
+    is a p x q coefficient matrix or a :class:`UnitRankFactor` (scored
+    without forming its matrix).  It may solve the folds together.
+    A fold path is aligned to the grid by nearest lambda (earlier point on
+    ties).  Held-out error for a candidate C is
     ``||P(Y_test - X_test C)||_F^2 / (2 * n_test)`` summed over observed
     entries, averaged across folds.  Returns the argmin grid point (first on
     ties) with the per-point mean errors.
@@ -183,18 +185,23 @@ def kfold_cv_select(problem, full_path, fit_fn, folds=5, seed=0):
     grid = np.array([lam for lam, _ in full_path], dtype=float)
     parts = _fold_indices(problem.n, folds, seed)
     all_rows = np.arange(problem.n)
-    errors = np.zeros((len(parts), grid.size))
-    for f, test_rows in enumerate(parts):
+    trains = []
+    for test_rows in parts:
         train_rows = np.setdiff1d(all_rows, test_rows)
         tr_mask = None if problem.mask is None else problem.mask[train_rows]
-        te_mask = None if problem.mask is None else problem.mask[test_rows]
-        train = ProblemData(problem.X[train_rows], problem.Y[train_rows], tr_mask)
-        fold_path = list(fit_fn(train))
+        trains.append(ProblemData(problem.X[train_rows], problem.Y[train_rows], tr_mask))
+    fold_paths = [list(path) for path in fit_folds(trains)]
+    if len(fold_paths) != len(parts):
+        raise ValueError(
+            f"fit_folds returned {len(fold_paths)} paths for {len(parts)} folds")
+    errors = np.zeros((len(parts), grid.size))
+    for f, (test_rows, fold_path) in enumerate(zip(parts, fold_paths)):
         if not fold_path:
-            raise ValueError("fit_fn returned an empty path on a training fold")
+            raise ValueError("fit_folds returned an empty path for a training fold")
         fold_lams = np.array([lam for lam, _ in fold_path], dtype=float)
         Xte = problem.X[test_rows]
         Yte = problem.Y[test_rows]
+        te_mask = None if problem.mask is None else problem.mask[test_rows]
         if te_mask is not None:
             Yte = np.where(te_mask, Yte, 0.0)
         n_te = test_rows.size

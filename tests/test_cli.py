@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -422,6 +423,28 @@ def test_threads_resolution(tmp_path, monkeypatch):
     assert models[0] == models[1]
     with pytest.raises(SystemExit, match="--threads must be a positive integer"):
         run(*fit, "--threads", 0, "--out-dir", tmp_path / "threads0")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_cure_threads_is_named_before_the_csvs_are_read(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("CURE_THREADS", value)
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(SystemExit) as info:
+        run("fit", "--x", missing, "--y", missing, "--method", "seqstl",
+            "--rank", 1, "--out-dir", tmp_path / "out")
+    assert info.value.code == f"CURE_THREADS must be a positive integer, got {value!r}"
+
+
+def test_bad_cure_threads_exits_1_with_one_line(tmp_path):
+    x, y, _ = simulate_into(tmp_path / "sim")
+    proc = subprocess.run(
+        [sys.executable, "-m", "curereg", "fit", "--x", str(x), "--y", str(y),
+         "--method", "seqstl", "--rank", "1", "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "CURE_THREADS": "abc"},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["CURE_THREADS must be a positive integer, got 'abc'"]
 
 
 def test_benchmark_workers_are_capped(monkeypatch):

@@ -331,8 +331,12 @@ def test_cv_layer_selection_is_deterministic():
         models_bitwise_equal(a, b)
 
 
-def _count_calls(monkeypatch, module, name):
-    """Wrap ``module.name`` so each call records the row count of its problem."""
+def _count_calls(monkeypatch, module, name, batched=None):
+    """Wrap ``module.name`` so each call records the row count of its problem.
+
+    ``batched`` names a function of the module that takes a list of problems
+    (``run_paths``); each problem it gets is recorded the same way.
+    """
     orig = getattr(module, name)
     rows = []
 
@@ -341,6 +345,14 @@ def _count_calls(monkeypatch, module, name):
         return orig(problem, *args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+    if batched is not None:
+        orig_batched = getattr(module, batched)
+
+        def counted_batch(problems, *args, **kwargs):
+            rows.extend(pb.n for pb in problems)
+            return orig_batched(problems, *args, **kwargs)
+
+        monkeypatch.setattr(module, batched, counted_batch)
     return rows
 
 
@@ -351,8 +363,11 @@ def test_cv_layer_fits_the_full_data_path_once(monkeypatch, solver):
     rng = np.random.default_rng(12)
     prob, _ = lowrank_instance(rng, 30, 6, 5, 1, noise=0.5)
     folds = 3
-    name = "run_path" if isinstance(solver, StagewiseConfig) else "acs_path"
-    rows = _count_calls(monkeypatch, dfl, name)
+    if isinstance(solver, StagewiseConfig):
+        # the training folds' paths run together through run_paths
+        rows = _count_calls(monkeypatch, dfl, "run_path", batched="run_paths")
+    else:
+        rows = _count_calls(monkeypatch, dfl, "acs_path")
     cfg = DeflationConfig(
         strategy="sequential", rank=1, solver=solver, criterion="cv", cv_folds=folds
     )

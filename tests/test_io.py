@@ -204,6 +204,24 @@ def _outcome(reader, path, allow_missing):
     ("bad_cell", "1,2\n3,x\n"),
     ("empty", "\n\n"),
     ("header_only", "a,b\n"),
+    ("na_padded", " NA ,1\n2,\tNA  \n"),
+    ("na_first_and_last_column", "NA,1,2\n3,4,NA\n"),
+    ("na_whole_row", "1,2\nNA,NA\n3,4\n"),
+    ("na_every_cell", "NA,NA\nNA,NA\n"),
+    ("na_and_literal_nan", "1,NA\nnan,4\n"),
+    ("na_crlf", "NA,2\r\n3,NA\r\n"),
+    ("na_cr", "1,NA\r3,4\r"),
+    ("na_blank_lines", "\n1,NA\n\n \n3,4\n"),
+    ("na_lowercase", "1,na\n3,4\n"),
+    ("na_quoted", '"NA",2\n3,4\n'),
+    ("na_inside_cell", "1,NAN\n3,N A\n"),
+    ("na_signed", "1,-NA\n3,4\n"),
+    ("na_plus_signed", "1,+NA\n3,NA\n"),
+    ("na_after_text", "1,xNA\n3,1NA\n"),
+    ("na_after_space_sign", "1,- NA\n3,NA\n"),
+    ("na_ragged", "1,NA\n3\n"),
+    ("na_bad_cell", "1,NA\n3,x\n"),
+    ("na_header", "a,b\n1,NA\n3,4\n"),
 ])
 @pytest.mark.parametrize("allow_missing", [False, True])
 def test_bulk_reader_matches_cell_reader(tmp_path, name, text, allow_missing):
@@ -223,6 +241,13 @@ def test_bulk_reader_matches_cell_reader_on_written_matrices(tmp_path):
         got = _outcome(read_matrix_csv, path, False)
         assert got == _outcome(reference_read_matrix_csv, path, False)
         assert got[1] == M.tobytes()
+        mask = rng.random((n, m)) >= 0.3
+        write_matrix_csv(path, M, mask=mask)
+        for allow_missing in (False, True):
+            got = _outcome(read_matrix_csv, path, allow_missing)
+            assert got == _outcome(reference_read_matrix_csv, path, allow_missing)
+        if not mask.all():
+            assert got[2] == mask.tobytes()
 
 
 def test_csv_errors_name_the_physical_line(tmp_path):

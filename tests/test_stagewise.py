@@ -16,7 +16,7 @@ from curereg.stagewise import (
     PathStep,
     StagewiseConfig,
     StagewisePath,
-    _stack_prices,
+    _Prices,
     initialize_path,
     propose_backward,
     propose_forward,
@@ -611,75 +611,91 @@ def test_engines_take_the_same_moves(spec_kwargs, eps):
 
 
 class ResidualOracle:
-    """Reference masked engine: keeps the projected residual ``E = P(Y0 - w v^T)``.
+    """Reference masked engine: keeps each row's projected residual ``E = P(Y0 - w v^T)``.
 
     It serves the interface of ``stagewise._Engine`` but prices every step
     from the n x q residual with O(n(p + q)) matrix-vector products, and
     rewrites all of ``E`` on a u move.  Only tests use it.
     """
 
-    def __init__(self, problem):
-        self.X = np.asfortranarray(problem.X)
-        self.Y0 = problem.observed_response()
-        self.n, self.p, self.q = problem.n, problem.p, problem.q
-        self.S = self.X.T @ self.Y0 / self.n
-        self.y2 = float(np.vdot(self.Y0, self.Y0))
-        self.observed = problem.n_observed
-        self.Hf = problem.mask.astype(float)
-        self.X2 = np.asfortranarray(self.X * self.X)
-        self.x2h = self.X2.T @ self.Hf  # (p, q): column norms over observed rows
-        self.E = self.Y0.copy()
-        self.w = np.zeros(self.n)
+    def __init__(self, problems):
+        self.p, self.q = problems[0].p, problems[0].q
+        self.X = [np.asfortranarray(pb.X) for pb in problems]
+        self.Y0 = [pb.observed_response() for pb in problems]
+        self.n = [pb.n for pb in problems]
+        self.S = [X.T @ Y0 / n for X, Y0, n in zip(self.X, self.Y0, self.n)]
+        self.y2 = [float(np.vdot(Y0, Y0)) for Y0 in self.Y0]
+        self.observed = [pb.n_observed for pb in problems]
+        self.Hf = [pb.mask.astype(float) for pb in problems]
+        self.X2 = [np.asfortranarray(X * X) for X in self.X]
+        # (p, q): column norms over observed rows
+        self.x2h = [X2.T @ Hf for X2, Hf in zip(self.X2, self.Hf)]
+        self.E = [Y0.copy() for Y0 in self.Y0]
+        self.w = [np.zeros(n) for n in self.n]
+        self.v = [None] * len(problems)
+        self.Ev = [None] * len(problems)
 
-    def enter(self, j, k, s, eps):
-        self.E[:, k] -= s * self.X[:, j] * self.Hf[:, k]
-        self.w = eps * self.X[:, j]
+    def keep(self, rows):
+        for name, old in list(vars(self).items()):
+            if isinstance(old, list):
+                setattr(self, name, [old[b] for b in rows])
 
-    def price(self, state):
-        n, d = self.n, state.d
-        # a move always follows the pricing of its own step
-        self.v = v = state.dv / d
-        self.Ev = self.E @ v
-        return _stack_prices(
-            state.t,
-            v22=float(state.dv @ state.dv) / d ** 2,
-            u22=float(state.du @ state.du) / d ** 2,
-            gu=(self.X.T @ self.Ev) / n,
-            Ew=(self.E.T @ self.w) / (n * d),
-            quad_u=self.X2.T @ (self.Hf @ (v * v)),
-            quad_v=((self.w * self.w) @ self.Hf) / d ** 2,
-        )
+    def enter(self, b, j, k, s, eps):
+        self.E[b][:, k] -= s * self.X[b][:, j] * self.Hf[b][:, k]
+        self.w[b] = eps * self.X[b][:, j]
 
-    def move_u(self, j, s, pr):
-        xj = self.X[:, j]
-        xe = float(xj @ self.Ev)
-        self.E -= s * (xj[:, None] * self.Hf) * self.v[None, :]
-        self.w = self.w + s * xj
+    def price(self, duv, d):
+        p, q = self.p, self.q
+        v22s, u22s, g, quad, c22 = [], [], [], [], []
+        for b, (row, db) in enumerate(zip(duv, d)):
+            X, E, Hf, w, n = self.X[b], self.E[b], self.Hf[b], self.w[b], self.n[b]
+            du, dv = row[:p], row[p:]
+            # a move always follows the pricing of its own step
+            self.v[b] = v = dv / db
+            self.Ev[b] = E @ v
+            v22 = float(dv @ dv) / db ** 2
+            u22 = float(du @ du) / db ** 2
+            gu = (X.T @ self.Ev[b]) / n
+            Ew = (E.T @ w) / (n * db)
+            quad_u = self.X2[b].T @ (Hf @ (v * v))
+            quad_v = ((w * w) @ Hf) / db ** 2
+            v22s.append(v22)
+            u22s.append(u22)
+            g.append(np.concatenate((gu, Ew)))
+            quad.append(np.concatenate((quad_u, quad_v)))
+            c22.append(np.concatenate((np.full(p, v22), np.full(q, u22))))
+        return _Prices(v22s, u22s, np.array(g), np.array(quad), np.array(c22))
+
+    def move_u(self, b, j, s, pr):
+        xj = self.X[b][:, j]
+        xe = float(xj @ self.Ev[b])
+        self.E[b] -= s * (xj[:, None] * self.Hf[b]) * self.v[b][None, :]
+        self.w[b] = self.w[b] + s * xj
         return xe
 
-    def move_v(self, k, h, dsq, d_old, pr):
-        we = float(self.w @ self.E[:, k])
-        self.E[:, k] -= (h / d_old) * self.w * self.Hf[:, k]
+    def move_v(self, b, k, h, dsq, d_old, pr):
+        we = float(self.w[b] @ self.E[b][:, k])
+        self.E[b][:, k] -= (h / d_old) * self.w[b] * self.Hf[b][:, k]
         return we
 
-    def scale_du(self, r):
-        self.w *= r
+    def scale_du(self, b, r):
+        self.w[b] *= r
 
-    def scale_dv(self, r):
+    def scale_dv(self, b, r):
         pass
 
-    def rebuild(self, du, dv, d):
+    def rebuild(self, b, du, dv, d):
         if d <= 0.0:
-            self.w = np.zeros(self.n)
-            self.E = self.Y0.copy()
+            self.w[b] = np.zeros(self.n[b])
+            self.E[b] = self.Y0[b].copy()
         else:
-            self.w = self.X @ du
-            fit = np.outer(self.w, dv) / d
-            fit *= self.Hf
-            self.E = self.Y0 - fit
-        return float(np.vdot(self.E, self.E))
+            self.w[b] = self.X[b] @ du
+            fit = np.outer(self.w[b], dv) / d
+            fit *= self.Hf[b]
+            self.E[b] = self.Y0[b] - fit
+        return float(np.vdot(self.E[b], self.E[b]))
 
-    def tracked(self, state):
+    def tracked(self, b, state):
         return ()
 
 

@@ -155,6 +155,11 @@ def test_grid_scan_prefers_a_perfect_fit():
 # cross validation
 
 
+def per_fold(fit_fn):
+    """A ``fit_folds`` for kfold_cv_select that fits each fold on its own."""
+    return lambda folds: [fit_fn(pb) for pb in folds]
+
+
 def two_model_fit_fn(pb):
     """Candidate path: the zero model at a high level, OLS at a low one."""
     ols = np.linalg.lstsq(pb.X, pb.observed_response(), rcond=None)[0]
@@ -166,7 +171,7 @@ def test_cv_picks_the_true_model_on_noiseless_data():
     X = rng.standard_normal((24, 4))
     C0 = rng.standard_normal((4, 3))
     prob = ProblemData(X, X @ C0)
-    sel = kfold_cv_select(prob, two_model_fit_fn(prob), two_model_fit_fn, folds=4, seed=0)
+    sel = kfold_cv_select(prob, two_model_fit_fn(prob), per_fold(two_model_fit_fn), folds=4, seed=0)
     assert isinstance(sel, CvSelection)
     assert sel.index == 1
     assert sel.lam == 0.1
@@ -179,7 +184,7 @@ def test_cv_leave_one_out_boundary():
     X = rng.standard_normal((7, 2))
     Y = X @ rng.standard_normal((2, 2))
     prob = ProblemData(X, Y)
-    sel = kfold_cv_select(prob, two_model_fit_fn(prob), two_model_fit_fn, folds=7, seed=1)
+    sel = kfold_cv_select(prob, two_model_fit_fn(prob), per_fold(two_model_fit_fn), folds=7, seed=1)
     assert sel.index in (0, 1)
     assert sel.cv_errors.shape == (2,)
 
@@ -189,8 +194,8 @@ def test_cv_same_seed_same_answer():
     X = rng.standard_normal((18, 3))
     Y = X @ rng.standard_normal((3, 2)) + 0.5 * rng.standard_normal((18, 2))
     prob = ProblemData(X, Y)
-    a = kfold_cv_select(prob, two_model_fit_fn(prob), two_model_fit_fn, folds=3, seed=9)
-    b = kfold_cv_select(prob, two_model_fit_fn(prob), two_model_fit_fn, folds=3, seed=9)
+    a = kfold_cv_select(prob, two_model_fit_fn(prob), per_fold(two_model_fit_fn), folds=3, seed=9)
+    b = kfold_cv_select(prob, two_model_fit_fn(prob), per_fold(two_model_fit_fn), folds=3, seed=9)
     assert a.index == b.index and a.lam == b.lam
     np.testing.assert_array_equal(a.cv_errors, b.cv_errors)
 
@@ -212,7 +217,7 @@ def test_cv_error_uses_observed_entries_only():
     mask = rng.uniform(size=(16, 2)) > 0.3
     Y = np.where(mask, Y, np.nan)
     prob = ProblemData(X, Y, mask)
-    sel = kfold_cv_select(prob, masked_ols_fit_fn(prob), masked_ols_fit_fn, folds=4, seed=0)
+    sel = kfold_cv_select(prob, masked_ols_fit_fn(prob), per_fold(masked_ols_fit_fn), folds=4, seed=0)
     assert sel.index == 1
     assert sel.cv_errors[1] == pytest.approx(0.0, abs=1e-16)
 
@@ -221,13 +226,13 @@ def test_cv_fold_validation():
     rng = np.random.default_rng(5)
     prob = ProblemData(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
     with pytest.raises(ValueError):
-        kfold_cv_select(prob, two_model_fit_fn(prob), two_model_fit_fn, folds=6)
+        kfold_cv_select(prob, two_model_fit_fn(prob), per_fold(two_model_fit_fn), folds=6)
     with pytest.raises(ValueError):
-        kfold_cv_select(prob, two_model_fit_fn(prob), two_model_fit_fn, folds=1)
+        kfold_cv_select(prob, two_model_fit_fn(prob), per_fold(two_model_fit_fn), folds=1)
     with pytest.raises(ValueError):
-        kfold_cv_select(prob, [], two_model_fit_fn, folds=2)
+        kfold_cv_select(prob, [], per_fold(two_model_fit_fn), folds=2)
     with pytest.raises(ValueError):
-        kfold_cv_select(prob, two_model_fit_fn(prob), lambda pb: [], folds=2)
+        kfold_cv_select(prob, two_model_fit_fn(prob), per_fold(lambda pb: []), folds=2)
 
 
 def test_cv_scores_a_factor_like_its_matrix():
@@ -248,7 +253,21 @@ def test_cv_scores_a_factor_like_its_matrix():
     def matrices(pb):
         return [(lam, fac.to_matrix()) for lam, fac in factors(pb)]
 
-    a = kfold_cv_select(prob, factors(prob), factors, folds=4, seed=2)
-    b = kfold_cv_select(prob, factors(prob), matrices, folds=4, seed=2)
+    a = kfold_cv_select(prob, factors(prob), per_fold(factors), folds=4, seed=2)
+    b = kfold_cv_select(prob, factors(prob), per_fold(matrices), folds=4, seed=2)
     assert a.index == b.index
     np.testing.assert_allclose(a.cv_errors, b.cv_errors, rtol=1e-12)
+
+
+def test_cv_needs_one_fold_path_per_training_fold():
+    rng = np.random.default_rng(7)
+    prob = ProblemData(rng.standard_normal((12, 2)), rng.standard_normal((12, 2)))
+    seen = []
+
+    def fit_folds(folds):
+        seen.append([pb.n for pb in folds])
+        return [two_model_fit_fn(pb) for pb in folds[:-1]]
+
+    with pytest.raises(ValueError, match="2 paths for 3 folds"):
+        kfold_cv_select(prob, two_model_fit_fn(prob), fit_folds, folds=3)
+    assert seen == [[8, 8, 8]]
