@@ -53,7 +53,6 @@ from .metrics import (
     aggregate_reports,
     estimation_errors,
     selection_rates,
-    selection_rates_by_matrix,
     sparsity_summary,
     trimmed_mean_sd,
 )
@@ -78,7 +77,6 @@ from .stagewise import (
 from .tuning import (
     CriterionInput,
     CvSelection,
-    early_stop_check,
     information_criterion,
     kfold_cv_select,
 )
@@ -111,7 +109,6 @@ __all__ = [
     "default_lambda_grid",
     "default_rrr_ridge",
     "deflate",
-    "early_stop_check",
     "estimation_errors",
     "eval_loss",
     "eval_penalty",
@@ -139,7 +136,6 @@ __all__ = [
     "select_on_path",
     "select_rank_cv",
     "selection_rates",
-    "selection_rates_by_matrix",
     "sequential_pursuit",
     "sparsity_summary",
     "svd_of_ols_factor",

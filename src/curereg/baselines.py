@@ -358,12 +358,11 @@ def _ridge_ols(X, Y, ridge):
     return np.linalg.solve(L.T, np.linalg.solve(L, X.T @ Y))
 
 
-def svd_of_ols_factor(problem, ridge=None):
+def svd_of_ols_factor(problem):
     """Rank-1 predictor-metric SVD layer of a ridge-OLS fit; ACS starting point."""
     X = problem.X
     Y0 = problem.observed_response()
-    if ridge is None:
-        ridge = 0.0 if problem.n > problem.p else default_rrr_ridge(X)
+    ridge = 0.0 if problem.n > problem.p else default_rrr_ridge(X)
     try:
         B = _ridge_ols(X, Y0, ridge)
     except ValueError:

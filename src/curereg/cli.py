@@ -27,7 +27,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .core import (
     rescale_factor_rows,
 )
 from .deflation import (
+    SELECTIONS,
     DeflationConfig,
     LassoInitializer,
     RrrInitializer,
@@ -68,8 +69,8 @@ from .metrics import (
     selection_rates,
     sparsity_summary,
 )
-from .simgen import SimSpec, gen_dataset
-from .stagewise import StagewiseConfig, run_path
+from .simgen import MODELS, SimSpec, gen_dataset
+from .stagewise import CRITERIA as PATH_CRITERIA, StagewiseConfig, run_path
 from .tuning import kfold_cv_select
 
 METHODS = (
@@ -82,7 +83,6 @@ METHODS = (
     "rrr",
     "lasso",
 )
-CRITERIA = ("gic", "aic", "bic", "cv")
 RRR_RANK_CAP = 10
 
 _DEFAULTS: dict[str, dict] = {}
@@ -98,7 +98,7 @@ def _opt(parser, defaults, flag, default=None, help="", **kw):
 
 def _add_common(parser, defaults):
     _opt(parser, defaults, "--out-dir", default=".", help="directory for artifacts")
-    _opt(parser, defaults, "--seed", default=0, type=int, help="random seed")
+    _opt(parser, defaults, "--seed", default=SimSpec.seed, type=int, help="random seed")
     parser.add_argument(
         "--config",
         default=argparse.SUPPRESS,
@@ -107,38 +107,47 @@ def _add_common(parser, defaults):
 
 
 def _add_sim_flags(parser, defaults):
-    _opt(parser, defaults, "--model", default="I", choices=("I", "II", "III"),
+    _opt(parser, defaults, "--model", default="I", choices=MODELS,
          help="simulation model")
     _opt(parser, defaults, "--n", default=40, type=int, help="sample size")
     _opt(parser, defaults, "--p", default=40, type=int, help="number of predictors")
     _opt(parser, defaults, "--q", default=40, type=int, help="number of responses")
-    _opt(parser, defaults, "--r-star", default=1, type=int, help="true rank")
-    _opt(parser, defaults, "--snr", default=1.0, type=float, help="signal-to-noise ratio")
-    _opt(parser, defaults, "--rho", default=0.0, type=float,
+    _opt(parser, defaults, "--r-star", default=SimSpec.r_star, type=int, help="true rank")
+    _opt(parser, defaults, "--snr", default=SimSpec.snr, type=float,
+         help="signal-to-noise ratio")
+    _opt(parser, defaults, "--rho", default=SimSpec.rho, type=float,
          help="AR(1) correlation of the noise columns")
-    _opt(parser, defaults, "--s-u", default=3, type=int,
+    _opt(parser, defaults, "--s-u", default=SimSpec.s_u, type=int,
          help="per-layer left support size (models II/III)")
-    _opt(parser, defaults, "--s-v", default=4, type=int,
+    _opt(parser, defaults, "--s-v", default=SimSpec.s_v, type=int,
          help="per-layer right support size (models II/III)")
+
+
+def _add_path_flags(parser, defaults):
+    """The stagewise path settings; their defaults are StagewiseConfig's."""
+    _opt(parser, defaults, "--epsilon", default=StagewiseConfig.epsilon, type=float,
+         help="stagewise step size")
+    _opt(parser, defaults, "--xi", type=float,
+         help="stagewise slack; default 1e-6 * epsilon^2")
+    _opt(parser, defaults, "--mu", default=StagewiseConfig.mu, type=float,
+         help="ridge weight")
+    _opt(parser, defaults, "--early-stop-window",
+         default=StagewiseConfig.early_stop_window, type=int,
+         help="stop a stagewise path after this many steps without"
+              " criterion improvement")
+    _opt(parser, defaults, "--max-steps", default=StagewiseConfig.max_steps,
+         type=int, help="stagewise step budget")
 
 
 def _add_solver_flags(parser, defaults):
     _opt(parser, defaults, "--rank", type=int,
          help="number of unit-rank layers (required for all methods except lasso;"
               " rrr falls back to CV rank selection)")
-    _opt(parser, defaults, "--epsilon", default=1.0, type=float,
-         help="stagewise step size")
-    _opt(parser, defaults, "--xi", type=float,
-         help="stagewise slack; default 1e-6 * epsilon^2")
-    _opt(parser, defaults, "--mu", default=1e-4, type=float, help="ridge weight")
-    _opt(parser, defaults, "--criterion", default="gic", choices=CRITERIA,
-         help="per-layer tuning rule")
-    _opt(parser, defaults, "--cv-folds", default=5, type=int, help="CV fold count")
-    _opt(parser, defaults, "--early-stop-window", default=300, type=int,
-         help="stop a stagewise path after this many steps without"
-              " criterion improvement")
-    _opt(parser, defaults, "--max-steps", default=100_000, type=int,
-         help="stagewise step budget")
+    _add_path_flags(parser, defaults)
+    _opt(parser, defaults, "--criterion", default=StagewiseConfig.criterion,
+         choices=SELECTIONS, help="per-layer tuning rule")
+    _opt(parser, defaults, "--cv-folds", default=DeflationConfig.cv_folds, type=int,
+         help="CV fold count")
     _opt(parser, defaults, "--s-threshold", type=int,
          help="keep only this many largest entries of each pilot layer"
               " (parallel methods)")
@@ -176,14 +185,12 @@ def build_parser():
     d = _DEFAULTS["paths"] = {}
     _opt(pp, d, "--x", help="predictor CSV")
     _opt(pp, d, "--y", help="response CSV; NA marks missing entries")
-    _opt(pp, d, "--epsilon", default=1.0, type=float, help="step size")
-    _opt(pp, d, "--xi", type=float, help="slack; default 1e-6 * epsilon^2")
-    _opt(pp, d, "--mu", default=1e-4, type=float, help="ridge weight")
-    _opt(pp, d, "--criterion", default="gic", choices=("gic", "aic", "bic", "none"),
-         help="criterion recorded along the path")
-    _opt(pp, d, "--early-stop-window", default=300, type=int,
-         help="stop after this many steps without criterion improvement")
-    _opt(pp, d, "--max-steps", default=100_000, type=int, help="step budget")
+    _add_path_flags(pp, d)
+    _opt(pp, d, "--criterion", default=StagewiseConfig.criterion,
+         choices=PATH_CRITERIA,
+         help="criterion recorded along the path; the path also ends after"
+              " --early-stop-window steps without improvement, while none runs"
+              " until lambda reaches 0 or --max-steps runs out")
     _add_common(pp, d)
 
     pe = sub.add_parser("eval", help="score a saved model against saved truth")
@@ -247,36 +254,19 @@ def _resolve_threads(opts):
     return threads
 
 
-def _sim_spec(opts):
-    return SimSpec(
-        model=opts["model"],
-        n=opts["n"],
-        p=opts["p"],
-        q=opts["q"],
-        r_star=opts["r_star"],
-        snr=opts["snr"],
-        rho=opts["rho"],
-        s_u=opts["s_u"],
-        s_v=opts["s_v"],
-        seed=opts["seed"],
-    )
+def _from_opts(cls, opts):
+    """A ``cls`` dataclass whose fields take the options of the same names."""
+    return cls(**{f.name: opts[f.name] for f in fields(cls)})
 
 
 def _stagewise_config(opts):
     crit = "none" if opts["criterion"] == "cv" else opts["criterion"]
-    return StagewiseConfig(
-        epsilon=opts["epsilon"],
-        xi=opts["xi"],
-        mu=opts["mu"],
-        max_steps=opts["max_steps"],
-        early_stop_window=opts["early_stop_window"],
-        criterion=crit,
-    )
+    return _from_opts(StagewiseConfig, {**opts, "criterion": crit})
 
 
 def _deflation_config(method, opts):
     if opts["rank"] is None:
-        raise SystemExit(f"method {method} requires --rank")
+        raise ValueError(f"method {method} requires --rank")
     if "stl" in method:
         solver = _stagewise_config(opts)
     else:
@@ -329,7 +319,7 @@ def _fit_scaled(problem, method, opts):
         return _porth_model(X, C, min(n, p, q))
     if method == "rrr":
         if problem.mask is not None:
-            raise SystemExit("method rrr requires a fully observed Y")
+            raise ValueError("method rrr requires a fully observed Y")
         ridge = _rrr_ridge(X)
         rank = opts["rank"]
         if rank is None:
@@ -347,7 +337,7 @@ def fit_method(X_raw, Y, mask, method, opts):
     Every method but ``lasso`` rejects a rank above min(p, q).
     """
     if method not in METHODS:
-        raise SystemExit(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {method!r}")
     top = min(X_raw.shape[1], Y.shape[1])
     if method != "lasso" and opts["rank"] is not None and opts["rank"] > top:
         raise ValueError(f"rank must lie in [0, min(p, q)] = [0, {top}]")
@@ -418,7 +408,7 @@ def _load_truth(path):
 def _cmd_simulate(opts):
     out = opts["out_dir"]
     os.makedirs(out, exist_ok=True)
-    truth = gen_dataset(_sim_spec(opts))
+    truth = gen_dataset(_from_opts(SimSpec, opts))
     write_matrix_csv(os.path.join(out, "X.csv"), truth.X)
     write_matrix_csv(os.path.join(out, "Y.csv"), truth.Y)
     save_factor_model(
@@ -429,13 +419,18 @@ def _cmd_simulate(opts):
     return 0
 
 
+def _read_x(path):
+    X, x_mask = read_matrix_csv(path, allow_missing=True)
+    if x_mask is not None:
+        raise SystemExit(f"{path}: X must not contain missing entries")
+    return X
+
+
 def _read_xy(opts, times):
     if not opts["x"] or not opts["y"]:
         raise SystemExit("--x and --y are required")
     with _stage(times, "read_x"):
-        X, x_mask = read_matrix_csv(opts["x"], allow_missing=True)
-    if x_mask is not None:
-        raise SystemExit(f"{opts['x']}: X must not contain missing entries")
+        X = _read_x(opts["x"])
     with _stage(times, "read_y"):
         Y, mask = read_matrix_csv(opts["y"], allow_missing=True)
     if X.shape[0] != Y.shape[0]:
@@ -497,9 +492,7 @@ def _cmd_eval(opts):
             raise SystemExit("--model-json, --truth and --x are required")
     model, _ = load_factor_model(opts["model_json"])
     truth_model = _load_truth(opts["truth"])
-    X, x_mask = read_matrix_csv(opts["x"], allow_missing=True)
-    if x_mask is not None:
-        raise SystemExit(f"{opts['x']}: X must not contain missing entries")
+    X = _read_x(opts["x"])
     report = score_model(model, truth_model, truth_model.to_matrix(), X)
     _write_report(os.path.join(out, "report.csv"), report)
     return 0
@@ -534,7 +527,7 @@ def _cmd_benchmark(opts):
     if opts["reps"] < 1:
         raise SystemExit("--reps must be a positive integer")
     threads = _resolve_threads(opts)
-    base = _sim_spec(opts)
+    base = _from_opts(SimSpec, opts)
     payloads = [
         ({**asdict(base), "seed": base.seed + i}, methods, opts)
         for i in range(opts["reps"])

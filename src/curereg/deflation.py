@@ -16,8 +16,8 @@ alternating solver on a decreasing penalty grid.
 from __future__ import annotations
 
 import warnings
-# Unused here.  perfbench/tracer.py still replaces this name to attribute
-# pooled layer solves, and fails to install without it (ROADMAP item 4).
+# Unused here: no layer runs on a thread pool.  perfbench/tracer.py still
+# replaces this name and fails to install without it (ROADMAP item 1a).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
@@ -41,10 +41,10 @@ from .core import (
     residual,
 )
 from .stagewise import StagewiseConfig, run_path, run_paths, select_on_path
-from .tuning import GridScan, kfold_cv_select
+from .tuning import CRITERIA, GridScan, kfold_cv_select
 # Unused here.  perfbench/tracer.py still wraps this name to count criterion
 # evaluations, so its tuning.ic count reads 0 until the tracer wraps the one
-# in tuning (ROADMAP item 4); the tracer fails to install without the name.
+# in tuning (ROADMAP item 1a); the tracer fails to install without the name.
 from .tuning import information_criterion  # noqa: F401
 
 __all__ = [
@@ -58,24 +58,20 @@ __all__ = [
 ]
 
 STRATEGIES = ("sequential", "parallel")
-SELECTIONS = ("gic", "aic", "bic", "cv")
+SELECTIONS = CRITERIA + ("cv",)
 CV_GRID_MAX = 50
 
 
 @dataclass(frozen=True)
 class LassoInitializer:
-    """Pilot estimate via the entrywise lasso; lam0 None means GIC over a grid."""
-
-    lam0: float | None = None
+    """Pilot estimate via the entrywise lasso, its level picked by GIC over a grid."""
 
 
 @dataclass(frozen=True)
 class RrrInitializer:
-    """Pilot estimate via reduced-rank regression; ridge None picks a default
-    (0 for a full-column-rank X, else ``default_rrr_ridge`` with a warning
-    when X is tall)."""
-
-    ridge: float | None = None
+    """Pilot estimate via reduced-rank regression; the ridge is 0 for a
+    full-column-rank X, else ``default_rrr_ridge`` (with a warning when X is
+    tall)."""
 
 
 @dataclass
@@ -118,15 +114,15 @@ class DeflationConfig:
         return "gic"
 
 
-def _stagewise_grid_points(path, max_points=CV_GRID_MAX):
-    """Thin a path to one snapshot per lambda level, capped at ``max_points``."""
+def _stagewise_grid_points(path):
+    """Thin a path to one snapshot per lambda level, capped at ``CV_GRID_MAX``."""
     steps = path.steps
     last = [
         step for i, step in enumerate(steps)
         if i + 1 == len(steps) or steps[i + 1].lam < step.lam
     ]
-    if len(last) > max_points:
-        idx = np.linspace(0, len(last) - 1, max_points).round().astype(int)
+    if len(last) > CV_GRID_MAX:
+        idx = np.linspace(0, len(last) - 1, CV_GRID_MAX).round().astype(int)
         last = [last[i] for i in sorted(set(idx.tolist()))]
     return [(step.lam, step.factor) for step in last]
 
@@ -214,15 +210,11 @@ def sequential_pursuit(problem, cfg):
 def _pilot_matrix(problem, cfg):
     init = cfg.initializer
     if isinstance(init, LassoInitializer):
-        if init.lam0 is not None:
-            from .baselines import lasso_cd
-
-            return lasso_cd(problem, init.lam0)
         C, _, _ = lasso_gic_path(problem)
         return C
     if isinstance(init, RrrInitializer):
-        ridge = _rrr_ridge(problem.X) if init.ridge is None else init.ridge
-        return fit_rrr(problem.X, problem.observed_response(), cfg.rank, ridge)
+        return fit_rrr(problem.X, problem.observed_response(), cfg.rank,
+                       _rrr_ridge(problem.X))
     raise TypeError("initializer must be a LassoInitializer or RrrInitializer")
 
 

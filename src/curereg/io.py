@@ -185,7 +185,7 @@ def _read_cells(path, allow_missing):
     return out, (observed if any_missing else None)
 
 
-def write_matrix_csv(path, M, mask=None, header=None):
+def write_matrix_csv(path, M, mask=None):
     """Write a matrix as CSV; NaN and masked-out entries become ``NA``."""
     M = np.asarray(M, dtype=float)
     na = np.isnan(M)
@@ -194,8 +194,6 @@ def write_matrix_csv(path, M, mask=None, header=None):
     na_cols = {i: np.flatnonzero(na[i]).tolist() for i in np.flatnonzero(na.any(axis=1))}
     fmt = "{:.17g}".format
     with _atomic_open(path) as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
         for i, row in enumerate(M.tolist()):
             cells = list(map(fmt, row))
             for j in na_cols.get(i, ()):

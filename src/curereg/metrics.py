@@ -29,7 +29,6 @@ __all__ = [
     "EvalReport",
     "estimation_errors",
     "selection_rates",
-    "selection_rates_by_matrix",
     "sparsity_summary",
     "aggregate_reports",
     "trimmed_mean_sd",
@@ -61,8 +60,8 @@ class SelectionRates(NamedTuple):
     fn: int
 
 
-def _pattern(M, zero_tol):
-    return np.abs(np.asarray(M, dtype=float)) > zero_tol
+def _pattern(M):
+    return np.abs(np.asarray(M, dtype=float)) > ZERO_TOL
 
 
 def _pad_columns(M, r):
@@ -94,7 +93,7 @@ def _rates(tp, fp, tn, fn):
     return fpr, fnr
 
 
-def selection_rates(U_hat, V_hat, U_star, V_star, zero_tol=ZERO_TOL):
+def selection_rates(U_hat, V_hat, U_star, V_star):
     """Pooled entrywise FPR/FNR of the stacked loading matrices.
 
     ``U_hat`` is p x r_hat, ``U_star`` p x r_star (same for V on q rows);
@@ -110,10 +109,10 @@ def selection_rates(U_hat, V_hat, U_star, V_star, zero_tol=ZERO_TOL):
     if U_hat.shape[1] != V_hat.shape[1] or U_star.shape[1] != V_star.shape[1]:
         raise ValueError("U and V must have the same number of layers")
     r = max(U_hat.shape[1], U_star.shape[1])
-    eu = _pattern(_pad_columns(U_hat, r), zero_tol)
-    ev = _pattern(_pad_columns(V_hat, r), zero_tol)
-    tu = _pattern(_pad_columns(U_star, r), zero_tol)
-    tv = _pattern(_pad_columns(V_star, r), zero_tol)
+    eu = _pattern(_pad_columns(U_hat, r))
+    ev = _pattern(_pad_columns(V_hat, r))
+    tu = _pattern(_pad_columns(U_star, r))
+    tv = _pattern(_pad_columns(V_star, r))
     est = np.concatenate([eu.ravel(), ev.ravel()])
     tru = np.concatenate([tu.ravel(), tv.ravel()])
     tp, fp, tn, fn = _confusion(est, tru)
@@ -121,27 +120,12 @@ def selection_rates(U_hat, V_hat, U_star, V_star, zero_tol=ZERO_TOL):
     return SelectionRates(fpr, fnr, tp, fp, tn, fn)
 
 
-def selection_rates_by_matrix(U_hat, V_hat, U_star, V_star, zero_tol=ZERO_TOL):
-    """Separate U-side and V-side rates, for diagnostics beyond the pooled number."""
-    out = {}
-    for name, (est_m, tru_m) in {"u": (U_hat, U_star), "v": (V_hat, V_star)}.items():
-        est_m = np.atleast_2d(np.asarray(est_m, dtype=float))
-        tru_m = np.atleast_2d(np.asarray(tru_m, dtype=float))
-        r = max(est_m.shape[1], tru_m.shape[1])
-        est = _pattern(_pad_columns(est_m, r), zero_tol).ravel()
-        tru = _pattern(_pad_columns(tru_m, r), zero_tol).ravel()
-        tp, fp, tn, fn = _confusion(est, tru)
-        fpr, fnr = _rates(tp, fp, tn, fn)
-        out[name] = SelectionRates(fpr, fnr, tp, fp, tn, fn)
-    return out
-
-
-def sparsity_summary(model, zero_tol=ZERO_TOL):
+def sparsity_summary(model):
     """Counts (u_l0, u_l20, v_l0, v_l20): nonzero entries and nonzero rows."""
     if model.rank == 0:
         return 0, 0, 0, 0
-    U = _pattern(model.stacked_u(), zero_tol)
-    V = _pattern(model.stacked_v(), zero_tol)
+    U = _pattern(model.stacked_u())
+    V = _pattern(model.stacked_v())
     return (
         int(U.sum()),
         int(U.any(axis=1).sum()),
@@ -172,17 +156,14 @@ class EvalReport:
     METRIC_FIELDS = ("er_c", "er_xc", "fpr", "fnr", "u_l0", "u_l20", "v_l0", "v_l20")
 
     @classmethod
-    def csv_header(cls, include_time=False):
-        cols = list(cls.METRIC_FIELDS)
-        if include_time:
-            cols.append("wall_time_s")
-        return cols
+    def csv_header(cls):
+        return list(cls.METRIC_FIELDS)
 
-    def csv_row(self, include_time=False):
+    def csv_row(self):
         from .io import fmt17
 
         vals = []
-        for name in self.csv_header(include_time):
+        for name in self.csv_header():
             val = getattr(self, name)
             if isinstance(val, (int, np.integer)):
                 vals.append(str(int(val)))

@@ -194,11 +194,11 @@ def gen_design(U_star, spec, rng):
     return np.linalg.solve(P.T, np.hstack([X1, X2]).T).T
 
 
-def operator_norm(M, tol=1e-10, max_iter=10_000):
+def operator_norm(M):
     """Largest singular value by power iteration on M^T M.
 
-    Deterministic start vector; relative tolerance ``tol`` on successive
-    estimates.
+    Deterministic start vector; stops when successive estimates agree to a
+    relative 1e-10 or after 10,000 iterations.
     """
     M = np.asarray(M, dtype=float)
     v = M.T @ M.sum(axis=1)
@@ -208,14 +208,14 @@ def operator_norm(M, tol=1e-10, max_iter=10_000):
     else:
         v = v / nv
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(10_000):
         w = M.T @ (M @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         new_est = np.sqrt(nw)
         v = w / nw
-        if abs(new_est - est) <= tol * max(new_est, 1e-300):
+        if abs(new_est - est) <= 1e-10 * max(new_est, 1e-300):
             return float(new_est)
         est = new_est
     return float(est)

@@ -66,6 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import tuning
 from .core import GramCache, NormMode, UnitRankFactor
 from .tuning import CriterionInput, EarlyStop, information_criterion
 
@@ -93,7 +94,7 @@ MOVE_FORWARD_V = "forward_v"
 MOVE_BACKWARD_U = "backward_u"
 MOVE_BACKWARD_V = "backward_v"
 
-CRITERIA = ("gic", "aic", "bic", "none")
+CRITERIA = tuning.CRITERIA + ("none",)
 
 
 @dataclass
@@ -452,12 +453,6 @@ class StagewisePath:
     observed: int | None = None
     max_drift: float = 0.0
 
-    def lambdas(self):
-        return np.array([s.lam for s in self.steps])
-
-    def losses(self):
-        return np.array([s.loss for s in self.steps])
-
     def __len__(self):
         return len(self.steps)
 
@@ -601,14 +596,6 @@ class StagewiseState:
         self._duv = self._rows.duv[row]
         self.du = self._duv[:p]
         self.dv = self._duv[p:]
-
-    @property
-    def active_A(self):
-        return np.flatnonzero(self.du)
-
-    @property
-    def active_B(self):
-        return np.flatnonzero(self.dv)
 
     @property
     def loss(self):

@@ -24,7 +24,6 @@ __all__ = [
     "CriterionInput",
     "information_criterion",
     "EarlyStop",
-    "early_stop_check",
     "GridScan",
     "kfold_cv_select",
     "CvSelection",
@@ -96,15 +95,6 @@ class EarlyStop:
             self.last_improve = self.count
         self.count += 1
         return self.count - 1 - self.last_improve >= self.window
-
-
-def early_stop_check(history, window):
-    """The :class:`EarlyStop` rule applied to a whole history, in step order."""
-    stop = EarlyStop(window)
-    stalled = False
-    for val in history:
-        stalled = stop.update(val)
-    return stalled
 
 
 class GridScan:

@@ -11,12 +11,21 @@ import curereg.cli as cli
 from curereg import baselines, deflation
 from curereg.baselines import _rrr_ridge
 from curereg.cli import _benchmark_workers, _resolve_threads, fit_method, main
+from curereg.core import ProblemData, column_normalize, residual
 from curereg.io import load_factor_model, read_matrix_csv, write_matrix_csv
+from curereg.simgen import SimSpec, gen_dataset
+from curereg.stagewise import StagewiseConfig, run_path
 from curereg.tuning import GridScan
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def fit_opts(**overrides):
+    """The fit command's default options, as ``fit_method`` takes them."""
+    cli.build_parser()
+    return {**cli._DEFAULTS["fit"], **overrides}
 
 
 def simulate_into(tmp_path, **overrides):
@@ -158,13 +167,70 @@ def test_rank_above_min_p_q_is_rejected_by_every_method(tmp_path, capsys, method
     x, y, _ = simulate_into(tmp_path, n=20, p=10, q=8)
     X, _ = read_matrix_csv(x)
     Y, _ = read_matrix_csv(y)
-    opts = {**cli._DEFAULTS["fit"], "rank": 9}
+    opts = fit_opts(rank=9)
     with pytest.raises(ValueError, match=r"^rank must lie in \[0, min\(p, q\)\] = \[0, 8\]$"):
         fit_method(X, Y, None, method, opts)
     assert run("fit", "--x", x, "--y", y, "--method", method, "--rank", 9,
                "--out-dir", tmp_path / "fit") == 1
     err = capsys.readouterr().err.strip()
     assert err == "curereg fit: rank must lie in [0, min(p, q)] = [0, 8]"
+
+
+def _degenerate_case(name):
+    """Model II (n=20, p=8, q=6, rank 2) or one of its degenerate variants."""
+    if name == "6x15":
+        truth = gen_dataset(SimSpec(model="II", n=6, p=15, q=6, r_star=2, seed=4))
+        return truth.X, truth.Y, None
+    truth = gen_dataset(SimSpec(model="II", n=20, p=8, q=6, r_star=2, seed=3))
+    X, Y = truth.X.copy(), truth.Y.copy()
+    mask = None
+    if name == "zero column":
+        X[:, 2] = 0.0
+    elif name == "duplicate column":
+        X[:, 3] = X[:, 1]
+    elif name == "constant Y":
+        Y[:] = 1.5
+    elif name == "zero Y":
+        Y[:] = 0.0
+    elif name == "NA row":
+        mask = np.ones(Y.shape, dtype=bool)
+        mask[0, :] = False
+    elif name == "NA column":
+        mask = np.ones(Y.shape, dtype=bool)
+        mask[:, 0] = False
+    elif name in ("n=1", "n=2"):
+        X, Y = X[: int(name[2:])], Y[: int(name[2:])]
+    elif name == "p=1":
+        X = X[:, :1]
+    elif name == "q=1":
+        Y = Y[:, :1]
+    return X, Y, mask
+
+
+@pytest.mark.parametrize("name", [
+    "model II", "zero column", "duplicate column", "constant Y", "zero Y",
+    "NA row", "NA column", "n=1", "n=2", "p=1", "q=1", "6x15",
+])
+def test_degenerate_inputs_give_a_valid_model_or_the_documented_error(name):
+    X, Y, mask = _degenerate_case(name)
+    p, q = X.shape[1], Y.shape[1]
+    opts = fit_opts(rank=min(2, p, q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for method in cli.METHODS:
+            if method == "rrr" and mask is not None:
+                with pytest.raises(ValueError, match="requires a fully observed Y"):
+                    fit_method(X, Y, mask, method, opts)
+                continue
+            model = fit_method(X, Y, mask, method, opts)
+            for layer in model.layers:
+                layer.validate()
+            assert np.all(np.isfinite(model.to_matrix(shape=(p, q)))), method
+        # The path's maintained rss is the exact one at its last step.
+        problem = ProblemData(column_normalize(X)[0], Y, mask)
+        last = run_path(problem, StagewiseConfig()).steps[-1]
+        R = residual(problem, last.factor)
+        assert last.rss == pytest.approx(float(np.vdot(R, R)), rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize("method,extra", [
@@ -277,7 +343,7 @@ def test_malformed_csv_reports_location(tmp_path, capsys):
     assert "line 2, column 2" in err and "oops" in err
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     rng = np.random.default_rng(1)
     write_matrix_csv(tmp_path / "X.csv", rng.standard_normal((6, 3)))
     write_matrix_csv(tmp_path / "Y.csv", rng.standard_normal((6, 2)))
@@ -295,7 +361,7 @@ def test_usage_errors(tmp_path):
         run("benchmark", "--methods", "rrr", "--reps", 0, "--rank", 1)
     with pytest.raises(SystemExit, match="unknown method 'nope'"):
         run("benchmark", "--methods", "rrr,nope", "--reps", 1)
-    with pytest.raises(SystemExit, match="unknown method"):
+    with pytest.raises(ValueError, match="unknown method"):
         fit_method(np.eye(3), np.eye(3), None, "bogus", {})
 
     write_matrix_csv(tmp_path / "Xna.csv", np.eye(3),
@@ -308,9 +374,29 @@ def test_usage_errors(tmp_path):
     Ymask = np.ones((6, 2), dtype=bool)
     Ymask[0, 0] = False
     write_matrix_csv(tmp_path / "Ym.csv", Ym, mask=Ymask)
-    with pytest.raises(SystemExit, match="fully observed"):
-        run("fit", "--x", x, "--y", tmp_path / "Ym.csv",
-            "--method", "rrr", "--rank", 1, "--out-dir", tmp_path)
+    capsys.readouterr()
+    assert run("fit", "--x", x, "--y", tmp_path / "Ym.csv",
+               "--method", "rrr", "--rank", 1, "--out-dir", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err == "curereg fit: method rrr requires a fully observed Y\n"
+
+
+def test_fit_method_raises_value_error_for_bad_requests():
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((6, 3))
+    Y = rng.standard_normal((6, 2))
+    opts = fit_opts()
+    with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+        fit_method(X, Y, None, "bogus", opts)
+    mask = np.ones(Y.shape, dtype=bool)
+    mask[0, 0] = False
+    with pytest.raises(ValueError, match="^method rrr requires a fully observed Y$"):
+        fit_method(X, Y, mask, "rrr", {**opts, "rank": 1})
+    for method in RANK_METHODS:
+        if method == "rrr":
+            continue
+        with pytest.raises(ValueError, match=f"^method {method} requires --rank$"):
+            fit_method(X, Y, None, method, opts)
 
 
 def test_malformed_json_inputs_give_one_line_errors(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curereg import deflation
 from curereg.baselines import (
     AcsConfig,
     acs_path,
@@ -141,7 +142,7 @@ def test_porth_resum_reproduces_total():
 # parallel pursuit
 
 
-def test_parallel_rank_one_with_zero_pilot_equals_single_fit():
+def test_parallel_rank_one_with_zero_pilot_equals_single_fit(monkeypatch):
     rng = np.random.default_rng(5)
     prob, _ = lowrank_instance(rng, 20, 6, 5, 1, noise=0.3)
     sw = StagewiseConfig(epsilon=0.2)
@@ -149,8 +150,11 @@ def test_parallel_rank_one_with_zero_pilot_equals_single_fit():
         strategy="parallel",
         rank=1,
         solver=sw,
-        initializer=LassoInitializer(lam0=1e6),  # fully shrunk pilot
+        initializer=LassoInitializer(),
     )
+    # a fully shrunk lasso pilot
+    monkeypatch.setattr(deflation, "lasso_gic_path",
+                        lambda pb: (np.zeros((pb.p, pb.q)), None, None))
     with pytest.warns(RuntimeWarning) as rec:
         model = parallel_pursuit(prob, cfg)
     assert any("pilot estimate is zero" in str(w.message) for w in rec)

@@ -73,7 +73,7 @@ def test_nan_entries_written_as_na(tmp_path):
 
 def test_header_row_is_skipped(tmp_path):
     path = tmp_path / "h.csv"
-    write_matrix_csv(path, np.array([[1.5, 2.5]]), header=["a", "b"])
+    path.write_text("a,b\n1.5,2.5\n")
     back, _ = read_matrix_csv(path)
     np.testing.assert_array_equal(back, [[1.5, 2.5]])
     # an all-numeric first row is data, not a header

@@ -23,7 +23,7 @@ from curereg.stagewise import (
     run_path,
     select_on_path,
 )
-from curereg.tuning import CriterionInput, early_stop_check, information_criterion
+from curereg.tuning import CriterionInput, EarlyStop, information_criterion
 
 
 def rank1_problem(rng, n, p, q, noise=0.3, mask_frac=0.0):
@@ -189,8 +189,8 @@ def test_init_symmetry_forced_winner():
     Y = np.array([[2.0], [0.0]])
     cfg = StagewiseConfig(epsilon=1.0, mu=0.0, criterion="none")
     state, step = initialize_path(ProblemData(X, Y), cfg)
-    assert state.active_A.tolist() == [0]
-    assert state.active_B.tolist() == [0]
+    assert np.flatnonzero(state.du).tolist() == [0]
+    assert np.flatnonzero(state.dv).tolist() == [0]
     np.testing.assert_allclose(state.du, [1.0, 0.0])
     np.testing.assert_allclose(state.dv, [1.0])
     assert state.dv[0] > 0  # sign follows x_1' y > 0
@@ -218,8 +218,8 @@ def test_init_matches_exhaustive_single_entry_scan():
                 if best is None or val < best[0]:
                     best = (val, j, k, s)
     val, j, k, s = best
-    assert state.active_A.tolist() == [j]
-    assert state.active_B.tolist() == [k]
+    assert np.flatnonzero(state.du).tolist() == [j]
+    assert np.flatnonzero(state.dv).tolist() == [k]
     assert state.dv[k] == pytest.approx(s)
     assert step.loss == pytest.approx(val, abs=1e-12)
     # lam0 is the per-unit loss drop of that best entry
@@ -377,7 +377,7 @@ def test_run_path_invariants_default_config():
     assert path.terminated_by in ("lambda_nonpositive", "max_steps", "early_stop")
     check_descent_and_lambda(path.steps, cfg)
     # strict lambda drops happen on forward moves and nowhere else
-    lams = path.lambdas()
+    lams = [s.lam for s in path.steps]
     drops = [
         i for i in range(1, len(path)) if lams[i] < lams[i - 1]
     ]
@@ -429,9 +429,10 @@ def test_run_path_early_stop_on_noise():
     path = run_path(ProblemData(X, Y), cfg)
     assert path.terminated_by == "early_stop"
     assert len(path) < cfg.max_steps
-    history = [s.criterion_value for s in path.steps]
-    assert early_stop_check(history, cfg.early_stop_window) is True
-    assert early_stop_check(history[:-1], cfg.early_stop_window) is False
+    stop = EarlyStop(cfg.early_stop_window)
+    stalled = [stop.update(s.criterion_value) for s in path.steps]
+    assert stalled[-1] is True
+    assert not any(stalled[:-1])
 
 
 def test_all_true_mask_runs_identically():
@@ -442,8 +443,8 @@ def test_all_true_mask_runs_identically():
     a = run_path(ProblemData(X, Y), cfg)
     b = run_path(ProblemData(X, Y, np.ones((10, 4), dtype=bool)), cfg)
     assert [s.move for s in a.steps] == [s.move for s in b.steps]
-    np.testing.assert_array_equal(a.lambdas(), b.lambdas())
-    np.testing.assert_array_equal(a.losses(), b.losses())
+    assert [s.lam for s in a.steps] == [s.lam for s in b.steps]
+    assert [s.loss for s in a.steps] == [s.loss for s in b.steps]
 
 
 # ---------------------------------------------------------------------------

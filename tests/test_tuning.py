@@ -8,11 +8,20 @@ from curereg.tuning import (
     GRID_STOP_WINDOW,
     CriterionInput,
     CvSelection,
+    EarlyStop,
     GridScan,
-    early_stop_check,
     information_criterion,
     kfold_cv_select,
 )
+
+
+def early_stop_check(history, window):
+    """The EarlyStop rule fed a whole history in step order."""
+    stop = EarlyStop(window)
+    stalled = False
+    for val in history:
+        stalled = stop.update(val)
+    return stalled
 
 
 # ---------------------------------------------------------------------------
