@@ -21,7 +21,6 @@ from curereg import (
     StagewiseConfig,
     column_normalize,
     default_lambda_grid,
-    default_rrr_ridge,
     deflate,
     estimation_errors,
     fit_rrr,
@@ -82,9 +81,10 @@ def main():
         model = unscale(deflate(problem, cfg), scale)
         score(name, model, truth, time.perf_counter() - t0)
 
-    # dense baseline: ridge-stabilized reduced-rank fit, split into layers
+    # dense baseline: the reduced-rank fit of `curereg fit --method rrr`,
+    # split into layers
     t0 = time.perf_counter()
-    B = fit_rrr(Xn, truth.Y, RANK, default_rrr_ridge(Xn))
+    B = fit_rrr(Xn, truth.Y, RANK)
     model = unscale(p_orthogonal_svd(Xn, B, RANK), scale)
     score("rrr", model, truth, time.perf_counter() - t0)
 

@@ -37,7 +37,7 @@ from .core import (
     p_orthogonal_svd,
     renormalize_factor,
 )
-from .tuning import GRID_STOP_WINDOW, GridScan, _fold_indices
+from .tuning import GRID_STOP_WINDOW, GridScan, fold_indices
 
 __all__ = [
     "LassoConfig",
@@ -330,49 +330,36 @@ def default_rrr_ridge(X):
     return 1e-3 * float(np.einsum("ij,ij->", X, X)) / X.shape[1]
 
 
-def _rrr_ridge(X):
-    """Ridge 0 when ``X^T X`` is positive definite, else the default ridge
-    (with a warning when n > p, as then X is rank-deficient)."""
-    if X.shape[0] > X.shape[1]:
-        try:
-            np.linalg.cholesky(X.T @ X)
-            return 0.0
-        except np.linalg.LinAlgError:
-            warnings.warn("X is rank-deficient (X^T X is singular); reduced-rank"
-                          " regression uses default_rrr_ridge(X)",
-                          RuntimeWarning, stacklevel=3)
-    return default_rrr_ridge(X)
+def _ridge_ols(X, Y):
+    """Ridge-OLS coefficients ``(X^T X + ridge I)^{-1} X^T Y``.
 
-
-def _ridge_ols(X, Y, ridge):
+    The one place a least-squares ridge is chosen: 0 when n > p and ``X^T X``
+    has a Cholesky factor, else :func:`default_rrr_ridge` (with a
+    ``RuntimeWarning`` when n > p, as X is then rank-deficient).  An
+    all-zero X, whose default ridge is 0, raises ``ValueError``.
+    """
+    n, p = X.shape
     XtX = X.T @ X
-    if ridge > 0:
-        XtX = XtX + ridge * np.eye(X.shape[1])
-    try:
-        L = np.linalg.cholesky(XtX)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "singular normal equations (X is rank-deficient);"
-            " a positive ridge is required"
-        ) from exc
+    L = None
+    if n > p:
+        try:
+            L = np.linalg.cholesky(XtX)
+        except np.linalg.LinAlgError:
+            warnings.warn("X is rank-deficient (X^T X is singular); the"
+                          " least-squares fit uses default_rrr_ridge(X)",
+                          RuntimeWarning, stacklevel=2)
+    if L is None:
+        try:
+            L = np.linalg.cholesky(XtX + default_rrr_ridge(X) * np.eye(p))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("singular normal equations (X is all zero)") from exc
     return np.linalg.solve(L.T, np.linalg.solve(L, X.T @ Y))
 
 
 def svd_of_ols_factor(problem):
     """Rank-1 predictor-metric SVD layer of a ridge-OLS fit; ACS starting point."""
     X = problem.X
-    Y0 = problem.observed_response()
-    ridge = 0.0 if problem.n > problem.p else default_rrr_ridge(X)
-    try:
-        B = _ridge_ols(X, Y0, ridge)
-    except ValueError:
-        B = _ridge_ols(X, Y0, default_rrr_ridge(X))
-    M = (X @ B) / np.sqrt(problem.n)
-    if not np.any(np.abs(M) > 0):
-        return UnitRankFactor.zero(problem.p, problem.q)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        model = p_orthogonal_svd(X, B, 1)
+    model = p_orthogonal_svd(X, _ridge_ols(X, problem.observed_response()), 1)
     if model.rank == 0:
         return UnitRankFactor.zero(problem.p, problem.q)
     return model.layers[0]
@@ -516,67 +503,59 @@ def acs_path(problem, grid=None, config=None, stop=None):
 # reduced-rank regression
 
 
-def fit_rrr(X, Y, r, ridge=0.0):
+def _rrr_fits(X, Y, ranks):
+    """Rank-r RRR coefficient matrices, one per r in ``ranks``, from one fit.
+
+    Each is ``B V_r V_r^T``: the ridge-OLS fit ``B`` (:func:`_ridge_ols`)
+    projected onto the top r right singular vectors of ``X B``.
+    """
+    B = _ridge_ols(X, Y)
+    _, _, Vt = np.linalg.svd(X @ B, full_matrices=False)
+    for r in ranks:
+        Vr = Vt[:r].T
+        yield B @ Vr @ Vr.T
+
+
+def fit_rrr(X, Y, r):
     """Rank-``r`` coefficient matrix via SVD truncation of a (ridge-)OLS fit.
 
-    With ridge 0 and full-column-rank X, ``X C_hat`` is the best rank-r
-    Frobenius approximation of the OLS fit (Eckart-Young).  A singular
-    design with ridge 0 raises, pointing at :func:`default_rrr_ridge`.
+    The ridge is :func:`_ridge_ols`'s: 0 when n > p and ``X^T X`` is
+    nonsingular, so that ``X C_hat`` is the best rank-r Frobenius
+    approximation of the OLS fit (Eckart-Young); else
+    :func:`default_rrr_ridge`, with a warning when n > p.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
     p, q = X.shape[1], Y.shape[1]
     if r < 0 or r > min(p, q):
         raise ValueError(f"rank must lie in [0, min(p, q)] = [0, {min(p, q)}]")
-    if ridge == 0.0 and p > X.shape[0]:
-        raise ValueError("p > n needs ridge > 0 (see default_rrr_ridge)")
     if r == 0:
         return np.zeros((p, q))
-    B = _ridge_ols(X, Y, ridge)
-    _, _, Vt = np.linalg.svd(X @ B, full_matrices=False)
-    Vr = Vt[:r].T
-    return B @ Vr @ Vr.T
+    return next(_rrr_fits(X, Y, (r,)))
 
 
-def select_rank_cv(X, Y, r_max, folds=5, ridge=0.0, seed=0):
+def select_rank_cv(X, Y, r_max, folds=5, seed=0):
     """Pick the RRR rank by K-fold CV over rows.
 
     Mean held-out squared error (scaled by ``1/(2 n_test)``) is computed for
-    ranks 0..r_max; the smallest rank within a hair of the minimum wins, so
-    exact ties (noiseless data) resolve to the most parsimonious model.
+    ranks 0..r_max; the smallest rank within a relative 1e-8 of the minimum
+    wins, so exact ties (noiseless data) resolve to the most parsimonious
+    model.  Each training fold picks its own ridge by :func:`_ridge_ols`'s
+    rule, so a fold with no more rows than p takes the default ridge.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     n = X.shape[0]
     if r_max < 0 or r_max > min(X.shape[1], Y.shape[1]):
         raise ValueError("r_max out of range")
-    parts = _fold_indices(n, folds, seed)
+    parts = fold_indices(n, folds, seed)
     errs = np.zeros((folds, r_max + 1))
     all_rows = np.arange(n)
     for f, test in enumerate(parts):
         train = np.setdiff1d(all_rows, test)
-        Xtr, Ytr = X[train], Y[train]
         Xte, Yte = X[test], Y[test]
-        if ridge == 0.0 and X.shape[1] > train.size:
-            raise ValueError("p exceeds a training fold; pass a positive ridge")
-        try:
-            B = _ridge_ols(Xtr, Ytr, ridge)
-        except ValueError:
-            if ridge > 0.0:
-                raise
-            warnings.warn(f"training fold {f + 1} is rank-deficient (X^T X is"
-                          " singular); its fit uses default_rrr_ridge",
-                          RuntimeWarning, stacklevel=2)
-            B = _ridge_ols(Xtr, Ytr, default_rrr_ridge(Xtr))
-        _, _, Vt = np.linalg.svd(Xtr @ B, full_matrices=False)
-        for r in range(r_max + 1):
-            if r == 0:
-                C = np.zeros((X.shape[1], Y.shape[1]))
-            else:
-                Vr = Vt[:r].T
-                C = B @ Vr @ Vr.T
+        fits = _rrr_fits(X[train], Y[train], range(r_max + 1))
+        for r, C in enumerate(fits):
             R = Yte - Xte @ C
             errs[f, r] = float(np.vdot(R, R)) / (2.0 * test.size)
     mean_err = errs.mean(axis=0)

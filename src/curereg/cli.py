@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 
@@ -33,7 +32,6 @@ import numpy as np
 
 from .baselines import (
     AcsConfig,
-    _rrr_ridge,
     default_lambda_grid,
     fit_rrr,
     lasso_gic_path,
@@ -215,6 +213,11 @@ def build_parser():
     return top
 
 
+# Built once at import, so that ``_DEFAULTS`` is filled for library callers
+# of ``fit_method`` as well as for ``main``.
+_PARSER = build_parser()
+
+
 def _config_tokens(command, config_path):
     """A JSON config file as flag tokens, so it meets the flags' own checks.
 
@@ -287,15 +290,6 @@ def _deflation_config(method, opts):
     )
 
 
-def _porth_model(X, C, rank):
-    """Split a coefficient matrix into predictor-metric orthogonal layers."""
-    if not C.any():
-        return FactorModel(())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return p_orthogonal_svd(X, C, rank)
-
-
 def _fit_scaled(problem, method, opts):
     """Fit on an already column-normalized problem; returns a FactorModel."""
     X, Y = problem.X, problem.Y
@@ -316,18 +310,17 @@ def _fit_scaled(problem, method, opts):
             C = path[sel.index][1]
         else:
             C, _, _ = lasso_gic_path(problem, criterion=opts["criterion"])
-        return _porth_model(X, C, min(n, p, q))
+        return p_orthogonal_svd(X, C, min(n, p, q))
     if method == "rrr":
         if problem.mask is not None:
             raise ValueError("method rrr requires a fully observed Y")
-        ridge = _rrr_ridge(X)
         rank = opts["rank"]
         if rank is None:
             rank, _ = select_rank_cv(
                 X, Y, r_max=min(n, p, q, RRR_RANK_CAP),
-                folds=opts["cv_folds"], ridge=ridge, seed=opts["seed"],
+                folds=opts["cv_folds"], seed=opts["seed"],
             )
-        return _porth_model(X, fit_rrr(X, Y, rank, ridge), rank)
+        return p_orthogonal_svd(X, fit_rrr(X, Y, rank), rank)
     return deflate(problem, _deflation_config(method, opts))
 
 
@@ -571,14 +564,13 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns = vars(parser.parse_args(argv))
+    ns = vars(_PARSER.parse_args(argv))
     command = ns.pop("command")
     try:
         if "config" in ns:
             tokens = _config_tokens(command, ns["config"])
-            ns = vars(parser.parse_args(argv[:1] + tokens + argv[1:]))
+            ns = vars(_PARSER.parse_args(argv[:1] + tokens + argv[1:]))
             del ns["command"], ns["config"]
         return _COMMANDS[command]({**_DEFAULTS[command], **ns})
     except (ValueError, OSError) as exc:

@@ -20,7 +20,6 @@ for intermediate values (for example simulation truths with unit l2 columns).
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -339,8 +338,8 @@ def p_orthogonal_svd(X, C, r):
     Writes ``X C / sqrt(n) = sum_k d_k a_k v_k^T`` via the SVD and recovers
     ``u_k = C v_k / d_k``, so that ``(X U / sqrt(n))`` has orthonormal columns
     and ``V`` is orthonormal.  Layers come out ordered by nonincreasing d.
-    Requesting more layers than the decomposition supports truncates with a
-    warning, so the returned model can have rank below ``r``.
+    Requesting more layers than the decomposition supports truncates, so the
+    returned model can have rank below ``r``.
     """
     X = _as_float_matrix(X, "X")
     C = _as_float_matrix(C, "C")
@@ -362,13 +361,6 @@ def p_orthogonal_svd(X, C, r):
         u = (C @ v) / d
         u, v = _fix_layer_sign(u, v)
         layers.append(UnitRankFactor(d, u, v, NormMode.PORTH))
-    if len(layers) < r:
-        warnings.warn(
-            f"requested {r} layers but only {len(layers)} have singular value "
-            f"above {SV_TOL}; returning a rank-{len(layers)} model",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return FactorModel(tuple(layers))
 
 

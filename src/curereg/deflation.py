@@ -25,7 +25,6 @@ import numpy as np
 
 from .baselines import (
     AcsConfig,
-    _rrr_ridge,
     acs_path,
     default_lambda_grid,
     fit_rrr,
@@ -69,9 +68,7 @@ class LassoInitializer:
 
 @dataclass(frozen=True)
 class RrrInitializer:
-    """Pilot estimate via reduced-rank regression; the ridge is 0 for a
-    full-column-rank X, else ``default_rrr_ridge`` (with a warning when X is
-    tall)."""
+    """Pilot estimate via reduced-rank regression (``fit_rrr``)."""
 
 
 @dataclass
@@ -213,8 +210,7 @@ def _pilot_matrix(problem, cfg):
         C, _, _ = lasso_gic_path(problem)
         return C
     if isinstance(init, RrrInitializer):
-        return fit_rrr(problem.X, problem.observed_response(), cfg.rank,
-                       _rrr_ridge(problem.X))
+        return fit_rrr(problem.X, problem.observed_response(), cfg.rank)
     raise TypeError("initializer must be a LassoInitializer or RrrInitializer")
 
 

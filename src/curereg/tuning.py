@@ -136,7 +136,7 @@ class CvSelection(NamedTuple):
     cv_errors: np.ndarray
 
 
-def _fold_indices(n, folds, seed):
+def fold_indices(n, folds, seed):
     if folds < 2 or folds > n:
         raise ValueError(f"folds must be in [2, n]; got {folds} with n={n}")
     order = np.random.default_rng(seed).permutation(n)
@@ -173,7 +173,7 @@ def kfold_cv_select(problem, full_path, fit_folds, folds=5, seed=0):
     if not full_path:
         raise ValueError("the full-data path is empty")
     grid = np.array([lam for lam, _ in full_path], dtype=float)
-    parts = _fold_indices(problem.n, folds, seed)
+    parts = fold_indices(problem.n, folds, seed)
     all_rows = np.arange(problem.n)
     trains = []
     for test_rows in parts:

@@ -18,7 +18,6 @@ from curereg.baselines import (
     AcsConfig,
     acs_cure,
     default_lambda_grid,
-    default_rrr_ridge,
     fit_rrr,
     lasso_cd,
 )
@@ -107,7 +106,7 @@ def _bench_one(seed):
         model = deflate(prob, cfg)
         raw = FactorModel(tuple(rescale_factor_rows(l, scale) for l in model.layers))
         reports[name] = score_model(raw, truth.factors, truth.c_star, truth.X)
-    C_rrr = fit_rrr(Xn, truth.Y, 3, default_rrr_ridge(Xn))
+    C_rrr = fit_rrr(Xn, truth.Y, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rrr_model = p_orthogonal_svd(Xn, C_rrr, 3)

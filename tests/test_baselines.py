@@ -580,15 +580,39 @@ def test_rrr_input_validation():
     rng = np.random.default_rng(23)
     X = rng.standard_normal((4, 6))  # p > n
     Y = rng.standard_normal((4, 3))
-    with pytest.raises(ValueError, match="ridge"):
-        fit_rrr(X, Y, 2)
-    assert fit_rrr(X, Y, 2, ridge=default_rrr_ridge(X)).shape == (6, 3)
+    assert fit_rrr(X, Y, 2).shape == (6, 3)
     with pytest.raises(ValueError):
-        fit_rrr(X, Y, -1, ridge=1.0)
+        fit_rrr(X, Y, -1)
     with pytest.raises(ValueError):
-        fit_rrr(X, Y, 4, ridge=1.0)  # beyond min(p, q)
-    with pytest.raises(ValueError):
-        fit_rrr(X, Y, 2, ridge=-1.0)
+        fit_rrr(X, Y, 4)  # beyond min(p, q)
+
+
+def test_ridge_ols_chooses_the_ridge():
+    rng = np.random.default_rng(29)
+
+    def ridged(X, Y, ridge):
+        return np.linalg.solve(X.T @ X + ridge * np.eye(X.shape[1]), X.T @ Y)
+
+    X = rng.standard_normal((12, 5))
+    Y = rng.standard_normal((12, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # n > p with full column rank: ridge 0, no warning
+        np.testing.assert_allclose(baselines._ridge_ols(X, Y), ridged(X, Y, 0.0),
+                                   atol=1e-12)
+        # p > n: the default ridge, no warning
+        np.testing.assert_allclose(baselines._ridge_ols(X[:4], Y[:4]),
+                                   ridged(X[:4], Y[:4], default_rrr_ridge(X[:4])),
+                                   atol=1e-12)
+    X[:, 2] = 0.0  # n > p but singular: the default ridge, with a warning
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        B = baselines._ridge_ols(X, Y)
+    np.testing.assert_allclose(B, ridged(X, Y, default_rrr_ridge(X)), atol=1e-12)
+    for n in (12, 4):  # an all-zero X has default ridge 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="singular normal equations"):
+                baselines._ridge_ols(np.zeros((n, 5)), Y[:n])
 
 
 def test_default_rrr_ridge_formula():
@@ -638,8 +662,18 @@ def test_select_rank_cv_falls_back_to_the_default_ridge_on_a_singular_fold():
     X[5, 3] = 1.0
     assert np.linalg.matrix_rank(X) == 8
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
-        rank, errs = select_rank_cv(X, truth.Y, r_max=6, folds=5, ridge=0.0, seed=0)
+        rank, errs = select_rank_cv(X, truth.Y, r_max=6, folds=5, seed=0)
     assert 0 <= rank <= 6 and np.all(np.isfinite(errs))
+
+
+def test_select_rank_cv_fits_training_folds_shorter_than_p():
+    # The full X has n > p, but each 40-row training fold has fewer rows
+    # than p = 45 and takes the default ridge.
+    truth = gen_dataset(SimSpec(model="II", n=50, p=45, q=10, seed=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rank, errs = select_rank_cv(truth.X, truth.Y, r_max=10, folds=5, seed=1)
+    assert 0 <= rank <= 10 and errs.shape == (11,) and np.all(np.isfinite(errs))
 
 
 def test_select_rank_cv_validates_folds():

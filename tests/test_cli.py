@@ -9,7 +9,6 @@ import pytest
 
 import curereg.cli as cli
 from curereg import baselines, deflation
-from curereg.baselines import _rrr_ridge
 from curereg.cli import _benchmark_workers, _resolve_threads, fit_method, main
 from curereg.core import ProblemData, column_normalize, residual
 from curereg.io import load_factor_model, read_matrix_csv, write_matrix_csv
@@ -24,7 +23,6 @@ def run(*argv):
 
 def fit_opts(**overrides):
     """The fit command's default options, as ``fit_method`` takes them."""
-    cli.build_parser()
     return {**cli._DEFAULTS["fit"], **overrides}
 
 
@@ -128,7 +126,8 @@ def test_rank_deficient_tall_x_falls_back_to_the_default_ridge(tmp_path, method)
     Y = X @ rng.standard_normal((8, 6)) + 0.1 * rng.standard_normal((20, 6))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _rrr_ridge(X) == 0.0  # a full-rank X keeps the zero ridge
+        B = baselines._ridge_ols(X, Y)  # a full-rank X keeps the zero ridge
+    np.testing.assert_allclose(B, np.linalg.lstsq(X, Y, rcond=None)[0], atol=1e-12)
     X[:, 3] = 0.0
     write_matrix_csv(tmp_path / "X.csv", X)
     write_matrix_csv(tmp_path / "Y.csv", Y)
@@ -157,6 +156,29 @@ def test_rrr_rank_cv_survives_a_singular_training_fold(tmp_path):
     assert code == 0
     model, _ = load_factor_model(tmp_path / "fit" / "model.json")
     assert np.all(np.isfinite(model.to_matrix(shape=(8, 6))))
+
+
+def test_rrr_rank_cv_fits_training_folds_shorter_than_p(tmp_path):
+    # The full X has n > p and takes ridge 0, but each 40-row training fold
+    # has fewer rows than p = 45 and takes the default ridge.
+    sim = tmp_path / "sim"
+    assert run("simulate", "--model", "II", "--n", 50, "--p", 45, "--q", 10,
+               "--seed", 1, "--out-dir", sim) == 0
+    assert run("fit", "--x", sim / "X.csv", "--y", sim / "Y.csv", "--method", "rrr",
+               "--out-dir", tmp_path / "fit") == 0
+    model, _ = load_factor_model(tmp_path / "fit" / "model.json")
+    assert np.all(np.isfinite(model.to_matrix(shape=(45, 10))))
+
+
+def test_fit_defaults_are_filled_at_import():
+    code = ("from curereg import cli; from curereg.simgen import SimSpec, gen_dataset; "
+            "t = gen_dataset(SimSpec(model='II', n=20, p=10, q=8, r_star=2, seed=3)); "
+            "m = cli.fit_method(t.X, t.Y, None, 'seqstl', "
+            "{**cli._DEFAULTS['fit'], 'rank': 2}); print(m.rank)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2"
 
 
 RANK_METHODS = [m for m in cli.METHODS if m != "lasso"]

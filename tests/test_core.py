@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -252,13 +254,14 @@ def test_porth_svd_layers_are_pairwise_orthogonal():
     assert np.all(np.diff(model.d_values()) <= 1e-12)
 
 
-def test_porth_svd_truncates_below_tolerance_with_warning():
+def test_porth_svd_truncates_below_tolerance_without_warning():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((7, 4))
     u = rng.standard_normal(4)
     v = rng.standard_normal(3)
     C = np.outer(u, v)  # exactly rank 1
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         model = p_orthogonal_svd(X, C, 3)
     assert model.rank == 1
 

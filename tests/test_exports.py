@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +18,16 @@ def test_every_exported_name_resolves_once(name):
     assert len(exported) == len(set(exported))
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    crossing = []
+    for path in sorted(Path(curereg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "curereg":
+                continue
+            crossing += [f"{path.name}: {node.module}.{alias.name}"
+                         for alias in node.names if alias.name.startswith("_")]
+    assert crossing == []

@@ -16,7 +16,7 @@ from curereg.core import ProblemData, column_normalize
 from curereg.io import write_matrix_csv
 from curereg.simgen import SimSpec, gen_dataset
 from curereg.stagewise import RECOMPUTE_EVERY, StagewiseConfig, run_path, run_paths
-from curereg.tuning import _fold_indices
+from curereg.tuning import fold_indices
 
 
 def fields(path):
@@ -44,7 +44,7 @@ def assert_same_paths(problems, cfg):
 
 def training_folds(X, Y, mask=None, folds=5, seed=0):
     out = []
-    for test in _fold_indices(X.shape[0], folds, seed):
+    for test in fold_indices(X.shape[0], folds, seed):
         train = np.setdiff1d(np.arange(X.shape[0]), test)
         out.append(ProblemData(X[train], Y[train], None if mask is None else mask[train]))
     return out
@@ -86,7 +86,7 @@ def test_unequal_fold_sizes(masked):
 
 def test_a_fold_with_an_all_true_mask_runs_unmasked_among_masked_folds():
     X, Y = model_two(30, 10, 8, 6)
-    test_rows = _fold_indices(30, 5, 0)
+    test_rows = fold_indices(30, 5, 0)
     mask = np.ones(Y.shape, dtype=bool)
     mask[test_rows[2], :3] = False
     # Only the training fold that holds these rows out sees every cell.
