@@ -48,6 +48,13 @@ Every ``RECOMPUTE_EVERY`` steps the maintained quantities are rebuilt from
 ``du``/``dv`` and the largest relative gap to the rebuilt values is kept
 as ``StagewisePath.max_drift``.
 
+Besides the inputs and the Gram columns of active coordinates, a path's
+working memory is ``S`` (plus ``(X o X)^T H`` under a mask) and vectors of
+length n, p or q: the first search for the best single entry scans ``S``
+in blocks of rows instead of forming a p x q objective.  A step record
+holds its values and a read-only support index that it shares with every
+step of the same support.
+
 The per-step objective bookkeeping gives, by construction,
 
     Q(step t+1; lam_{t+1}) <= Q(step t; lam_{t+1}) - xi
@@ -87,6 +94,9 @@ SNAP_TOL = 1e-12
 SMALLEST = math.ulp(0.0)
 FORWARD_TIE_TOL = 1e-12
 RECOMPUTE_EVERY = 1000
+# Entries of S per block of the first search, whose temporaries then take
+# two blocks instead of two p x q arrays.
+_SEARCH_BLOCK = 1 << 15
 
 MOVE_INIT = "init"
 MOVE_FORWARD_U = "forward_u"
@@ -411,7 +421,8 @@ class PathStep:
     The loadings are kept sparse: ``index`` holds the ascending positions
     of the nonzeros of the stacked vector ``(du, dv)`` (length ``p + q``)
     and ``value`` their values; :attr:`factor` rebuilds the dense L1-mode
-    factor on demand.
+    factor on demand.  ``index`` is read-only and is the same array in
+    every step of a run of steps with one support.
     """
 
     t: int
@@ -602,11 +613,19 @@ class StagewiseState:
         return self.rss / (2.0 * self._n) + 0.5 * self._config.mu * self.l2c
 
     def _nonzeros(self):
-        """Positions of the nonzeros of the stacked ``(du, dv)``, found once per step."""
-        sup = self._support
-        if sup is None or sup[0] != self.t:
-            sup = self._support = (self.t, self._duv.nonzero()[0])
-        return sup[1]
+        """Positions of the nonzeros of the stacked ``(du, dv)`` as a
+        read-only int32 array, found again only after the support changed.
+
+        Whatever changes the support sets ``_support`` to None: a move that
+        adds or drops an entry, ``_enter``, ``_zero_out`` and
+        ``_refresh_exact``.  A rescale keeps the support: it multiplies
+        entries above ``SNAP_TOL`` by ``d_new / d_old`` with both sizes
+        above ``SNAP_TOL``.
+        """
+        if self._support is None:
+            self._support = np.flatnonzero(self._duv).astype(np.int32)
+            self._support.flags.writeable = False
+        return self._support
 
     def _refresh_exact(self):
         """Rebuild the bookkeeping from du/dv (drift control).
@@ -648,7 +667,7 @@ def _record(state, move):
     df = index.size - 1 if state.d > 0 else 0
     # Positional, in PathStep's field order: a step records one per row.
     return PathStep(
-        state.t, state.lam, move, state.d, index.astype(np.int32),
+        state.t, state.lam, move, state.d, index,
         state._duv[index], engine.p, engine.q, state.loss,
         state.lam * state.d, _criterion_value(state, df), state.rss, df,
     )
@@ -661,16 +680,32 @@ def _init_search(engine, b, eps, mu):
     that minimizes the loss; returns indices, the signed step on the v side,
     the lambda level at which the move exactly pays for itself, and the
     entry's ``S`` and quadratic terms.
+
+    The scan reads whole rows of ``S`` and ``x2h``, ``_SEARCH_BLOCK``
+    entries or one row at a time, into two reused buffers, and keeps the
+    first minimum; a NaN wins, as it does under ``np.argmin``.
     """
     G = engine.S[b]
     quad = engine.x2h[b]
-    n = engine.n[b]
-    obj = (eps / (2.0 * n)) * quad - np.abs(G)
-    flat = int(np.argmin(obj))
-    j, k = np.unravel_index(flat, G.shape)
-    lam0 = float(np.abs(G[j, k]) - (eps / (2.0 * n)) * quad[j, k] - 0.5 * mu * eps)
+    a = eps / (2.0 * engine.n[b])
+    p, q = G.shape
+    rows = max(1, _SEARCH_BLOCK // q)
+    obj_buf, abs_buf = np.empty((2, min(rows, p), q))
+    best, flat = math.inf, 0
+    for r0 in range(0, p, rows):
+        m = min(rows, p - r0)
+        obj = np.multiply(a, quad[r0:r0 + m], out=obj_buf[:m])
+        obj -= np.abs(G[r0:r0 + m], out=abs_buf[:m])
+        i = int(obj.argmin())
+        val = obj.item(i)
+        if not val >= best:  # smaller, or NaN
+            best, flat = val, r0 * q + i
+            if math.isnan(val):
+                break
+    j, k = divmod(flat, q)
+    lam0 = float(np.abs(G[j, k]) - a * quad[j, k] - 0.5 * mu * eps)
     s = eps if G[j, k] >= 0 else -eps
-    return int(j), int(k), s, lam0, float(G[j, k]), float(quad[j, k])
+    return j, k, s, lam0, float(G[j, k]), float(quad[j, k])
 
 
 def _enter(state, j, k, s, G_jk, quad_jk):
@@ -681,6 +716,7 @@ def _enter(state, j, k, s, G_jk, quad_jk):
     state.d = eps
     state.l2c = eps ** 2
     state.rss = state.rss - 2.0 * s * state._n * G_jk + eps ** 2 * quad_jk
+    state._support = None
     state._engine.enter(state._row, j, k, s, eps)
 
 
@@ -734,6 +770,8 @@ def _execute_u(state, j, s, pr):
     d_rss = -2.0 * s * xe + s * s * pr.quad.item(b, j)
     d_l2 = (new * new - old * old) * pr.v22[b]
     state.du[j] = new
+    if (old == 0.0) != (new == 0.0):
+        state._support = None
     delta = d_rss / (2.0 * state._n) + 0.5 * state._config.mu * d_l2
     d_new = d_old + abs(new) - abs(old)
     if d_new <= SNAP_TOL or (new == 0.0 and not state.du.any()):
@@ -766,6 +804,8 @@ def _execute_v(state, k, h, pr):
     d_rss = -2.0 * (h / d_old) * we + h * h * pr.quad.item(b, p + k)
     d_l2 = dsq * pr.u22[b]
     state.dv[k] = new
+    if (old == 0.0) != (new == 0.0):
+        state._support = None
     delta = d_rss / (2.0 * state._n) + 0.5 * state._config.mu * d_l2
     d_new = d_old + abs(new) - abs(old)
     if d_new <= SNAP_TOL or (new == 0.0 and not state.dv.any()):
@@ -783,6 +823,7 @@ def _execute_v(state, k, h, pr):
 def _zero_out(state):
     """Collapse to the exact zero state (both sides empty)."""
     state._duv[:] = 0.0
+    state._support = None
     state.d = 0.0
     state.l2c = 0.0
     state.rss = state._engine.rebuild(state._row, state.du, state.dv, 0.0)

@@ -107,9 +107,7 @@ def _bench_one(seed):
         raw = FactorModel(tuple(rescale_factor_rows(l, scale) for l in model.layers))
         reports[name] = score_model(raw, truth.factors, truth.c_star, truth.X)
     C_rrr = fit_rrr(Xn, truth.Y, 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rrr_model = p_orthogonal_svd(Xn, C_rrr, 3)
+    rrr_model = p_orthogonal_svd(Xn, C_rrr, 3)
     raw = FactorModel(tuple(rescale_factor_rows(l, scale) for l in rrr_model.layers))
     reports["rrr"] = score_model(raw, truth.factors, truth.c_star, truth.X)
     return reports

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from curereg import stagewise
 from curereg.core import (
     NormMode,
     ProblemData,
@@ -768,3 +769,174 @@ def test_recorded_steps_are_sparse_and_detached():
     gc.collect()
     assert engine() is None
     assert len(steps) > 50
+
+
+# ---------------------------------------------------------------------------
+# memory: the blocked first search and the shared support index
+
+
+def one_shot_search(engine, b, eps, mu):
+    """The first search over the whole p x q objective at once: the
+    reference the blocked scan must reproduce exactly."""
+    G = engine.S[b]
+    quad = engine.x2h[b]
+    n = engine.n[b]
+    obj = (eps / (2.0 * n)) * quad - np.abs(G)
+    flat = int(np.argmin(obj))
+    j, k = np.unravel_index(flat, G.shape)
+    lam0 = float(np.abs(G[j, k]) - (eps / (2.0 * n)) * quad[j, k] - 0.5 * mu * eps)
+    s = eps if G[j, k] >= 0 else -eps
+    return int(j), int(k), s, lam0, float(G[j, k]), float(quad[j, k])
+
+
+def search_problem(p, q, tie_row=None, masked=False, seed=30):
+    """A random problem; with ``tie_row`` the X columns ``tie_row - 1`` and
+    ``tie_row`` are equal and long, and response 2 follows them, so the best
+    entry ties between rows ``tie_row - 1`` and ``tie_row``."""
+    rng = np.random.default_rng(seed)
+    n = 8
+    X = rng.standard_normal((n, p))
+    Y = rng.standard_normal((n, q))
+    if tie_row is not None:
+        X[:, tie_row - 1] = X[:, tie_row] = 4.0 * X[:, tie_row]
+        Y[:, 2] += X[:, tie_row]
+    mask = None
+    if masked:
+        mask = rng.random((n, q)) > 0.2
+        mask[0] = True
+    return ProblemData(X, Y, mask)
+
+
+ENGINES = {
+    "unmasked": (False, lambda pb: stagewise._Engine([pb])),
+    "masked": (True, lambda pb: stagewise._Engine([pb])),
+    "oracle": (True, lambda pb: ResidualOracle([pb])),
+}
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+@pytest.mark.parametrize("case", ["wide_rows", "one_block", "tie", "nan"])
+def test_blocked_first_search_equals_the_one_shot_scan(kind, case):
+    block = stagewise._SEARCH_BLOCK
+    masked, make = ENGINES[kind]
+    if case == "wide_rows":  # a row of S is longer than a block
+        prob = search_problem(3, block + 7, masked=masked)
+    elif case == "one_block":
+        prob = search_problem(20, 30, masked=masked)
+    else:  # block // q rows per block; the last of block 0 ties with the first of block 1
+        q = 500
+        prob = search_problem(2 * block // q + 1, q, tie_row=block // q, masked=masked)
+    engine = make(prob)
+    eps, mu = 0.05, 1e-3
+    want = one_shot_search(engine, 0, eps, mu)
+    if case == "tie":
+        r = block // q
+        for a in (engine.S[0], engine.x2h[0]):
+            assert a[r - 1, 2] == a[r, 2]
+        assert want[:2] == (r - 1, 2)
+    if case == "nan":  # a NaN in the last block beats the finite minimum before it
+        engine.S[0][-1, 3] = np.nan
+        want = one_shot_search(engine, 0, eps, mu)
+        assert want[:2] == (prob.p - 1, 3)
+    np.testing.assert_equal(stagewise._init_search(engine, 0, eps, mu), want)
+
+
+def test_first_search_memory_is_bounded():
+    # The one-shot scan of a 1000 x 1000 S holds two 8 MB temporaries.
+    import tracemalloc
+
+    engine = stagewise._Engine([search_problem(1000, 1000)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        stagewise._init_search(engine, 0, 0.05, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def check_records(monkeypatch):
+    """Make every record check its index against its state's loadings."""
+    record = stagewise._record
+
+    def checked(state, move):
+        step = record(state, move)
+        np.testing.assert_array_equal(step.index, np.flatnonzero(state._duv))
+        return step
+
+    monkeypatch.setattr(stagewise, "_record", checked)
+
+
+def assert_shared_index(path):
+    """Steps of one support hold one read-only index; paths stay shorter
+    than RECOMPUTE_EVERY, whose rebuild finds the support afresh."""
+    assert len(path) < RECOMPUTE_EVERY
+    for a, b in zip(path.steps, path.steps[1:]):
+        assert not b.index.flags.writeable
+        assert (b.index is a.index) == np.array_equal(b.index, a.index)
+        assert np.all(b.value != 0.0)
+    assert len({id(s.index) for s in path.steps}) < len(path) / 4
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_steps_of_one_support_share_a_read_only_index(monkeypatch, masked):
+    check_records(monkeypatch)
+    rng = np.random.default_rng(31)
+    prob = rank1_problem(rng, 40, 60, 30, mask_frac=0.2 if masked else 0.0)
+    cfg = StagewiseConfig(epsilon=0.05, criterion="none", max_steps=900)
+    assert_shared_index(run_path(prob, cfg))
+
+
+def test_lockstep_rows_share_their_read_only_index(monkeypatch):
+    check_records(monkeypatch)
+    rng = np.random.default_rng(32)
+    problems = [rank1_problem(rng, n, 60, 30, mask_frac=0.2) for n in (30, 40, 50)]
+    cfg = StagewiseConfig(epsilon=0.05, criterion="none", max_steps=900)
+    for path in stagewise.run_paths(problems, cfg):
+        assert_shared_index(path)
+
+
+def layout_bytes(path):
+    """Bytes a path's records need when the steps of one support share one
+    index: each record's slots, value array, scalar boxes and list slot, and
+    one index per run of steps with the same support."""
+    import sys
+
+    total = sys.getsizeof(path.steps)
+    seen = set()
+    prev = None
+    for step in path.steps:
+        total += sys.getsizeof(step) + sys.getsizeof(step.value)
+        for x in (step.t, step.lam, step.d, step.loss, step.penalty,
+                  step.criterion_value, step.rss, step.df):
+            if id(x) not in seen:
+                seen.add(id(x))
+                total += sys.getsizeof(x)
+        if prev is None or not np.array_equal(step.index, prev):
+            total += sys.getsizeof(step.index)
+        prev = step.index
+    return total
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_retained_bytes_per_step_follow_the_record_layout(masked):
+    # A copy of the index per step would add its array header and 4 bytes
+    # per nonzero to every step whose support did not change.
+    import gc
+    import tracemalloc
+
+    rng = np.random.default_rng(33)
+    prob = rank1_problem(rng, 60, 200, 100, mask_frac=0.2 if masked else 0.0)
+    cfg = StagewiseConfig(epsilon=0.1, criterion="none", max_steps=900)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        path = run_path(prob, cfg)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # 4 KiB for the path object itself and numpy's cache of small buffers
+    assert held / len(path) <= (layout_bytes(path) + 4096) / len(path)
