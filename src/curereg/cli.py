@@ -20,12 +20,12 @@ command-line flags override config values, which override built-in defaults.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import contextlib
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -527,7 +527,8 @@ def _cmd_benchmark(opts):
     ]
     workers = _benchmark_workers(threads, len(payloads))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Looked up here: importing it loads multiprocessing at start-up.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_benchmark_rep, payloads))
     else:
         results = [_benchmark_rep(pl) for pl in payloads]

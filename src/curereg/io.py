@@ -276,12 +276,15 @@ def _json_value(x):
     return json.dumps(x)
 
 
-class _ReprMemo(dict):
-    """float -> JSON text; holds only nonzero loadings, so 0.0 == -0.0 never
-    merges two spellings."""
+class _Memo(dict):
+    """value -> its JSON text, spelled once by ``spell``.  The float memo
+    holds only nonzero loadings, so 0.0 == -0.0 never merges two spellings."""
+
+    def __init__(self, spell):
+        self.spell = spell
 
     def __missing__(self, x):
-        text = self[x] = _json_float(x)
+        text = self[x] = self.spell(x)
         return text
 
 
@@ -302,7 +305,8 @@ def write_path_jsonl(path, sw_path):
     """
     width = max((max(s.p, s.q) for s in sw_path.steps), default=0)
     prefix = [f"[{i}, " for i in range(width)]
-    memo = _ReprMemo()
+    memo = _Memo(_json_float)
+    moves = _Memo(json.dumps)
     with _atomic_open(path) as fh:
         for step in sw_path.steps:
             d = step.d
@@ -324,11 +328,13 @@ def write_path_jsonl(path, sw_path):
                 )
                 if len(memo) > REPR_MEMO_SIZE:
                     memo.clear()
+            crit = step.criterion_value
+            # t is a plain int (never a bool), so its repr is its JSON text
             fh.write(
-                f'{{"t": {_json_value(step.t)}, "lambda": {_json_value(step.lam)}, '
-                f'"move": {_json_value(step.move)}, "d": {_json_float(d)}, '
+                f'{{"t": {int.__repr__(step.t)}, "lambda": {_json_value(step.lam)}, '
+                f'"move": {moves[step.move]}, "d": {_json_float(d)}, '
                 f'"u_nonzeros": {u}, "v_nonzeros": {v}, '
                 f'"loss": {_json_value(step.loss)}, '
                 f'"penalty": {_json_value(step.penalty)}, '
-                f'"criterion": {_json_value(step.criterion_value)}}}\n'
+                f'"criterion": {"null" if crit is None else _json_value(crit)}}}\n'
             )

@@ -32,7 +32,8 @@ residual, and only three terms depend on the mask:
 * ``(X o X)^T h`` is ``col_x2 ||v||^2`` without a mask; under a mask it is
   kept as ``(X o X)^T H dv^2``, which a v move updates by one column.
 
-An unmasked step thus costs O(p + q).
+An unmasked step thus costs O(p + q), but up to p + q of a few thousand
+its time is mostly the fixed cost of its few dozen small numpy calls.
 
 One engine holds B paths as its rows (:func:`run_paths`; :func:`run_path`
 is the case B = 1): each maintained vector is a (B, .) array, one numpy
@@ -69,7 +70,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -143,21 +143,22 @@ class StagewiseConfig:
         return 1e-6 * self.epsilon ** 2 if self.xi is None else self.xi
 
 
-class _Prices(NamedTuple):
+class _Prices:
     """Quantities that price every candidate move of one step, a row per path.
 
     The (B, p + q) arrays run over the stacked coordinates ``(du, dv)``:
     ``g`` holds the gradients ``gu`` then ``Ew``, ``quad`` their quadratic
     terms, and ``c22`` the squared l2 norm of the other side's unit loading
     (``v22`` on the du part, ``u22`` on the dv part); the lists ``v22`` and
-    ``u22`` hold one entry per row.
+    ``u22`` hold one entry per row.  ``stack`` is ``(g, quad, c22)`` as one
+    (3, B, p + q) array, so that one ``take`` gathers all three.
     """
 
-    v22: list
-    u22: list
-    g: np.ndarray
-    quad: np.ndarray
-    c22: np.ndarray
+    __slots__ = ("v22", "u22", "g", "quad", "c22", "stack")
+
+    def __init__(self, v22, u22, g, quad, c22, stack=None):
+        self.v22, self.u22, self.g, self.quad, self.c22 = v22, u22, g, quad, c22
+        self.stack = np.array((g, quad, c22)) if stack is None else stack
 
 
 def _cols(*values):
@@ -230,13 +231,15 @@ class _Engine:
         self._shape()
 
     def _shape(self):
-        """The column of n, ``ww`` as a column, and the buffers that hold
-        each step's prices (``g``, ``quad``, ``c22``) with their halves."""
+        """The column of n, ``ww`` as a column, and the buffers of each
+        step's prices with their halves and of the fitted part of ``gu``."""
         (self.n_col,) = _cols(self.n)
         self.ww_col = self.ww[:, None] if self.H is None else self.ww
         p = self.p
-        self._priced = g, quad, c22 = tuple(np.empty((3, len(self.n), p + self.q)))
+        self._stack = np.empty((3, len(self.n), p + self.q))
+        self._priced = g, quad, c22 = tuple(self._stack)
         self._halves = (g[:, :p], g[:, p:], quad[:, :p], quad[:, p:], c22[:, :p], c22[:, p:])
+        self._fit = np.empty((len(self.n), p))
 
     def keep(self, rows):
         """Keep only ``rows``, in that order."""
@@ -272,32 +275,6 @@ class _Engine:
             np.divide(self.X[b].T @ (self.w[b] * self.hdv2[b]), self.n[b] * x * x, out=f)
         return fit
 
-    def _move_w(self, b, j, s):
-        """Bring ``w`` (``G du`` without a mask) and ``ww`` along after
-        ``du[j] += s``; under a mask ``H^T (w o w)`` is recomputed."""
-        if self.H is None:
-            self.ww[b] += 2.0 * s * self.Gdu.item(b, j) + s * s * self.gram[b].diag.item(j)
-            Gdu = self.Gdu[b]
-            Gdu += s * self.gram[b].col(j)
-        else:
-            w = self.w[b]
-            w += s * self.X[b][:, j]
-            np.divide(self.H[b].T @ (w * w), self.n[b], out=self.ww[b])
-
-    def _quad(self, d2, D2, DD, V, quad_u, quad_v):
-        """``(X o X)^T h`` and ``n H^T (w o w)``, the quadratic terms of the u
-        and the v moves (over ``d^2``), into ``quad_u`` and ``quad_v``;
-        ``d2`` lists ``d ** 2`` and the columns hold it, ``d * d`` and
-        ``v22``."""
-        if self.H is None:
-            np.multiply(self.col_x2, V, out=quad_u)
-            # ww is a scalar per row without a mask
-            quad_v[...] = _cols([n * w / x for n, w, x in zip(self.n, self.ww, d2)])[0]
-        else:
-            np.divide(self.qdv2, DD, out=quad_u)
-            np.multiply(self.n_col, self.ww, out=quad_v)
-            quad_v /= D2
-
     def enter(self, b, j, k, s, eps):
         self.Sdv[b] = s * self.S[b][:, k]
         self.Stdu[b] = eps * self.S[b][j]
@@ -326,6 +303,8 @@ class _Engine:
         """Prices of every row of the stacked loadings ``duv`` at sizes ``d``
         (a list with a positive entry per row).
 
+        The quadratic terms of the u and v moves (over ``d^2``) are ``(X o
+        X)^T h`` and ``n H^T (w o w)``, one scalar per row without a mask.
         The arrays it returns are overwritten by the next call.
         """
         p = self.p
@@ -333,17 +312,35 @@ class _Engine:
         d2 = [x ** 2 for x in d]
         v22 = [x / y for x, y in zip(_row_dots(dv), d2)]
         u22 = [x / y for x, y in zip(_row_dots(duv[:, :p]), d2)]
-        D, D2, DD, V, U = _cols(d, d2, [x * x for x in d], v22, u22)
         g_u, g_v, quad_u, quad_v, c22_u, c22_v = self._halves
-        self._gradients(self.Sdv, self.Stdu, self.ww_col,
-                        self._fit_u(slice(None), d, V), dv, D, g_u, g_v)
-        self._quad(d2, D2, DD, V, quad_u, quad_v)
+        if self.H is None:
+            D, V, U, Q = _cols(d, v22, u22, [
+                n * w / x for n, w, x in zip(self.n, self.ww.tolist(), d2)])
+            fit = np.multiply(self.Gdu, V, out=self._fit)
+            np.multiply(self.col_x2, V, out=quad_u)
+            quad_v[...] = Q
+        else:
+            D, D2, DD, V, U = _cols(d, d2, [x * x for x in d], v22, u22)
+            fit = self._fit_u(slice(None), d, V)
+            np.divide(self.qdv2, DD, out=quad_u)
+            np.multiply(self.n_col, self.ww, out=quad_v)
+            quad_v /= D2
+        self._gradients(self.Sdv, self.Stdu, self.ww_col, fit, dv, D, g_u, g_v)
         c22_u[...] = V
         c22_v[...] = U
-        return _Prices(v22, u22, *self._priced)
+        return _Prices(v22, u22, *self._priced, self._stack)
 
     def move_u(self, b, j, s, pr):
-        self._move_w(b, j, s)
+        """``du[j] += s`` on row ``b``: brings ``w`` (``G du`` without a
+        mask) and ``ww`` along; under a mask ``H^T (w o w)`` is recomputed."""
+        if self.H is None:
+            self.ww[b] += 2.0 * s * self.Gdu.item(b, j) + s * s * self.gram[b].diag.item(j)
+            Gdu = self.Gdu[b]
+            Gdu += s * self.gram[b].col(j)
+        else:
+            w = self.w[b]
+            w += s * self.X[b][:, j]
+            np.divide(self.H[b].T @ (w * w), self.n[b], out=self.ww[b])
         Stdu = self.Stdu[b]
         Stdu += s * self.S[b][j]
         return self.n[b] * pr.g.item(b, j)
@@ -482,16 +479,26 @@ class _Rows:
         self.engine = engine
         self.duv = np.zeros((len(engine.n), engine.p + engine.q))
         self.states = []
-        self._eps = config.epsilon
-        self._factors()
-        self.forget()
+        # Constants of every path, spelled as their formulas spell them; the
+        # scans take 0-d arrays, which numpy reads faster than Python floats.
+        eps, mu = config.epsilon, config.mu
+        self.eps, self.xi, self.c = eps, config.xi_resolved, 0.5 * mu * eps ** 2
+        self.half_mu = 0.5 * mu
+        self._scan = tuple(np.array(x) for x in (
+            eps, mu, mu * eps, self.c, max(eps - SNAP_TOL, SMALLEST), math.inf))
+        self._shape()
 
-    def _factors(self):
-        """The per-row factors eps^2 / 2n and eps / 2n of the proposals."""
-        eps = self._eps
-        self.a_back = np.array([eps ** 2 / (2.0 * n) for n in self.engine.n])
-        self.a_back_full = np.repeat(self.a_back, self.duv.shape[1]).reshape(self.duv.shape)
-        (self.a_fwd,) = _cols([eps / (2.0 * n) for n in self.engine.n])
+    def _shape(self):
+        """The per-row factors eps^2 / 2n (listed in ``a``) and eps / 2n, as
+        0-d arrays or columns, and the buffers of the forward scores."""
+        eps, n = self.eps, self.engine.n
+        self.a = [eps ** 2 / (2.0 * x) for x in n]
+        self.a_back, self.a_fwd = (
+            np.array(v).reshape(()) if len(n) == 1 else np.array(v)[:, None]
+            for v in (self.a, [eps / (2.0 * x) for x in n]))
+        self._inner, self._score, self._tmp = np.empty((3, *self.duv.shape))
+        self._score_halves = self._score[:, :self.engine.p], self._score[:, self.engine.p:]
+        self.forget()
 
     def forget(self):
         self._t = self._prices = self._back = self._fwd = None
@@ -501,11 +508,10 @@ class _Rows:
         rows = [s._row for s in states]
         self.engine.keep(rows)
         self.duv = self.duv[rows]
-        self._factors()
+        self._shape()
         self.states = list(states)
         for b, state in enumerate(self.states):
             state._bind(b)
-        self.forget()
 
     def prices(self, t):
         """The priced quantities of step ``t``, for every row.
@@ -514,58 +520,67 @@ class _Rows:
         """
         if self._t != t:
             d = [s.d if s.d > 0.0 else 1.0 for s in self.states]
-            self.forget()
+            self._back = self._fwd = None
             self._prices = self.engine.price(self.duv, d)
             self._t = t
         return self._prices
 
-    def backward(self, t, config):
+    def backward(self, t):
         """``(prices, shrinks)``: per row, the best shrink as ``(position in
         (du, dv), loss change)``; the change is +inf when the row has no
         coordinate of size epsilon or more."""
         pr = self.prices(t)
         if self._back is None:
-            self._back = _best_shrinks(self, pr, config)
+            self._back = _best_shrinks(self, pr)
         return pr, self._back
 
-    def forward(self, t, config):
-        """``(prices, inner, j, k)``: the forward scores' inner products and,
-        per row, the best u and v coordinates."""
+    def forward(self, t):
+        """``(prices, inner, j, k)``: the forward scores' inner products
+        ``g - mu duv c22`` (a buffer the next step overwrites) and, per row,
+        the best u and v coordinates."""
         pr = self.prices(t)
         if self._fwd is None:
-            p = self.engine.p
-            inner = pr.g - config.mu * self.duv * pr.c22
-            score = np.abs(inner) - self.a_fwd * pr.quad
-            self._fwd = (inner, score[:, :p].argmax(axis=1).tolist(),
-                         score[:, p:].argmax(axis=1).tolist())
+            inner, score, tmp = self._inner, self._score, self._tmp
+            np.multiply(self._scan[1], self.duv, out=inner)
+            inner *= pr.c22
+            np.subtract(pr.g, inner, out=inner)
+            np.abs(inner, out=score)
+            score -= np.multiply(self.a_fwd, pr.quad, out=tmp)
+            score_u, score_v = self._score_halves
+            self._fwd = (inner, score_u.argmax(axis=1).tolist(),
+                         score_v.argmax(axis=1).tolist())
         return (pr, *self._fwd)
 
 
-def _best_shrinks(rows, pr, config):
+def _best_shrinks(rows, pr):
     """Per row, ``(position, loss change)`` of its best shrink (first on ties).
 
-    A lone path prices only its support, which is faster on long rows;
-    several paths price their whole rows at once, which is faster than
-    gathering their supports.
+    The change is ``a quad + eps sign(duv) g - mu eps |duv| c22 + (mu eps^2
+    / 2) c22``, summed in that order.  A lone path prices only its support,
+    which is faster on long rows; several paths price their whole rows at
+    once, which is faster than gathering their supports.
     """
-    eps = config.epsilon
-    mu = config.mu
     B = len(rows.states)
     if B == 1:
         nz = rows.states[0]._nonzeros()
-        duv, g, quad, c22 = rows.duv.take(nz), pr.g.take(nz), pr.quad.take(nz), pr.c22.take(nz)
-        a = rows.a_back
+        duv = rows.duv.take(nz, axis=1)
+        g, quad, c22 = pr.stack.take(nz, axis=2)
     else:
-        duv, g, quad, c22, a = rows.duv, pr.g, pr.quad, pr.c22, rows.a_back_full
+        duv, g, quad, c22 = rows.duv, pr.g, pr.quad, pr.c22
+    eps, _, mu_eps, c, shrink_min, inf = rows._scan
+    dl = np.multiply(rows.a_back, quad)
+    # copysign(eps, x) is eps * sign(x) wherever x != 0; the zeros are masked
+    t = np.copysign(eps, duv)
+    t *= g
+    dl += t
     ax = np.abs(duv)
-    dl = (
-        a * quad
-        + eps * np.sign(duv) * g
-        - mu * eps * ax * c22
-        + 0.5 * mu * eps ** 2 * c22
-    )
+    np.multiply(mu_eps, ax, out=t)
+    t *= c22
+    dl -= t
+    np.multiply(c, c22, out=t)
+    dl += t
     # Only nonzero entries of size eps or more may shrink; +inf fails every test.
-    dl = np.where(ax >= max(eps - SNAP_TOL, SMALLEST), dl, np.inf)
+    dl = np.where(ax >= shrink_min, dl, inf)
     # du candidates come first, so du wins ties
     if B == 1:
         if not dl.size:
@@ -592,7 +607,9 @@ class StagewiseState:
         self._engine = engine
         self._config = config
         self._n = engine.n[row]
-        self._observed = engine.observed[row]
+        self._two_n = 2.0 * self._n
+        self._fit = None if config.criterion == "none" else _PathFit(
+            self._n, engine.p, engine.q, engine.observed[row])
         self._bind(row)
         self.lam = lam
         self.t = 0
@@ -610,22 +627,32 @@ class StagewiseState:
 
     @property
     def loss(self):
-        return self.rss / (2.0 * self._n) + 0.5 * self._config.mu * self.l2c
+        return self.rss / self._two_n + self._rows.half_mu * self.l2c
 
     def _nonzeros(self):
         """Positions of the nonzeros of the stacked ``(du, dv)`` as a
-        read-only int32 array, found again only after the support changed.
+        read-only int32 array, searched for only after it was dropped.
 
-        Whatever changes the support sets ``_support`` to None: a move that
-        adds or drops an entry, ``_enter``, ``_zero_out`` and
-        ``_refresh_exact``.  A rescale keeps the support: it multiplies
-        entries above ``SNAP_TOL`` by ``d_new / d_old`` with both sizes
-        above ``SNAP_TOL``.
+        A move that adds or drops an entry edits the index (:meth:`_toggle`);
+        ``_enter``, ``_zero_out`` and ``_refresh_exact`` set ``_support`` to
+        None.  A rescale keeps the support: it multiplies entries above
+        ``SNAP_TOL`` by ``d_new / d_old`` with both sizes above ``SNAP_TOL``.
         """
         if self._support is None:
-            self._support = np.flatnonzero(self._duv).astype(np.int32)
+            self._support = self._duv.nonzero()[0].astype(np.int32)
             self._support.flags.writeable = False
         return self._support
+
+    def _toggle(self, i):
+        """Position ``i`` of ``(du, dv)`` entered or left the support: a kept
+        index is replaced by a read-only copy with ``i`` added or removed."""
+        sup = self._support
+        if sup is not None:
+            k = int(sup.searchsorted(i))
+            drop = k < sup.size and sup.item(k) == i
+            parts = (sup[:k], sup[k + 1:]) if drop else (sup[:k], [i], sup[k:])
+            self._support = np.concatenate(parts, dtype=np.int32)
+            self._support.flags.writeable = False
 
     def _refresh_exact(self):
         """Rebuild the bookkeeping from du/dv (drift control).
@@ -648,28 +675,32 @@ class StagewiseState:
         return max(_rel_gap(a, b) for a, b in zip(kept, exact))
 
 
-def _criterion_value(state, df):
-    config = state._config
-    if config.criterion == "none":
-        return None
-    if state.rss <= 0.0:
-        return None
-    engine = state._engine
-    return information_criterion(
-        config.criterion,
-        CriterionInput(state.rss, state._n, engine.p, engine.q, df, state._observed),
-    )
+class _PathFit:
+    """The :class:`~curereg.tuning.CriterionInput` of a path, built once:
+    :func:`_record` sets ``rss`` and ``df`` before its one criterion call."""
+
+    __slots__ = ("rss", "n", "p", "q", "df", "observed", "n_effective")
+
+    def __init__(self, n, p, q, observed):
+        self.rss, self.df = math.nan, 0
+        self.n, self.p, self.q, self.observed = n, p, q, observed
+        self.n_effective = CriterionInput(math.nan, n, p, q, 0, observed).n_effective
 
 
 def _record(state, move):
     engine = state._engine
     index = state._nonzeros()
-    df = index.size - 1 if state.d > 0 else 0
+    d, rss = state.d, state.rss
+    df = index.size - 1 if d > 0 else 0
+    crit = None
+    fit = state._fit
+    if fit is not None and rss > 0.0:
+        fit.rss, fit.df = rss, df
+        crit = information_criterion(state._config.criterion, fit)
     # Positional, in PathStep's field order: a step records one per row.
     return PathStep(
-        state.t, state.lam, move, state.d, index,
-        state._duv[index], engine.p, engine.q, state.loss,
-        state.lam * state.d, _criterion_value(state, df), state.rss, df,
+        state.t, state.lam, move, d, index, state._duv.take(index), engine.p, engine.q,
+        state.loss, state.lam * d, crit, rss, df,
     )
 
 
@@ -771,8 +802,8 @@ def _execute_u(state, j, s, pr):
     d_l2 = (new * new - old * old) * pr.v22[b]
     state.du[j] = new
     if (old == 0.0) != (new == 0.0):
-        state._support = None
-    delta = d_rss / (2.0 * state._n) + 0.5 * state._config.mu * d_l2
+        state._toggle(j)
+    delta = d_rss / state._two_n + state._rows.half_mu * d_l2
     d_new = d_old + abs(new) - abs(old)
     if d_new <= SNAP_TOL or (new == 0.0 and not state.du.any()):
         _zero_out(state)
@@ -805,8 +836,8 @@ def _execute_v(state, k, h, pr):
     d_l2 = dsq * pr.u22[b]
     state.dv[k] = new
     if (old == 0.0) != (new == 0.0):
-        state._support = None
-    delta = d_rss / (2.0 * state._n) + 0.5 * state._config.mu * d_l2
+        state._toggle(p + k)
+    delta = d_rss / state._two_n + state._rows.half_mu * d_l2
     d_new = d_old + abs(new) - abs(old)
     if d_new <= SNAP_TOL or (new == 0.0 and not state.dv.any()):
         _zero_out(state)
@@ -836,13 +867,15 @@ def propose_backward(state, config):
     below ``lam * eps - xi``; returns None otherwise (including when there is
     nothing active to shrink).  lambda never changes on a backward move.
     The candidates of every row of the state's engine are scanned at once.
+    ``config`` is the one the path was started with.
     """
     if state.d <= 0.0:
         return None
     eps = config.epsilon
-    pr, shrinks = state._rows.backward(state.t, config)
+    rows = state._rows
+    pr, shrinks = rows.backward(state.t)
     j, dl = shrinks[state._row]
-    if not dl < state.lam * eps - config.xi_resolved:
+    if not dl < state.lam * eps - rows.xi:
         return None
     p = state._engine.p
     if j < p:
@@ -863,26 +896,26 @@ def propose_forward(state, config):
     Afterwards lambda is updated to ``min(lam, (loss_drop - xi) / eps)``.
     From the all-zero state the search runs over single (j, k) entry pairs,
     exactly like initialization.  The scores of every row of the state's
-    engine are computed at once.
+    engine are computed at once; ``config`` is as for :func:`propose_backward`.
     """
     eps = config.epsilon
-    mu = config.mu
-    xi = config.xi_resolved
+    rows = state._rows
+    xi = rows.xi
     b = state._row
     if state.d <= 0.0:
-        j, k, s, lam_val, G_jk, quad_jk = _init_search(state._engine, b, eps, mu)
+        j, k, s, lam_val, G_jk, quad_jk = _init_search(state._engine, b, eps, config.mu)
         _enter(state, j, k, s, G_jk, quad_jk)
         state.lam = min(state.lam, (eps * lam_val - xi) / eps)
         state.t += 1
         return _record(state, MOVE_FORWARD_U)
-    pr, inner, js, ks = state._rows.forward(state.t, config)
+    pr, inner, js, ks = rows.forward(state.t)
     p = state._engine.p
     j = js[b]
     k = p + ks[b]
     inner_u = inner.item(b, j)
     inner_v = inner.item(b, k)
-    a = eps ** 2 / (2.0 * state._n)
-    c = 0.5 * mu * eps ** 2
+    a = rows.a[b]
+    c = rows.c
     dl_u = -eps * abs(inner_u) + a * pr.quad.item(b, j) + c * pr.v22[b]
     dl_v = -eps * abs(inner_v) + a * pr.quad.item(b, k) + c * pr.u22[b]
     if dl_u <= dl_v + FORWARD_TIE_TOL:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -584,7 +585,7 @@ def test_benchmark_pool_gets_the_capped_count(tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     assert run("benchmark", "--model", "I", "--n", 35, "--p", 20, "--q", 30,
                "--methods", "rrr", "--reps", 2, "--rank", 1, "--threads", 64,
                "--out-dir", tmp_path) == 0

@@ -184,6 +184,15 @@ def test_init_zero_response_terminates_immediately():
     assert path.steps[0].factor.is_zero
 
 
+def test_zero_response_with_too_few_entries_for_gic_runs():
+    # N = 2 < 3 would make gic raise, but a zero response fits perfectly at
+    # the start, so no step carries a criterion value and nothing raises
+    prob = ProblemData(np.array([[1.0, 0.5], [-0.3, 2.0]]), np.zeros((2, 1)))
+    path = run_path(prob, StagewiseConfig(criterion="gic"))
+    assert len(path) == 1 and path.steps[0].criterion_value is None
+    assert path.steps[0].rss == 0.0
+
+
 def test_init_symmetry_forced_winner():
     # two orthogonal columns of equal norm, response along the first
     X = math.sqrt(2.0) * np.eye(2)
@@ -397,6 +406,49 @@ def test_run_path_invariants_default_config():
                 "gic", CriterionInput(s.rss, prob.n, prob.p, prob.q, s.df)
             )
             assert s.criterion_value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("mask_frac", [0.0, 0.25], ids=["unmasked", "masked"])
+def test_recorded_criterion_is_the_public_one_bit_for_bit(mask_frac):
+    rng = np.random.default_rng(15)
+    prob = rank1_problem(rng, 18, 7, 6, noise=0.6, mask_frac=mask_frac)
+    observed = None if prob.mask is None else prob.n_observed
+    path = run_path(prob, StagewiseConfig(epsilon=0.1, criterion="gic", max_steps=400))
+    assert len(path) > 50
+    for s in path.steps:
+        assert s.rss > 0.0
+        want = information_criterion(
+            "gic", CriterionInput(s.rss, prob.n, prob.p, prob.q, s.df, observed))
+        assert s.criterion_value == want
+
+
+def test_each_recorded_criterion_is_one_counted_call(monkeypatch):
+    # The benchmark counts stagewise.ic_calls through the module attribute
+    # stagewise.information_criterion: every step that records a criterion
+    # value must make exactly one call through it, with that step's rss and
+    # df, or the count would drift from the steps silently.
+    seen = []
+    orig = stagewise.information_criterion
+
+    def counted(kind, inp):
+        seen.append((kind, inp.rss, inp.df, inp.n_effective))
+        return orig(kind, inp)
+
+    monkeypatch.setattr(stagewise, "information_criterion", counted)
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((3, 4))
+    # a zero response starts at rss = 0, where no criterion is defined
+    problems = [ProblemData(X, np.zeros((3, 2))), ProblemData(X, rng.standard_normal((3, 2)))]
+    for kind in ("gic", "bic", "none"):
+        seen.clear()
+        cfg = StagewiseConfig(epsilon=0.2, criterion=kind, max_steps=200)
+        paths = stagewise.run_paths(problems, cfg)
+        steps = [s for path in paths for s in path.steps]
+        recorded = [(kind, s.rss, s.df, 6) for s in steps if s.criterion_value is not None]
+        assert sorted(seen) == sorted(recorded)
+        want = 0 if kind == "none" else sum(s.rss > 0.0 for s in steps)
+        assert len(seen) == want
+        assert (want > 10) == (kind != "none")
 
 
 def test_run_path_agrees_with_acs_at_matched_lambda():
@@ -887,6 +939,36 @@ def test_steps_of_one_support_share_a_read_only_index(monkeypatch, masked):
     prob = rank1_problem(rng, 40, 60, 30, mask_frac=0.2 if masked else 0.0)
     cfg = StagewiseConfig(epsilon=0.05, criterion="none", max_steps=900)
     assert_shared_index(run_path(prob, cfg))
+
+
+def test_moves_that_add_or_drop_an_entry_edit_the_kept_index():
+    # Backward moves rarely land an entry on exactly zero along a path, so
+    # each edit of the kept index is driven here by hand: drops and adds on
+    # both sides, at the first and the last position of (du, dv).
+    rng = np.random.default_rng(16)
+    prob = rank1_problem(rng, 12, 6, 5, noise=0.5)
+    state, _ = initialize_path(prob, StagewiseConfig(epsilon=0.5, criterion="none"))
+    state.du[:] = [1.0, 0.0, 0.5, 0.0, 0.0, 1.5]
+    state.dv[:] = [0.0, 1.0, 0.0, 2.0, 0.5]
+    state._refresh_exact()
+    p = prob.p
+    for side, i, grow in [("u", 2, False), ("v", 0, True), ("u", 4, True), ("u", 0, False),
+                          ("v", 4, False), ("v", 2, True), ("v", 4, True), ("u", 0, True)]:
+        before = state._nonzeros()
+        kept = before.copy()
+        pr = state._rows.prices(state.t)
+        if side == "u":
+            s = 0.25 if grow else -state.du.item(i)
+            stagewise._execute_u(state, i, s, pr)
+        else:
+            s = 0.25 if grow else -state.dv.item(i)
+            stagewise._execute_v(state, i, s, pr)
+        state.t += 1
+        got = state._nonzeros()
+        np.testing.assert_array_equal(got, np.flatnonzero(state._duv))
+        assert ((i if side == "u" else p + i) in got.tolist()) == grow
+        assert got is not before and got.dtype == np.int32 and not got.flags.writeable
+        np.testing.assert_array_equal(before, kept)
 
 
 def test_lockstep_rows_share_their_read_only_index(monkeypatch):

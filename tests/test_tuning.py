@@ -79,6 +79,46 @@ def test_criterion_error_cases():
     assert np.isfinite(information_criterion("aic", CriterionInput(1.0, 2, 4, 1, 1)))
 
 
+def inline_criterion(kind, rss, n, p, q, df, observed=None):
+    """The gic / aic / bic formulas written out, as the oracle."""
+    N = n * q if observed is None else observed
+    if kind == "gic":
+        return math.log(rss) + math.log(math.log(N)) * math.log(p * q) / N * df
+    if kind == "aic":
+        return N * math.log(rss / N) + 2.0 * df
+    return N * math.log(rss / N) + math.log(N) * df
+
+
+@pytest.mark.parametrize("kind", ["gic", "aic", "bic"])
+@pytest.mark.parametrize("observed", [None, 37])
+@pytest.mark.parametrize("df", [0, 1, 9])
+def test_criterion_equals_the_inline_formulas_bit_for_bit(kind, observed, df):
+    rng = np.random.default_rng(2024)
+    for rss in np.exp(rng.uniform(-30.0, 30.0, size=40)).tolist():
+        want = inline_criterion(kind, rss, 10, 6, 5, df, observed)
+        inp = CriterionInput(rss, 10, 6, 5, df, observed)
+        assert information_criterion(kind, inp) == want
+        assert information_criterion(kind.upper(), inp) == want
+
+
+@pytest.mark.parametrize("observed", [None, 2])
+def test_criterion_raises_where_it_is_undefined(observed):
+    n, q = (2, 1) if observed is None else (5, 4)
+    for rss in (0.0, -1.0, -0.0):
+        with pytest.raises(ValueError, match="perfect fit"):
+            information_criterion("aic", CriterionInput(rss, 5, 4, 3, 1, observed))
+    with pytest.raises(ValueError, match="nonnegative"):
+        information_criterion("bic", CriterionInput(1.0, 5, 4, 3, -1, observed))
+    with pytest.raises(ValueError, match="unknown criterion"):
+        information_criterion("mdl", CriterionInput(1.0, 5, 4, 3, 1, observed))
+    # N = 2 observed entries: gic's loglog is undefined, aic and bic are not
+    tiny = CriterionInput(1.0, n, 4, q, 1, observed)
+    with pytest.raises(ValueError, match="at least 3"):
+        information_criterion("gic", tiny)
+    for kind in ("aic", "bic"):
+        assert information_criterion(kind, tiny) == inline_criterion(kind, 1.0, n, 4, q, 1, observed)
+
+
 def test_gic_monotone_in_df_and_rss():
     vals_df = [
         information_criterion("gic", CriterionInput(2.0, 10, 8, 6, df))
