@@ -16,7 +16,6 @@ from curereg import (
     DeflationConfig,
     FactorModel,
     ProblemData,
-    RrrInitializer,
     SimSpec,
     StagewiseConfig,
     column_normalize,
@@ -72,9 +71,9 @@ def main():
         "seqstl": DeflationConfig(strategy="sequential", rank=RANK, solver=stl),
         "seqacs": DeflationConfig(strategy="sequential", rank=RANK, solver=acs),
         "parstl": DeflationConfig(strategy="parallel", rank=RANK, solver=stl,
-                                  initializer=RrrInitializer()),
+                                  initializer="rrr"),
         "paracs": DeflationConfig(strategy="parallel", rank=RANK, solver=acs,
-                                  initializer=RrrInitializer()),
+                                  initializer="rrr"),
     }
     for name, cfg in configs.items():
         t0 = time.perf_counter()

@@ -40,8 +40,6 @@ from .core import (
 )
 from .deflation import (
     DeflationConfig,
-    LassoInitializer,
-    RrrInitializer,
     deflate,
     orthogonality_diagnostics,
     parallel_pursuit,
@@ -91,11 +89,9 @@ __all__ = [
     "EvalReport",
     "FactorModel",
     "LassoConfig",
-    "LassoInitializer",
     "NormMode",
     "PathStep",
     "ProblemData",
-    "RrrInitializer",
     "SelectionRates",
     "SimSpec",
     "SimTruth",

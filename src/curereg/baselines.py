@@ -204,10 +204,7 @@ class LassoConfig:
 
 
 def lasso_objective(problem, C, lam):
-    R = problem.observed_response() - problem.X @ C
-    if problem.mask is not None:
-        R[~problem.mask] = 0.0
-    return float(np.vdot(R, R)) / (2.0 * problem.n) + lam * float(np.abs(C).sum())
+    return problem.rss(problem.X @ C) / (2.0 * problem.n) + lam * float(np.abs(C).sum())
 
 
 def lasso_cd(problem, lam, config=None, warm=None, return_info=False):
@@ -276,17 +273,13 @@ def lasso_gic_path(problem, grid=None, config=None, criterion="gic", *, _whole_g
     """
     grid = default_lambda_grid(problem) if grid is None else np.asarray(grid, dtype=float)
     scan = GridScan(problem, criterion, None if _whole_grid else GRID_STOP_WINDOW)
-    Y0 = problem.observed_response()
     warm = None
     path = []
     for lam in grid:
         C = lasso_cd(problem, float(lam), config=config, warm=warm)
         warm = C
         path.append((float(lam), C))
-        R = Y0 - problem.X @ C
-        if problem.mask is not None:
-            R[~problem.mask] = 0.0
-        if scan.update(float(np.vdot(R, R)), int(np.count_nonzero(C))):
+        if scan.update(problem.rss(problem.X @ C), int(np.count_nonzero(C))):
             break
     lam_best, C_best = path[scan.best]
     return C_best, lam_best, path
@@ -365,11 +358,8 @@ def svd_of_ols_factor(problem):
     return model.layers[0]
 
 
-def _acs_objective(problem, Y0, a, v, lam, mu):
-    R = Y0 - np.outer(problem.X @ a, v)
-    if problem.mask is not None:
-        R[~problem.mask] = 0.0
-    rss = float(np.vdot(R, R))
+def _acs_objective(problem, a, v, lam, mu):
+    rss = problem.rss(np.outer(problem.X @ a, v))
     l2 = float(a @ a) * float(v @ v)
     l1 = float(np.abs(a).sum()) * float(np.abs(v).sum())
     return rss / (2.0 * problem.n) + 0.5 * mu * l2 + lam * l1
@@ -439,7 +429,7 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
     Y0 = problem.observed_response()
     Hf = None if problem.mask is None else problem.mask.astype(float)
     inner_tol = min(1e-9, config.tol)
-    trace = [_acs_objective(problem, Y0, a, v, lam, mu)]
+    trace = [_acs_objective(problem, a, v, lam, mu)]
     result = None
     capped = 0
     for _ in range(config.max_iters):
@@ -455,7 +445,7 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
             break
         a = a * nb
         v = b / nb
-        q_now = _acs_objective(problem, Y0, a, v, lam, mu)
+        q_now = _acs_objective(problem, a, v, lam, mu)
         trace.append(q_now)
         if abs(trace[-2] - q_now) <= config.tol * max(1.0, abs(trace[-2])):
             break

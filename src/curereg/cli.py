@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -44,13 +44,7 @@ from .core import (
     p_orthogonal_svd,
     rescale_factor_rows,
 )
-from .deflation import (
-    SELECTIONS,
-    DeflationConfig,
-    LassoInitializer,
-    RrrInitializer,
-    deflate,
-)
+from .deflation import SELECTIONS, DeflationConfig, deflate
 from .io import (
     atomic_write_text,
     fmt17,
@@ -277,7 +271,7 @@ def _deflation_config(method, opts):
     strategy = "sequential" if method.startswith("seq") else "parallel"
     initializer = None
     if strategy == "parallel":
-        initializer = LassoInitializer() if method.endswith("_l") else RrrInitializer()
+        initializer = "lasso" if method.endswith("_l") else "rrr"
     return DeflationConfig(
         strategy=strategy,
         rank=opts["rank"],
@@ -327,15 +321,19 @@ def _fit_scaled(problem, method, opts):
 def fit_method(X_raw, Y, mask, method, opts):
     """Column-normalize, fit by name, return the model on the raw X scale.
 
-    Every method but ``lasso`` rejects a rank above min(p, q).
+    Every method but ``lasso`` rejects a rank above min(p, q), and every
+    method rejects a Y with no observed entry.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     top = min(X_raw.shape[1], Y.shape[1])
     if method != "lasso" and opts["rank"] is not None and opts["rank"] > top:
         raise ValueError(f"rank must lie in [0, min(p, q)] = [0, {top}]")
-    Xn, scale = column_normalize(X_raw)
-    model = _fit_scaled(ProblemData(Xn, Y, mask), method, opts)
+    problem = ProblemData(X_raw, Y, mask)
+    if problem.n_observed == 0:
+        raise ValueError("no observed entries in Y")
+    Xn, scale = column_normalize(problem.X)
+    model = _fit_scaled(replace(problem, X=Xn), method, opts)
     return FactorModel(tuple(rescale_factor_rows(lay, scale) for lay in model.layers))
 
 
@@ -519,6 +517,8 @@ def _cmd_benchmark(opts):
             raise SystemExit(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
     if opts["reps"] < 1:
         raise SystemExit("--reps must be a positive integer")
+    if not 0.0 <= opts["trim"] < 0.5:
+        raise ValueError("trim must be in [0, 0.5)")
     threads = _resolve_threads(opts)
     base = _from_opts(SimSpec, opts)
     payloads = [

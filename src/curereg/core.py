@@ -116,7 +116,7 @@ class ProblemData:
 
     @property
     def n_observed(self):
-        """Number of observed response entries."""
+        """Number of observed response entries; ``n * q`` without a mask."""
         if self.mask is None:
             return self.Y.size
         return int(self.mask.sum())
@@ -127,6 +127,18 @@ class ProblemData:
             return self.Y.copy()
         Y0 = np.where(self.mask, self.Y, 0.0)
         return Y0
+
+    def rss(self, fit):
+        """``||P(Y - fit)||_F^2``: the residual sum of squares over observed cells."""
+        R = self.Y - fit
+        if self.mask is not None:
+            R[~self.mask] = 0.0
+        return float(np.vdot(R, R))
+
+    def rows(self, index):
+        """The problem restricted to the rows ``index`` (with their mask)."""
+        mask = None if self.mask is None else self.mask[index]
+        return ProblemData(self.X[index], self.Y[index], mask)
 
     @cached_property
     def gram(self):

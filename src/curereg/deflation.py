@@ -47,8 +47,6 @@ from .tuning import CRITERIA, GridScan, kfold_cv_select
 from .tuning import information_criterion  # noqa: F401
 
 __all__ = [
-    "LassoInitializer",
-    "RrrInitializer",
     "DeflationConfig",
     "deflate",
     "sequential_pursuit",
@@ -58,17 +56,10 @@ __all__ = [
 
 STRATEGIES = ("sequential", "parallel")
 SELECTIONS = CRITERIA + ("cv",)
+# Pilot estimates of parallel pursuit: the entrywise lasso, its level picked
+# by GIC over a grid, or reduced-rank regression (``fit_rrr``).
+INITIALIZERS = ("lasso", "rrr")
 CV_GRID_MAX = 50
-
-
-@dataclass(frozen=True)
-class LassoInitializer:
-    """Pilot estimate via the entrywise lasso, its level picked by GIC over a grid."""
-
-
-@dataclass(frozen=True)
-class RrrInitializer:
-    """Pilot estimate via reduced-rank regression (``fit_rrr``)."""
 
 
 @dataclass
@@ -77,13 +68,14 @@ class DeflationConfig:
 
     ``criterion`` picks the per-layer tuning rule; None defers to the
     stagewise config's criterion (or gic for the alternating solver).
-    ``initializer`` and ``s_threshold`` only apply to the parallel strategy.
+    ``initializer`` (one of :data:`INITIALIZERS`) and ``s_threshold`` only
+    apply to the parallel strategy.
     """
 
     strategy: str
     rank: int
     solver: object  # StagewiseConfig | AcsConfig
-    initializer: object | None = None
+    initializer: str | None = None
     s_threshold: int | None = None
     criterion: str | None = None
     cv_folds: int = 5
@@ -98,6 +90,8 @@ class DeflationConfig:
             raise TypeError("solver must be a StagewiseConfig or an AcsConfig")
         if self.criterion is not None and self.criterion not in SELECTIONS:
             raise ValueError(f"criterion must be one of {SELECTIONS}")
+        if self.initializer not in (None, *INITIALIZERS):
+            raise ValueError(f"initializer must be one of {INITIALIZERS}")
         if self.strategy == "parallel" and self.initializer is None:
             raise ValueError("parallel pursuit needs an initializer (lasso or rrr)")
         if self.s_threshold is not None and self.s_threshold < self.rank:
@@ -205,13 +199,10 @@ def sequential_pursuit(problem, cfg):
 
 
 def _pilot_matrix(problem, cfg):
-    init = cfg.initializer
-    if isinstance(init, LassoInitializer):
+    if cfg.initializer == "lasso":
         C, _, _ = lasso_gic_path(problem)
         return C
-    if isinstance(init, RrrInitializer):
-        return fit_rrr(problem.X, problem.observed_response(), cfg.rank)
-    raise TypeError("initializer must be a LassoInitializer or RrrInitializer")
+    return fit_rrr(problem.X, problem.observed_response(), cfg.rank)
 
 
 def parallel_pursuit(problem, cfg):

@@ -203,7 +203,7 @@ class _Engine:
         self.n = [pb.n for pb in problems]
         self.S = [X.T @ Y0 / n for X, Y0, n in zip(self.X, self.Y0, self.n)]
         self.y2 = [float(np.vdot(Y0, Y0)) for Y0 in self.Y0]
-        self.observed = [None if pb.mask is None else pb.n_observed for pb in problems]
+        self.observed = [pb.n_observed for pb in problems]
         B = len(problems)
         self.Sdv = np.zeros((B, self.p))
         self.Stdu = np.zeros((B, self.q))
@@ -482,8 +482,8 @@ class _Rows:
         # Constants of every path, spelled as their formulas spell them; the
         # scans take 0-d arrays, which numpy reads faster than Python floats.
         eps, mu = config.epsilon, config.mu
-        self.eps, self.xi, self.c = eps, config.xi_resolved, 0.5 * mu * eps ** 2
-        self.half_mu = 0.5 * mu
+        self.eps, self.mu, self.xi = eps, mu, config.xi_resolved
+        self.c, self.half_mu = 0.5 * mu * eps ** 2, 0.5 * mu
         self._scan = tuple(np.array(x) for x in (
             eps, mu, mu * eps, self.c, max(eps - SNAP_TOL, SMALLEST), math.inf))
         self._shape()
@@ -605,11 +605,10 @@ class StagewiseState:
         engine = rows.engine
         self._rows = rows
         self._engine = engine
-        self._config = config
         self._n = engine.n[row]
         self._two_n = 2.0 * self._n
         self._fit = None if config.criterion == "none" else _PathFit(
-            self._n, engine.p, engine.q, engine.observed[row])
+            config.criterion, engine.p, engine.q, engine.observed[row])
         self._bind(row)
         self.lam = lam
         self.t = 0
@@ -676,15 +675,15 @@ class StagewiseState:
 
 
 class _PathFit:
-    """The :class:`~curereg.tuning.CriterionInput` of a path, built once:
+    """A path's criterion and what :func:`~curereg.tuning.information_criterion`
+    reads of its :class:`~curereg.tuning.CriterionInput`, built once:
     :func:`_record` sets ``rss`` and ``df`` before its one criterion call."""
 
-    __slots__ = ("rss", "n", "p", "q", "df", "observed", "n_effective")
+    __slots__ = ("criterion", "rss", "p", "q", "df", "n_effective")
 
-    def __init__(self, n, p, q, observed):
-        self.rss, self.df = math.nan, 0
-        self.n, self.p, self.q, self.observed = n, p, q, observed
-        self.n_effective = CriterionInput(math.nan, n, p, q, 0, observed).n_effective
+    def __init__(self, criterion, p, q, observed):
+        self.criterion, self.rss, self.df = criterion, math.nan, 0
+        self.p, self.q, self.n_effective = p, q, observed
 
 
 def _record(state, move):
@@ -696,7 +695,7 @@ def _record(state, move):
     fit = state._fit
     if fit is not None and rss > 0.0:
         fit.rss, fit.df = rss, df
-        crit = information_criterion(state._config.criterion, fit)
+        crit = information_criterion(fit.criterion, fit)
     # Positional, in PathStep's field order: a step records one per row.
     return PathStep(
         state.t, state.lam, move, d, index, state._duv.take(index), engine.p, engine.q,
@@ -758,13 +757,12 @@ def _start(problems, config):
     """
     engine = _Engine(problems)
     rows = _Rows(engine, config)
-    eps = config.epsilon
-    xi = config.xi_resolved
+    eps, xi = rows.eps, rows.xi
     steps = []
     for b, problem in enumerate(problems):
-        if problem.mask is not None and problem.n_observed == 0:
+        if problem.n_observed == 0:
             raise ValueError("no observed entries in Y")
-        j, k, s, lam0, G_jk, quad_jk = _init_search(engine, b, eps, config.mu)
+        j, k, s, lam0, G_jk, quad_jk = _init_search(engine, b, eps, rows.mu)
         if xi >= eps * max(lam0, 1.0):
             raise ValueError(
                 f"xi={xi} is too large for epsilon={eps} at lam0={lam0}; "
@@ -860,19 +858,19 @@ def _zero_out(state):
     state.rss = state._engine.rebuild(state._row, state.du, state.dv, 0.0)
 
 
-def propose_backward(state, config):
+def propose_backward(state):
     """Try the best shrinking move inside the active sets.
 
     Executes it and returns the recorded step when its loss increase stays
     below ``lam * eps - xi``; returns None otherwise (including when there is
     nothing active to shrink).  lambda never changes on a backward move.
     The candidates of every row of the state's engine are scanned at once.
-    ``config`` is the one the path was started with.
+    Every setting comes from the config the path was started with.
     """
     if state.d <= 0.0:
         return None
-    eps = config.epsilon
     rows = state._rows
+    eps = rows.eps
     pr, shrinks = rows.backward(state.t)
     j, dl = shrinks[state._row]
     if not dl < state.lam * eps - rows.xi:
@@ -889,21 +887,21 @@ def propose_backward(state, config):
     return _record(state, move)
 
 
-def propose_forward(state, config):
+def propose_forward(state):
     """Execute the best growing move over all coordinates of both sides.
 
     The side whose move yields the smaller post-move loss wins (du on ties).
     Afterwards lambda is updated to ``min(lam, (loss_drop - xi) / eps)``.
     From the all-zero state the search runs over single (j, k) entry pairs,
     exactly like initialization.  The scores of every row of the state's
-    engine are computed at once; ``config`` is as for :func:`propose_backward`.
+    engine are computed at once; the settings are as for
+    :func:`propose_backward`.
     """
-    eps = config.epsilon
     rows = state._rows
-    xi = rows.xi
+    eps, xi = rows.eps, rows.xi
     b = state._row
     if state.d <= 0.0:
-        j, k, s, lam_val, G_jk, quad_jk = _init_search(state._engine, b, eps, config.mu)
+        j, k, s, lam_val, G_jk, quad_jk = _init_search(state._engine, b, eps, rows.mu)
         _enter(state, j, k, s, G_jk, quad_jk)
         state.lam = min(state.lam, (eps * lam_val - xi) / eps)
         state.t += 1
@@ -942,7 +940,7 @@ def _run_rows(problems, config):
             n=problem.n,
             p=problem.p,
             q=problem.q,
-            observed=None if problem.mask is None else problem.n_observed,
+            observed=problem.n_observed,
         )
         paths.append(path)
         if state.lam <= 0.0:
@@ -960,9 +958,9 @@ def _run_rows(problems, config):
             if state.t >= config.max_steps:
                 path.terminated_by = "max_steps"
                 continue
-            step = propose_backward(state, config)
+            step = propose_backward(state)
             if step is None:
-                step = propose_forward(state, config)
+                step = propose_forward(state)
             path.steps.append(step)
             if state.t % RECOMPUTE_EVERY == 0:
                 path.max_drift = max(path.max_drift, state._refresh_exact())

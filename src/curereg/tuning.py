@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ProblemData, UnitRankFactor
+from .core import UnitRankFactor
 
 __all__ = [
     "CriterionInput",
@@ -111,7 +111,7 @@ class GridScan:
     def __init__(self, problem, criterion, window=GRID_STOP_WINDOW):
         self.criterion = criterion
         self.shape = (problem.n, problem.p, problem.q)
-        self.observed = None if problem.mask is None else problem.n_observed
+        self.observed = problem.n_observed
         self.stop = None if window is None else EarlyStop(window)
         self.best = None
         self.best_value = None
@@ -175,11 +175,7 @@ def kfold_cv_select(problem, full_path, fit_folds, folds=5, seed=0):
     grid = np.array([lam for lam, _ in full_path], dtype=float)
     parts = fold_indices(problem.n, folds, seed)
     all_rows = np.arange(problem.n)
-    trains = []
-    for test_rows in parts:
-        train_rows = np.setdiff1d(all_rows, test_rows)
-        tr_mask = None if problem.mask is None else problem.mask[train_rows]
-        trains.append(ProblemData(problem.X[train_rows], problem.Y[train_rows], tr_mask))
+    trains = [problem.rows(np.setdiff1d(all_rows, test_rows)) for test_rows in parts]
     fold_paths = [list(path) for path in fit_folds(trains)]
     if len(fold_paths) != len(parts):
         raise ValueError(
@@ -189,18 +185,10 @@ def kfold_cv_select(problem, full_path, fit_folds, folds=5, seed=0):
         if not fold_path:
             raise ValueError("fit_folds returned an empty path for a training fold")
         fold_lams = np.array([lam for lam, _ in fold_path], dtype=float)
-        Xte = problem.X[test_rows]
-        Yte = problem.Y[test_rows]
-        te_mask = None if problem.mask is None else problem.mask[test_rows]
-        if te_mask is not None:
-            Yte = np.where(te_mask, Yte, 0.0)
-        n_te = test_rows.size
+        test = problem.rows(test_rows)
         for g, lam in enumerate(grid):
             j = int(np.argmin(np.abs(fold_lams - lam)))
-            R = Yte - _predict(Xte, fold_path[j][1])
-            if te_mask is not None:
-                R = np.where(te_mask, R, 0.0)
-            errors[f, g] = float(np.vdot(R, R)) / (2.0 * n_te)
+            errors[f, g] = test.rss(_predict(test.X, fold_path[j][1])) / (2.0 * test.n)
     mean_err = errors.mean(axis=0)
     best = int(np.argmin(mean_err))
     return CvSelection(best, float(grid[best]), mean_err)

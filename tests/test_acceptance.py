@@ -33,7 +33,7 @@ from curereg.core import (
     p_orthogonal_svd,
     rescale_factor_rows,
 )
-from curereg.deflation import DeflationConfig, RrrInitializer, deflate
+from curereg.deflation import DeflationConfig, deflate
 from curereg.metrics import estimation_errors, selection_rates
 from curereg.simgen import SimSpec, gen_coefficient, gen_dataset, gen_design
 from curereg.stagewise import (
@@ -95,10 +95,10 @@ def _bench_one(seed):
         "seqstl": DeflationConfig(strategy="sequential", rank=3, solver=stl()),
         "seqacs": DeflationConfig(strategy="sequential", rank=3, solver=acs()),
         "parstl_r": DeflationConfig(
-            strategy="parallel", rank=3, solver=stl(), initializer=RrrInitializer()
+            strategy="parallel", rank=3, solver=stl(), initializer="rrr"
         ),
         "paracs_r": DeflationConfig(
-            strategy="parallel", rank=3, solver=acs(), initializer=RrrInitializer()
+            strategy="parallel", rank=3, solver=acs(), initializer="rrr"
         ),
     }
     reports = {}
@@ -255,9 +255,9 @@ def _median_step_time(p, seed):
     times = []
     for _ in range(200):
         t0 = time.perf_counter()
-        step = propose_backward(state, cfg)
+        step = propose_backward(state)
         if step is None:
-            step = propose_forward(state, cfg)
+            step = propose_forward(state)
         times.append(time.perf_counter() - t0)
         if state.lam <= 0.0:
             break

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -254,6 +255,77 @@ def test_degenerate_inputs_give_a_valid_model_or_the_documented_error(name):
         last = run_path(problem, StagewiseConfig()).steps[-1]
         R = residual(problem, last.factor)
         assert last.rss == pytest.approx(float(np.vdot(R, R)), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_an_all_missing_y_is_rejected_by_every_method(method):
+    truth = gen_dataset(SimSpec(model="II", n=20, p=8, q=6, r_star=2, seed=3))
+    Y = np.full(truth.Y.shape, np.nan)
+    mask = np.zeros(Y.shape, dtype=bool)
+    with pytest.raises(ValueError, match="^no observed entries in Y$"):
+        fit_method(truth.X, Y, mask, method, fit_opts(rank=2))
+
+
+def test_fit_of_an_all_missing_y_exits_1(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    write_matrix_csv(tmp_path / "X.csv", rng.standard_normal((6, 3)))
+    write_matrix_csv(tmp_path / "Y.csv", np.zeros((6, 2)), mask=np.zeros((6, 2), dtype=bool))
+    assert run("fit", "--x", tmp_path / "X.csv", "--y", tmp_path / "Y.csv",
+               "--method", "lasso", "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err == "curereg fit: no observed entries in Y\n"
+
+
+FUZZ_FAMILIES = ("plain", "scaled column", "near-duplicate column", "constant column",
+                 "integer X", "30% missing", "90% missing")
+# Errors the README documents for these inputs.
+FUZZ_ERRORS = ("^method rrr requires a fully observed Y$", "^no observed entries in Y$",
+               r"^gic needs at least 3 observed entries \(loglog\)$")
+
+
+def _fuzz_case(seed):
+    """A seeded small fit: n 1-25, p 1-30, q 1-20, one degenerate family.
+
+    Each size is drawn from 1-3 with probability 0.3, so tiny shapes come up.
+    """
+    rng = np.random.default_rng(seed)
+    family = FUZZ_FAMILIES[seed % len(FUZZ_FAMILIES)]
+    n, p, q = (int(rng.integers(1, (3 if rng.random() < 0.3 else top) + 1))
+               for top in (25, 30, 20))
+    if family == "integer X":
+        X = rng.integers(-3, 4, size=(n, p)).astype(float)
+    else:
+        X = rng.standard_normal((n, p))
+    B = np.outer(rng.standard_normal(p) * (rng.random(p) < 0.5), rng.standard_normal(q))
+    Y = X @ B + rng.standard_normal((n, q))
+    j = int(rng.integers(p))
+    mask = None
+    if family == "scaled column":
+        X[:, j] *= 10.0 ** rng.choice([-150, 150])
+    elif family == "near-duplicate column":
+        X[:, j] = X[:, 0] + 1e-12 * rng.standard_normal(n)
+    elif family == "constant column":
+        X[:, j] = 2.5
+    elif family.endswith("missing"):
+        mask = rng.random((n, q)) >= (0.3 if family == "30% missing" else 0.9)
+    return X, Y, mask
+
+
+@pytest.mark.parametrize("seed", range(14))
+def test_seeded_fuzz_fits_are_valid_or_a_documented_error(seed):
+    X, Y, mask = _fuzz_case(seed)
+    p, q = X.shape[1], Y.shape[1]
+    opts = fit_opts(rank=min(2, p, q))
+    for method in cli.METHODS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                model = fit_method(X, Y, mask, method, opts)
+            except ValueError as exc:
+                assert any(re.search(doc, str(exc)) for doc in FUZZ_ERRORS), (method, exc)
+                continue
+        for layer in model.layers:
+            layer.validate()
+        assert np.all(np.isfinite(model.to_matrix(shape=(p, q)))), method
 
 
 @pytest.mark.parametrize("method,extra", [
@@ -590,6 +662,15 @@ def test_benchmark_pool_gets_the_capped_count(tmp_path, monkeypatch):
                "--methods", "rrr", "--reps", 2, "--rank", 1, "--threads", 64,
                "--out-dir", tmp_path) == 0
     assert seen == [2]
+
+
+def test_benchmark_checks_trim_before_any_replication(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_benchmark_rep", lambda payload: calls.append(payload))
+    assert run("benchmark", "--methods", "rrr", "--reps", 3, "--rank", 1, "--trim", 0.5,
+               "--threads", 1, "--out-dir", tmp_path) == 1
+    assert capsys.readouterr().err == "curereg benchmark: trim must be in [0, 0.5)\n"
+    assert len(calls) == 0
 
 
 def test_help_documents_solver_defaults(capsys):

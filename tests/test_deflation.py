@@ -21,8 +21,6 @@ from curereg.core import (
 )
 from curereg.deflation import (
     DeflationConfig,
-    LassoInitializer,
-    RrrInitializer,
     deflate,
     orthogonality_diagnostics,
     parallel_pursuit,
@@ -151,7 +149,7 @@ def test_parallel_rank_one_with_zero_pilot_equals_single_fit(monkeypatch):
         strategy="parallel",
         rank=1,
         solver=sw,
-        initializer=LassoInitializer(),
+        initializer="lasso",
     )
     # a fully shrunk lasso pilot
     monkeypatch.setattr(deflation, "lasso_gic_path",
@@ -170,7 +168,7 @@ def test_parallel_unpenalized_recovers_noiseless_truth():
     rng = np.random.default_rng(6)
     prob, C0 = lowrank_instance(rng, 30, 8, 6, 2)
     cfg = DeflationConfig(
-        strategy="parallel", rank=2, solver=EXACT_ACS, initializer=RrrInitializer()
+        strategy="parallel", rank=2, solver=EXACT_ACS, initializer="rrr"
     )
     model = parallel_pursuit(prob, cfg)
     assert model.rank == 2
@@ -182,7 +180,7 @@ def test_parallel_pilot_rank_below_target_warns_and_shrinks():
     rng = np.random.default_rng(8)
     prob, _ = lowrank_instance(rng, 25, 6, 5, 1)  # exactly rank one
     cfg = DeflationConfig(
-        strategy="parallel", rank=2, solver=EXACT_ACS, initializer=RrrInitializer()
+        strategy="parallel", rank=2, solver=EXACT_ACS, initializer="rrr"
     )
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
@@ -201,7 +199,7 @@ def test_parallel_threshold_noop_when_loose():
         strategy="parallel",
         rank=2,
         solver=StagewiseConfig(epsilon=0.25),
-        initializer=RrrInitializer(),
+        initializer="rrr",
     )
     plain = parallel_pursuit(prob, DeflationConfig(**base))
     loose = parallel_pursuit(prob, DeflationConfig(**base, s_threshold=30))
@@ -215,7 +213,7 @@ def test_parallel_threshold_sparsifies_pilot():
         strategy="parallel",
         rank=2,
         solver=EXACT_ACS,
-        initializer=RrrInitializer(),
+        initializer="rrr",
         s_threshold=12,
     )
     model = parallel_pursuit(prob, cfg)
@@ -427,12 +425,15 @@ def test_deflation_config_validation():
         DeflationConfig(strategy="sequential", rank=1, solver="stagewise")
     with pytest.raises(ValueError):
         DeflationConfig(strategy="parallel", rank=1, solver=sw)
+    # an unknown pilot fails when the config is built, not once a fit runs
+    with pytest.raises(ValueError, match="initializer must be one of"):
+        DeflationConfig(strategy="parallel", rank=1, solver=sw, initializer="ols")
     with pytest.raises(ValueError):
         DeflationConfig(
             strategy="parallel",
             rank=3,
             solver=sw,
-            initializer=RrrInitializer(),
+            initializer="rrr",
             s_threshold=2,
         )
     with pytest.raises(ValueError):
@@ -444,7 +445,7 @@ def test_strategy_mismatch_is_rejected():
     prob, _ = lowrank_instance(rng, 10, 4, 3, 1, noise=0.2)
     seq = DeflationConfig(strategy="sequential", rank=1, solver=StagewiseConfig())
     par = DeflationConfig(
-        strategy="parallel", rank=1, solver=StagewiseConfig(), initializer=RrrInitializer()
+        strategy="parallel", rank=1, solver=StagewiseConfig(), initializer="rrr"
     )
     with pytest.raises(ValueError):
         parallel_pursuit(prob, seq)

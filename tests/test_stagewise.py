@@ -110,7 +110,7 @@ def drive_and_check(prob, cfg, max_moves):
         base = product_loss(prob, du, dv, d, mu)
         assert state.loss == pytest.approx(base, abs=1e-10)
 
-        step = propose_backward(state, cfg)
+        step = propose_backward(state)
         back = backward_deltas(prob, du, dv, d, eps, mu, base)
         if step is not None:
             assert step.move in ("backward_u", "backward_v")
@@ -131,7 +131,7 @@ def drive_and_check(prob, cfg, max_moves):
         else:
             if back:
                 assert min(back.values()) >= lam * eps - xi - 1e-9
-            step = propose_forward(state, cfg)
+            step = propose_forward(state)
             fwd = forward_deltas(prob, du, dv, d, eps, mu, base)
             got = step.loss - base
             assert got <= min(fwd.values()) + 1e-9
@@ -263,7 +263,7 @@ def test_backward_refused_right_after_init():
     cfg = StagewiseConfig(epsilon=0.5)
     state, _ = initialize_path(prob, cfg)
     assert state.lam > 0
-    assert propose_backward(state, cfg) is None
+    assert propose_backward(state) is None
 
 
 def test_backward_penalty_decrement_identity():
@@ -279,7 +279,7 @@ def test_backward_penalty_decrement_identity():
     state._refresh_exact()
     state.lam = 5.0  # high enough that the shrink is accepted
     pre_penalty = state.lam * state.d
-    step = propose_backward(state, cfg)
+    step = propose_backward(state)
     assert step is not None
     assert step.move == "backward_u"
     assert step.lam == 5.0
@@ -315,8 +315,8 @@ def test_forward_on_perfect_fit_sends_lambda_negative():
     state._refresh_exact()
     assert state.rss == pytest.approx(0.0, abs=1e-20)
     state.lam = 1e-3  # small enough that no shrink is acceptable
-    assert propose_backward(state, cfg) is None
-    step = propose_forward(state, cfg)
+    assert propose_backward(state) is None
+    step = propose_forward(state)
     assert step.lam < 0
 
 
@@ -329,8 +329,8 @@ def test_first_forward_step_matches_exhaustive_scan():
     state, _ = initialize_path(prob, cfg)
     du, dv, d = state.du.copy(), state.dv.copy(), state.d
     base = product_loss(prob, du, dv, d, cfg.mu)
-    assert propose_backward(state, cfg) is None
-    step = propose_forward(state, cfg)
+    assert propose_backward(state) is None
+    step = propose_forward(state)
     fwd = forward_deltas(prob, du, dv, d, cfg.epsilon, cfg.mu, base)
     got = step.loss - base
     assert got <= min(fwd.values()) + 1e-9
@@ -344,9 +344,9 @@ def test_forward_closed_form_equals_reevaluated_loss_change():
     prev = step0.loss
     for _ in range(12):
         du, dv, d = state.du.copy(), state.dv.copy(), state.d
-        step = propose_backward(state, cfg)
+        step = propose_backward(state)
         if step is None:
-            step = propose_forward(state, cfg)
+            step = propose_forward(state)
         want = eval_loss(prob, step.factor, cfg.mu)
         assert step.loss - prev == pytest.approx(want - prev, abs=1e-10)
         prev = step.loss
@@ -809,7 +809,7 @@ def test_recorded_steps_are_sparse_and_detached():
     state, step = initialize_path(prob, cfg)
     steps = [step]
     while state.t < cfg.max_steps and state.lam > 0:
-        steps.append(propose_backward(state, cfg) or propose_forward(state, cfg))
+        steps.append(propose_backward(state) or propose_forward(state))
         full = np.concatenate([state.du, state.dv])
         np.testing.assert_array_equal(steps[-1].index, np.flatnonzero(full))
         np.testing.assert_array_equal(steps[-1].value, full[full != 0])
