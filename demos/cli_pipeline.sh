@@ -26,9 +26,14 @@ cmp "$work/fit/report.csv" "$work/eval/report.csv" && echo "byte-identical"
 
 python3 -m curereg paths --x "$work/data/X.csv" --y "$work/data/Y.csv" \
     --epsilon 0.5 --criterion gic --out-dir "$work/paths"
-echo "--- first and last path records:"
-head -n 1 "$work/paths/path.jsonl"
-tail -n 1 "$work/paths/path.jsonl"
+echo "--- first and last path records, expanded from the move log:"
+python3 -c '
+import json, sys
+from curereg.io import read_path_jsonl
+for rec in read_path_jsonl(sys.argv[1]):
+    if rec["t"] == 0:
+        print(json.dumps(rec))
+print(json.dumps(rec))' "$work/paths/path.jsonl"
 
 python3 -m curereg benchmark --model II --n 50 --p 60 --q 20 --r-star 2 \
     --snr 1.0 --rho 0.3 --methods seqstl,rrr --rank 2 --reps 3 --seed 1 \

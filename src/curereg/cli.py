@@ -4,7 +4,8 @@ Subcommands:
 
 * ``simulate``  write ``X.csv``, ``Y.csv``, ``truth.json`` from a simulation spec
 * ``fit``       fit a model to X/Y CSVs, write ``model.json`` + ``report.csv``
-* ``paths``     export a unit-rank stagewise path as ``path.jsonl``
+* ``paths``     export a unit-rank stagewise path as ``path.jsonl``, a log of
+                its moves (``curereg.io.read_path_jsonl`` expands it to full records)
 * ``eval``      score a saved model against saved truth, write ``report.csv``
 * ``benchmark`` replicate simulate + fit + score, write ``table.csv``
 

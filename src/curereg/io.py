@@ -4,7 +4,7 @@ All writers are atomic (write to a temp file in the same directory, then
 rename), and every float they write reads back as the same double: CSV cells
 carry 17 significant digits, JSON numbers the shortest round-trip ``repr``
 (as :mod:`json` writes them).  Missing response entries are spelled ``NA``
-in CSV.
+in CSV.  A path dump logs moves; :func:`read_path_jsonl` expands it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import tempfile
 import numpy as np
 
 from .core import FactorModel, NormMode, UnitRankFactor
+from .stagewise import MoveLog
 
 __all__ = [
     "read_matrix_csv",
@@ -29,6 +30,7 @@ __all__ = [
     "save_factor_model",
     "load_factor_model",
     "write_path_jsonl",
+    "read_path_jsonl",
     "atomic_write_text",
     "fmt17",
 ]
@@ -38,10 +40,8 @@ NA_TOKEN = "NA"
 # sign before it.  Read as "nan", such a cell parses as a float only if
 # nothing but whitespace precedes its NA, that is, if it is an NA cell.
 _NA_CELL = re.compile(r"(?m)NA(?<![+-]NA)(?=[ \t]*(?:,|$))")
-# The loadings along a path repeat (about a quarter of those written are
-# distinct), so ``write_path_jsonl`` memoizes their text; the memo is
-# cleared whenever it holds more than this many values.
-REPR_MEMO_SIZE = 4096
+# The value of the "format" field on the first line of a path dump.
+PATH_FORMAT = "curereg-path-moves/1"
 
 
 def fmt17(x):
@@ -259,82 +259,92 @@ def load_factor_model(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _json_float(x):
-    """A float as :mod:`json` spells it: ``NaN``, ``Infinity`` or its repr."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_value(x):
-    if isinstance(x, float):
-        return _json_float(x)
-    return json.dumps(x)
-
-
-class _Memo(dict):
-    """value -> its JSON text, spelled once by ``spell``.  The float memo
-    holds only nonzero loadings, so 0.0 == -0.0 never merges two spellings."""
-
-    def __init__(self, spell):
-        self.spell = spell
-
-    def __missing__(self, x):
-        text = self[x] = self.spell(x)
-        return text
-
-
-def _nonzeros_text(prefix, index, value, memo):
-    """The ``[[i, x], ...]`` list of a sparse loading vector."""
-    return "[" + ", ".join([prefix[i] + memo[x] + "]" for i, x in zip(index, value)]) + "]"
-
-
 def write_path_jsonl(path, sw_path):
-    """Dump a stagewise path as JSON-lines, one record per step.
+    """Dump a stagewise path as JSON-lines, one line per step.
 
-    Each line carries ``{t, lambda, move, d, u_nonzeros, v_nonzeros, loss,
-    penalty, criterion}`` with the loading vectors of the L1-mode factor in
-    sparse ``[index, value]`` form.  This is the interchange format for
-    external path plotting.  Lines are built from each step's sparse
-    record, byte for byte as ``json.dumps`` would write them, one at a
-    time, so the text never sits in memory.
+    Each line carries ``t``, ``lambda``, ``move`` (the move's name), ``d``
+    (0.0 for the zero factor), ``loss``, ``penalty``, ``criterion`` and the
+    stacked loadings ``(du, dv)`` as the move from the line before, ``"set":
+    [i, x], "scale": r`` (see :class:`~curereg.stagewise.MoveLog`), or as a
+    checkpoint of their nonzeros, ``"duv": [[i, x], ...]``, where the path
+    logged one and on the first line.  That line also names the ``format``
+    (:data:`PATH_FORMAT`), ``p`` and ``q``.  :func:`read_path_jsonl` expands
+    a dump.
     """
-    width = max((max(s.p, s.q) for s in sw_path.steps), default=0)
-    prefix = [f"[{i}, " for i in range(width)]
-    memo = _Memo(_json_float)
-    moves = _Memo(json.dumps)
     with _atomic_open(path) as fh:
+        prev = None
         for step in sw_path.steps:
-            d = step.d
-            if d <= 0.0:  # the zero factor
-                d, u, v = 0.0, "[]", "[]"
+            d = 0.0 if step.d <= 0.0 else float(step.d)
+            if not math.isfinite(d):
+                raise ValueError(f"d must be a finite nonnegative scalar, got {d}")
+            rec = {"t": step.t}
+            if prev is None:
+                rec.update(format=PATH_FORMAT, p=step.p, q=step.q)
+            rec.update({"lambda": step.lam, "move": step.move, "d": d})
+            move = step.move_from(prev)
+            if move is None:
+                rec["duv"] = list(zip(step.index.tolist(), step.value.tolist()))
             else:
-                d = float(d)
+                rec["set"], rec["scale"] = move[:2], move[2]
+            rec.update(loss=step.loss, penalty=step.penalty, criterion=step.criterion_value)
+            fh.write(json.dumps(rec) + "\n")
+            prev = step
+
+
+def _index(i, size):
+    if type(i) is not int or not 0 <= i < size:
+        raise ValueError(f"{i!r} is not an integer in [0, {size})")
+    return i
+
+
+def read_path_jsonl(path):
+    """Yield the steps of a :func:`write_path_jsonl` dump one at a time.
+
+    Each record is ``{t, lambda, move, d, u_nonzeros, v_nonzeros, loss,
+    penalty, criterion}``: the L1-mode loadings ``du / d`` and ``dv / d``,
+    rebuilt bitwise by a :class:`~curereg.stagewise.MoveLog`, as sparse
+    ``[index, value]`` lists (d 0.0 and empty lists for the zero factor),
+    so ``json.dumps`` of it spells the line of the dump before moves were
+    logged.  Malformed input raises ValueError naming the line.
+    """
+    with open(path) as fh:
+        for no, line in enumerate(fh, 1):
+            try:
+                rec = json.loads(line)
+                if no == 1:
+                    if not isinstance(rec, dict) or rec.get("format") != PATH_FORMAT:
+                        raise ValueError(f"no format marker {PATH_FORMAT!r}")
+                    p, q = rec["p"], rec["q"]
+                    log = MoveLog(_index(p, p + q + 1), _index(q, p + q + 1))
+                if rec["t"] != no - 1:
+                    raise ValueError(f"t is {rec['t']!r}, expected {no - 1}")
+                if "duv" in rec:
+                    pairs = [(_index(i, p + q), float(x)) for i, x in rec["duv"]]
+                    log.append(None, [i for i, _ in pairs], [x for _, x in pairs])
+                elif not log.marks:
+                    raise ValueError("a move comes before any checkpoint")
+                else:
+                    (i, x), r = rec["set"], rec["scale"]
+                    log.append((_index(i, p + q), float(x), float(r)))
+                d = float(rec["d"])
                 if not math.isfinite(d):
                     raise ValueError(f"d must be a finite nonnegative scalar, got {d}")
-                loads = step.value / d
-                index = step.index
-                if not loads.all():  # a loading that underflowed to zero
-                    keep = loads != 0.0
-                    loads, index = loads[keep], index[keep]
-                k = np.searchsorted(index, step.p)
-                u = _nonzeros_text(prefix, index[:k].tolist(), loads[:k].tolist(), memo)
-                v = _nonzeros_text(
-                    prefix, (index[k:] - step.p).tolist(), loads[k:].tolist(), memo
-                )
-                if len(memo) > REPR_MEMO_SIZE:
-                    memo.clear()
-            crit = step.criterion_value
-            # t is a plain int (never a bool), so its repr is its JSON text
-            fh.write(
-                f'{{"t": {int.__repr__(step.t)}, "lambda": {_json_value(step.lam)}, '
-                f'"move": {moves[step.move]}, "d": {_json_float(d)}, '
-                f'"u_nonzeros": {u}, "v_nonzeros": {v}, '
-                f'"loss": {_json_value(step.loss)}, '
-                f'"penalty": {_json_value(step.penalty)}, '
-                f'"criterion": {"null" if crit is None else _json_value(crit)}}}\n'
-            )
+                out = {key: [] if key.endswith("nonzeros") else rec[key] for key in (
+                    "t", "lambda", "move", "d", "u_nonzeros", "v_nonzeros", "loss",
+                    "penalty", "criterion")}
+            except json.JSONDecodeError:
+                raise ValueError(f"{path}: line {no} is not JSON") from None
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {no} has no {exc.args[0]!r} field") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {no}: {exc}") from None
+            out["d"] = 0.0
+            if d > 0.0:
+                index, loads = log.loadings(no - 1)
+                loads = loads / d
+                keep = loads != 0.0  # drops a loading that underflowed to zero
+                pairs = [[i, x] for i, x in zip(index[keep].tolist(), loads[keep].tolist())]
+                k = int(np.searchsorted(index[keep], p))
+                out["d"], out["u_nonzeros"] = d, pairs[:k]
+                out["v_nonzeros"] = [[i - p, x] for i, x in pairs[k:]]
+            yield out

@@ -53,8 +53,8 @@ Besides the inputs and the Gram columns of active coordinates, a path's
 working memory is ``S`` (plus ``(X o X)^T H`` under a mask) and vectors of
 length n, p or q: the first search for the best single entry scans ``S``
 in blocks of rows instead of forming a p x q objective.  A step record
-holds its values and a read-only support index that it shares with every
-step of the same support.
+holds its scalars and its path's :class:`MoveLog` its move, or a checkpoint
+of its loadings, so the records take O(1) memory a step at any df.
 
 The per-step objective bookkeeping gives, by construction,
 
@@ -69,6 +69,8 @@ criterion has not improved for ``early_stop_window`` consecutive steps.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +83,7 @@ __all__ = [
     "StagewiseConfig",
     "StagewiseState",
     "PathStep",
+    "MoveLog",
     "StagewisePath",
     "initialize_path",
     "propose_backward",
@@ -418,8 +421,8 @@ class PathStep:
     The loadings are kept sparse: ``index`` holds the ascending positions
     of the nonzeros of the stacked vector ``(du, dv)`` (length ``p + q``)
     and ``value`` their values; :attr:`factor` rebuilds the dense L1-mode
-    factor on demand.  ``index`` is read-only and is the same array in
-    every step of a run of steps with one support.
+    factor on demand.  A step that a path recorded leaves both unset until
+    they are first read: its path's :class:`MoveLog` then rebuilds them.
     """
 
     t: int
@@ -435,6 +438,13 @@ class PathStep:
     criterion_value: float | None = None
     rss: float = np.nan
     df: int = 0
+    _log: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name):  # only reached for an unset slot
+        if name in ("index", "value") and self._log is not None:
+            self.index, self.value = self._log.loadings(self.t)
+            return self.value if name == "value" else self.index
+        raise AttributeError(name)
 
     @property
     def factor(self):
@@ -445,6 +455,55 @@ class PathStep:
         return UnitRankFactor(
             self.d, full[: self.p] / self.d, full[self.p:] / self.d, NormMode.L1
         )
+
+    def move_from(self, prev):
+        """The move ``(i, new, r)`` (see :class:`MoveLog`) from record ``prev``
+        to this one; None unless both are logged and this step is a move."""
+        log, t = self._log, self.t
+        if log is not None and prev is not None and prev._log is log and prev.t == t - 1:
+            i, new, r = log.moves[3 * t:3 * t + 3]
+            return None if i < 0 else (int(i), new, r)
+
+
+class MoveLog:
+    """The stacked loadings ``(du, dv)`` of a path's steps: step ``t``'s move
+    ``(i, new, r)``, ``(du, dv)[i] = new`` then the other side times ``r``, or
+    a checkpoint of its sparse loadings.  :meth:`loadings` replays the
+    engine's numpy operations (so bitwise) from one cursor: ascending reads
+    cost O(1) moves a step, others replay from the latest checkpoint before."""
+
+    __slots__ = ("p", "moves", "marks", "saved", "_duv", "_at")
+
+    def __init__(self, p, q):
+        self.p = p
+        self.moves = array("d")  # i, new, r of each step; i is -1 at a checkpoint
+        self.marks, self.saved = [], []  # the checkpoints' steps and (index, value)
+        self._duv, self._at = np.zeros(p + q), -1
+
+    def append(self, move, index=None, value=None):
+        """Log the next step: its ``move``, or if None its loadings' nonzeros."""
+        if move is None:
+            self.marks.append(len(self.moves) // 3)
+            self.saved.append((index, value))
+        self.moves.extend(move or (-1, 0, 0))
+
+    def loadings(self, t):
+        """Step ``t``'s nonzeros: ascending int32 ``index``, float64 ``value``."""
+        k = bisect_right(self.marks, t) - 1
+        duv, p = self._duv, self.p
+        if not self.marks[k] <= self._at <= t:
+            duv[:] = 0.0
+            duv[self.saved[k][0]] = self.saved[k][1]
+            self._at = self.marks[k]
+        m = self.moves[3 * self._at + 3:3 * t + 3].tolist()
+        u, v = duv[:p], duv[p:]
+        for i, new, r in zip(m[::3], m[1::3], m[2::3]):
+            duv[int(i)] = new
+            side = v if i < p else u
+            side *= r
+        self._at = t
+        index = duv.nonzero()[0].astype(np.int32)
+        return index, duv.take(index)
 
 
 @dataclass
@@ -615,7 +674,10 @@ class StagewiseState:
         self.d = 0.0
         self.rss = engine.y2[row]  # ||P(Y0 - fit)||_F^2
         self.l2c = 0.0             # ||d u v^T||_F^2
-        self._support = None
+        self._log = MoveLog(engine.p, engine.q)
+        # The move since the last record, () if none, None when the loadings
+        # were set otherwise (_enter, _zero_out, _refresh_exact, or by hand).
+        self._support = self._pending = None
 
     def _bind(self, row):
         p = self._engine.p
@@ -633,9 +695,9 @@ class StagewiseState:
         read-only int32 array, searched for only after it was dropped.
 
         A move that adds or drops an entry edits the index (:meth:`_toggle`);
-        ``_enter``, ``_zero_out`` and ``_refresh_exact`` set ``_support`` to
-        None.  A rescale keeps the support: it multiplies entries above
-        ``SNAP_TOL`` by ``d_new / d_old`` with both sizes above ``SNAP_TOL``.
+        ``_enter``, ``_zero_out`` and ``_refresh_exact`` drop it.  A rescale
+        keeps the support: it multiplies entries above ``SNAP_TOL`` by
+        ``d_new / d_old`` with both sizes above ``SNAP_TOL``.
         """
         if self._support is None:
             self._support = self._duv.nonzero()[0].astype(np.int32)
@@ -669,7 +731,7 @@ class StagewiseState:
             self.l2c = float(self.du @ self.du) * float(self.dv @ self.dv) / self.d ** 2
         self.rss = engine.rebuild(b, self.du, self.dv, self.d)
         self._rows.forget()
-        self._support = None
+        self._support = self._pending = None
         exact = (self.rss, *engine.tracked(b, self))
         return max(_rel_gap(a, b) for a, b in zip(kept, exact))
 
@@ -697,10 +759,15 @@ def _record(state, move):
         fit.rss, fit.df = rss, df
         crit = information_criterion(fit.criterion, fit)
     # Positional, in PathStep's field order: a step records one per row.
-    return PathStep(
-        state.t, state.lam, move, d, index, state._duv.take(index), engine.p, engine.q,
-        state.loss, state.lam * d, crit, rss, df,
-    )
+    # A checkpoint unless one move changed the loadings since the last record.
+    value = None if state._pending else state._duv.take(index)
+    step = PathStep(state.t, state.lam, move, d, index, value, engine.p, engine.q,
+                    state.loss, state.lam * d, crit, rss, df)
+    state._log.append(state._pending or None, index, value)
+    state._pending = ()
+    del step.index, step.value
+    step._log = state._log
+    return step
 
 
 def _init_search(engine, b, eps, mu):
@@ -746,7 +813,7 @@ def _enter(state, j, k, s, G_jk, quad_jk):
     state.d = eps
     state.l2c = eps ** 2
     state.rss = state.rss - 2.0 * s * state._n * G_jk + eps ** 2 * quad_jk
-    state._support = None
+    state._support = state._pending = None
     state._engine.enter(state._row, j, k, s, eps)
 
 
@@ -808,6 +875,7 @@ def _execute_u(state, j, s, pr):
         return delta
     r = d_new / d_old
     state.dv *= r
+    state._pending = (j, new, r) if state._pending == () else None
     state._engine.scale_dv(b, r)
     state.d = d_new
     state.rss += d_rss
@@ -842,6 +910,7 @@ def _execute_v(state, k, h, pr):
         return delta
     r = d_new / d_old
     state.du *= r
+    state._pending = (p + k, new, r) if state._pending == () else None
     state._engine.scale_du(b, r)
     state.d = d_new
     state.rss += d_rss
@@ -852,7 +921,7 @@ def _execute_v(state, k, h, pr):
 def _zero_out(state):
     """Collapse to the exact zero state (both sides empty)."""
     state._duv[:] = 0.0
-    state._support = None
+    state._support = state._pending = None
     state.d = 0.0
     state.l2c = 0.0
     state.rss = state._engine.rebuild(state._row, state.du, state.dv, 0.0)

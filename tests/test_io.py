@@ -6,7 +6,6 @@ import os
 import numpy as np
 import pytest
 
-from curereg import io as cureio
 from curereg.core import FactorModel, NormMode, ProblemData, UnitRankFactor
 from curereg.io import (
     _parse_cell,
@@ -16,6 +15,7 @@ from curereg.io import (
     fmt17,
     load_factor_model,
     read_matrix_csv,
+    read_path_jsonl,
     save_factor_model,
     write_matrix_csv,
     write_path_jsonl,
@@ -366,8 +366,7 @@ def test_path_jsonl_records_every_step(tmp_path):
     write_path_jsonl(out, path_obj)
     lines = out.read_text().splitlines()
     assert len(lines) == len(path_obj.steps)
-    for line, step in zip(lines, path_obj.steps):
-        rec = json.loads(line)
+    for rec, step in zip(read_path_jsonl(out), path_obj.steps):
         assert rec["t"] == step.t
         assert rec["lambda"] == step.lam
         assert rec["move"] == step.move
@@ -419,10 +418,12 @@ def _dense_nonzeros(vec):
 
 
 def assert_path_files_equal(tmp_path, path_obj):
+    """The dump, expanded by ``read_path_jsonl``, spells the dense writer's file."""
     got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
     write_path_jsonl(got, path_obj)
     reference_write_path_jsonl(want, path_obj)
-    assert got.read_bytes() == want.read_bytes()
+    expanded = "".join(json.dumps(rec) + "\n" for rec in read_path_jsonl(got))
+    assert expanded == want.read_text()
     return want
 
 
@@ -468,11 +469,47 @@ def test_path_writer_matches_dense_writer_through_zero_and_specials(tmp_path):
             writer(tmp_path / "bad.jsonl", bad)
 
 
-def test_path_writer_matches_dense_writer_past_the_memo_bound(tmp_path):
+def test_path_expansion_matches_dense_writer_on_a_long_path(tmp_path):
     path_obj = small_path(9, n=30, p=40, q=30, steps=400)
     want = assert_path_files_equal(tmp_path, path_obj)
-    distinct = set()
-    for line in want.read_text().splitlines():
-        rec = json.loads(line)
-        distinct.update(x for _, x in rec["u_nonzeros"] + rec["v_nonzeros"])
-    assert len(distinct) > cureio.REPR_MEMO_SIZE
+    lines = (tmp_path / "got.jsonl").read_text().splitlines()
+    moves = sum('"set": ' in line for line in lines)
+    assert len(lines) == 401 and moves > 350
+    assert (tmp_path / "got.jsonl").stat().st_size < want.stat().st_size / 2
+
+
+def _edited_dump(tmp_path, line_no, edit):
+    """A dump of ``small_path(7)`` whose line ``line_no`` ``edit`` rewrites
+    (a dict to edit in place, or a function of the text)."""
+    path = tmp_path / "path.jsonl"
+    write_path_jsonl(path, small_path(7))
+    lines = path.read_text().splitlines()
+    assert '"duv": ' in lines[0] and '"set": ' in lines[2]
+    if isinstance(edit, dict):
+        rec = json.loads(lines[line_no - 1])
+        for key, val in edit.items():
+            if val is None:
+                del rec[key]
+            else:
+                rec[key] = val
+        lines[line_no - 1] = json.dumps(rec)
+    else:
+        lines[line_no - 1] = edit(lines[line_no - 1])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("line_no, edit, message", [
+    (1, {"format": None}, "no format marker"),
+    (1, {"format": "curereg-path-moves/0"}, "no format marker"),
+    (4, {"t": 5}, "t is 5, expected 3"),
+    (1, {"p": -1}, r"-1 is not an integer in \[0, 4\)"),
+    (3, {"set": [10, 0.1]}, r"10 is not an integer in \[0, 10\)"),
+    (3, {"set": [-1, 0.1]}, "-1 is not an integer in"),
+    (1, {"duv": None, "set": [0, 0.1], "scale": 1.0}, "a move comes before any checkpoint"),
+    (2, lambda line: line[:25], "is not JSON"),
+])
+def test_path_reader_names_the_line_of_bad_input(tmp_path, line_no, edit, message):
+    path = _edited_dump(tmp_path, line_no, edit)
+    with pytest.raises(ValueError, match=f"line {line_no}\\b.*{message}"):
+        list(read_path_jsonl(path))

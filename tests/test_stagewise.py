@@ -824,7 +824,7 @@ def test_recorded_steps_are_sparse_and_detached():
 
 
 # ---------------------------------------------------------------------------
-# memory: the blocked first search and the shared support index
+# memory: the blocked first search and the move log
 
 
 def one_shot_search(engine, b, eps, mu):
@@ -909,36 +909,108 @@ def test_first_search_memory_is_bounded():
     assert peak < 2_000_000
 
 
-def check_records(monkeypatch):
-    """Make every record check its index against its state's loadings."""
+def recorder_oracle(monkeypatch):
+    """Make every record also snapshot its state's loadings, as the recorder
+    kept them before the move log: the support index and ``_duv.take`` of
+    it.  Returns the list of ``(step, index, value)`` it fills."""
     record = stagewise._record
+    seen = []
 
-    def checked(state, move):
+    def snapshot(state, move):
         step = record(state, move)
-        np.testing.assert_array_equal(step.index, np.flatnonzero(state._duv))
+        index = state._nonzeros()
+        seen.append((step, index.copy(), state._duv.take(index)))
         return step
 
-    monkeypatch.setattr(stagewise, "_record", checked)
+    monkeypatch.setattr(stagewise, "_record", snapshot)
+    return seen
 
 
-def assert_shared_index(path):
-    """Steps of one support hold one read-only index; paths stay shorter
-    than RECOMPUTE_EVERY, whose rebuild finds the support afresh."""
-    assert len(path) < RECOMPUTE_EVERY
-    for a, b in zip(path.steps, path.steps[1:]):
-        assert not b.index.flags.writeable
-        assert (b.index is a.index) == np.array_equal(b.index, a.index)
-        assert np.all(b.value != 0.0)
-    assert len({id(s.index) for s in path.steps}) < len(path) / 4
+def assert_replayed(seen, rng, sample=None):
+    """Every step rebuilds its snapshot bit for bit: first straight from its
+    log in a random order (``sample`` steps of it), then as ``step.index``
+    and ``step.value`` in ascending order."""
+    def same(got, index, value):
+        assert got[0].dtype == np.int32 and got[1].dtype == np.float64
+        assert got[0].tobytes() == index.tobytes() and got[1].tobytes() == value.tobytes()
+
+    order = rng.permutation(len(seen))[:sample]
+    for k in order:
+        step, index, value = seen[k]
+        same(step._log.loadings(step.t), index, value)
+    for step, index, value in seen:
+        same((step.index, step.value), index, value)
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
-def test_steps_of_one_support_share_a_read_only_index(monkeypatch, masked):
-    check_records(monkeypatch)
-    rng = np.random.default_rng(31)
-    prob = rank1_problem(rng, 40, 60, 30, mask_frac=0.2 if masked else 0.0)
-    cfg = StagewiseConfig(epsilon=0.05, criterion="none", max_steps=900)
-    assert_shared_index(run_path(prob, cfg))
+def test_a_lone_path_replays_past_two_rebuilds(monkeypatch, masked):
+    seen = recorder_oracle(monkeypatch)
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((30, 12))
+    Y = X[:, :3] @ rng.standard_normal((3, 8)) + rng.standard_normal((30, 8))
+    mask = rng.random((30, 8)) > 0.2 if masked else None
+    steps = 2 * RECOMPUTE_EVERY + 300
+    path = run_path(ProblemData(X, Y, mask),
+                    StagewiseConfig(epsilon=0.005, criterion="none", max_steps=steps))
+    assert len(path) == len(seen) == steps + 1
+    # Step 0 and the first steps after the two rebuilds are checkpoints.
+    assert {0, RECOMPUTE_EVERY + 1, 2 * RECOMPUTE_EVERY + 1} <= set(path.steps[0]._log.marks)
+    assert_replayed(seen, rng, sample=300)
+
+
+def test_rows_that_restart_from_zero_replay(monkeypatch):
+    # The problems of test_rows_that_stop_early_or_restart_from_zero in
+    # tests/test_run_paths.py: rows 0 and 2 keep collapsing to the zero
+    # state and entering again.
+    seen = recorder_oracle(monkeypatch)
+    rng = np.random.default_rng(28)
+    n, p, q = rng.integers(2, 6), rng.integers(1, 4), rng.integers(1, 4)
+    X = rng.standard_normal((n, p)) * rng.choice([0.1, 1, 10], size=p)
+    Y = rng.standard_normal((n, q))
+    rng.random()
+    mask = rng.random((n, q)) > 0.3
+    other = np.random.default_rng(77)
+    problems = [ProblemData(X, Y, mask)] + [
+        ProblemData(other.standard_normal((6, 3)), other.standard_normal((6, 1)),
+                    other.random((6, 1)) > 0.3)
+        for _ in range(3)
+    ]
+    problems.append(ProblemData(X, np.zeros((4, 1)), mask))
+    cfg = StagewiseConfig(epsilon=0.5, mu=0.0, xi=0.0, criterion="aic",
+                          max_steps=150, early_stop_window=30)
+    paths = stagewise.run_paths(problems, cfg)
+    assert sum(s.d == 0.0 for s in paths[0].steps[1:-1]) > 5
+    assert len(seen) == sum(len(path) for path in paths)
+    assert_replayed(seen, rng)
+
+
+def test_the_rows_of_one_call_replay(monkeypatch):
+    seen = recorder_oracle(monkeypatch)
+    rng = np.random.default_rng(32)
+    problems = [rank1_problem(rng, n, 60, 30, mask_frac=0.2) for n in (30, 40, 50)]
+    cfg = StagewiseConfig(epsilon=0.05, criterion="gic", max_steps=1200)
+    paths = stagewise.run_paths(problems, cfg)
+    assert len(seen) == sum(len(path) for path in paths) > 3 * RECOMPUTE_EVERY
+    assert len({id(path.steps[0]._log) for path in paths}) == 3
+    assert_replayed(seen, rng, sample=300)
+
+
+def test_a_state_edited_by_hand_replays(monkeypatch):
+    seen = recorder_oracle(monkeypatch)
+    rng = np.random.default_rng(16)
+    prob = rank1_problem(rng, 12, 6, 5, noise=0.5)
+    state, _ = initialize_path(prob, StagewiseConfig(epsilon=0.25, criterion="none"))
+    for _ in range(20):
+        propose_backward(state) or propose_forward(state)
+    state.du[:] = [1.0, 0.0, 0.5, 0.0, 0.0, 1.5]
+    state.dv[:] = [0.0, 1.0, 0.0, 2.0, 0.5]
+    state._refresh_exact()
+    for _ in range(20):
+        propose_backward(state) or propose_forward(state)
+    assert len(seen) == 41
+    assert 21 in seen[0][0]._log.marks  # the first record after the edit
+    np.testing.assert_array_equal(seen[21][1], [0, 2, 5, 7, 9, 10])
+    assert_replayed(seen, rng)
 
 
 def test_moves_that_add_or_drop_an_entry_edit_the_kept_index():
@@ -971,54 +1043,32 @@ def test_moves_that_add_or_drop_an_entry_edit_the_kept_index():
         np.testing.assert_array_equal(before, kept)
 
 
-def test_lockstep_rows_share_their_read_only_index(monkeypatch):
-    check_records(monkeypatch)
-    rng = np.random.default_rng(32)
-    problems = [rank1_problem(rng, n, 60, 30, mask_frac=0.2) for n in (30, 40, 50)]
-    cfg = StagewiseConfig(epsilon=0.05, criterion="none", max_steps=900)
-    for path in stagewise.run_paths(problems, cfg):
-        assert_shared_index(path)
-
-
-def layout_bytes(path):
-    """Bytes a path's records need when the steps of one support share one
-    index: each record's slots, value array, scalar boxes and list slot, and
-    one index per run of steps with the same support."""
-    import sys
-
-    total = sys.getsizeof(path.steps)
-    seen = set()
-    prev = None
-    for step in path.steps:
-        total += sys.getsizeof(step) + sys.getsizeof(step.value)
-        for x in (step.t, step.lam, step.d, step.loss, step.penalty,
-                  step.criterion_value, step.rss, step.df):
-            if id(x) not in seen:
-                seen.add(id(x))
-                total += sys.getsizeof(x)
-        if prev is None or not np.array_equal(step.index, prev):
-            total += sys.getsizeof(step.index)
-        prev = step.index
-    return total
-
-
-@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
-def test_retained_bytes_per_step_follow_the_record_layout(masked):
-    # A copy of the index per step would add its array header and 4 bytes
-    # per nonzero to every step whose support did not change.
+def test_retained_bytes_per_step_do_not_grow_with_df():
+    # Both paths run 900 steps on the same X; a dense unit-rank response
+    # spreads the loadings over 300 and more coordinates, a sparse one keeps
+    # three.  Records that copied their loadings would hold about 2,250
+    # against 430 bytes a step here.
     import gc
     import tracemalloc
 
-    rng = np.random.default_rng(33)
-    prob = rank1_problem(rng, 60, 200, 100, mask_frac=0.2 if masked else 0.0)
-    cfg = StagewiseConfig(epsilon=0.1, criterion="none", max_steps=900)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        path = run_path(prob, cfg)
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    # 4 KiB for the path object itself and numpy's cache of small buffers
-    assert held / len(path) <= (layout_bytes(path) + 4096) / len(path)
+    rng = np.random.default_rng(34)
+    n, p, q = 100, 300, 300
+    X = rng.standard_normal((n, p))
+    dense = np.outer(X @ rng.choice([-1.0, 1.0], p), rng.choice([-1.0, 1.0], q))
+    sparse = np.outer(X[:, 0] + X[:, 1], np.r_[1.0, -1.0, np.zeros(q - 2)])
+    sparse += 0.01 * rng.standard_normal((n, q))
+    held = {}
+    for name, Y, eps in [("dense", dense, 2.0), ("sparse", sparse, 0.002)]:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            path = run_path(ProblemData(X, Y),
+                            StagewiseConfig(epsilon=eps, criterion="none", max_steps=900))
+            held[name] = (tracemalloc.get_traced_memory()[0] - base) / len(path)
+        finally:
+            tracemalloc.stop()
+        assert len(path) == 901
+        df = max(step.df for step in path.steps)
+        assert df >= 300 if name == "dense" else df <= 5
+    assert held["dense"] <= 1.25 * held["sparse"]
