@@ -1043,11 +1043,14 @@ def test_moves_that_add_or_drop_an_entry_edit_the_kept_index():
         np.testing.assert_array_equal(before, kept)
 
 
-def test_retained_bytes_per_step_do_not_grow_with_df():
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_retained_bytes_per_step_do_not_grow_with_df(masked):
     # Both paths run 900 steps on the same X; a dense unit-rank response
     # spreads the loadings over 300 and more coordinates, a sparse one keeps
     # three.  Records that copied their loadings would hold about 2,250
-    # against 430 bytes a step here.
+    # against 430 bytes a step here.  The masked case hides a tenth of the
+    # cells of both responses; its dense path needs a longer step to reach
+    # 300 coordinates within the 900 steps.
     import gc
     import tracemalloc
 
@@ -1057,13 +1060,15 @@ def test_retained_bytes_per_step_do_not_grow_with_df():
     dense = np.outer(X @ rng.choice([-1.0, 1.0], p), rng.choice([-1.0, 1.0], q))
     sparse = np.outer(X[:, 0] + X[:, 1], np.r_[1.0, -1.0, np.zeros(q - 2)])
     sparse += 0.01 * rng.standard_normal((n, q))
+    mask = rng.random((n, q)) > 0.1 if masked else None
     held = {}
-    for name, Y, eps in [("dense", dense, 2.0), ("sparse", sparse, 0.002)]:
+    for name, Y, eps in [("dense", dense, 16.0 if masked else 2.0),
+                         ("sparse", sparse, 0.002)]:
         gc.collect()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            path = run_path(ProblemData(X, Y),
+            path = run_path(ProblemData(X, Y, mask),
                             StagewiseConfig(epsilon=eps, criterion="none", max_steps=900))
             held[name] = (tracemalloc.get_traced_memory()[0] - base) / len(path)
         finally:
