@@ -4,7 +4,8 @@ All writers are atomic (write to a temp file in the same directory, then
 rename), and every float they write reads back as the same double: CSV cells
 carry 17 significant digits, JSON numbers the shortest round-trip ``repr``
 (as :mod:`json` writes them).  Missing response entries are spelled ``NA``
-in CSV.  A path dump logs moves; :func:`read_path_jsonl` expands it.
+in CSV, which is written a block of rows at a time.  A path dump logs moves;
+:func:`read_path_jsonl` expands it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ NA_TOKEN = "NA"
 _NA_CELL = re.compile(r"(?m)NA(?<![+-]NA)(?=[ \t]*(?:,|$))")
 # The value of the "format" field on the first line of a path dump.
 PATH_FORMAT = "curereg-path-moves/1"
+_WRITE_BLOCK = 1 << 16  # cells the CSV writer formats at once
 
 
 def fmt17(x):
@@ -186,19 +188,31 @@ def _read_cells(path, allow_missing):
 
 
 def write_matrix_csv(path, M, mask=None):
-    """Write a matrix as CSV; NaN and masked-out entries become ``NA``."""
+    """Write a 2-D matrix as CSV; NaN and masked-out entries become ``NA``.
+
+    Each block of about ``_WRITE_BLOCK`` cells is formatted by one ``%`` of
+    a repeated ``%.17g`` row template: the cost is the float conversion, and
+    temporaries do not grow with the matrix.  A matrix that is not 2-D, or a
+    mask of another shape, raises ValueError naming both shapes.
+    """
     M = np.asarray(M, dtype=float)
-    na = np.isnan(M)
-    if mask is not None:
-        na |= ~np.asarray(mask, dtype=bool)
-    na_cols = {i: np.flatnonzero(na[i]).tolist() for i in np.flatnonzero(na.any(axis=1))}
-    fmt = "{:.17g}".format
+    mask = None if mask is None else np.asarray(mask, dtype=bool)
+    if M.ndim != 2 or (mask is not None and mask.shape != M.shape):
+        raise ValueError(f"need a 2-D matrix and a mask of its shape; got matrix shape "
+                         f"{M.shape}, mask shape {None if mask is None else mask.shape}")
+    n, q = M.shape
+    rows = max(1, _WRITE_BLOCK // max(q, 1))
+    row = ",".join(["%.17g"] * q) + "\n"
+    template = row * rows
     with _atomic_open(path) as fh:
-        for i, row in enumerate(M.tolist()):
-            cells = list(map(fmt, row))
-            for j in na_cols.get(i, ()):
-                cells[j] = NA_TOKEN
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, n, rows):
+            block = M[start : start + rows]
+            if mask is not None:
+                block = np.where(mask[start : start + rows], block, np.nan)
+            if len(block) < rows:
+                template = row * len(block)
+            # %.17g spells a NaN of either sign "nan", and no other value contains it
+            fh.write((template % tuple(block.ravel().tolist())).replace("nan", NA_TOKEN))
 
 
 def factor_model_to_dict(model):

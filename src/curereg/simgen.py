@@ -156,7 +156,8 @@ def gen_coefficient(spec, rng):
 
 def _ar1_cov(dim, rho):
     idx = np.arange(dim)
-    return rho ** np.abs(idx[:, None] - idx[None, :])
+    # A table of the dim distinct powers gives the bits of the elementwise power.
+    return (rho ** idx)[np.abs(idx[:, None] - idx[None, :])]
 
 
 def gen_design(U_star, spec, rng):
@@ -232,13 +233,11 @@ def gen_response(X, c_star, spec, rng, last_layer=None):
     """
     X = np.asarray(X, dtype=float)
     if isinstance(c_star, FactorModel):
-        model = c_star
-        C = model.to_matrix((spec.p, spec.q))
-        if last_layer is None and model.rank:
-            last_layer = min(model.layers, key=lambda lay: lay.d)
+        C = c_star.to_matrix((spec.p, spec.q))
+        if last_layer is None and c_star.rank:
+            last_layer = min(c_star.layers, key=lambda lay: lay.d)
     else:
         C = np.asarray(c_star, dtype=float)
-        model = None
     if last_layer is None:
         raise ValueError("need the weakest layer (pass a FactorModel or last_layer)")
     n, q = X.shape[0], C.shape[1]
@@ -266,5 +265,6 @@ def gen_dataset(spec):
     factors = gen_coefficient(spec, rng_coef)
     X = gen_design(factors.stacked_u(), spec, rng_design)
     C = factors.to_matrix((spec.p, spec.q))
-    Y, E, sigma = gen_response(X, factors, spec, rng_noise)
+    Y, E, sigma = gen_response(X, C, spec, rng_noise,
+                               last_layer=min(factors.layers, key=lambda lay: lay.d))
     return SimTruth(spec, factors, C, X, Y, E, sigma)

@@ -2,10 +2,13 @@ import csv
 import dataclasses
 import json
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from curereg import io as curereg_io
 from curereg.core import FactorModel, NormMode, ProblemData, UnitRankFactor
 from curereg.io import (
     _parse_cell,
@@ -285,6 +288,87 @@ def test_matrix_writer_matches_cell_writer(tmp_path):
         write_matrix_csv(got, M, mask=mask)
         reference_write_matrix_csv(want, M, mask=mask)
         assert got.read_bytes() == want.read_bytes()
+
+
+def _edge_matrices():
+    """Named (M, mask) cases that stress the block writer's boundaries."""
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal((31, 7))
+    keep = rng.random((31, 7)) > 0.2
+    all_na_row = M.copy()
+    all_na_row[4] = np.nan
+    special = np.array([
+        [5e-324, -5e-324, 2.2250738585072009e-308, -4.9e-310],
+        [1.7976931348623157e308, -1.7976931348623157e308, -0.0, 0.0],
+        [np.inf, -np.inf, np.copysign(np.nan, -1.0), np.nan],
+    ])
+    return {
+        "blocks+remainder": (M, None),
+        "blocks+remainder masked": (M, keep),
+        "fortran order": (np.asfortranarray(M), keep),
+        "row wider than a block": (rng.standard_normal((3, 150)), None),
+        "0 x q": (np.empty((0, 5)), None),
+        "n x 0": (np.empty((4, 0)), None),
+        "all-NA row": (all_na_row, None),
+        "all-NA row by mask": (M, np.where(np.arange(31)[:, None] == 30, False, keep)),
+        "all-NA matrix": (np.full((5, 3), np.nan), None),
+        "all-NA matrix by mask": (M, np.zeros(M.shape, dtype=bool)),
+        "special values": (special, None),
+    }
+
+
+def test_block_writer_matches_cell_writer_on_edge_cases(tmp_path, monkeypatch):
+    # 64-cell blocks: 9 rows of 7 a block, so 31 rows are 3 full blocks + 4 rows
+    monkeypatch.setattr(curereg_io, "_WRITE_BLOCK", 64)
+    for name, (M, mask) in _edge_matrices().items():
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_matrix_csv(got, M, mask=mask)
+        reference_write_matrix_csv(want, M, mask=mask)
+        assert got.read_bytes() == want.read_bytes(), name
+
+
+def test_block_writer_matches_cell_writer_at_its_block_size(tmp_path):
+    rng = np.random.default_rng(8)
+    rows = curereg_io._WRITE_BLOCK // 1000
+    M = rng.standard_normal((3 * rows + 7, 1000)) * 10.0 ** rng.integers(-300, 300, (1, 1000))
+    keep = rng.random(M.shape) > 0.2
+    for mask in (None, keep):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_matrix_csv(got, M, mask=mask)
+        reference_write_matrix_csv(want, M, mask=mask)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("shape,mask_shape", [
+    ((3, 2), (2,)),  # numpy would broadcast it over the rows
+    ((3, 2), (3, 1)),
+    ((3, 2), (4, 2)),
+    ((3,), None),
+    ((2, 3, 2), None),
+    ((2, 3, 2), (2, 3, 2)),
+])
+def test_writer_rejects_malformed_shapes(tmp_path, shape, mask_shape):
+    path = tmp_path / "m.csv"
+    mask = None if mask_shape is None else np.ones(mask_shape, dtype=bool)
+    with pytest.raises(ValueError, match=re.escape(f"{shape}, mask shape {mask_shape}")):
+        write_matrix_csv(path, np.zeros(shape), mask=mask)
+    assert os.listdir(tmp_path) == []
+
+
+def test_writer_memory_does_not_grow_with_rows(tmp_path):
+    rng = np.random.default_rng(9)
+    cases = [(M, M > -2.0) for M in (rng.standard_normal((n, 500)) for n in (250, 2000))]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for M, mask in cases:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            write_matrix_csv(tmp_path / "m.csv", M, mask=mask)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -7,6 +7,7 @@ from scipy import linalg
 from curereg.core import FactorModel, UnitRankFactor
 from curereg.simgen import (
     SimSpec,
+    _ar1_cov,
     gen_coefficient,
     gen_dataset,
     gen_design,
@@ -204,6 +205,41 @@ def test_response_rejects_degenerate_signal():
         gen_response(X, zero_layer, spec, rng)
     with pytest.raises(ValueError, match="weakest layer"):
         gen_response(X, model.to_matrix((6, 5)), spec, rng)  # bare matrix
+
+
+@pytest.mark.parametrize("dim", [1, 2, 37, 1000])
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.5, -0.7, 0.99])
+def test_ar1_cov_power_table_matches_elementwise_power(dim, rho):
+    idx = np.arange(dim)
+    want = rho ** np.abs(idx[:, None] - idx[None, :])
+    got = _ar1_cov(dim, rho)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+SPECS_BY_MODEL = [
+    SimSpec(model="I", n=30, p=20, q=30, snr=0.7, rho=0.4, seed=3),
+    SimSpec(model="II", n=25, p=12, q=10, r_star=3, snr=1.3, rho=0.5, seed=4),
+    SimSpec(model="III", n=25, p=12, q=16, r_star=3, snr=0.9, rho=-0.3, seed=5),
+]
+
+
+@pytest.mark.parametrize("spec", SPECS_BY_MODEL, ids=lambda s: s.model)
+def test_matrix_form_response_matches_factor_form(spec):
+    model, X = make_truth(spec, seeds=(spec.seed, spec.seed + 1))
+    weakest = min(model.layers, key=lambda lay: lay.d)
+    want = gen_response(X, model, spec, np.random.default_rng(6))
+    got = gen_response(X, model.to_matrix((spec.p, spec.q)), spec,
+                       np.random.default_rng(6), last_layer=weakest)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+    # gen_dataset passes its C and weakest layer; the noise stream is the third
+    truth = gen_dataset(spec)
+    rng_noise = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(3)[2])
+    Y, E, sigma = gen_response(truth.X, truth.factors, spec, rng_noise)
+    assert truth.Y.tobytes() == Y.tobytes() and truth.E.tobytes() == E.tobytes()
+    assert truth.sigma == sigma
 
 
 # ---------------------------------------------------------------------------
