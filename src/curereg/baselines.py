@@ -24,6 +24,7 @@ them.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -199,8 +200,8 @@ class LassoConfig:
     max_sweeps: int = 2000
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_sweeps < 1:
-            raise ValueError("tol must be positive and max_sweeps at least 1")
+        if not 0 < self.tol < math.inf or self.max_sweeps < 1:
+            raise ValueError("tol must be positive and finite, and max_sweeps at least 1")
 
 
 def lasso_objective(problem, C, lam):
@@ -304,16 +305,16 @@ class AcsConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("tol must be positive and max_iters at least 1")
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        if not 0 < self.tol < math.inf or self.max_iters < 1:
+            raise ValueError("tol must be positive and finite, and max_iters at least 1")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError("mu must be finite and nonnegative")
         if self.lambda_grid is not None:
             g = np.asarray(self.lambda_grid, dtype=float)
             if g.ndim != 1 or g.size == 0:
                 raise ValueError("lambda_grid must be a nonempty 1-d sequence")
-            if np.any(np.diff(g) >= 0):
-                raise ValueError("lambda_grid must be strictly decreasing")
+            if not np.isfinite(g).all() or np.any(np.diff(g) >= 0):
+                raise ValueError("lambda_grid must be finite and strictly decreasing")
             self.lambda_grid = g
 
 

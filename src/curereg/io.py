@@ -311,6 +311,13 @@ def _index(i, size):
     return i
 
 
+def _finite(x, name):
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
 def read_path_jsonl(path):
     """Yield the steps of a :func:`write_path_jsonl` dump one at a time.
 
@@ -333,13 +340,13 @@ def read_path_jsonl(path):
                 if rec["t"] != no - 1:
                     raise ValueError(f"t is {rec['t']!r}, expected {no - 1}")
                 if "duv" in rec:
-                    pairs = [(_index(i, p + q), float(x)) for i, x in rec["duv"]]
+                    pairs = [(_index(i, p + q), _finite(x, "duv")) for i, x in rec["duv"]]
                     log.append(None, [i for i, _ in pairs], [x for _, x in pairs])
                 elif not log.marks:
                     raise ValueError("a move comes before any checkpoint")
                 else:
                     (i, x), r = rec["set"], rec["scale"]
-                    log.append((_index(i, p + q), float(x), float(r)))
+                    log.append((_index(i, p + q), _finite(x, "set"), _finite(r, "scale")))
                 d = float(rec["d"])
                 if not math.isfinite(d):
                     raise ValueError(f"d must be a finite nonnegative scalar, got {d}")

@@ -102,10 +102,9 @@ RECOMPUTE_EVERY = 1000
 _SEARCH_BLOCK = 1 << 15
 
 MOVE_INIT = "init"
-MOVE_FORWARD_U = "forward_u"
-MOVE_FORWARD_V = "forward_v"
-MOVE_BACKWARD_U = "backward_u"
-MOVE_BACKWARD_V = "backward_v"
+# A move's name, indexed by the side of its position i in (du, dv): i >= p.
+MOVES_FORWARD = ("forward_u", "forward_v")
+MOVES_BACKWARD = ("backward_u", "backward_v")
 
 CRITERIA = tuning.CRITERIA + ("none",)
 
@@ -128,12 +127,12 @@ class StagewiseConfig:
     criterion: str = "gic"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.xi is not None and self.xi < 0:
-            raise ValueError("xi must be nonnegative")
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if self.xi is not None and not 0 <= self.xi < math.inf:
+            raise ValueError("xi must be finite and nonnegative")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError("mu must be finite and nonnegative")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if self.early_stop_window < 1:
@@ -144,24 +143,6 @@ class StagewiseConfig:
     @property
     def xi_resolved(self):
         return 1e-6 * self.epsilon ** 2 if self.xi is None else self.xi
-
-
-class _Prices:
-    """Quantities that price every candidate move of one step, a row per path.
-
-    The (B, p + q) arrays run over the stacked coordinates ``(du, dv)``:
-    ``g`` holds the gradients ``gu`` then ``Ew``, ``quad`` their quadratic
-    terms, and ``c22`` the squared l2 norm of the other side's unit loading
-    (``v22`` on the du part, ``u22`` on the dv part); the lists ``v22`` and
-    ``u22`` hold one entry per row.  ``stack`` is ``(g, quad, c22)`` as one
-    (3, B, p + q) array, so that one ``take`` gathers all three.
-    """
-
-    __slots__ = ("v22", "u22", "g", "quad", "c22", "stack")
-
-    def __init__(self, v22, u22, g, quad, c22, stack=None):
-        self.v22, self.u22, self.g, self.quad, self.c22 = v22, u22, g, quad, c22
-        self.stack = np.array((g, quad, c22)) if stack is None else stack
 
 
 def _cols(*values):
@@ -187,16 +168,20 @@ class _Engine:
     The problems share p and q and are all masked or all unmasked.  Each
     maintained vector is a (B, .) array with a row per path; what depends on
     a problem's rows (``X``, ``S``, ``H``, ``x2h = (X o X)^T H``, ``w``,
-    ``hdv2``) is a list with an entry per path.  ``enter`` makes a path's
-    first move, ``move_u``/``move_v`` apply a move to row ``b`` and return
-    the inner product that prices its rss change, ``scale_du`` and
-    ``scale_dv`` follow the rescale that keeps ``||du||_1 = ||dv||_1``,
-    ``rebuild`` recomputes a row from its ``du``/``dv`` (returns the rss on
-    observed cells), ``tracked`` gives the gradients it checks for drift,
-    ``price`` prices every row at once and ``keep`` drops the rows of paths
-    that stopped.  Without a mask (``H`` is None) it keeps ``G du`` and
-    ``ww = ||w||^2/n``; under one, ``w``, ``hdv2 = H dv^2``,
-    ``qdv2 = (X o X)^T H dv^2`` and the vector ``ww = H^T (w o w)/n``.
+    ``hdv2``) is a list with an entry per path.  Without a mask (``H`` is
+    None) it keeps ``G du`` and ``ww = ||w||^2/n``; under one, ``w``,
+    ``hdv2 = H dv^2``, ``qdv2 = (X o X)^T H dv^2`` and the vector
+    ``ww = H^T (w o w)/n``.
+
+    A move is addressed by its position ``i`` in the stacked loadings
+    ``(du, dv)``.  ``price`` prices every row at once; ``move(b, i, h, dsq,
+    d_old)`` adds ``h`` at ``i`` on row ``b`` and returns the ``c`` of its
+    rss change ``-2 c + h^2 quad[b, i]``; ``scale(b, i, r)`` follows the
+    rescale, by ``r``, of the side the move at ``i`` did not set.  ``enter``
+    makes a path's first move, ``rebuild`` recomputes a row from its
+    ``du``/``dv`` (returns the rss on observed cells), ``tracked`` gives
+    the gradients it checks for drift and ``keep`` drops the rows of paths
+    that stopped.
     """
 
     def __init__(self, problems):
@@ -239,8 +224,7 @@ class _Engine:
         (self.n_col,) = _cols(self.n)
         self.ww_col = self.ww[:, None] if self.H is None else self.ww
         p = self.p
-        self._stack = np.empty((3, len(self.n), p + self.q))
-        self._priced = g, quad, c22 = tuple(self._stack)
+        self._priced = g, quad, c22 = tuple(np.empty((3, len(self.n), p + self.q)))
         self._halves = (g[:, :p], g[:, p:], quad[:, :p], quad[:, p:], c22[:, :p], c22[:, p:])
         self._fit = np.empty((len(self.n), p))
 
@@ -306,9 +290,13 @@ class _Engine:
         """Prices of every row of the stacked loadings ``duv`` at sizes ``d``
         (a list with a positive entry per row).
 
-        The quadratic terms of the u and v moves (over ``d^2``) are ``(X o
-        X)^T h`` and ``n H^T (w o w)``, one scalar per row without a mask.
-        The arrays it returns are overwritten by the next call.
+        Returns ``(g, quad, c22)``, (B, p + q) arrays over the positions of
+        ``(du, dv)``: the gradients ``gu`` then ``Ew``, their quadratic terms
+        (over ``d^2``: ``(X o X)^T h`` and ``n H^T (w o w)``, one scalar per
+        row without a mask), and the squared l2 norm of the other side's
+        unit loading (``v22`` on the du part, ``u22`` on the dv part).  The
+        three are views of one (3, B, p + q) array, their ``base``, so that
+        one ``take`` gathers all three; the next call overwrites them.
         """
         p = self.p
         dv = duv[:, p:]
@@ -331,50 +319,52 @@ class _Engine:
         self._gradients(self.Sdv, self.Stdu, self.ww_col, fit, dv, D, g_u, g_v)
         c22_u[...] = V
         c22_v[...] = U
-        return _Prices(v22, u22, *self._priced, self._stack)
+        return self._priced
 
-    def move_u(self, b, j, s, pr):
-        """``du[j] += s`` on row ``b``: brings ``w`` (``G du`` without a
-        mask) and ``ww`` along; under a mask ``H^T (w o w)`` is recomputed."""
+    def move(self, b, i, h, dsq, d_old):
+        """``(du, dv)[i] += h`` on row ``b``, priced by the last :meth:`price`;
+        ``dsq`` is the change of the entry's square."""
+        g = self._priced[0].item(b, i)
+        n = self.n[b]
+        j = i - self.p
+        if j >= 0:
+            Sdv = self.Sdv[b]
+            Sdv += h * self.S[b][:, j]
+            if self.H is not None:
+                self.hdv2[b] += dsq * self.H[b][:, j]
+                qdv2 = self.qdv2[b]
+                qdv2 += dsq * self.x2h[b][:, j]
+            return (h / d_old) * (n * d_old * g)
         if self.H is None:
-            self.ww[b] += 2.0 * s * self.Gdu.item(b, j) + s * s * self.gram[b].diag.item(j)
+            self.ww[b] += 2.0 * h * self.Gdu.item(b, i) + h * h * self.gram[b].diag.item(i)
             Gdu = self.Gdu[b]
-            Gdu += s * self.gram[b].col(j)
+            Gdu += h * self.gram[b].col(i)
         else:
             w = self.w[b]
-            w += s * self.X[b][:, j]
-            np.divide(self.H[b].T @ (w * w), self.n[b], out=self.ww[b])
+            w += h * self.X[b][:, i]
+            np.divide(self.H[b].T @ (w * w), n, out=self.ww[b])
         Stdu = self.Stdu[b]
-        Stdu += s * self.S[b][j]
-        return self.n[b] * pr.g.item(b, j)
+        Stdu += h * self.S[b][i]
+        return h * (n * g)
 
-    def move_v(self, b, k, h, dsq, d_old, pr):
-        """``dv[k] += h`` on row ``b``; ``dsq`` is the change of ``dv[k]**2``."""
-        Sdv = self.Sdv[b]
-        Sdv += h * self.S[b][:, k]
-        if self.H is not None:
-            self.hdv2[b] += dsq * self.H[b][:, k]
-            qdv2 = self.qdv2[b]
-            qdv2 += dsq * self.x2h[b][:, k]
-        return self.n[b] * d_old * pr.g.item(b, self.p + k)
-
-    def scale_du(self, b, r):
-        Stdu = self.Stdu[b]
-        Stdu *= r
-        self.ww[b] *= r * r
-        if self.H is None:
-            Gdu = self.Gdu[b]
-            Gdu *= r
+    def scale(self, b, i, r):
+        """Multiply the side that the move at ``i`` did not set by ``r``."""
+        if i < self.p:
+            Sdv = self.Sdv[b]
+            Sdv *= r
+            if self.H is not None:
+                self.hdv2[b] *= r * r
+                qdv2 = self.qdv2[b]
+                qdv2 *= r * r
         else:
-            self.w[b] *= r
-
-    def scale_dv(self, b, r):
-        Sdv = self.Sdv[b]
-        Sdv *= r
-        if self.H is not None:
-            self.hdv2[b] *= r * r
-            qdv2 = self.qdv2[b]
-            qdv2 *= r * r
+            Stdu = self.Stdu[b]
+            Stdu *= r
+            self.ww[b] *= r * r
+            if self.H is None:
+                Gdu = self.Gdu[b]
+                Gdu *= r
+            else:
+                self.w[b] *= r
 
     def rebuild(self, b, du, dv, d):
         if d <= 0.0:
@@ -573,7 +563,8 @@ class _Rows:
             state._bind(b)
 
     def prices(self, t):
-        """The priced quantities of step ``t``, for every row.
+        """The prices ``(g, quad, c22)`` of step ``t``, for every row (see
+        :meth:`_Engine.price`).
 
         A row in the zero state is priced at d = 1 and never read.
         """
@@ -599,12 +590,13 @@ class _Rows:
         the best u and v coordinates."""
         pr = self.prices(t)
         if self._fwd is None:
+            g, quad, c22 = pr
             inner, score, tmp = self._inner, self._score, self._tmp
             np.multiply(self._scan[1], self.duv, out=inner)
-            inner *= pr.c22
-            np.subtract(pr.g, inner, out=inner)
+            inner *= c22
+            np.subtract(g, inner, out=inner)
             np.abs(inner, out=score)
-            score -= np.multiply(self.a_fwd, pr.quad, out=tmp)
+            score -= np.multiply(self.a_fwd, quad, out=tmp)
             score_u, score_v = self._score_halves
             self._fwd = (inner, score_u.argmax(axis=1).tolist(),
                          score_v.argmax(axis=1).tolist())
@@ -623,9 +615,10 @@ def _best_shrinks(rows, pr):
     if B == 1:
         nz = rows.states[0]._nonzeros()
         duv = rows.duv.take(nz, axis=1)
-        g, quad, c22 = pr.stack.take(nz, axis=2)
+        g, quad, c22 = pr[0].base.take(nz, axis=2)
     else:
-        duv, g, quad, c22 = rows.duv, pr.g, pr.quad, pr.c22
+        duv = rows.duv
+        g, quad, c22 = pr
     eps, _, mu_eps, c, shrink_min, inf = rows._scan
     dl = np.multiply(rows.a_back, quad)
     # copysign(eps, x) is eps * sign(x) wherever x != 0; the zeros are masked
@@ -854,64 +847,34 @@ def initialize_path(problem, config):
     return states[0], steps[0]
 
 
-def _execute_u(state, j, s, pr):
-    """Apply du[j] += s; returns the exact loss change."""
+def _execute(state, i, h, prices):
+    """Apply ``(du, dv)[i] += h``, priced by ``prices``, and rescale the
+    other side so that ``||du||_1 = ||dv||_1``; returns the exact loss change."""
     b = state._row
+    engine = state._engine
     d_old = state.d
-    old = state.du.item(j)
-    new = old + s
-    if abs(new) <= SNAP_TOL:
-        new = 0.0
-    xe = state._engine.move_u(b, j, s, pr)
-    d_rss = -2.0 * s * xe + s * s * pr.quad.item(b, j)
-    d_l2 = (new * new - old * old) * pr.v22[b]
-    state.du[j] = new
-    if (old == 0.0) != (new == 0.0):
-        state._toggle(j)
-    delta = d_rss / state._two_n + state._rows.half_mu * d_l2
-    d_new = d_old + abs(new) - abs(old)
-    if d_new <= SNAP_TOL or (new == 0.0 and not state.du.any()):
-        _zero_out(state)
-        return delta
-    r = d_new / d_old
-    state.dv *= r
-    state._pending = (j, new, r) if state._pending == () else None
-    state._engine.scale_dv(b, r)
-    state.d = d_new
-    state.rss += d_rss
-    state.l2c += d_l2
-    return delta
-
-
-def _execute_v(state, k, h, pr):
-    """Apply dv[k] += h; returns the exact loss change.
-
-    ``pr.quad[b, p + k]`` is ||X u||^2 restricted to observed rows of column
-    k, already divided by d^2 (the same scale as the proposal quantities).
-    """
-    b = state._row
-    p = state._engine.p
-    d_old = state.d
-    old = state.dv.item(k)
+    old = state._duv.item(i)
     new = old + h
     if abs(new) <= SNAP_TOL:
         new = 0.0
     dsq = new * new - old * old
-    we = state._engine.move_v(b, k, h, dsq, d_old, pr)
-    d_rss = -2.0 * (h / d_old) * we + h * h * pr.quad.item(b, p + k)
-    d_l2 = dsq * pr.u22[b]
-    state.dv[k] = new
+    c = engine.move(b, i, h, dsq, d_old)
+    _, quad, c22 = prices
+    d_rss = -2.0 * c + h * h * quad.item(b, i)
+    d_l2 = dsq * c22.item(b, i)
+    state._duv[i] = new
     if (old == 0.0) != (new == 0.0):
-        state._toggle(p + k)
+        state._toggle(i)
     delta = d_rss / state._two_n + state._rows.half_mu * d_l2
     d_new = d_old + abs(new) - abs(old)
-    if d_new <= SNAP_TOL or (new == 0.0 and not state.dv.any()):
+    own, other = (state.du, state.dv) if i < engine.p else (state.dv, state.du)
+    if d_new <= SNAP_TOL or (new == 0.0 and not own.any()):
         _zero_out(state)
         return delta
     r = d_new / d_old
-    state.du *= r
-    state._pending = (p + k, new, r) if state._pending == () else None
-    state._engine.scale_du(b, r)
+    other *= r
+    state._pending = (i, new, r) if state._pending == () else None
+    engine.scale(b, i, r)
     state.d = d_new
     state.rss += d_rss
     state.l2c += d_l2
@@ -944,16 +907,9 @@ def propose_backward(state):
     j, dl = shrinks[state._row]
     if not dl < state.lam * eps - rows.xi:
         return None
-    p = state._engine.p
-    if j < p:
-        _execute_u(state, j, -eps if state.du.item(j) > 0 else eps, pr)
-        move = MOVE_BACKWARD_U
-    else:
-        k = j - p
-        _execute_v(state, k, -eps if state.dv.item(k) > 0 else eps, pr)
-        move = MOVE_BACKWARD_V
+    _execute(state, j, -eps if state._duv.item(j) > 0 else eps, pr)
     state.t += 1
-    return _record(state, move)
+    return _record(state, MOVES_BACKWARD[j >= state._engine.p])
 
 
 def propose_forward(state):
@@ -974,8 +930,9 @@ def propose_forward(state):
         _enter(state, j, k, s, G_jk, quad_jk)
         state.lam = min(state.lam, (eps * lam_val - xi) / eps)
         state.t += 1
-        return _record(state, MOVE_FORWARD_U)
+        return _record(state, MOVES_FORWARD[0])
     pr, inner, js, ks = rows.forward(state.t)
+    _, quad, c22 = pr
     p = state._engine.p
     j = js[b]
     k = p + ks[b]
@@ -983,17 +940,13 @@ def propose_forward(state):
     inner_v = inner.item(b, k)
     a = rows.a[b]
     c = rows.c
-    dl_u = -eps * abs(inner_u) + a * pr.quad.item(b, j) + c * pr.v22[b]
-    dl_v = -eps * abs(inner_v) + a * pr.quad.item(b, k) + c * pr.u22[b]
-    if dl_u <= dl_v + FORWARD_TIE_TOL:
-        delta_loss = _execute_u(state, j, eps if inner_u >= 0 else -eps, pr)
-        move = MOVE_FORWARD_U
-    else:
-        delta_loss = _execute_v(state, k - p, eps if inner_v >= 0 else -eps, pr)
-        move = MOVE_FORWARD_V
+    dl_u = -eps * abs(inner_u) + a * quad.item(b, j) + c * c22.item(b, j)
+    dl_v = -eps * abs(inner_v) + a * quad.item(b, k) + c * c22.item(b, k)
+    i, x = (j, inner_u) if dl_u <= dl_v + FORWARD_TIE_TOL else (k, inner_v)
+    delta_loss = _execute(state, i, eps if x >= 0 else -eps, pr)
     state.lam = min(state.lam, (-delta_loss - xi) / eps)
     state.t += 1
-    return _record(state, move)
+    return _record(state, MOVES_FORWARD[i >= p])
 
 
 def _run_rows(problems, config):

@@ -104,8 +104,9 @@ class GridScan:
     level on ``problem`` (an rss of 0 scores -inf), keeps the index of the
     first argmin in ``best`` and returns True once :class:`EarlyStop` with
     ``window`` levels (default :data:`GRID_STOP_WINDOW`) finds the criterion
-    stalled.  A window of None never stops.  Levels past the stop cannot change the pick unless the
-    criterion improves again after ``window`` levels without improvement.
+    stalled.  A window of None never stops.  Levels past the stop cannot
+    change the pick unless the criterion improves again after ``window``
+    levels without improvement.
     """
 
     def __init__(self, problem, criterion, window=GRID_STOP_WINDOW):

@@ -118,6 +118,8 @@ def test_lasso_rejects_bad_arguments():
         lasso_cd(prob, 0.1, warm=np.zeros((3, 3)))
     with pytest.raises(ValueError):
         LassoConfig(tol=0.0)
+    with pytest.raises(ValueError, match="tol"):
+        LassoConfig(tol=np.nan)
 
 
 def test_lasso_gic_path_selects_criterion_argmin():
@@ -463,6 +465,12 @@ def test_acs_rejects_degenerate_and_misconfigured_input():
         AcsConfig(lambda_grid=[0.1, 0.2])  # must decrease
     with pytest.raises(ValueError):
         AcsConfig(tol=0.0)
+    with pytest.raises(ValueError, match="tol"):
+        AcsConfig(tol=np.nan)
+    with pytest.raises(ValueError, match="mu"):
+        AcsConfig(mu=np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        AcsConfig(lambda_grid=[0.2, np.nan, 0.1])
 
 
 def test_acs_masked_matches_unmasked_when_all_observed():

@@ -556,8 +556,9 @@ def test_config_file_and_flag_precedence(tmp_path):
     ({"rank": 1, "threads": 0}, None, "--threads must be a positive integer"),
     (None, None, "No such file"),
     ("{bad", None, "cfg.json: Expecting property name"),
+    ({"rank": 1, "mu": "nan"}, None, "mu must be finite and nonnegative"),
 ], ids=["str-float", "str-int", "float-int", "bad-choice", "zero-threads",
-        "missing-file", "bad-json"])
+        "missing-file", "bad-json", "nan-mu"])
 def test_config_values_meet_the_flags_checks(tmp_path, capsys, doc, same_as, error):
     x, y, _ = simulate_into(tmp_path / "sim")
     cfg = tmp_path / "cfg.json"

@@ -592,6 +592,11 @@ def _edited_dump(tmp_path, line_no, edit):
     (3, {"set": [-1, 0.1]}, "-1 is not an integer in"),
     (1, {"duv": None, "set": [0, 0.1], "scale": 1.0}, "a move comes before any checkpoint"),
     (2, lambda line: line[:25], "is not JSON"),
+    (1, {"duv": [[0, np.nan]]}, "duv must be finite, got nan"),
+    (3, {"set": [0, np.inf]}, "set must be finite, got inf"),
+    (3, {"set": [0, np.nan]}, "set must be finite, got nan"),
+    (3, {"scale": -np.inf}, "scale must be finite, got -inf"),
+    (3, {"scale": np.nan}, "scale must be finite, got nan"),
 ])
 def test_path_reader_names_the_line_of_bad_input(tmp_path, line_no, edit, message):
     path = _edited_dump(tmp_path, line_no, edit)

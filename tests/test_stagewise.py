@@ -17,7 +17,6 @@ from curereg.stagewise import (
     PathStep,
     StagewiseConfig,
     StagewisePath,
-    _Prices,
     initialize_path,
     propose_backward,
     propose_forward,
@@ -336,22 +335,27 @@ def test_first_forward_step_matches_exhaustive_scan():
     assert got <= min(fwd.values()) + 1e-9
 
 
-def test_forward_closed_form_equals_reevaluated_loss_change():
+@pytest.mark.parametrize("mask_frac", [0.0, 0.3], ids=["unmasked", "masked"])
+def test_forward_closed_form_equals_reevaluated_loss_change(mask_frac):
+    # Each move's exact loss change, on both engine kinds and both sides.
     rng = np.random.default_rng(5)
-    prob = rank1_problem(rng, 9, 4, 3, noise=0.8)
+    prob = rank1_problem(rng, 9, 4, 3, noise=0.8, mask_frac=mask_frac)
+    assert (prob.mask is not None) == (mask_frac > 0)
     cfg = StagewiseConfig(epsilon=0.3, mu=5e-3)
     state, step0 = initialize_path(prob, cfg)
     prev = step0.loss
+    sides = set()
     for _ in range(12):
-        du, dv, d = state.du.copy(), state.dv.copy(), state.d
         step = propose_backward(state)
         if step is None:
             step = propose_forward(state)
         want = eval_loss(prob, step.factor, cfg.mu)
         assert step.loss - prev == pytest.approx(want - prev, abs=1e-10)
         prev = step.loss
+        sides.add(step.move[-1])
         if state.lam <= 0:
             break
+    assert sides == {"u", "v"}
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +605,12 @@ def test_select_rejects_none_criterion_and_empty_path():
         {"max_steps": 0},
         {"early_stop_window": 0},
         {"criterion": "mdl"},
+        {"epsilon": math.nan},
+        {"epsilon": math.inf},
+        {"xi": math.nan},
+        {"xi": math.inf},
+        {"mu": math.nan},
+        {"mu": math.inf},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -700,7 +710,7 @@ class ResidualOracle:
 
     def price(self, duv, d):
         p, q = self.p, self.q
-        v22s, u22s, g, quad, c22 = [], [], [], [], []
+        g, quad, c22 = [], [], []
         for b, (row, db) in enumerate(zip(duv, d)):
             X, E, Hf, w, n = self.X[b], self.E[b], self.Hf[b], self.w[b], self.n[b]
             du, dv = row[:p], row[p:]
@@ -713,30 +723,26 @@ class ResidualOracle:
             Ew = (E.T @ w) / (n * db)
             quad_u = self.X2[b].T @ (Hf @ (v * v))
             quad_v = ((w * w) @ Hf) / db ** 2
-            v22s.append(v22)
-            u22s.append(u22)
             g.append(np.concatenate((gu, Ew)))
             quad.append(np.concatenate((quad_u, quad_v)))
             c22.append(np.concatenate((np.full(p, v22), np.full(q, u22))))
-        return _Prices(v22s, u22s, np.array(g), np.array(quad), np.array(c22))
+        return tuple(np.array((g, quad, c22)))
 
-    def move_u(self, b, j, s, pr):
-        xj = self.X[b][:, j]
+    def move(self, b, i, h, dsq, d_old):
+        k = i - self.p
+        if k >= 0:
+            we = float(self.w[b] @ self.E[b][:, k])
+            self.E[b][:, k] -= (h / d_old) * self.w[b] * self.Hf[b][:, k]
+            return (h / d_old) * we
+        xj = self.X[b][:, i]
         xe = float(xj @ self.Ev[b])
-        self.E[b] -= s * (xj[:, None] * self.Hf[b]) * self.v[b][None, :]
-        self.w[b] = self.w[b] + s * xj
-        return xe
+        self.E[b] -= h * (xj[:, None] * self.Hf[b]) * self.v[b][None, :]
+        self.w[b] = self.w[b] + h * xj
+        return h * xe
 
-    def move_v(self, b, k, h, dsq, d_old, pr):
-        we = float(self.w[b] @ self.E[b][:, k])
-        self.E[b][:, k] -= (h / d_old) * self.w[b] * self.Hf[b][:, k]
-        return we
-
-    def scale_du(self, b, r):
-        self.w[b] *= r
-
-    def scale_dv(self, b, r):
-        pass
+    def scale(self, b, i, r):
+        if i >= self.p:
+            self.w[b] *= r
 
     def rebuild(self, b, du, dv, d):
         if d <= 0.0:
@@ -1029,16 +1035,12 @@ def test_moves_that_add_or_drop_an_entry_edit_the_kept_index():
         before = state._nonzeros()
         kept = before.copy()
         pr = state._rows.prices(state.t)
-        if side == "u":
-            s = 0.25 if grow else -state.du.item(i)
-            stagewise._execute_u(state, i, s, pr)
-        else:
-            s = 0.25 if grow else -state.dv.item(i)
-            stagewise._execute_v(state, i, s, pr)
+        at = i if side == "u" else p + i
+        stagewise._execute(state, at, 0.25 if grow else -state._duv.item(at), pr)
         state.t += 1
         got = state._nonzeros()
         np.testing.assert_array_equal(got, np.flatnonzero(state._duv))
-        assert ((i if side == "u" else p + i) in got.tolist()) == grow
+        assert (at in got.tolist()) == grow
         assert got is not before and got.dtype == np.int32 and not got.flags.writeable
         np.testing.assert_array_equal(before, kept)
 
