@@ -16,10 +16,14 @@ The a-block and each response column of the matrix lasso are one problem,
 ``H = X^T diag(w) X / n``, solved by one covariance-form coordinate descent
 (:func:`_weighted_lasso`).  Once a pass leaves every sign unchanged, the
 nonzero block is finished by a linear solve on its sign pattern
-(feature-sign search).  The problem keeps the Gram columns: unweighted in
+(feature-sign search), whose block comes from one ``GramCache.block``
+call.  The problem keeps the Gram columns: unweighted in
 ``ProblemData.gram`` and, for the masked lasso, one weighted cache per
 response column in ``ProblemData.column_grams``, so penalty levels share
-them.
+them.  ``lasso_cd`` screens the columns that start at zero: from zero the
+kernel's first check is ``|X^T Y / n| - lam`` on the live coordinates, so a
+column that passes it is finished without a kernel call.  The screen is
+exact; no answer moves.
 """
 
 from __future__ import annotations
@@ -79,20 +83,41 @@ def _weighted_lasso(gram, s, c, b, pen, x, tol, max_sweeps):
     than ``tol`` (gradient units).  The routine ends when every violation is
     at most ``tol`` or after ``max_sweeps`` passes and solves.
     Zero-curvature coordinates stay zero.  Returns ``(x, worst, sweeps)``.
+    ``pen`` must be finite.
     """
-    curv = s * gram.diag + c
+    sd = s * gram.diag
+    curv = sd + c
     live = curv > 0.0
+    dead = None if live.all() else ~live
     x = np.where(live, x, 0.0)
-    g = np.zeros(b.size)  # H x
-    for j in np.flatnonzero(x):
-        g += x[j] * gram.col(j)
-    bl, cl, sd, xl = b.tolist(), curv.tolist(), (s * gram.diag).tolist(), x.tolist()
-    active = set(np.flatnonzero(x).tolist())
+    bl, cl, sd, xl = b.tolist(), curv.tolist(), sd.tolist(), x.tolist()
+    nz = np.flatnonzero(x).tolist()
+    m = b.size
+    g = np.zeros(m)  # H x
+    tmp = np.empty(m)  # h * col, added to g in the order of a plain loop
+    for j in nz:
+        g += np.multiply(gram.col(j), xl[j], out=tmp)
+    active = set(nz)
+    grad = np.empty(m)
+    viol = np.empty(m)
     sweeps = 0
     while True:
-        grad = s * g + c * x - b
-        viol = np.where(x != 0.0, np.abs(grad + pen * np.sign(x)), np.abs(grad) - pen)
-        viol[~live] = 0.0
+        # grad = s g + c x - b, in place.  Operands are swapped only where IEEE
+        # arithmetic commutes, so every value is the plain expression's.  With
+        # c = 0 the c x term only moves the sign of a zero, which the absolute
+        # values below discard.
+        np.multiply(g, s, out=grad)
+        if c:
+            grad += np.multiply(x, c, out=viol)
+        grad -= b
+        # viol = |grad + pen sign(x)| where x != 0, |grad| - pen elsewhere.
+        np.sign(x, out=viol)
+        viol *= pen
+        viol += grad
+        np.abs(viol, out=viol)
+        np.subtract(viol, pen, out=viol, where=x == 0.0)
+        if dead is not None:
+            viol[dead] = 0.0
         worst = float(viol.max(initial=0.0))
         if worst <= tol or sweeps >= max_sweeps:
             return x, worst, sweeps
@@ -114,7 +139,7 @@ def _weighted_lasso(gram, s, c, b, pen, x, tol, max_sweeps):
                 else:
                     new = 0.0
                 if new != old:
-                    g += (new - old) * col
+                    g += np.multiply(col, new - old, out=tmp)
                     xl[j] = new
                     if old * new <= 0.0:
                         flipped = True
@@ -157,18 +182,18 @@ def _sign_solve(gram, P, s, c, b, pen, x, budget):
     not a descent), and False when the block emptied or ``budget`` solves
     ran out.
     """
-    Hc = np.column_stack([gram.col(j) for j in P])
-    H = s * Hc[P]
-    bP = b[P]
+    Hc = gram.block(P)
+    A = s * Hc[P]  # the whole block: the first solve needs no np.ix_
     on = np.arange(len(P))
+    bP = b[P]
+    xo = x.copy()
     solves = 0
     exact = False
     while on.size and solves < budget:
         solves += 1
-        A = H[np.ix_(on, on)]
-        A.flat[:: on.size + 1] += c
-        xo = x[on]
-        r = bP[on] - pen * np.sign(xo)
+        if c:  # the diagonal of s H_PP is positive, so adding 0.0 changes nothing
+            A.reshape(-1)[:: on.size + 1] += c
+        r = bP - pen * np.sign(xo)
         try:
             xs = np.linalg.solve(A, r)
         except np.linalg.LinAlgError:
@@ -190,7 +215,9 @@ def _sign_solve(gram, P, s, c, b, pen, x, budget):
         xt[np.flatnonzero(cross)[np.argmin(t)]] = 0.0
         xt[xt * xo < 0.0] = 0.0
         x[on] = xt
-        on = on[xt != 0.0]
+        keep = xt != 0.0
+        on, bP, xo = on[keep], bP[keep], xt[keep]
+        A = s * Hc[np.ix_(np.take(P, on), on)]
     return x, Hc @ x, solves, exact
 
 
@@ -221,23 +248,36 @@ def lasso_cd(problem, lam, config=None, warm=None, return_info=False):
     solves that any response column took.
     """
     config = config or LassoConfig()
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     X = problem.X
     n, p, q = problem.n, problem.p, problem.q
     C = np.zeros((p, q)) if warm is None else np.array(warm, dtype=float)
     if C.shape != (p, q):
         raise ValueError("warm start has the wrong shape")
     B = X.T @ problem.observed_response() / n
+    grams = problem.column_grams
+    # The exact zero-column screen.  From a zero start the kernel's first
+    # check is |B| - lam over the live coordinates.  A column that passes it
+    # would leave the kernel at once, with 0 sweeps and its start (dead
+    # coordinates set to 0.0), so it is finished here.
+    if problem.mask is None:
+        live = (problem.gram.diag > 0.0)[:, None]
+    else:
+        live = np.stack([gram.diag for gram in grams], axis=1) > 0.0
+    zero_worst = np.where(live, np.abs(B) - lam, 0.0).max(axis=0, initial=0.0)
+    screened = ~C.any(axis=0) & (zero_worst <= config.tol)
     trace = [lasso_objective(problem, C, lam)] if return_info else []
+    C[~live & screened] = 0.0
     worst = 0.0
     sweeps = 0
-    for k, gram in enumerate(problem.column_grams):
-        C[:, k], viol, used = _weighted_lasso(
-            gram, 1.0, 0.0, B[:, k], lam, C[:, k], config.tol, config.max_sweeps
-        )
-        worst = max(worst, viol)
-        sweeps = max(sweeps, used)
+    for k, gram in enumerate(grams):
+        if not screened[k]:
+            C[:, k], viol, used = _weighted_lasso(
+                gram, 1.0, 0.0, B[:, k], lam, C[:, k], config.tol, config.max_sweeps
+            )
+            worst = max(worst, viol)
+            sweeps = max(sweeps, used)
         if return_info:
             trace.append(lasso_objective(problem, C, lam))
     converged = worst <= config.tol
@@ -261,6 +301,17 @@ def default_lambda_grid(problem, num=50, floor=1e-3):
     return np.geomspace(lam_max, floor * lam_max, num)
 
 
+def _penalty_grid(grid, name):
+    """``grid`` as a float array, checked to be 1-d, nonempty, finite and
+    strictly decreasing."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-d sequence")
+    if not np.isfinite(g).all() or np.any(np.diff(g) >= 0):
+        raise ValueError(f"{name} must be finite and strictly decreasing")
+    return g
+
+
 def lasso_gic_path(problem, grid=None, config=None, criterion="gic", *, _whole_grid=False):
     """Warm-started lasso path with information-criterion selection.
 
@@ -272,7 +323,7 @@ def lasso_gic_path(problem, grid=None, config=None, criterion="gic", *, _whole_g
     ``(C_best, lam_best, path)`` where path is the list of ``(lam, C)``
     solved down the grid.
     """
-    grid = default_lambda_grid(problem) if grid is None else np.asarray(grid, dtype=float)
+    grid = default_lambda_grid(problem) if grid is None else _penalty_grid(grid, "grid")
     scan = GridScan(problem, criterion, None if _whole_grid else GRID_STOP_WINDOW)
     warm = None
     path = []
@@ -310,12 +361,7 @@ class AcsConfig:
         if not 0 <= self.mu < math.inf:
             raise ValueError("mu must be finite and nonnegative")
         if self.lambda_grid is not None:
-            g = np.asarray(self.lambda_grid, dtype=float)
-            if g.ndim != 1 or g.size == 0:
-                raise ValueError("lambda_grid must be a nonempty 1-d sequence")
-            if not np.isfinite(g).all() or np.any(np.diff(g) >= 0):
-                raise ValueError("lambda_grid must be finite and strictly decreasing")
-            self.lambda_grid = g
+            self.lambda_grid = _penalty_grid(self.lambda_grid, "lambda_grid")
 
 
 def default_rrr_ridge(X):
@@ -360,7 +406,7 @@ def svd_of_ols_factor(problem):
 
 
 def _acs_objective(problem, a, v, lam, mu):
-    rss = problem.rss(np.outer(problem.X @ a, v))
+    rss = problem.rss((problem.X @ a)[:, None] * v)  # np.outer's product
     l2 = float(a @ a) * float(v @ v)
     l1 = float(np.abs(a).sum()) * float(np.abs(v).sum())
     return rss / (2.0 * problem.n) + 0.5 * mu * l2 + lam * l1
@@ -410,8 +456,8 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
     asked).
     """
     config = config or AcsConfig()
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     if init is None:
         init = svd_of_ols_factor(problem)
     zero = UnitRankFactor.zero(problem.p, problem.q, NormMode.L1)

@@ -181,6 +181,10 @@ class GramCache:
             col = self._cols[j] = self.X.T @ xj / self.n
         return col
 
+    def block(self, index):
+        """The columns ``index`` side by side, as a C-ordered (p, k) array."""
+        return np.array([self.col(j) for j in index]).T.copy()
+
 
 @dataclass(frozen=True)
 class UnitRankFactor:

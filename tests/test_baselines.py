@@ -120,6 +120,12 @@ def test_lasso_rejects_bad_arguments():
         LassoConfig(tol=0.0)
     with pytest.raises(ValueError, match="tol"):
         LassoConfig(tol=np.nan)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            lasso_cd(prob, lam)
+    for grid in ([1.0, np.nan, 0.1], [0.5, 0.1, 0.2], [0.5, 0.5], [], [[1.0, 0.5]]):
+        with pytest.raises(ValueError, match="grid"):
+            lasso_gic_path(prob, grid=grid)
 
 
 def test_lasso_gic_path_selects_criterion_argmin():
@@ -367,6 +373,323 @@ def test_degenerate_inputs_converge_or_warn(monkeypatch, name, masked):
 
 
 # ---------------------------------------------------------------------------
+# the kernel and the screen against their plain forms, bit for bit
+
+
+def _oracle_weighted_lasso(gram, s, c, b, pen, x, tol, max_sweeps):
+    """The coordinate-descent kernel in its plain form, the bitwise reference."""
+    curv = s * gram.diag + c
+    live = curv > 0.0
+    x = np.where(live, x, 0.0)
+    g = np.zeros(b.size)  # H x
+    for j in np.flatnonzero(x):
+        g += x[j] * gram.col(j)
+    bl, cl, sd, xl = b.tolist(), curv.tolist(), (s * gram.diag).tolist(), x.tolist()
+    active = set(np.flatnonzero(x).tolist())
+    sweeps = 0
+    while True:
+        grad = s * g + c * x - b
+        viol = np.where(x != 0.0, np.abs(grad + pen * np.sign(x)), np.abs(grad) - pen)
+        viol[~live] = 0.0
+        worst = float(viol.max(initial=0.0))
+        if worst <= tol or sweeps >= max_sweeps:
+            return x, worst, sweeps
+        active.update(np.flatnonzero(viol > tol).tolist())
+        order = sorted(active)
+        cols = [gram.col(j) for j in order]
+        stale = False  # a solve failed and no sign has changed since
+        while True:
+            sweeps += 1
+            biggest = 0.0
+            flipped = False
+            for j, col in zip(order, cols):
+                old = xl[j]
+                z = bl[j] - s * g.item(j) + sd[j] * old
+                if z > pen:
+                    new = (z - pen) / cl[j]
+                elif z < -pen:
+                    new = (z + pen) / cl[j]
+                else:
+                    new = 0.0
+                if new != old:
+                    g += (new - old) * col
+                    xl[j] = new
+                    if old * new <= 0.0:
+                        flipped = True
+                    moved = abs(new - old) * cl[j]
+                    if moved > biggest:
+                        biggest = moved
+            if sweeps >= max_sweeps:
+                break
+            if flipped:
+                stale = False
+            elif not stale and biggest > 0.0:
+                P = [j for j in order if xl[j] != 0.0]
+                xP, g, used, exact = _oracle_sign_solve(
+                    gram, P, s, c, b, pen, np.array([xl[j] for j in P]),
+                    max_sweeps - sweeps,
+                )
+                sweeps += used
+                for j, v in zip(P, xP.tolist()):
+                    xl[j] = v
+                if exact or sweeps >= max_sweeps:
+                    break
+                stale = exact is None
+            if biggest <= tol:
+                break
+        x = np.array(xl)
+
+
+def _oracle_sign_solve(gram, P, s, c, b, pen, x, budget):
+    """The feature-sign block solve in its plain form, the bitwise reference."""
+    Hc = np.column_stack([gram.col(j) for j in P])
+    H = s * Hc[P]
+    bP = b[P]
+    on = np.arange(len(P))
+    solves = 0
+    exact = False
+    while on.size and solves < budget:
+        solves += 1
+        A = H[np.ix_(on, on)]
+        A.flat[:: on.size + 1] += c
+        xo = x[on]
+        r = bP[on] - pen * np.sign(xo)
+        try:
+            xs = np.linalg.solve(A, r)
+        except np.linalg.LinAlgError:
+            exact = None
+            break
+        d = xs - xo
+        # Both tests are False for a non-finite solution.
+        accurate = np.abs(A @ xs - r).max() <= 1e-6 * np.abs(r).max()
+        if not (accurate and d @ (A @ (xo + 0.5 * d) - r) <= 0.0):
+            exact = None
+            break
+        cross = xs * xo <= 0.0
+        if not cross.any():
+            x[on] = xs
+            exact = True
+            break
+        t = xo[cross] / (xo[cross] - xs[cross])
+        xt = xo + t.min() * d
+        xt[np.flatnonzero(cross)[np.argmin(t)]] = 0.0
+        xt[xt * xo < 0.0] = 0.0
+        x[on] = xt
+        on = on[xt != 0.0]
+    return x, Hc @ x, solves, exact
+
+
+def _oracle_lasso_cd(problem, lam, config=None, warm=None, return_info=False):
+    """``lasso_cd`` as one kernel call per response column, with no screen."""
+    config = config or baselines.LassoConfig()
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    X = problem.X
+    n, p, q = problem.n, problem.p, problem.q
+    C = np.zeros((p, q)) if warm is None else np.array(warm, dtype=float)
+    if C.shape != (p, q):
+        raise ValueError("warm start has the wrong shape")
+    B = X.T @ problem.observed_response() / n
+    trace = [baselines.lasso_objective(problem, C, lam)] if return_info else []
+    worst = 0.0
+    sweeps = 0
+    for k, gram in enumerate(problem.column_grams):
+        C[:, k], viol, used = _oracle_weighted_lasso(
+            gram, 1.0, 0.0, B[:, k], lam, C[:, k], config.tol, config.max_sweeps
+        )
+        worst = max(worst, viol)
+        sweeps = max(sweeps, used)
+        if return_info:
+            trace.append(baselines.lasso_objective(problem, C, lam))
+    converged = worst <= config.tol
+    if not converged:
+        warnings.warn(
+            f"lasso_cd did not meet the stationarity tolerance in "
+            f"{config.max_sweeps} sweeps (violation={worst:.3e}, lam={lam:.3e})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    if return_info:
+        return C, {"converged": converged, "sweeps": sweeps, "objective_trace": trace}
+    return C
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _kernel_draw(seed, weighted=False, dead=False, duplicate=False):
+    """A GramCache of a seeded 12 x 7 design and a right-hand side for it."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((12, 7))
+    if dead:
+        X[:, 2] = 0.0
+    if duplicate:
+        X[:, 5] = X[:, 1]
+    w = (rng.random(12) >= 0.3).astype(float) if weighted else None
+    gram = GramCache(X, w)
+    return gram, gram.col(0) * 0.7 - gram.col(4) * 0.4 + 0.2 * rng.standard_normal(7), rng
+
+
+_KERNEL_CASES = {
+    "plain": {},
+    "weighted": {"weighted": True},
+    "s and c": {"s": 2.7, "c": 0.05},
+    "weighted, s and c": {"weighted": True, "s": 0.3, "c": 1e-4},
+    "dead column": {"dead": True, "weighted": True},
+    "singular block": {"duplicate": True, "caps": (50,)},
+    "sweep cap": {"caps": (1, 2, 3)},
+    "negative zero": {"negzero": True, "dead": True},
+}
+
+
+@pytest.mark.parametrize("case", list(_KERNEL_CASES))
+def test_kernel_matches_its_plain_form_bit_for_bit(case):
+    opts = _KERNEL_CASES[case]
+    s, c = opts.get("s", 1.0), opts.get("c", 0.0)
+    sweeps_seen = set()
+    for seed in range(12):
+        gram, b, rng = _kernel_draw(seed, opts.get("weighted", False),
+                                    opts.get("dead", False), opts.get("duplicate", False))
+        starts = [np.zeros(7), np.where(rng.random(7) < 0.5, rng.standard_normal(7), 0.0)]
+        if opts.get("duplicate"):
+            starts.append(np.array([0.0, 0.4, 0.0, 0.0, 0.3, 0.2, 0.0]))
+        if opts.get("negzero"):
+            starts.append(np.array([-0.0, 0.3, -0.0, -0.0, 0.0, -0.2, -0.0]))
+        top = float(np.abs(b).max())
+        for x0 in starts:
+            for pen in (0.0, 0.02 * top, 0.3 * top, 1.2 * top):
+                for cap in opts.get("caps", (2000,)):
+                    want = _oracle_weighted_lasso(gram, s, c, b, pen, x0.copy(), 1e-10, cap)
+                    got = baselines._weighted_lasso(gram, s, c, b, pen, x0.copy(), 1e-10, cap)
+                    assert _same_bits(got[0], want[0])
+                    assert _same_bits(got[1], want[1]) and got[2] == want[2]
+                    sweeps_seen.add(got[2])
+    if "caps" in opts:
+        assert set(opts["caps"]) <= sweeps_seen  # every cap was reached
+
+
+def test_sign_solve_matches_its_plain_form_bit_for_bit():
+    outcomes, most = set(), 0
+    for seed in range(60):
+        gram, b, rng = _kernel_draw(seed, weighted=seed % 2 == 1, duplicate=seed % 3 == 0)
+        P = sorted(rng.choice(7, size=int(rng.integers(1, 8)), replace=False).tolist())
+        if seed % 3 == 0:
+            P = sorted(set(P) | {1, 5})  # a singular block
+        x = rng.standard_normal(len(P))
+        s, c = (1.0, 0.0) if seed % 4 < 2 else (1.8, 0.02)
+        pen = float(rng.uniform(0.0, 0.5))
+        budget = int(rng.integers(1, 4))
+        want = _oracle_sign_solve(gram, P, s, c, b, pen, x.copy(), budget)
+        got = baselines._sign_solve(gram, P, s, c, b, pen, x.copy(), budget)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        assert got[2:] == want[2:]
+        outcomes.add(want[3])
+        most = max(most, want[2])
+    assert outcomes == {True, False, None} and most >= 2
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+def test_kernel_matches_its_plain_form_inside_acs(monkeypatch, masked):
+    seen = []
+    kernel = baselines._weighted_lasso
+
+    def compared(gram, s, c, b, pen, x, tol, max_sweeps):
+        want = _oracle_weighted_lasso(gram, s, c, b, pen, x.copy(), tol, max_sweeps)
+        got = kernel(gram, s, c, b, pen, x, tol, max_sweeps)
+        assert _same_bits(got[0], want[0])
+        assert _same_bits(got[1], want[1]) and got[2] == want[2]
+        seen.append(got[2])
+        return got
+
+    monkeypatch.setattr(baselines, "_weighted_lasso", compared)
+    prob = _grid_draw(5, masked)
+    acs_path(prob, default_lambda_grid(prob, num=8))
+    assert len(seen) > 20 and max(seen) >= 2
+
+
+def _screen_draw(masked):
+    """A seeded draw with an all-zero X column, 25% missing when masked."""
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((30, 10))
+    X[:, 3] = 0.0
+    Y = X[:, :3] @ rng.standard_normal((3, 6)) + 0.5 * rng.standard_normal((30, 6))
+    mask = rng.random((30, 6)) >= 0.25 if masked else None
+    return ProblemData(X, Y, mask)
+
+
+def _solve_recorded(fn, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, **kwargs)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+def test_lasso_screen_matches_a_kernel_loop(masked):
+    prob = _screen_draw(masked)
+    lam_max = default_lambda_grid(prob)[0]
+    negzero = np.zeros((prob.p, prob.q))
+    negzero[:, 1] = -0.0
+    negzero[3, :] = -0.0  # the dead coordinate too
+    warm = lasso_cd(prob, 0.3 * lam_max)
+    warm[:, 2] = -0.0
+    assert np.any(warm) and not np.all(warm.any(axis=0))
+    for lam in (2.0 * lam_max, lam_max, 0.6 * lam_max, 0.1 * lam_max, 0.0):
+        for start in (None, negzero, warm):
+            for config in (None, LassoConfig(max_sweeps=1)):
+                (C, info), caught = _solve_recorded(
+                    lasso_cd, prob, lam, config=config, warm=start, return_info=True)
+                (want_C, want_info), want_caught = _solve_recorded(
+                    _oracle_lasso_cd, prob, lam, config=config, warm=start,
+                    return_info=True)
+                assert _same_bits(C, want_C)
+                assert info["sweeps"] == want_info["sweeps"]
+                assert info["converged"] == want_info["converged"]
+                assert _same_bits(info["objective_trace"], want_info["objective_trace"])
+                assert caught == want_caught
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+@pytest.mark.parametrize("whole", [False, True], ids=["stop", "whole"])
+def test_lasso_path_screen_matches_a_kernel_loop(monkeypatch, masked, whole):
+    prob = _screen_draw(masked)
+    grid = default_lambda_grid(prob, num=25)
+    for config in (None, LassoConfig(max_sweeps=2)):
+        got, caught = _solve_recorded(lasso_gic_path, prob, grid, config, _whole_grid=whole)
+        with monkeypatch.context() as m:
+            m.setattr(baselines, "lasso_cd", _oracle_lasso_cd)
+            want, want_caught = _solve_recorded(lasso_gic_path, prob, grid, config,
+                                                _whole_grid=whole)
+        assert _same_bits(got[0], want[0]) and got[1] == want[1]
+        assert len(got[2]) == len(want[2])
+        for (lam, C), (want_lam, want_C) in zip(got[2], want[2]):
+            assert lam == want_lam and _same_bits(C, want_C)
+        assert [text for _, text in caught] == [text for _, text in want_caught]
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+def test_lasso_screen_keeps_columns_out_of_the_kernel(monkeypatch, masked):
+    prob = _screen_draw(masked)
+    lam_max = default_lambda_grid(prob)[0]
+    calls = []
+    kernel = baselines._weighted_lasso
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(baselines, "_weighted_lasso", counted)
+    for lam in (lam_max, 1.5 * lam_max):
+        for start in (None, np.zeros((prob.p, prob.q))):
+            C = lasso_cd(prob, lam, warm=start)
+            assert not calls and not np.any(C)
+    lasso_cd(prob, 0.9 * lam_max)
+    assert 0 < len(calls) < prob.q  # some columns still pass the screen
+
+
+# ---------------------------------------------------------------------------
 # alternating convex search
 
 
@@ -471,6 +794,9 @@ def test_acs_rejects_degenerate_and_misconfigured_input():
         AcsConfig(mu=np.nan)
     with pytest.raises(ValueError, match="finite"):
         AcsConfig(lambda_grid=[0.2, np.nan, 0.1])
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            acs_cure(prob, lam)
 
 
 def test_acs_masked_matches_unmasked_when_all_observed():
