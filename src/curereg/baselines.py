@@ -241,11 +241,13 @@ def lasso_cd(problem, lam, config=None, warm=None, return_info=False):
     Minimizes ``||P(Y - XC)||_F^2 / (2n) + lam ||C||_1``.  Response column k
     is a weighted lasso whose weights are the mask column (none when fully
     observed).  On convergence every entry meets the subgradient condition
-    within ``tol``: ``|g_jk + lam sign(C_jk)| <= tol`` where ``C_jk != 0``
-    and ``|g_jk| <= lam + tol`` elsewhere, with ``g = -X^T P(Y - XC) / n``.
-    Otherwise the last iterate is returned with a warning.  With
-    ``return_info``, ``info["sweeps"]`` is the most passes plus exact
-    solves that any response column took.
+    within ``tol' = tol * min(1, lam_max)``: ``|g_jk + lam sign(C_jk)| <= tol'``
+    where ``C_jk != 0`` and ``|g_jk| <= lam + tol'`` elsewhere, with
+    ``g = -X^T P(Y - XC) / n`` and ``lam_max = max |X^T P(Y) / n|`` (``tol``
+    itself when that is 0).  The gradients scale with Y, so an absolute
+    ``tol`` would stop a small-Y fit early.  Otherwise the last iterate is
+    returned with a warning.  With ``return_info``, ``info["sweeps"]`` is
+    the most passes plus exact solves that any response column took.
     """
     config = config or LassoConfig()
     if not 0 <= lam < math.inf:
@@ -265,8 +267,11 @@ def lasso_cd(problem, lam, config=None, warm=None, return_info=False):
         live = (problem.gram.diag > 0.0)[:, None]
     else:
         live = np.stack([gram.diag for gram in grams], axis=1) > 0.0
-    zero_worst = np.where(live, np.abs(B) - lam, 0.0).max(axis=0, initial=0.0)
-    screened = ~C.any(axis=0) & (zero_worst <= config.tol)
+    abs_B = np.abs(B)
+    lam_max = float(abs_B.max(initial=0.0))
+    tol = config.tol * min(1.0, lam_max) if lam_max > 0.0 else config.tol
+    zero_worst = np.where(live, abs_B - lam, 0.0).max(axis=0, initial=0.0)
+    screened = ~C.any(axis=0) & (zero_worst <= tol)
     trace = [lasso_objective(problem, C, lam)] if return_info else []
     C[~live & screened] = 0.0
     worst = 0.0
@@ -274,13 +279,13 @@ def lasso_cd(problem, lam, config=None, warm=None, return_info=False):
     for k, gram in enumerate(grams):
         if not screened[k]:
             C[:, k], viol, used = _weighted_lasso(
-                gram, 1.0, 0.0, B[:, k], lam, C[:, k], config.tol, config.max_sweeps
+                gram, 1.0, 0.0, B[:, k], lam, C[:, k], tol, config.max_sweeps
             )
             worst = max(worst, viol)
             sweeps = max(sweeps, used)
         if return_info:
             trace.append(lasso_objective(problem, C, lam))
-    converged = worst <= config.tol
+    converged = worst <= tol
     if not converged:
         warnings.warn(
             f"lasso_cd did not meet the stationarity tolerance in "
@@ -517,12 +522,13 @@ def acs_path(problem, grid=None, config=None, stop=None):
     is called with each level's factor as soon as it is solved, and the path
     ends after the first level on which it returns True; deflation passes
     the update of a :class:`~curereg.tuning.GridScan`, so selection happens
-    in the same pass.  Without it the whole grid is solved.
+    in the same pass.  Without it the whole grid is solved.  An explicit
+    grid must be 1-d, nonempty, finite and strictly decreasing.
     """
     config = config or AcsConfig()
     if grid is None:
         grid = config.lambda_grid
-    grid = default_lambda_grid(problem) if grid is None else np.asarray(grid, dtype=float)
+    grid = default_lambda_grid(problem) if grid is None else _penalty_grid(grid, "grid")
     cold = svd_of_ols_factor(problem)
     warm = None
     out = []

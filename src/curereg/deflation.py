@@ -15,6 +15,7 @@ alternating solver on a decreasing penalty grid.
 
 from __future__ import annotations
 
+import math
 import warnings
 # Unused here: no layer runs on a thread pool.  perfbench/tracer.py still
 # replaces this name and fails to install without it (ROADMAP item 1a).
@@ -134,6 +135,17 @@ def _fit_unit_rank(problem, cfg):
     criterion = cfg.resolved_criterion()
     if isinstance(solver, StagewiseConfig):
         path = run_path(problem, solver)
+        step0 = path.steps[0]
+        if step0.lam <= 0.0 and problem.observed_response().any():
+            rms = math.sqrt(step0.rss / path.observed)
+            warnings.warn(
+                f"the stagewise path cannot leave zero: lambda0 = {step0.lam:.3e} <= 0,"
+                f" so no first step of epsilon = {solver.epsilon:g} lowers the loss"
+                f" (RMS of the layer's observed Y = {rms:.3e}); epsilon is absolute,"
+                " so scale Y up or lower epsilon",
+                RuntimeWarning,
+                stacklevel=3,
+            )
         if criterion == "cv":
             # The training folds' paths run in lockstep on one engine.
             def fit_folds(folds):
@@ -142,8 +154,10 @@ def _fit_unit_rank(problem, cfg):
             points = _stagewise_grid_points(path)
             sel = kfold_cv_select(problem, points, fit_folds, cfg.cv_folds, cfg.cv_seed)
             return points[sel.index][1]
-        if len(path.steps) == 1 and path.steps[0].factor.is_zero:
-            return path.steps[0].factor
+        if step0.lam <= 0.0 and solver.criterion != criterion:
+            # The lone zero step has no stored value of this criterion, and
+            # recomputing gic fails below 3 observed entries.
+            return step0.factor
         return select_on_path(path, criterion).factor
     grid = solver.lambda_grid
     if grid is None:

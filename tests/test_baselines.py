@@ -797,6 +797,9 @@ def test_acs_rejects_degenerate_and_misconfigured_input():
     for lam in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             acs_cure(prob, lam)
+    for grid in ([0.01, 0.5], [], [0.5, np.nan], [[0.5, 0.1]]):
+        with pytest.raises(ValueError, match="grid"):
+            acs_path(prob, grid)
 
 
 def test_acs_masked_matches_unmasked_when_all_observed():

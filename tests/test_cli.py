@@ -328,6 +328,34 @@ def test_seeded_fuzz_fits_are_valid_or_a_documented_error(seed):
         assert np.all(np.isfinite(model.to_matrix(shape=(p, q)))), method
 
 
+@pytest.mark.parametrize("scale", [1e-6, 2.0 ** -20, 1e-9])
+def test_lasso_fit_scales_with_a_small_y(scale):
+    truth = gen_dataset(SimSpec(model="II", n=23, p=12, q=5, r_star=2, seed=18))
+    opts = fit_opts(rank=2)
+    want = fit_method(truth.X, truth.Y, None, "lasso", opts).to_matrix(shape=(12, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fit_method(truth.X, truth.Y * scale, None, "lasso", opts)
+    gap = np.linalg.norm(got.to_matrix(shape=(12, 5)) / scale - want)
+    assert gap <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("criterion", ["gic", "cv"])
+def test_a_stagewise_layer_stuck_at_zero_says_why(criterion):
+    truth = gen_dataset(SimSpec(model="II", n=60, p=20, q=15, r_star=2, seed=1))
+    Y = truth.Y * 1e-3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit_method(truth.X, Y, None, "seqstl",
+                           fit_opts(rank=2, epsilon=0.2, criterion=criterion))
+    assert model.rank == 0
+    why = [str(w.message) for w in caught if "cannot leave zero" in str(w.message)]
+    rms = float(np.sqrt(np.mean(Y * Y)))
+    assert len(why) == 1  # the full-data path only, not the CV folds
+    assert re.search(r"lambda0 = -\S+ <= 0, so no first step of epsilon = 0\.2 ", why[0])
+    assert f"RMS of the layer's observed Y = {rms:.3e}" in why[0]
+
+
 @pytest.mark.parametrize("method,extra", [
     ("lasso", []),
     ("seqacs", ["--rank", "2"]),
