@@ -15,7 +15,6 @@ alternating solver on a decreasing penalty grid.
 
 from __future__ import annotations
 
-import math
 import warnings
 # Unused here: no layer runs on a thread pool.  perfbench/tracer.py still
 # replaces this name and fails to install without it (ROADMAP item 1a).
@@ -129,23 +128,31 @@ def _acs_rss_df(problem, fac):
     return float(np.vdot(R, R)), df
 
 
-def _fit_unit_rank(problem, cfg):
-    """One unit-rank solve with per-layer tuning; returns an L1-mode factor."""
+def _fit_unit_rank(problem, cfg, explain_zero=False):
+    """One unit-rank solve with per-layer tuning; returns an L1-mode factor.
+
+    With ``explain_zero``, a stagewise path that cannot leave zero while the
+    observed Y is not all zero warns with lambda0, epsilon and the RMS of Y.
+    """
     solver = cfg.solver
     criterion = cfg.resolved_criterion()
     if isinstance(solver, StagewiseConfig):
         path = run_path(problem, solver)
-        step0 = path.steps[0]
-        if step0.lam <= 0.0 and problem.observed_response().any():
-            rms = math.sqrt(step0.rss / path.observed)
-            warnings.warn(
-                f"the stagewise path cannot leave zero: lambda0 = {step0.lam:.3e} <= 0,"
-                f" so no first step of epsilon = {solver.epsilon:g} lowers the loss"
-                f" (RMS of the layer's observed Y = {rms:.3e}); epsilon is absolute,"
-                " so scale Y up or lower epsilon",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        lam0 = path.steps[0].lam
+        if explain_zero and lam0 <= 0.0:
+            Y = problem.observed_response()
+            top = float(np.abs(Y).max())
+            if top > 0.0:
+                # Scaled by the largest entry so a tiny Y does not underflow.
+                rms = top * float(np.linalg.norm(Y / top) / np.sqrt(path.observed))
+                warnings.warn(
+                    f"the stagewise path cannot leave zero: lambda0 = {lam0:.3e} <= 0,"
+                    f" so no first step of epsilon = {solver.epsilon:g} lowers the loss"
+                    f" (RMS of the layer's observed Y = {rms:.3e}); epsilon is absolute,"
+                    " so scale Y up or lower epsilon",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
         if criterion == "cv":
             # The training folds' paths run in lockstep on one engine.
             def fit_folds(folds):
@@ -154,10 +161,9 @@ def _fit_unit_rank(problem, cfg):
             points = _stagewise_grid_points(path)
             sel = kfold_cv_select(problem, points, fit_folds, cfg.cv_folds, cfg.cv_seed)
             return points[sel.index][1]
-        if step0.lam <= 0.0 and solver.criterion != criterion:
-            # The lone zero step has no stored value of this criterion, and
-            # recomputing gic fails below 3 observed entries.
-            return step0.factor
+        if lam0 <= 0.0:
+            # The lone zero step; select_on_path would recompute its criterion.
+            return path.steps[0].factor
         return select_on_path(path, criterion).factor
     grid = solver.lambda_grid
     if grid is None:
@@ -198,7 +204,9 @@ def sequential_pursuit(problem, cfg):
     layers = []
     for k in range(cfg.rank):
         pk = ProblemData(X, Yk, problem.mask)
-        fac = _fit_unit_rank(pk, cfg)
+        # Only a zero first layer points to the scale of Y; a later one is
+        # usually a residual of noise.
+        fac = _fit_unit_rank(pk, cfg, explain_zero=k == 0)
         if fac.is_zero:
             warnings.warn(
                 f"layer {k + 1} is zero; stopping at effective rank {len(layers)}",
@@ -252,7 +260,9 @@ def parallel_pursuit(problem, cfg):
     layers = []
     for k, M in enumerate(mats):
         Yk = problem.Y - X @ (total - M)
-        fac = _fit_unit_rank(ProblemData(X, Yk, problem.mask), cfg)
+        # Explained on the last layer, and only if every other one was dropped.
+        explain = not layers and k == len(mats) - 1
+        fac = _fit_unit_rank(ProblemData(X, Yk, problem.mask), cfg, explain_zero=explain)
         if fac.is_zero:
             warnings.warn(f"parallel layer {k + 1} refit to zero; dropping it",
                           RuntimeWarning, stacklevel=2)

@@ -340,20 +340,47 @@ def test_lasso_fit_scales_with_a_small_y(scale):
     assert gap <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e-170])  # ||Y||^2 underflows at 1e-170
 @pytest.mark.parametrize("criterion", ["gic", "cv"])
-def test_a_stagewise_layer_stuck_at_zero_says_why(criterion):
+def test_a_stagewise_layer_stuck_at_zero_says_why(criterion, scale):
     truth = gen_dataset(SimSpec(model="II", n=60, p=20, q=15, r_star=2, seed=1))
-    Y = truth.Y * 1e-3
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        model = fit_method(truth.X, Y, None, "seqstl",
+        model = fit_method(truth.X, truth.Y * scale, None, "seqstl",
                            fit_opts(rank=2, epsilon=0.2, criterion=criterion))
     assert model.rank == 0
     why = [str(w.message) for w in caught if "cannot leave zero" in str(w.message)]
-    rms = float(np.sqrt(np.mean(Y * Y)))
+    rms = scale * float(np.sqrt(np.mean(truth.Y * truth.Y)))
     assert len(why) == 1  # the full-data path only, not the CV folds
     assert re.search(r"lambda0 = -\S+ <= 0, so no first step of epsilon = 0\.2 ", why[0])
     assert f"RMS of the layer's observed Y = {rms:.3e}" in why[0]
+
+
+@pytest.mark.parametrize("criterion", ["gic", "cv"])
+def test_a_zero_layer_past_the_true_rank_gives_no_scale_advice(criterion):
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((25, 8))
+    C = np.outer(rng.standard_normal(8) * (rng.random(8) > 0.5), rng.standard_normal(6))
+    Y = X @ C + 0.2 * rng.standard_normal((25, 6))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit_method(X, Y, None, "seqstl",
+                           fit_opts(rank=2, epsilon=0.25, criterion=criterion))
+    assert model.rank == 1
+    assert [str(w.message) for w in caught] == [
+        "layer 2 is zero; stopping at effective rank 1"]
+
+
+@pytest.mark.parametrize("method", ["parstl_l", "parstl_r"])
+def test_parallel_pursuit_says_why_once_when_every_layer_is_zero(method):
+    truth = gen_dataset(SimSpec(model="II", n=23, p=12, q=5, r_star=2, seed=18))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit_method(truth.X, truth.Y * 1e-6, None, method, fit_opts(rank=2))
+    assert model.rank == 0
+    why = [str(w.message) for w in caught if "cannot leave zero" in str(w.message)]
+    assert len(why) == 1
+    assert "epsilon = 1 lowers the loss" in why[0]
 
 
 @pytest.mark.parametrize("method,extra", [
