@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    SV_TOL,
     GramCache,
     NormMode,
     UnitRankFactor,

@@ -252,21 +252,18 @@ def _resolve_threads(opts):
     return threads
 
 
-def _from_opts(cls, opts):
-    """A ``cls`` dataclass whose fields take the options of the same names."""
-    return cls(**{f.name: opts[f.name] for f in fields(cls)})
-
-
-def _stagewise_config(opts):
-    crit = "none" if opts["criterion"] == "cv" else opts["criterion"]
-    return _from_opts(StagewiseConfig, {**opts, "criterion": crit})
+def _from_opts(cls, opts, *skip):
+    """A ``cls`` dataclass whose fields, but those named in ``skip``, take the
+    options of the same names."""
+    return cls(**{f.name: opts[f.name] for f in fields(cls) if f.name not in skip})
 
 
 def _deflation_config(method, opts):
     if opts["rank"] is None:
         raise ValueError(f"method {method} requires --rank")
     if "stl" in method:
-        solver = _stagewise_config(opts)
+        # Each layer's path runs with the DeflationConfig criterion.
+        solver = _from_opts(StagewiseConfig, opts, "criterion")
     else:
         solver = AcsConfig(mu=opts["mu"])
     strategy = "sequential" if method.startswith("seq") else "parallel"
@@ -469,7 +466,7 @@ def _cmd_paths(opts):
     times = {}
     X, Y, mask = _read_xy(opts, times)
     with _stage(times, "path"):
-        path = run_path(ProblemData(X, Y, mask), _stagewise_config(opts))
+        path = run_path(ProblemData(X, Y, mask), _from_opts(StagewiseConfig, opts))
     with _stage(times, "write"):
         write_path_jsonl(os.path.join(out, "path.jsonl"), path)
     _write_timing(os.path.join(out, "timing.csv"), list(times.items()))

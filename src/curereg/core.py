@@ -40,7 +40,8 @@ __all__ = [
     "rescale_factor_rows",
 ]
 
-# Singular values at or below this are treated as zero when extracting layers.
+# Singular values at or below this share of the largest are treated as zero
+# when extracting layers.
 SV_TOL = 1e-10
 # Entries with magnitude at or below this count as zero in supports.
 ZERO_TOL = 1e-12
@@ -355,7 +356,9 @@ def p_orthogonal_svd(X, C, r):
     ``u_k = C v_k / d_k``, so that ``(X U / sqrt(n))`` has orthonormal columns
     and ``V`` is orthonormal.  Layers come out ordered by nonincreasing d.
     Requesting more layers than the decomposition supports truncates, so the
-    returned model can have rank below ``r``.
+    returned model can have rank below ``r``: a layer is cut once its singular
+    value is at most ``SV_TOL`` times the largest, so the cut does not move
+    when C is scaled.
     """
     X = _as_float_matrix(X, "X")
     C = _as_float_matrix(C, "C")
@@ -368,10 +371,11 @@ def p_orthogonal_svd(X, C, r):
     n = X.shape[0]
     M = (X @ C) / np.sqrt(n)
     _, svals, Vt = np.linalg.svd(M, full_matrices=False)
+    cut = SV_TOL * float(svals.max(initial=0.0))
     layers = []
     for k in range(min(r, svals.size)):
         d = float(svals[k])
-        if d <= SV_TOL:
+        if d <= cut:
             break
         v = Vt[k].copy()
         u = (C @ v) / d

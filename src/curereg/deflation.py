@@ -10,7 +10,8 @@ identical results.
 
 Each unit-rank subproblem is solved either by the stagewise path solver
 (selecting a path point by an information criterion or CV) or by the
-alternating solver on a decreasing penalty grid.
+alternating solver on a decreasing penalty grid; ``DeflationConfig.criterion``
+is the tuning rule of every layer.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import warnings
 # Unused here: no layer runs on a thread pool.  perfbench/tracer.py still
 # replaces this name and fails to install without it (ROADMAP item 1a).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,10 +67,12 @@ CV_GRID_MAX = 50
 class DeflationConfig:
     """How to build a rank-``rank`` model out of unit-rank solves.
 
-    ``criterion`` picks the per-layer tuning rule; None defers to the
-    stagewise config's criterion (or gic for the alternating solver).
-    ``initializer`` (one of :data:`INITIALIZERS`) and ``s_threshold`` only
-    apply to the parallel strategy.
+    ``criterion`` (one of :data:`SELECTIONS`) is the per-layer tuning rule of
+    either solver.  A stagewise layer runs its path with it in place of the
+    solver config's own criterion and picks the step that minimizes it; under
+    ``cv`` the path runs without one.  ``initializer`` (one of
+    :data:`INITIALIZERS`) and ``s_threshold`` only apply to the parallel
+    strategy.
     """
 
     strategy: str
@@ -77,7 +80,7 @@ class DeflationConfig:
     solver: object  # StagewiseConfig | AcsConfig
     initializer: str | None = None
     s_threshold: int | None = None
-    criterion: str | None = None
+    criterion: str = "gic"
     cv_folds: int = 5
     cv_seed: int = 0
 
@@ -88,7 +91,7 @@ class DeflationConfig:
             raise ValueError("rank must be at least 1")
         if not isinstance(self.solver, (StagewiseConfig, AcsConfig)):
             raise TypeError("solver must be a StagewiseConfig or an AcsConfig")
-        if self.criterion is not None and self.criterion not in SELECTIONS:
+        if self.criterion not in SELECTIONS:
             raise ValueError(f"criterion must be one of {SELECTIONS}")
         if self.initializer not in (None, *INITIALIZERS):
             raise ValueError(f"initializer must be one of {INITIALIZERS}")
@@ -96,13 +99,6 @@ class DeflationConfig:
             raise ValueError("parallel pursuit needs an initializer (lasso or rrr)")
         if self.s_threshold is not None and self.s_threshold < self.rank:
             raise ValueError("s_threshold must be at least the target rank")
-
-    def resolved_criterion(self):
-        if self.criterion is not None:
-            return self.criterion
-        if isinstance(self.solver, StagewiseConfig) and self.solver.criterion != "none":
-            return self.solver.criterion
-        return "gic"
 
 
 def _stagewise_grid_points(path):
@@ -134,9 +130,10 @@ def _fit_unit_rank(problem, cfg, explain_zero=False):
     With ``explain_zero``, a stagewise path that cannot leave zero while the
     observed Y is not all zero warns with lambda0, epsilon and the RMS of Y.
     """
-    solver = cfg.solver
-    criterion = cfg.resolved_criterion()
+    solver, criterion = cfg.solver, cfg.criterion
     if isinstance(solver, StagewiseConfig):
+        # A CV layer compares whole paths, so they run without early stop.
+        solver = replace(solver, criterion="none" if criterion == "cv" else criterion)
         path = run_path(problem, solver)
         lam0 = path.steps[0].lam
         if explain_zero and lam0 <= 0.0:
@@ -144,7 +141,7 @@ def _fit_unit_rank(problem, cfg, explain_zero=False):
             top = float(np.abs(Y).max())
             if top > 0.0:
                 # Scaled by the largest entry so a tiny Y does not underflow.
-                rms = top * float(np.linalg.norm(Y / top) / np.sqrt(path.observed))
+                rms = top * float(np.linalg.norm(Y / top) / np.sqrt(problem.n_observed))
                 warnings.warn(
                     f"the stagewise path cannot leave zero: lambda0 = {lam0:.3e} <= 0,"
                     f" so no first step of epsilon = {solver.epsilon:g} lowers the loss"
@@ -153,35 +150,31 @@ def _fit_unit_rank(problem, cfg, explain_zero=False):
                     RuntimeWarning,
                     stacklevel=3,
                 )
-        if criterion == "cv":
-            # The training folds' paths run in lockstep on one engine.
-            def fit_folds(folds):
-                return [_stagewise_grid_points(p) for p in run_paths(folds, solver)]
+        if criterion != "cv":
+            return select_on_path(path).factor
+        # The training folds' paths run in lockstep on one engine.
+        def fit_folds(folds):
+            return [_stagewise_grid_points(p) for p in run_paths(folds, solver)]
 
-            points = _stagewise_grid_points(path)
-            sel = kfold_cv_select(problem, points, fit_folds, cfg.cv_folds, cfg.cv_seed)
-            return points[sel.index][1]
-        if lam0 <= 0.0:
-            # The lone zero step; select_on_path would recompute its criterion.
-            return path.steps[0].factor
-        return select_on_path(path, criterion).factor
-    grid = solver.lambda_grid
-    if grid is None:
-        grid = default_lambda_grid(problem)
-    if len(grid) == 1:
-        return acs_path(problem, grid, config=solver)[0][1]
-    if criterion == "cv":
+        points = _stagewise_grid_points(path)
+    else:
+        grid = solver.lambda_grid
+        if grid is None:
+            grid = default_lambda_grid(problem)
+        if len(grid) == 1:
+            return acs_path(problem, grid, config=solver)[0][1]
+        if criterion != "cv":
+            scan = GridScan(problem, criterion)
+            pairs = acs_path(problem, grid, config=solver,
+                             stop=lambda fac: scan.update(*_acs_rss_df(problem, fac)))
+            return pairs[scan.best][1]
         # The folds are aligned to the full-data grid, so all of it is solved.
         def fit_folds(folds):
             return [acs_path(pb, grid, config=solver) for pb in folds]
 
-        pairs = acs_path(problem, grid, config=solver)
-        sel = kfold_cv_select(problem, pairs, fit_folds, cfg.cv_folds, cfg.cv_seed)
-        return pairs[sel.index][1]
-    scan = GridScan(problem, criterion)
-    pairs = acs_path(problem, grid, config=solver,
-                     stop=lambda fac: scan.update(*_acs_rss_df(problem, fac)))
-    return pairs[scan.best][1]
+        points = acs_path(problem, grid, config=solver)
+    sel = kfold_cv_select(problem, points, fit_folds, cfg.cv_folds, cfg.cv_seed)
+    return points[sel.index][1]
 
 
 def deflate(problem, cfg):

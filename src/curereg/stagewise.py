@@ -77,7 +77,7 @@ import numpy as np
 
 from . import tuning
 from .core import GramCache, NormMode, UnitRankFactor
-from .tuning import CriterionInput, EarlyStop, information_criterion
+from .tuning import EarlyStop, information_criterion
 
 __all__ = [
     "StagewiseConfig",
@@ -504,10 +504,6 @@ class StagewisePath:
     steps: list = field(default_factory=list)
     config: StagewiseConfig | None = None
     terminated_by: str = ""
-    n: int = 0
-    p: int = 0
-    q: int = 0
-    observed: int | None = None
     max_drift: float = 0.0
 
     def __len__(self):
@@ -955,15 +951,8 @@ def _run_rows(problems, config):
     rows = states[0]._rows
     paths = []
     live = []
-    for problem, state, step0 in zip(problems, states, first):
-        path = StagewisePath(
-            steps=[step0],
-            config=config,
-            n=problem.n,
-            p=problem.p,
-            q=problem.q,
-            observed=problem.n_observed,
-        )
+    for state, step0 in zip(states, first):
+        path = StagewisePath(steps=[step0], config=config)
         paths.append(path)
         if state.lam <= 0.0:
             path.terminated_by = "lambda_nonpositive"
@@ -1027,35 +1016,26 @@ def run_path(problem, config=None):
     return run_paths([problem], config)[0]
 
 
-def select_on_path(path, criterion=None):
-    """Return the recorded step minimizing an information criterion.
+def select_on_path(path):
+    """Return the recorded step minimizing the criterion the path ran with.
 
-    ``criterion`` defaults to the one the path was run with.  Values are
-    reused when they match and recomputed from the stored residual sums
-    otherwise; a perfect fit counts as minus infinity (it cannot be beaten).
-    Ties resolve to the earliest step.
+    That criterion also early-stopped the path, so the step is picked from
+    the path it recorded; a perfect fit counts as minus infinity (it cannot
+    be beaten).  Ties resolve to the earliest step.  A path run with
+    criterion "none" has nothing to select on.
     """
     if not path.steps:
         raise ValueError("empty path")
-    criterion = criterion or (path.config.criterion if path.config else "gic")
-    if criterion == "none":
+    if path.config is not None and path.config.criterion == "none":
         raise ValueError("cannot select with criterion 'none'")
-    stored_ok = path.config is not None and path.config.criterion == criterion
     best = None
     for idx, step in enumerate(path.steps):
-        if stored_ok and step.criterion_value is not None:
+        if step.criterion_value is not None:
             val = float(step.criterion_value)
+        elif step.rss <= 0.0:
+            val = -math.inf
         else:
-            rss = step.rss
-            if not np.isfinite(rss):
-                continue
-            if rss <= 0.0:
-                val = -math.inf
-            else:
-                val = information_criterion(
-                    criterion,
-                    CriterionInput(rss, path.n, path.p, path.q, step.df, path.observed),
-                )
+            continue
         if not math.isnan(val) and (best is None or val < best[0]):
             best = (val, idx)
     if best is None:

@@ -340,6 +340,20 @@ def test_lasso_fit_scales_with_a_small_y(scale):
     assert gap <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("method", ["lasso", "rrr"])
+def test_a_small_y_keeps_every_layer(method):
+    # Layers are cut at a share of the largest singular value, so scaling Y
+    # scales the fit and keeps its rank.
+    truth = gen_dataset(SimSpec(model="II", n=23, p=12, q=5, r_star=2, seed=18))
+    opts = fit_opts(rank=2)
+    want = fit_method(truth.X, truth.Y, None, method, opts)
+    for scale in (1e-11, 1e-12):
+        got = fit_method(truth.X, truth.Y * scale, None, method, opts)
+        assert got.rank == want.rank
+        gap = np.linalg.norm(got.to_matrix(shape=(12, 5)) / scale - want.to_matrix(shape=(12, 5)))
+        assert gap <= 1e-12 * np.linalg.norm(want.to_matrix(shape=(12, 5)))
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1e-170])  # ||Y||^2 underflows at 1e-170
 @pytest.mark.parametrize("criterion", ["gic", "cv"])
 def test_a_stagewise_layer_stuck_at_zero_says_why(criterion, scale):

@@ -453,23 +453,29 @@ def test_strategy_mismatch_is_rejected():
         sequential_pursuit(prob, par)
 
 
-def test_resolved_criterion_precedence():
-    sw_bic = StagewiseConfig(criterion="bic")
-    assert (
-        DeflationConfig(strategy="sequential", rank=1, solver=sw_bic).resolved_criterion()
-        == "bic"
-    )
-    assert (
-        DeflationConfig(
-            strategy="sequential", rank=1, solver=sw_bic, criterion="aic"
-        ).resolved_criterion()
-        == "aic"
-    )
-    none_cfg = DeflationConfig(
-        strategy="sequential", rank=1, solver=StagewiseConfig(criterion="none")
-    )
-    assert none_cfg.resolved_criterion() == "gic"
-    assert (
-        DeflationConfig(strategy="sequential", rank=1, solver=AcsConfig()).resolved_criterion()
-        == "gic"
-    )
+def test_the_layer_criterion_runs_and_picks_each_stagewise_path():
+    # The solver config's own criterion is never read: each layer's path runs
+    # and is picked by DeflationConfig.criterion, so a short early-stop window
+    # cannot end it on one criterion and then pick it by another.
+    rng = np.random.default_rng(8)
+    prob, _ = lowrank_instance(rng, 20, 6, 5, 1, noise=0.5)
+    knobs = dict(epsilon=0.2, early_stop_window=5)
+    for crit, other in (("bic", "gic"), ("aic", "bic"), ("gic", "none")):
+        cfg = DeflationConfig(strategy="sequential", rank=1, criterion=crit,
+                              solver=StagewiseConfig(criterion=other, **knobs))
+        want = select_on_path(run_path(prob, StagewiseConfig(criterion=crit, **knobs)))
+        want = renormalize_factor(want.factor, NormMode.PORTH, prob.X)
+        models_bitwise_equal(sequential_pursuit(prob, cfg), FactorModel((want,)))
+    # Under cv the paths run without a criterion, whatever the solver's.
+    cv = [DeflationConfig(strategy="sequential", rank=1, criterion="cv",
+                          solver=StagewiseConfig(criterion=c, **knobs))
+          for c in ("gic", "none")]
+    models_bitwise_equal(*(sequential_pursuit(prob, c) for c in cv))
+
+
+def test_the_layer_criterion_defaults_to_gic_and_is_required():
+    sw = StagewiseConfig(criterion="bic")
+    assert DeflationConfig(strategy="sequential", rank=1, solver=sw).criterion == "gic"
+    assert DeflationConfig(strategy="sequential", rank=1, solver=AcsConfig()).criterion == "gic"
+    with pytest.raises(ValueError, match="criterion must be one of"):
+        DeflationConfig(strategy="sequential", rank=1, solver=sw, criterion=None)

@@ -31,3 +31,24 @@ def test_no_module_imports_a_private_name_from_a_sibling():
             crossing += [f"{path.name}: {node.module}.{alias.name}"
                          for alias in node.names if alias.name.startswith("_")]
     assert crossing == []
+
+
+# Imported only so that perfbench/tracer.py can replace them on the module.
+TRACER_ONLY_IMPORTS = {
+    "deflation.py: ThreadPoolExecutor": "the tracer swaps in its own pool class",
+    "deflation.py: information_criterion": "the tracer counts calls through it",
+}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(Path(curereg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+                unused += [f"{path.name}: {name}" for name in bound if name not in used]
+    assert sorted(set(unused) - set(TRACER_ONLY_IMPORTS)) == []

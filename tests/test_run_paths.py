@@ -26,7 +26,7 @@ def fields(path):
          s.value.tobytes(), s.loss, s.rss, s.df, s.criterion_value)
         for s in path.steps
     ]
-    return steps, path.max_drift, path.terminated_by, path.n, path.observed
+    return steps, path.max_drift, path.terminated_by
 
 
 def reference(problems, cfg):

@@ -512,7 +512,7 @@ def test_select_single_step_path():
     rng = np.random.default_rng(13)
     prob = ProblemData(rng.standard_normal((5, 3)), np.zeros((5, 2)))
     path = run_path(prob, StagewiseConfig())
-    assert select_on_path(path, "gic") is path.steps[0]
+    assert select_on_path(path) is path.steps[0]
 
 
 def make_step(t, value, rss=1.0, df=1):
@@ -538,9 +538,6 @@ def test_select_convex_sequence_picks_middle():
     path = StagewisePath(
         steps=[make_step(0, 10.0), make_step(1, 5.0), make_step(2, 7.0)],
         config=cfg,
-        n=20,
-        p=4,
-        q=3,
     )
     assert select_on_path(path).t == 1
 
@@ -550,45 +547,24 @@ def test_select_tie_goes_to_earliest():
     path = StagewisePath(
         steps=[make_step(0, 5.0), make_step(1, 5.0), make_step(2, 9.0)],
         config=cfg,
-        n=20,
-        p=4,
-        q=3,
     )
     assert select_on_path(path).t == 0
-
-
-def test_select_recomputes_other_criteria_from_rss():
-    rng = np.random.default_rng(14)
-    prob = rank1_problem(rng, 16, 6, 5, noise=0.5)
-    path = run_path(prob, StagewiseConfig(epsilon=0.2, criterion="gic"))
-    got = select_on_path(path, "bic")
-    vals = []
-    for s in path.steps:
-        if not np.isfinite(s.rss) or s.rss <= 0:
-            vals.append(np.inf)
-            continue
-        vals.append(
-            information_criterion(
-                "bic", CriterionInput(s.rss, prob.n, prob.p, prob.q, s.df)
-            )
-        )
-    assert got is path.steps[int(np.argmin(vals))]
 
 
 def test_select_perfect_fit_wins():
     cfg = StagewiseConfig(criterion="gic")
     steps = [make_step(0, 5.0), make_step(1, None, rss=0.0, df=3)]
-    path = StagewisePath(steps=steps, config=cfg, n=20, p=4, q=3)
+    path = StagewisePath(steps=steps, config=cfg)
     assert select_on_path(path).t == 1
 
 
 def test_select_rejects_none_criterion_and_empty_path():
     cfg = StagewiseConfig(criterion="none")
-    path = StagewisePath(steps=[make_step(0, None)], config=cfg, n=5, p=2, q=2)
+    path = StagewisePath(steps=[make_step(0, None)], config=cfg)
     with pytest.raises(ValueError):
         select_on_path(path)
     with pytest.raises(ValueError):
-        select_on_path(StagewisePath(steps=[], config=cfg, n=5, p=2, q=2))
+        select_on_path(StagewisePath(steps=[], config=cfg))
 
 
 # ---------------------------------------------------------------------------
