@@ -46,7 +46,7 @@ _EXPORTS = {
         "PathStep", "StagewiseConfig", "StagewisePath", "initialize_path",
         "run_path", "run_paths", "select_on_path",
     ),
-    "tuning": ("CriterionInput", "CvSelection", "information_criterion", "kfold_cv_select"),
+    "tuning": ("CvSelection", "information_criterion", "kfold_cv_select"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

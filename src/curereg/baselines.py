@@ -422,7 +422,8 @@ def _a_step(problem, Y0, Hf, a, v, lam, mu, inner_tol):
     v22 = float(v @ v)
     gram, s = (problem.gram, v22) if Hf is None else (GramCache(X, Hf @ (v * v)), 1.0)
     b = X.T @ (Y0 @ v) / problem.n
-    tol = inner_tol * max(1.0, float(np.abs(b).max()))
+    b_max = float(np.abs(b).max())
+    tol = inner_tol * b_max if b_max > 0.0 else inner_tol
     a, worst, _ = _weighted_lasso(
         gram, s, mu * v22, b, lam * float(np.abs(v).sum()), a, tol, ACS_MAX_SWEEPS
     )
@@ -453,11 +454,13 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
 
     ``init`` is a UnitRankFactor starting point (default: rank-1 layer of a
     ridge-OLS fit); ``mu``, ``tol`` and ``max_iters`` come from ``config``.
-    Alternates exact a- and v-blocks until the objective change falls below
-    ``config.tol`` (relative) or the factor collapses to zero, and warns when
-    ``max_iters`` runs out first or an a-block solve hits its sweep cap.
-    Returns the factor in L1 normalization (plus the objective trace when
-    asked).
+    Alternates exact a- and v-blocks until the objective moves by at most
+    ``config.tol`` times the larger of the previous objective and the zero
+    model's ``||P Y||^2 / (2n)`` capped at 1, or the factor collapses to zero;
+    each a-block solves to a tolerance relative to its ``||b||_inf``, so a
+    small Y keeps its layers.  Warns when ``max_iters`` runs out first or an
+    a-block solve hits its sweep cap.  Returns the factor in L1 normalization
+    (plus the objective trace when asked).
     """
     config = config or AcsConfig()
     if not 0 <= lam < math.inf:
@@ -480,6 +483,7 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
     Y0 = problem.observed_response()
     Hf = None if problem.mask is None else problem.mask.astype(float)
     inner_tol = min(1e-9, config.tol)
+    floor = min(1.0, float(np.vdot(Y0, Y0)) / (2.0 * problem.n))
     trace = [_acs_objective(problem, a, v, lam, mu)]
     result = None
     capped = 0
@@ -498,7 +502,7 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
         v = b / nb
         q_now = _acs_objective(problem, a, v, lam, mu)
         trace.append(q_now)
-        if abs(trace[-2] - q_now) <= config.tol * max(1.0, abs(trace[-2])):
+        if abs(trace[-2] - q_now) <= config.tol * max(abs(trace[-2]), floor):
             break
     else:
         warnings.warn(f"acs_cure did not converge in {config.max_iters} iterations"

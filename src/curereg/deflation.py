@@ -61,6 +61,8 @@ SELECTIONS = CRITERIA + ("cv",)
 # by GIC over a grid, or reduced-rank regression (``fit_rrr``).
 INITIALIZERS = ("lasso", "rrr")
 CV_GRID_MAX = 50
+# A criterion path that early-stops above this share of lambda0 warns.
+EARLY_STOP_SHARE = 0.2
 
 
 @dataclass
@@ -129,6 +131,8 @@ def _fit_unit_rank(problem, cfg, explain_zero=False):
 
     With ``explain_zero``, a stagewise path that cannot leave zero while the
     observed Y is not all zero warns with lambda0, epsilon and the RMS of Y.
+    A stagewise path that early-stops above :data:`EARLY_STOP_SHARE` of
+    lambda0 warns with both lambdas and epsilon.
     """
     solver, criterion = cfg.solver, cfg.criterion
     if isinstance(solver, StagewiseConfig):
@@ -150,6 +154,16 @@ def _fit_unit_rank(problem, cfg, explain_zero=False):
                     RuntimeWarning,
                     stacklevel=3,
                 )
+        lam_stop = path.steps[-1].lam
+        if path.terminated_by == "early_stop" and lam_stop > EARLY_STOP_SHARE * lam0:
+            warnings.warn(
+                f"the stagewise path stopped early at lambda = {lam_stop:.3e}, above"
+                f" {EARLY_STOP_SHARE:g} of lambda0 = {lam0:.3e}: the {criterion} criterion"
+                f" stalled while steps of epsilon = {solver.epsilon:g} were small against Y;"
+                " epsilon is absolute, so scale Y down or raise epsilon",
+                RuntimeWarning,
+                stacklevel=3,
+            )
         if criterion != "cv":
             return select_on_path(path).factor
         # The training folds' paths run in lockstep on one engine.

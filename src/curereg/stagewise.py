@@ -191,11 +191,10 @@ class _Engine:
         self.n = [pb.n for pb in problems]
         self.S = [X.T @ Y0 / n for X, Y0, n in zip(self.X, self.Y0, self.n)]
         self.y2 = [float(np.vdot(Y0, Y0)) for Y0 in self.Y0]
-        self.observed = [pb.n_observed for pb in problems]
         B = len(problems)
         self.Sdv = np.zeros((B, self.p))
         self.Stdu = np.zeros((B, self.q))
-        listed = ["X", "Y0", "n", "S", "y2", "observed", "x2h"]
+        listed = ["X", "Y0", "n", "S", "y2", "x2h"]
         stacked = ["Sdv", "Stdu", "ww"]
         if problems[0].mask is None:
             self.H = None
@@ -649,14 +648,14 @@ class StagewiseState:
     :meth:`_refresh_exact` to bring the bookkeeping along.
     """
 
-    def __init__(self, rows, row, config, lam):
+    def __init__(self, rows, row, config, lam, n_observed):
         engine = rows.engine
         self._rows = rows
         self._engine = engine
         self._n = engine.n[row]
         self._two_n = 2.0 * self._n
-        self._fit = None if config.criterion == "none" else _PathFit(
-            config.criterion, engine.p, engine.q, engine.observed[row])
+        self._criterion = None if config.criterion == "none" else config.criterion
+        self._observed = n_observed
         self._bind(row)
         self.lam = lam
         self.t = 0
@@ -725,28 +724,15 @@ class StagewiseState:
         return max(_rel_gap(a, b) for a, b in zip(kept, exact))
 
 
-class _PathFit:
-    """A path's criterion and what :func:`~curereg.tuning.information_criterion`
-    reads of its :class:`~curereg.tuning.CriterionInput`, built once:
-    :func:`_record` sets ``rss`` and ``df`` before its one criterion call."""
-
-    __slots__ = ("criterion", "rss", "p", "q", "df", "n_effective")
-
-    def __init__(self, criterion, p, q, observed):
-        self.criterion, self.rss, self.df = criterion, math.nan, 0
-        self.p, self.q, self.n_effective = p, q, observed
-
-
 def _record(state, move):
     engine = state._engine
     index = state._nonzeros()
     d, rss = state.d, state.rss
     df = index.size - 1 if d > 0 else 0
     crit = None
-    fit = state._fit
-    if fit is not None and rss > 0.0:
-        fit.rss, fit.df = rss, df
-        crit = information_criterion(fit.criterion, fit)
+    if state._criterion is not None and rss > 0.0:
+        crit = information_criterion(state._criterion, rss, df, engine.p, engine.q,
+                                     state._observed)
     # Positional, in PathStep's field order: a step records one per row.
     # A checkpoint unless one move changed the loadings since the last record.
     value = None if state._pending else state._duv.take(index)
@@ -824,7 +810,7 @@ def _start(problems, config):
                 f"xi={xi} is too large for epsilon={eps} at lam0={lam0}; "
                 "every move would be rejected"
             )
-        state = StagewiseState(rows, b, config, lam0)
+        state = StagewiseState(rows, b, config, lam0, problem.n_observed)
         rows.states.append(state)
         if lam0 > 0.0:
             _enter(state, j, k, s, G_jk, quad_jk)

@@ -5,15 +5,16 @@ The default criterion trades fit against a degrees-of-freedom count
 
     gic = log(rss) + loglog(N) * log(p*q) / N * df
 
-with ``N`` the number of observed response entries (``n*q`` when fully
-observed).  AIC and BIC use the usual Gaussian profile forms on the same
-``N``.  All logs are natural.
+with ``N`` the number of observed response entries,
+:attr:`~curereg.core.ProblemData.n_observed` (``n*q`` when fully observed).
+AIC and BIC use the usual Gaussian profile forms on the same ``N``.  All
+logs are natural.  :func:`information_criterion` takes these as plain
+numbers, so a grid level and a path step are scored by the same call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 from .core import UnitRankFactor
 
 __all__ = [
-    "CriterionInput",
     "information_criterion",
     "EarlyStop",
     "GridScan",
@@ -35,44 +35,28 @@ CRITERIA = ("gic", "aic", "bic")
 GRID_STOP_WINDOW = 10
 
 
-@dataclass(frozen=True)
-class CriterionInput:
-    """Inputs for an information criterion.
+def information_criterion(kind, rss, df, p, q, n_observed):
+    """Evaluate gic / aic / bic for one candidate model.
 
-    ``observed`` is the count of observed response entries; None means the
-    fully observed ``n * q``.  For partially observed problems pass
-    ``mask.sum()`` -- the criterion substitutes it for ``n * q``.
+    ``rss`` and ``df`` describe the candidate, ``p`` and ``q`` the problem,
+    and ``n_observed`` is its count of observed response entries
+    (:attr:`~curereg.core.ProblemData.n_observed`).
     """
-
-    rss: float
-    n: int
-    p: int
-    q: int
-    df: int
-    observed: int | None = None
-
-    @property
-    def n_effective(self):
-        return self.n * self.q if self.observed is None else self.observed
-
-
-def information_criterion(kind, inp):
-    """Evaluate gic / aic / bic for one candidate model."""
     kind = kind.lower()
     if kind not in CRITERIA:
         raise ValueError(f"unknown criterion {kind!r}; expected one of {CRITERIA}")
-    if inp.rss <= 0.0:
+    if rss <= 0.0:
         raise ValueError("rss must be positive; the criterion is undefined at a perfect fit")
-    if inp.df < 0:
+    if df < 0:
         raise ValueError("df must be nonnegative")
-    N = inp.n_effective
+    N = n_observed
     if kind == "gic":
         if N < 3:
             raise ValueError("gic needs at least 3 observed entries (loglog)")
-        return math.log(inp.rss) + math.log(math.log(N)) * math.log(inp.p * inp.q) / N * inp.df
+        return math.log(rss) + math.log(math.log(N)) * math.log(p * q) / N * df
     if kind == "aic":
-        return N * math.log(inp.rss / N) + 2.0 * inp.df
-    return N * math.log(inp.rss / N) + math.log(N) * inp.df
+        return N * math.log(rss / N) + 2.0 * df
+    return N * math.log(rss / N) + math.log(N) * df
 
 
 class EarlyStop:
@@ -100,19 +84,19 @@ class EarlyStop:
 class GridScan:
     """Information-criterion selection down a penalty grid, with a stop rule.
 
-    Fed one solved level at a time through :meth:`update`, it scores the
-    level on ``problem`` (an rss of 0 scores -inf), keeps the index of the
-    first argmin in ``best`` and returns True once :class:`EarlyStop` with
-    ``window`` levels (default :data:`GRID_STOP_WINDOW`) finds the criterion
-    stalled.  A window of None never stops.  Levels past the stop cannot
-    change the pick unless the criterion improves again after ``window``
-    levels without improvement.
+    It keeps ``(p, q, n_observed)`` of ``problem``.  Fed one solved level at
+    a time through :meth:`update`, as its ``rss`` and ``df``, it scores the
+    level with :func:`information_criterion` (an rss of 0 scores -inf), keeps
+    the index of the first argmin in ``best`` and returns True once
+    :class:`EarlyStop` with ``window`` levels (default
+    :data:`GRID_STOP_WINDOW`) finds the criterion stalled.  A window of None
+    never stops.  Levels past the stop cannot change the pick unless the
+    criterion improves again after ``window`` levels without improvement.
     """
 
     def __init__(self, problem, criterion, window=GRID_STOP_WINDOW):
         self.criterion = criterion
-        self.shape = (problem.n, problem.p, problem.q)
-        self.observed = problem.n_observed
+        self.shape = (problem.p, problem.q, problem.n_observed)
         self.stop = None if window is None else EarlyStop(window)
         self.best = None
         self.best_value = None
@@ -122,9 +106,7 @@ class GridScan:
         if rss <= 0.0:
             value = -math.inf
         else:
-            value = information_criterion(
-                self.criterion, CriterionInput(rss, *self.shape, df, self.observed)
-            )
+            value = information_criterion(self.criterion, rss, df, *self.shape)
         if self.best is None or value < self.best_value:
             self.best, self.best_value = self.levels, value
         self.levels += 1

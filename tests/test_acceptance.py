@@ -44,7 +44,7 @@ from curereg.stagewise import (
     run_path,
     select_on_path,
 )
-from curereg.tuning import CriterionInput, information_criterion
+from curereg.tuning import information_criterion
 
 MU = 1e-4
 STEP_SIZES = (2.0, 1.0, 0.5, 0.1)
@@ -415,8 +415,8 @@ def test_criterion_8_formula_property_checks():
         n, p, q = (int(x) for x in rng.integers(2, 9, size=3))
         df = int(rng.integers(0, 12))
         observed = int(rng.integers(3, n * q + 1)) if rng.random() < 0.5 else None
-        got = information_criterion("gic", CriterionInput(rss, n, p, q, df, observed))
         N = n * q if observed is None else observed
+        got = information_criterion("gic", rss, df, p, q, N)
         want = math.log(rss) + math.log(math.log(N)) * math.log(p * q) / N * df
         assert close(got, want)
     counts["gic"] = 1000

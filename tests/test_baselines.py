@@ -28,7 +28,7 @@ from curereg.core import (
     eval_penalty,
 )
 from curereg.simgen import SimSpec, gen_dataset
-from curereg.tuning import GRID_STOP_WINDOW, CriterionInput, information_criterion
+from curereg.tuning import GRID_STOP_WINDOW, information_criterion
 
 
 def acs_objective(prob, fac, lam, mu):
@@ -142,11 +142,7 @@ def test_lasso_gic_path_selects_criterion_argmin():
     for lam, C in path:
         R = Y - X @ C
         rss = float(np.vdot(R, R))
-        vals.append(
-            information_criterion(
-                "gic", CriterionInput(rss, 30, 10, 4, int(np.count_nonzero(C)))
-            )
-        )
+        vals.append(information_criterion("gic", rss, int(np.count_nonzero(C)), 10, 4, 30 * 4))
     k = int(np.argmin(vals))
     assert lam_best == path[k][0]
     np.testing.assert_array_equal(C_best, path[k][1])
@@ -164,7 +160,6 @@ def _grid_draw(seed, masked):
 
 def _full_grid_lasso(prob, grid):
     """Every level of the grid, warm started, and the first GIC argmin."""
-    observed = None if prob.mask is None else prob.n_observed
     warm, levels, vals = None, [], []
     for lam in grid:
         warm = lasso_cd(prob, float(lam), warm=warm)
@@ -174,8 +169,7 @@ def _full_grid_lasso(prob, grid):
             R[~prob.mask] = 0.0
         df = int(np.count_nonzero(warm))
         vals.append(information_criterion(
-            "gic", CriterionInput(float(np.vdot(R, R)), prob.n, prob.p, prob.q, df,
-                                  observed)))
+            "gic", float(np.vdot(R, R)), df, prob.p, prob.q, prob.n_observed))
     return levels, int(np.argmin(vals))
 
 

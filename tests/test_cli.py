@@ -354,6 +354,56 @@ def test_a_small_y_keeps_every_layer(method):
         assert gap <= 1e-12 * np.linalg.norm(want.to_matrix(shape=(12, 5)))
 
 
+@pytest.mark.parametrize("method", ["seqacs", "paracs_r", "paracs_l"])
+def test_the_alternating_search_keeps_every_layer_of_a_small_y(method):
+    # The a-block tolerance is relative to ||b||_inf and the stop test's
+    # floor to the zero model's objective, so scaling Y scales the fit.
+    truth = gen_dataset(SimSpec(model="II", n=23, p=12, q=5, r_star=2, seed=18))
+    opts = fit_opts(rank=2)
+    want = fit_method(truth.X, truth.Y, None, method, opts)
+    assert want.rank == 2
+    W = want.to_matrix(shape=(12, 5))
+    for scale in (1e-10, 1e-11, 1e-12):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit_method(truth.X, truth.Y * scale, None, method, opts)
+        assert got.rank == want.rank
+        gap = np.linalg.norm(got.to_matrix(shape=(12, 5)) / scale - W)
+        assert gap <= 1e-4 * np.linalg.norm(W)
+
+
+@pytest.mark.parametrize("method", ["seqstl", "parstl_r"])
+def test_a_stagewise_layer_that_stops_early_near_lambda0_says_why(monkeypatch, method):
+    truth = gen_dataset(SimSpec(model="II", n=60, p=20, q=15, r_star=2, seed=1))
+    ends = []
+    orig = deflation.run_path
+
+    def recorded(problem, config):
+        path = orig(problem, config)
+        ends.append(path.terminated_by)
+        return path
+
+    monkeypatch.setattr(deflation, "run_path", recorded)
+
+    def early_stop_warnings(scale, rank):
+        ends.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit_method(truth.X, truth.Y * scale, None, method,
+                               fit_opts(rank=rank, epsilon=0.2))
+        assert model.rank == rank
+        return [str(w.message) for w in caught if "stopped early" in str(w.message)]
+
+    why = early_stop_warnings(1e3, 2)
+    assert ends == ["early_stop"] * 2 and len(why) == 2  # one per layer
+    for msg in why:
+        assert re.search(r"at lambda = \S+, above 0\.2 of lambda0 = \S+:", msg)
+        assert "epsilon = 0.2 " in msg and "scale Y down or raise epsilon" in msg
+    # Layer 3 is past the true rank: it early-stops far below lambda0.
+    assert early_stop_warnings(1.0, 3) == []
+    assert ends[-1] == "early_stop"
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1e-170])  # ||Y||^2 underflows at 1e-170
 @pytest.mark.parametrize("criterion", ["gic", "cv"])
 def test_a_stagewise_layer_stuck_at_zero_says_why(criterion, scale):

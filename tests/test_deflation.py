@@ -29,7 +29,7 @@ from curereg.deflation import (
 from curereg.metrics import estimation_errors
 from curereg.simgen import SimSpec, gen_dataset
 from curereg.stagewise import StagewiseConfig, run_path, select_on_path
-from curereg.tuning import GRID_STOP_WINDOW, CriterionInput, GridScan, information_criterion
+from curereg.tuning import GRID_STOP_WINDOW, GridScan, information_criterion
 
 EXACT_ACS = AcsConfig(lambda_grid=np.array([0.0]), mu=0.0, tol=1e-12, max_iters=2000)
 
@@ -239,7 +239,7 @@ def test_acs_layer_selection_matches_manual_gic_scan():
         val = (
             -np.inf
             if rss <= 0
-            else information_criterion("gic", CriterionInput(rss, 26, 7, 5, int(df)))
+            else information_criterion("gic", rss, int(df), 7, 5, 26 * 5)
         )
         if best is None or val < best[0]:
             best = (val, fac)
@@ -275,13 +275,12 @@ def _grid_draw(seed, masked):
 
 def _gic_scan(prob, pairs):
     """Index of the first GIC argmin over ``(lam, factor)`` levels."""
-    observed = None if prob.mask is None else prob.n_observed
     vals = []
     for _, fac in pairs:
         R = residual(prob, fac)
         df = 0 if fac.is_zero else np.count_nonzero(fac.u) + np.count_nonzero(fac.v) - 1
-        vals.append(information_criterion("gic", CriterionInput(
-            float(np.vdot(R, R)), prob.n, prob.p, prob.q, int(df), observed)))
+        vals.append(information_criterion(
+            "gic", float(np.vdot(R, R)), int(df), prob.p, prob.q, prob.n_observed))
     return int(np.argmin(vals))
 
 

@@ -23,7 +23,7 @@ from curereg.stagewise import (
     run_path,
     select_on_path,
 )
-from curereg.tuning import CriterionInput, EarlyStop, information_criterion
+from curereg.tuning import EarlyStop, information_criterion
 
 
 def rank1_problem(rng, n, p, q, noise=0.3, mask_frac=0.0):
@@ -406,9 +406,7 @@ def test_run_path_invariants_default_config():
     # recorded criterion values agree with a recompute from rss / df
     for s in path.steps:
         if s.criterion_value is not None:
-            want = information_criterion(
-                "gic", CriterionInput(s.rss, prob.n, prob.p, prob.q, s.df)
-            )
+            want = information_criterion("gic", s.rss, s.df, prob.p, prob.q, prob.n * prob.q)
             assert s.criterion_value == pytest.approx(want, rel=1e-12)
 
 
@@ -416,13 +414,11 @@ def test_run_path_invariants_default_config():
 def test_recorded_criterion_is_the_public_one_bit_for_bit(mask_frac):
     rng = np.random.default_rng(15)
     prob = rank1_problem(rng, 18, 7, 6, noise=0.6, mask_frac=mask_frac)
-    observed = None if prob.mask is None else prob.n_observed
     path = run_path(prob, StagewiseConfig(epsilon=0.1, criterion="gic", max_steps=400))
     assert len(path) > 50
     for s in path.steps:
         assert s.rss > 0.0
-        want = information_criterion(
-            "gic", CriterionInput(s.rss, prob.n, prob.p, prob.q, s.df, observed))
+        want = information_criterion("gic", s.rss, s.df, prob.p, prob.q, prob.n_observed)
         assert s.criterion_value == want
 
 
@@ -434,9 +430,9 @@ def test_each_recorded_criterion_is_one_counted_call(monkeypatch):
     seen = []
     orig = stagewise.information_criterion
 
-    def counted(kind, inp):
-        seen.append((kind, inp.rss, inp.df, inp.n_effective))
-        return orig(kind, inp)
+    def counted(kind, rss, df, p, q, n_observed):
+        seen.append((kind, rss, df, n_observed))
+        return orig(kind, rss, df, p, q, n_observed)
 
     monkeypatch.setattr(stagewise, "information_criterion", counted)
     rng = np.random.default_rng(8)

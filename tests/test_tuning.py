@@ -6,7 +6,6 @@ import pytest
 from curereg.core import ProblemData
 from curereg.tuning import (
     GRID_STOP_WINDOW,
-    CriterionInput,
     CvSelection,
     EarlyStop,
     GridScan,
@@ -29,8 +28,7 @@ def early_stop_check(history, window):
 
 
 def test_gic_zero_df_is_log_rss():
-    inp = CriterionInput(rss=math.e, n=5, p=4, q=3, df=0)
-    assert information_criterion("gic", inp) == pytest.approx(1.0, abs=1e-15)
+    assert information_criterion("gic", math.e, 0, 4, 3, 15) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_df_rule_for_unit_rank_layer():
@@ -38,45 +36,42 @@ def test_df_rule_for_unit_rank_layer():
     v = np.array([0.5, 0.0, -0.5])
     df = np.count_nonzero(u) + np.count_nonzero(v) - 1
     assert df == 4
-    val = information_criterion("gic", CriterionInput(2.5, 10, 10, 10, df))
+    val = information_criterion("gic", 2.5, df, 10, 10, 100)
     assert np.isfinite(val)
 
 
 def test_gic_matches_scalar_formula():
-    inp = CriterionInput(rss=2.5, n=10, p=10, q=10, df=4)
     want = math.log(2.5) + math.log(math.log(100)) * math.log(100) / 100 * 4
-    assert information_criterion("gic", inp) == pytest.approx(want, rel=1e-15)
+    assert information_criterion("gic", 2.5, 4, 10, 10, 100) == pytest.approx(want, rel=1e-15)
 
 
 def test_aic_bic_match_scalar_formulas():
-    inp = CriterionInput(rss=3.7, n=8, p=5, q=4, df=6)
     N = 32
-    assert information_criterion("aic", inp) == pytest.approx(
+    assert information_criterion("aic", 3.7, 6, 5, 4, N) == pytest.approx(
         N * math.log(3.7 / N) + 2 * 6, rel=1e-15
     )
-    assert information_criterion("bic", inp) == pytest.approx(
+    assert information_criterion("bic", 3.7, 6, 5, 4, N) == pytest.approx(
         N * math.log(3.7 / N) + math.log(N) * 6, rel=1e-15
     )
 
 
 def test_criterion_uses_observed_count_under_masking():
-    inp = CriterionInput(rss=2.0, n=10, p=6, q=5, df=3, observed=37)
-    assert inp.n_effective == 37
+    # 37 of the 10 x 5 entries observed
     want = math.log(2.0) + math.log(math.log(37)) * math.log(30) / 37 * 3
-    assert information_criterion("gic", inp) == pytest.approx(want, rel=1e-15)
+    assert information_criterion("gic", 2.0, 3, 6, 5, 37) == pytest.approx(want, rel=1e-15)
 
 
 def test_criterion_error_cases():
     with pytest.raises(ValueError, match="perfect fit"):
-        information_criterion("gic", CriterionInput(0.0, 5, 4, 3, 1))
+        information_criterion("gic", 0.0, 1, 4, 3, 15)
     with pytest.raises(ValueError):
-        information_criterion("gic", CriterionInput(1.0, 5, 4, 3, -1))
+        information_criterion("gic", 1.0, -1, 4, 3, 15)
     with pytest.raises(ValueError):
-        information_criterion("mdl", CriterionInput(1.0, 5, 4, 3, 1))
+        information_criterion("mdl", 1.0, 1, 4, 3, 15)
     with pytest.raises(ValueError, match="at least 3"):
-        information_criterion("gic", CriterionInput(1.0, 2, 4, 1, 1))
+        information_criterion("gic", 1.0, 1, 4, 1, 2)
     # aic is still defined at tiny N
-    assert np.isfinite(information_criterion("aic", CriterionInput(1.0, 2, 4, 1, 1)))
+    assert np.isfinite(information_criterion("aic", 1.0, 1, 4, 1, 2))
 
 
 def inline_criterion(kind, rss, n, p, q, df, observed=None):
@@ -96,37 +91,39 @@ def test_criterion_equals_the_inline_formulas_bit_for_bit(kind, observed, df):
     rng = np.random.default_rng(2024)
     for rss in np.exp(rng.uniform(-30.0, 30.0, size=40)).tolist():
         want = inline_criterion(kind, rss, 10, 6, 5, df, observed)
-        inp = CriterionInput(rss, 10, 6, 5, df, observed)
-        assert information_criterion(kind, inp) == want
-        assert information_criterion(kind.upper(), inp) == want
+        N = 10 * 5 if observed is None else observed
+        assert information_criterion(kind, rss, df, 6, 5, N) == want
+        assert information_criterion(kind.upper(), rss, df, 6, 5, N) == want
 
 
 @pytest.mark.parametrize("observed", [None, 2])
 def test_criterion_raises_where_it_is_undefined(observed):
     n, q = (2, 1) if observed is None else (5, 4)
+    N = 5 * 3 if observed is None else observed
     for rss in (0.0, -1.0, -0.0):
         with pytest.raises(ValueError, match="perfect fit"):
-            information_criterion("aic", CriterionInput(rss, 5, 4, 3, 1, observed))
+            information_criterion("aic", rss, 1, 4, 3, N)
     with pytest.raises(ValueError, match="nonnegative"):
-        information_criterion("bic", CriterionInput(1.0, 5, 4, 3, -1, observed))
+        information_criterion("bic", 1.0, -1, 4, 3, N)
     with pytest.raises(ValueError, match="unknown criterion"):
-        information_criterion("mdl", CriterionInput(1.0, 5, 4, 3, 1, observed))
+        information_criterion("mdl", 1.0, 1, 4, 3, N)
     # N = 2 observed entries: gic's loglog is undefined, aic and bic are not
-    tiny = CriterionInput(1.0, n, 4, q, 1, observed)
+    tiny = n * q if observed is None else observed
     with pytest.raises(ValueError, match="at least 3"):
-        information_criterion("gic", tiny)
+        information_criterion("gic", 1.0, 1, 4, q, tiny)
     for kind in ("aic", "bic"):
-        assert information_criterion(kind, tiny) == inline_criterion(kind, 1.0, n, 4, q, 1, observed)
+        assert information_criterion(kind, 1.0, 1, 4, q, tiny) == inline_criterion(
+            kind, 1.0, n, 4, q, 1, observed)
 
 
 def test_gic_monotone_in_df_and_rss():
     vals_df = [
-        information_criterion("gic", CriterionInput(2.0, 10, 8, 6, df))
+        information_criterion("gic", 2.0, df, 8, 6, 60)
         for df in range(0, 6)
     ]
     assert all(b > a for a, b in zip(vals_df, vals_df[1:]))
     vals_rss = [
-        information_criterion("gic", CriterionInput(rss, 10, 8, 6, 3))
+        information_criterion("gic", rss, 3, 8, 6, 60)
         for rss in (0.5, 1.0, 2.0, 4.0)
     ]
     assert all(b > a for a, b in zip(vals_rss, vals_rss[1:]))
