@@ -47,6 +47,7 @@ __all__ = [
     "LassoConfig",
     "lasso_cd",
     "lasso_gic_path",
+    "lasso_objective",
     "AcsConfig",
     "acs_cure",
     "acs_path",

@@ -278,31 +278,33 @@ def write_path_jsonl(path, sw_path):
 
     Each line carries ``t``, ``lambda``, ``move`` (the move's name), ``d``
     (0.0 for the zero factor), ``loss``, ``penalty``, ``criterion`` and the
-    stacked loadings ``(du, dv)`` as the move from the line before, ``"set":
-    [i, x], "scale": r`` (see :class:`~curereg.stagewise.MoveLog`), or as a
-    checkpoint of their nonzeros, ``"duv": [[i, x], ...]``, where the path
-    logged one and on the first line.  That line also names the ``format``
-    (:data:`PATH_FORMAT`), ``p`` and ``q``.  :func:`read_path_jsonl` expands
-    a dump.
+    stacked loadings ``(du, dv)``, taken from the steps' shared
+    :class:`~curereg.stagewise.MoveLog`: on the first line and where the
+    log holds a checkpoint, as the checkpoint's nonzeros, ``"duv": [[i, x],
+    ...]``, and on every other line as the move from the line before,
+    ``"set": [i, x], "scale": r``.  The steps must therefore be those of one
+    path from its step 0 on, in order.  The first line also names the
+    ``format`` (:data:`PATH_FORMAT`), ``p`` and ``q``.
+    :func:`read_path_jsonl` expands a dump.
     """
     with _atomic_open(path) as fh:
-        prev = None
-        for step in sw_path.steps:
+        for k, step in enumerate(sw_path.steps):
             d = 0.0 if step.d <= 0.0 else float(step.d)
             if not math.isfinite(d):
                 raise ValueError(f"d must be a finite nonnegative scalar, got {d}")
-            rec = {"t": step.t}
-            if prev is None:
-                rec.update(format=PATH_FORMAT, p=step.p, q=step.q)
+            log, t = step._log, step.t
+            rec = {"t": t}
+            if k == 0:
+                rec.update(format=PATH_FORMAT, p=log.p, q=log.q)
             rec.update({"lambda": step.lam, "move": step.move, "d": d})
-            move = step.move_from(prev)
-            if move is None:
-                rec["duv"] = list(zip(step.index.tolist(), step.value.tolist()))
+            i, new, r = log.moves[3 * t:3 * t + 3]
+            if k == 0 or i < 0:
+                index, value = log.loadings(t)
+                rec["duv"] = list(zip(index.tolist(), value.tolist()))
             else:
-                rec["set"], rec["scale"] = move[:2], move[2]
+                rec["set"], rec["scale"] = (int(i), new), r
             rec.update(loss=step.loss, penalty=step.penalty, criterion=step.criterion_value)
             fh.write(json.dumps(rec) + "\n")
-            prev = step
 
 
 def _index(i, size):

@@ -27,6 +27,7 @@ from .core import ZERO_TOL
 
 __all__ = [
     "EvalReport",
+    "SelectionRates",
     "estimation_errors",
     "selection_rates",
     "sparsity_summary",

@@ -407,64 +407,58 @@ def _rel_gap(kept, exact):
 class PathStep:
     """One recorded state of the path (after the move named by ``move``).
 
-    The loadings are kept sparse: ``index`` holds the ascending positions
-    of the nonzeros of the stacked vector ``(du, dv)`` (length ``p + q``)
-    and ``value`` their values; :attr:`factor` rebuilds the dense L1-mode
-    factor on demand.  A step that a path recorded leaves both unset until
-    they are first read: its path's :class:`MoveLog` then rebuilds them.
+    A step keeps only its own scalars and its path's :class:`MoveLog`
+    ``_log``, which holds the loadings.  ``index``, the ascending positions
+    of the nonzeros of the stacked vector ``(du, dv)`` (length ``p + q``),
+    ``value``, their values, and :attr:`factor`, the dense L1-mode factor,
+    are rebuilt from the log on each read and never kept on the step.
     """
 
     t: int
     lam: float
     move: str
     d: float
-    index: np.ndarray
-    value: np.ndarray
-    p: int
-    q: int
     loss: float
-    penalty: float
-    criterion_value: float | None = None
-    rss: float = np.nan
-    df: int = 0
-    _log: object = field(default=None, init=False, repr=False, compare=False)
+    criterion_value: float | None
+    rss: float
+    df: int
+    _log: MoveLog = field(repr=False, compare=False)
 
-    def __getattr__(self, name):  # only reached for an unset slot
-        if name in ("index", "value") and self._log is not None:
-            self.index, self.value = self._log.loadings(self.t)
-            return self.value if name == "value" else self.index
-        raise AttributeError(name)
+    @property
+    def index(self):
+        return self._log.loadings(self.t)[0]
+
+    @property
+    def value(self):
+        return self._log.loadings(self.t)[1]
+
+    @property
+    def penalty(self):
+        return self.lam * self.d
 
     @property
     def factor(self):
+        p, q = self._log.p, self._log.q
         if self.d <= 0.0:
-            return UnitRankFactor.zero(self.p, self.q, NormMode.L1)
-        full = np.zeros(self.p + self.q)
-        full[self.index] = self.value
-        return UnitRankFactor(
-            self.d, full[: self.p] / self.d, full[self.p:] / self.d, NormMode.L1
-        )
-
-    def move_from(self, prev):
-        """The move ``(i, new, r)`` (see :class:`MoveLog`) from record ``prev``
-        to this one; None unless both are logged and this step is a move."""
-        log, t = self._log, self.t
-        if log is not None and prev is not None and prev._log is log and prev.t == t - 1:
-            i, new, r = log.moves[3 * t:3 * t + 3]
-            return None if i < 0 else (int(i), new, r)
+            return UnitRankFactor.zero(p, q, NormMode.L1)
+        index, value = self._log.loadings(self.t)
+        full = np.zeros(p + q)
+        full[index] = value
+        return UnitRankFactor(self.d, full[:p] / self.d, full[p:] / self.d, NormMode.L1)
 
 
 class MoveLog:
-    """The stacked loadings ``(du, dv)`` of a path's steps: step ``t``'s move
-    ``(i, new, r)``, ``(du, dv)[i] = new`` then the other side times ``r``, or
-    a checkpoint of its sparse loadings.  :meth:`loadings` replays the
-    engine's numpy operations (so bitwise) from one cursor: ascending reads
-    cost O(1) moves a step, others replay from the latest checkpoint before."""
+    """The stacked loadings ``(du, dv)`` of a ``p``-by-``q`` path's steps:
+    step ``t``'s move ``(i, new, r)``, ``(du, dv)[i] = new`` then the other
+    side times ``r``, or a checkpoint of its sparse loadings.  :meth:`loadings`
+    replays the engine's numpy operations (so bitwise) from one cursor:
+    ascending reads cost O(1) moves a step, others replay from the latest
+    checkpoint before."""
 
-    __slots__ = ("p", "moves", "marks", "saved", "_duv", "_at")
+    __slots__ = ("p", "q", "moves", "marks", "saved", "_duv", "_at")
 
     def __init__(self, p, q):
-        self.p = p
+        self.p, self.q = p, q
         self.moves = array("d")  # i, new, r of each step; i is -1 at a checkpoint
         self.marks, self.saved = [], []  # the checkpoints' steps and (index, value)
         self._duv, self._at = np.zeros(p + q), -1
@@ -733,16 +727,12 @@ def _record(state, move):
     if state._criterion is not None and rss > 0.0:
         crit = information_criterion(state._criterion, rss, df, engine.p, engine.q,
                                      state._observed)
-    # Positional, in PathStep's field order: a step records one per row.
     # A checkpoint unless one move changed the loadings since the last record.
     value = None if state._pending else state._duv.take(index)
-    step = PathStep(state.t, state.lam, move, d, index, value, engine.p, engine.q,
-                    state.loss, state.lam * d, crit, rss, df)
     state._log.append(state._pending or None, index, value)
     state._pending = ()
-    del step.index, step.value
-    step._log = state._log
-    return step
+    # Positional, in PathStep's field order: a step records one per row.
+    return PathStep(state.t, state.lam, move, d, state.loss, crit, rss, df, state._log)
 
 
 def _init_search(engine, b, eps, mu):

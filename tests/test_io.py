@@ -23,7 +23,7 @@ from curereg.io import (
     write_matrix_csv,
     write_path_jsonl,
 )
-from curereg.stagewise import StagewiseConfig, StagewisePath, run_path
+from curereg.stagewise import MoveLog, StagewiseConfig, StagewisePath, run_path
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +532,28 @@ def test_path_writer_matches_dense_writer(tmp_path, masked, criterion):
 
 def test_path_writer_matches_dense_writer_through_zero_and_specials(tmp_path):
     # a path that passes through the zero state (d = 0 and d = -0.0),
-    # non-finite scalars, and a loading that underflows to zero over d
+    # non-finite scalars, and a loading that underflows to zero over d: a
+    # copy of the path's log, written by hand, checkpoints step 6 with 1e-320
     steps = small_path(8, steps=12).steps
+    old = steps[0]._log
+    log = MoveLog(old.p, old.q)
+    for t in range(len(steps)):
+        if t == 6 or old.moves[3 * t] < 0:
+            index, value = old.loadings(t)
+            log.append(None, index, np.concatenate(([1e-320], value[1:])) if t == 6 else value)
+        else:
+            log.append(tuple(old.moves[3 * t:3 * t + 3]))
+    steps = [dataclasses.replace(step, _log=log) for step in steps]
     edited = [
         dataclasses.replace(steps[3], d=0.0),
         dataclasses.replace(steps[4], d=-0.0, criterion_value=float("inf")),
         dataclasses.replace(steps[5], lam=float("nan"), loss=float("-inf")),
-        dataclasses.replace(
-            steps[6], d=1e10, value=np.concatenate(([1e-320], steps[6].value[1:]))
-        ),
+        dataclasses.replace(steps[6], d=1e10),
     ]
     path_obj = StagewisePath(steps=steps[:3] + edited + steps[7:])
     want = assert_path_files_equal(tmp_path, path_obj)
+    line = (tmp_path / "got.jsonl").read_text().splitlines()[6]
+    assert '"duv": [[' in line and "1e-320" in line
     text = want.read_text()
     assert '"d": 0.0, "u_nonzeros": [], "v_nonzeros": []' in text
     assert "Infinity" in text and "NaN" in text

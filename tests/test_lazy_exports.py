@@ -22,3 +22,13 @@ def test_names_resolve_on_first_use():
         assert f"'curereg.{module}'" not in after_run_path
     assert resolved == "True curereg.deflation"
     assert listed == "True False"
+
+
+def test_each_package_export_is_in_its_modules_all():
+    import importlib
+
+    import curereg
+
+    for module, names in curereg._EXPORTS.items():
+        listed = importlib.import_module(f"curereg.{module}").__all__
+        assert set(names) <= set(listed), module

@@ -14,6 +14,7 @@ from curereg.core import (
 )
 from curereg.stagewise import (
     RECOMPUTE_EVERY,
+    MoveLog,
     PathStep,
     StagewiseConfig,
     StagewisePath,
@@ -517,15 +518,11 @@ def make_step(t, value, rss=1.0, df=1):
         lam=1.0,
         move="forward_u",
         d=0.0,
-        index=np.zeros(0, dtype=np.int32),
-        value=np.zeros(0),
-        p=2,
-        q=2,
         loss=0.5,
-        penalty=0.1,
         criterion_value=value,
         rss=rss,
         df=df,
+        _log=MoveLog(2, 2),
     )
 
 
@@ -1051,3 +1048,30 @@ def test_retained_bytes_per_step_do_not_grow_with_df(masked):
         df = max(step.df for step in path.steps)
         assert df >= 300 if name == "dense" else df <= 5
     assert held["dense"] <= 1.25 * held["sparse"]
+
+
+def test_reading_a_path_never_grows_it():
+    # The dense unmasked draw of test_retained_bytes_per_step_do_not_grow_with_df:
+    # records that kept their loadings once read would grow by about 2.6 kB
+    # a step here.
+    import gc
+    import tracemalloc
+
+    rng = np.random.default_rng(34)
+    n, p, q = 100, 300, 300
+    X = rng.standard_normal((n, p))
+    Y = np.outer(X @ rng.choice([-1.0, 1.0], p), rng.choice([-1.0, 1.0], q))
+    path = run_path(ProblemData(X, Y),
+                    StagewiseConfig(epsilon=2.0, criterion="none", max_steps=900))
+    assert len(path) == 901 and max(step.df for step in path.steps) >= 300
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for step in path.steps:
+            step.index, step.value, step.factor
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # What stays is the interpreter's free lists, about 1 kB in all.
+    assert grown < 4096
