@@ -89,6 +89,17 @@ def _opt(parser, defaults, flag, default=None, help="", **kw):
     parser.add_argument(flag, dest=dest, default=argparse.SUPPRESS, help=help, **kw)
 
 
+def _positive_int(text):
+    """The type of a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def _add_common(parser, defaults):
     _opt(parser, defaults, "--out-dir", default=".", help="directory for artifacts")
     _opt(parser, defaults, "--seed", default=SimSpec.seed, type=int, help="random seed")
@@ -144,9 +155,8 @@ def _add_solver_flags(parser, defaults):
     _opt(parser, defaults, "--s-threshold", type=int,
          help="keep only this many largest entries of each pilot layer"
               " (parallel methods)")
-    _opt(parser, defaults, "--threads", type=int,
-         help="benchmark worker processes; falls back to env CURE_THREADS,"
-              " then 1 (fit accepts it without effect)")
+    _opt(parser, defaults, "--threads", default=1, type=_positive_int,
+         help="benchmark worker processes (fit accepts it without effect)")
 
 
 def build_parser():
@@ -198,7 +208,7 @@ def build_parser():
     _add_sim_flags(pb, d)
     _opt(pb, d, "--methods", default="seqstl,seqacs,rrr",
          help="comma-separated method list")
-    _opt(pb, d, "--reps", default=20, type=int, help="replication count")
+    _opt(pb, d, "--reps", default=20, type=_positive_int, help="replication count")
     _opt(pb, d, "--trim", default=0.0, type=float,
          help="two-sided trimming fraction for the aggregation (0.1 drops 10%%"
               " of replications in each tail)")
@@ -235,23 +245,6 @@ def _config_tokens(command, config_path):
             for key, val in doc.items() if val is not None]
 
 
-def _resolve_threads(opts):
-    threads = opts.get("threads")
-    if threads is None:
-        env = os.environ.get("CURE_THREADS", "").strip()
-        if not env:
-            return 1
-        try:
-            threads = int(env)
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            raise SystemExit(f"CURE_THREADS must be a positive integer, got {env!r}")
-    if threads < 1:
-        raise SystemExit("--threads must be a positive integer")
-    return threads
-
-
 def _from_opts(cls, opts, *skip):
     """A ``cls`` dataclass whose fields, but those named in ``skip``, take the
     options of the same names."""
@@ -285,8 +278,7 @@ def _deflation_config(method, opts):
 def _fit_scaled(problem, method, opts):
     """Fit on an already column-normalized problem; returns a FactorModel."""
     X, Y = problem.X, problem.Y
-    n, p = X.shape
-    q = Y.shape[1]
+    top = min(problem.n, problem.p, problem.q)
     if method == "lasso":
         if opts["criterion"] == "cv":
             grid = default_lambda_grid(problem)
@@ -302,14 +294,14 @@ def _fit_scaled(problem, method, opts):
             C = path[sel.index][1]
         else:
             C, _, _ = lasso_gic_path(problem, criterion=opts["criterion"])
-        return p_orthogonal_svd(X, C, min(n, p, q))
+        return p_orthogonal_svd(X, C, top)
     if method == "rrr":
         if problem.mask is not None:
             raise ValueError("method rrr requires a fully observed Y")
         rank = opts["rank"]
         if rank is None:
             rank, _ = select_rank_cv(
-                X, Y, r_max=min(n, p, q, RRR_RANK_CAP),
+                X, Y, r_max=min(top, RRR_RANK_CAP),
                 folds=opts["cv_folds"], seed=opts["seed"],
             )
         return p_orthogonal_svd(X, fit_rrr(X, Y, rank), rank)
@@ -335,36 +327,29 @@ def fit_method(X_raw, Y, mask, method, opts):
     return FactorModel(tuple(rescale_factor_rows(lay, scale) for lay in model.layers))
 
 
-def score_model(model, truth_model, C_star, X):
-    """EvalReport of a fitted model against the ground truth.
+def score_model(model, truth_model, X):
+    """EvalReport of a fitted model: its sparsity counts and, given the
+    ground truth (else None), its errors and selection rates.
 
     Layers are aligned to the truth by descending d before the selection
-    rates are pooled.
+    rates are pooled; a rank-0 model has no layer to align.
     """
+    report = EvalReport()
+    report.u_l0, report.u_l20, report.v_l0, report.v_l20 = sparsity_summary(model)
+    if truth_model is None:
+        return report
+    C_star = truth_model.to_matrix()
     p, q = C_star.shape
-    C_hat = model.to_matrix(shape=(p, q))
-    er_c, er_xc = estimation_errors(C_hat, C_star, X)
-    if model.rank == 0:
-        U_hat = np.zeros((p, 1))
-        V_hat = np.zeros((q, 1))
-        counts = (0, 0, 0, 0)
-    else:
-        order = np.argsort(-model.d_values(), kind="stable")
-        ordered = FactorModel(tuple(model.layers[i] for i in order))
-        U_hat = ordered.stacked_u()
-        V_hat = ordered.stacked_v()
-        counts = sparsity_summary(model)
-    rates = selection_rates(U_hat, V_hat, truth_model.stacked_u(), truth_model.stacked_v())
-    return EvalReport(
-        er_c=er_c,
-        er_xc=er_xc,
-        fpr=rates.fpr,
-        fnr=rates.fnr,
-        u_l0=counts[0],
-        u_l20=counts[1],
-        v_l0=counts[2],
-        v_l20=counts[3],
+    report.er_c, report.er_xc = estimation_errors(model.to_matrix(shape=(p, q)), C_star, X)
+    layers = [model.layers[i] for i in np.argsort(-model.d_values(), kind="stable")]
+    rates = selection_rates(
+        np.reshape([lay.u for lay in layers], (-1, p)).T,
+        np.reshape([lay.v for lay in layers], (-1, q)).T,
+        truth_model.stacked_u(),
+        truth_model.stacked_v(),
     )
+    report.fpr, report.fnr = rates.fpr, rates.fnr
+    return report
 
 
 def _write_report(path, report):
@@ -396,7 +381,6 @@ def _load_truth(path):
 
 def _cmd_simulate(opts):
     out = opts["out_dir"]
-    os.makedirs(out, exist_ok=True)
     truth = gen_dataset(_from_opts(SimSpec, opts))
     write_matrix_csv(os.path.join(out, "X.csv"), truth.X)
     write_matrix_csv(os.path.join(out, "Y.csv"), truth.Y)
@@ -408,33 +392,20 @@ def _cmd_simulate(opts):
     return 0
 
 
-def _read_x(path):
-    X, x_mask = read_matrix_csv(path, allow_missing=True)
-    if x_mask is not None:
-        raise SystemExit(f"{path}: X must not contain missing entries")
-    return X
-
-
 def _read_xy(opts, times):
     if not opts["x"] or not opts["y"]:
         raise SystemExit("--x and --y are required")
     with _stage(times, "read_x"):
-        X = _read_x(opts["x"])
+        X, _ = read_matrix_csv(opts["x"])
     with _stage(times, "read_y"):
         Y, mask = read_matrix_csv(opts["y"], allow_missing=True)
-    if X.shape[0] != Y.shape[0]:
-        raise SystemExit(
-            f"row mismatch: X has {X.shape[0]} rows, Y has {Y.shape[0]}"
-        )
     return X, Y, mask
 
 
 def _cmd_fit(opts):
     out = opts["out_dir"]
-    os.makedirs(out, exist_ok=True)
     if not opts["method"]:
         raise SystemExit("--method is required")
-    _resolve_threads(opts)  # only validates: fit solves its layers serially
     times = {}
     X, Y, mask = _read_xy(opts, times)
     truth_model = _load_truth(opts["truth"]) if opts["truth"] else None
@@ -446,13 +417,7 @@ def _cmd_fit(opts):
             model,
             extra={"method": opts["method"]},
         )
-    if truth_model is not None:
-        report = score_model(model, truth_model, truth_model.to_matrix(), X)
-    else:
-        report = EvalReport()
-        if model.rank > 0:
-            counts = sparsity_summary(model)
-            report.u_l0, report.u_l20, report.v_l0, report.v_l20 = counts
+    report = score_model(model, truth_model, X)
     with _stage(times, "write"):
         _write_report(os.path.join(out, "report.csv"), report)
     stages = ("fit", "read_x", "read_y", "write")
@@ -462,7 +427,6 @@ def _cmd_fit(opts):
 
 def _cmd_paths(opts):
     out = opts["out_dir"]
-    os.makedirs(out, exist_ok=True)
     times = {}
     X, Y, mask = _read_xy(opts, times)
     with _stage(times, "path"):
@@ -475,14 +439,13 @@ def _cmd_paths(opts):
 
 def _cmd_eval(opts):
     out = opts["out_dir"]
-    os.makedirs(out, exist_ok=True)
     for key in ("model_json", "truth", "x"):
         if not opts[key]:
             raise SystemExit("--model-json, --truth and --x are required")
     model, _ = load_factor_model(opts["model_json"])
     truth_model = _load_truth(opts["truth"])
-    X = _read_x(opts["x"])
-    report = score_model(model, truth_model, truth_model.to_matrix(), X)
+    X, _ = read_matrix_csv(opts["x"])
+    report = score_model(model, truth_model, X)
     _write_report(os.path.join(out, "report.csv"), report)
     return 0
 
@@ -495,7 +458,7 @@ def _benchmark_rep(payload):
         t0 = time.perf_counter()
         model = fit_method(truth.X, truth.Y, None, method, opts)
         wall = time.perf_counter() - t0
-        report = score_model(model, truth.factors, truth.c_star, truth.X)
+        report = score_model(model, truth.factors, truth.X)
         report.wall_time_s = wall
         out[method] = report
     return out
@@ -508,22 +471,18 @@ def _benchmark_workers(threads, reps):
 
 def _cmd_benchmark(opts):
     out = opts["out_dir"]
-    os.makedirs(out, exist_ok=True)
     methods = [m.strip() for m in opts["methods"].split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
             raise SystemExit(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-    if opts["reps"] < 1:
-        raise SystemExit("--reps must be a positive integer")
     if not 0.0 <= opts["trim"] < 0.5:
         raise ValueError("trim must be in [0, 0.5)")
-    threads = _resolve_threads(opts)
     base = _from_opts(SimSpec, opts)
     payloads = [
         ({**asdict(base), "seed": base.seed + i}, methods, opts)
         for i in range(opts["reps"])
     ]
-    workers = _benchmark_workers(threads, len(payloads))
+    workers = _benchmark_workers(opts["threads"], len(payloads))
     if workers > 1:
         # Looked up here: importing it loads multiprocessing at start-up.
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -571,7 +530,9 @@ def main(argv=None):
             tokens = _config_tokens(command, ns["config"])
             ns = vars(_PARSER.parse_args(argv[:1] + tokens + argv[1:]))
             del ns["command"], ns["config"]
-        return _COMMANDS[command]({**_DEFAULTS[command], **ns})
+        opts = {**_DEFAULTS[command], **ns}
+        os.makedirs(opts["out_dir"], exist_ok=True)
+        return _COMMANDS[command](opts)
     except (ValueError, OSError) as exc:
         print(f"curereg {command}: {exc}", file=sys.stderr)
         return 1

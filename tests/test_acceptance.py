@@ -105,11 +105,11 @@ def _bench_one(seed):
     for name, cfg in configs.items():
         model = deflate(prob, cfg)
         raw = FactorModel(tuple(rescale_factor_rows(l, scale) for l in model.layers))
-        reports[name] = score_model(raw, truth.factors, truth.c_star, truth.X)
+        reports[name] = score_model(raw, truth.factors, truth.X)
     C_rrr = fit_rrr(Xn, truth.Y, 3)
     rrr_model = p_orthogonal_svd(Xn, C_rrr, 3)
     raw = FactorModel(tuple(rescale_factor_rows(l, scale) for l in rrr_model.layers))
-    reports["rrr"] = score_model(raw, truth.factors, truth.c_star, truth.X)
+    reports["rrr"] = score_model(raw, truth.factors, truth.X)
     return reports
 
 

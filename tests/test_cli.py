@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import curereg.cli as cli
 from curereg import baselines, deflation
-from curereg.cli import _benchmark_workers, _resolve_threads, fit_method, main
+from curereg.cli import _benchmark_workers, fit_method, main
 from curereg.core import ProblemData, column_normalize, residual
 from curereg.io import load_factor_model, read_matrix_csv, write_matrix_csv
 from curereg.simgen import SimSpec, gen_dataset
@@ -103,6 +104,26 @@ def test_fit_zero_response_writes_zero_model(tmp_path):
     assert model.rank == 0
     row = (tmp_path / "report.csv").read_text().splitlines()[1]
     assert row == "NA,NA,NA,NA,0,0,0,0"
+
+
+def test_a_zero_model_report_scores_the_truth(tmp_path):
+    # On Y x 1e-3 the first epsilon step cannot lower the loss, so seqstl
+    # returns rank 0; its report still scores the truth.
+    x, y, truth = simulate_into(tmp_path / "sim", n=60, p=20, q=15, snr=1.0, seed=1)
+    Y, _ = read_matrix_csv(y)
+    write_matrix_csv(tmp_path / "Ys.csv", Y * 1e-3)
+    with pytest.warns(RuntimeWarning, match="zero"):
+        assert run("fit", "--x", x, "--y", tmp_path / "Ys.csv", "--method", "seqstl",
+                   "--rank", 2, "--epsilon", 0.2, "--truth", truth,
+                   "--out-dir", tmp_path / "fit") == 0
+    model, _ = load_factor_model(tmp_path / "fit" / "model.json")
+    assert model.rank == 0
+    header, row = (tmp_path / "fit" / "report.csv").read_text().splitlines()
+    report = dict(zip(header.split(","), row.split(",")))
+    C_star = load_factor_model(truth)[0].to_matrix()
+    assert float(report["er_c"]) == pytest.approx(np.mean(C_star ** 2), rel=0, abs=1e-12)
+    assert (report["fpr"], report["fnr"]) == ("0", "1")
+    assert [report[k] for k in ("u_l0", "u_l20", "v_l0", "v_l20")] == ["0"] * 4
 
 
 def test_fit_lasso_and_parallel_methods(tmp_path):
@@ -340,6 +361,23 @@ def test_lasso_fit_scales_with_a_small_y(scale):
     assert gap <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_a_rescaled_y_gives_the_rescaled_fit_or_a_warning(method):
+    truth = gen_dataset(SimSpec(model="II", n=60, p=20, q=15, r_star=2, seed=1))
+    opts = fit_opts(rank=2, epsilon=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the Y x 1 reference fit is clean
+        base = fit_method(truth.X, truth.Y, None, method, opts).to_matrix(shape=(20, 15))
+    for scale in (2.0 ** 10, 2.0 ** -10, 1e3, 1e-3):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit_method(truth.X, scale * truth.Y, None, method, opts)
+        C = model.to_matrix(shape=(20, 15)) / scale
+        rel = np.linalg.norm(C - base) / np.linalg.norm(base)
+        warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
+        assert warned or rel <= 1e-6, (scale, rel)
+
+
 @pytest.mark.parametrize("method", ["lasso", "rrr"])
 def test_a_small_y_keeps_every_layer(method):
     # Layers are cut at a share of the largest singular value, so scaling Y
@@ -557,6 +595,38 @@ def test_malformed_csv_reports_location(tmp_path, capsys):
     assert "line 2, column 2" in err and "oops" in err
 
 
+@pytest.mark.parametrize("command", ["fit", "paths"])
+def test_a_row_mismatch_exits_1_with_one_line(tmp_path, capsys, command):
+    rng = np.random.default_rng(4)
+    write_matrix_csv(tmp_path / "X.csv", rng.standard_normal((5, 3)))
+    write_matrix_csv(tmp_path / "Y.csv", rng.standard_normal((6, 2)))
+    extra = ["--method", "seqstl", "--rank", 1] if command == "fit" else []
+    assert run(command, "--x", tmp_path / "X.csv", "--y", tmp_path / "Y.csv", *extra,
+               "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"curereg {command}: X and Y must have the same number of rows, got 5 and 6"]
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_an_na_in_x_exits_1_naming_its_cell(tmp_path, capsys, command):
+    x, y, truth = simulate_into(tmp_path / "sim")
+    X, _ = read_matrix_csv(x)
+    observed = np.ones(X.shape, dtype=bool)
+    observed[2, 4] = False
+    x_na = tmp_path / "Xna.csv"
+    write_matrix_csv(x_na, X, mask=observed)
+    if command == "fit":
+        args = ["--y", y, "--method", "rrr", "--rank", 1]
+    else:
+        assert run("fit", "--x", x, "--y", y, "--method", "rrr", "--rank", 1,
+                   "--out-dir", tmp_path / "fit") == 0
+        args = ["--model-json", tmp_path / "fit" / "model.json", "--truth", truth]
+    capsys.readouterr()
+    assert run(command, "--x", x_na, *args, "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"curereg {command}: {x_na}: line 3, column 5: NA not allowed here"]
+
+
 def test_usage_errors(tmp_path, capsys):
     rng = np.random.default_rng(1)
     write_matrix_csv(tmp_path / "X.csv", rng.standard_normal((6, 3)))
@@ -571,8 +641,11 @@ def test_usage_errors(tmp_path, capsys):
         run("fit", "--method", "rrr")
     with pytest.raises(SystemExit, match="required"):
         run("eval", "--out-dir", tmp_path)
-    with pytest.raises(SystemExit, match="--reps"):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
         run("benchmark", "--methods", "rrr", "--reps", 0, "--rank", 1)
+    assert info.value.code == 2
+    assert "argument --reps: must be a positive integer, got 0" in capsys.readouterr().err
     with pytest.raises(SystemExit, match="unknown method 'nope'"):
         run("benchmark", "--methods", "rrr,nope", "--reps", 1)
     with pytest.raises(ValueError, match="unknown method"):
@@ -580,9 +653,9 @@ def test_usage_errors(tmp_path, capsys):
 
     write_matrix_csv(tmp_path / "Xna.csv", np.eye(3),
                      mask=np.eye(3, dtype=bool))
-    with pytest.raises(SystemExit, match="missing entries"):
-        run("fit", "--x", tmp_path / "Xna.csv", "--y", y,
-            "--method", "rrr", "--rank", 1, "--out-dir", tmp_path)
+    assert run("fit", "--x", tmp_path / "Xna.csv", "--y", y,
+               "--method", "rrr", "--rank", 1, "--out-dir", tmp_path) == 1
+    assert "line 1, column 2: NA not allowed here" in capsys.readouterr().err
 
     Ym = rng.standard_normal((6, 2))
     Ymask = np.ones((6, 2), dtype=bool)
@@ -672,7 +745,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     ({"threads": "2", "rank": 1}, ["--threads", "2", "--rank", "1"], None),
     ({"rank": 1.5}, None, "invalid int value: '1.5'"),
     ({"rank": 1, "criterion": "best"}, None, "invalid choice: 'best'"),
-    ({"rank": 1, "threads": 0}, None, "--threads must be a positive integer"),
+    ({"rank": 1, "threads": 0}, None, "argument --threads: must be a positive integer"),
     (None, None, "No such file"),
     ("{bad", None, "cfg.json: Expecting property name"),
     ({"rank": 1, "mu": "nan"}, None, "mu must be finite and nonnegative"),
@@ -703,15 +776,21 @@ def test_config_values_meet_the_flags_checks(tmp_path, capsys, doc, same_as, err
         assert err.startswith("curereg fit: ") and len(err.splitlines()) == 1
 
 
-def test_threads_resolution(tmp_path, monkeypatch):
-    monkeypatch.delenv("CURE_THREADS", raising=False)
-    assert _resolve_threads({"threads": None}) == 1
-    assert _resolve_threads({"threads": 4}) == 4
-    monkeypatch.setenv("CURE_THREADS", "3")
-    assert _resolve_threads({"threads": None}) == 3
-    assert _resolve_threads({"threads": 2}) == 2
-    with pytest.raises(SystemExit, match="positive"):
-        _resolve_threads({"threads": 0})
+def test_threads_resolution(tmp_path, monkeypatch, capsys):
+    # the parser owns the count: below 1 is a usage error, and no flag gives 1
+    for value in (0, -2):
+        with pytest.raises(SystemExit) as info:
+            run("benchmark", "--threads", value, "--out-dir", tmp_path / "bench")
+        assert info.value.code == 2
+        assert (f"argument --threads: must be a positive integer, got {value}"
+                in capsys.readouterr().err)
+    seen = []
+    monkeypatch.setattr(cli, "_benchmark_workers",
+                        lambda threads, reps: seen.append(threads) or 1)
+    assert run("benchmark", "--model", "I", "--n", 35, "--p", 20, "--q", 30,
+               "--methods", "rrr", "--reps", 1, "--rank", 1,
+               "--out-dir", tmp_path / "bench") == 0
+    assert seen == [1]
 
     # fit still parses and checks --threads, but it cannot change the answer
     x, y, _ = simulate_into(tmp_path / "sim")
@@ -722,30 +801,38 @@ def test_threads_resolution(tmp_path, monkeypatch):
         assert run(*fit, "--threads", threads, "--out-dir", out) == 0
         models.append((out / "model.json").read_bytes())
     assert models[0] == models[1]
-    with pytest.raises(SystemExit, match="--threads must be a positive integer"):
-        run(*fit, "--threads", 0, "--out-dir", tmp_path / "threads0")
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_bad_cure_threads_is_named_before_the_csvs_are_read(tmp_path, monkeypatch, value):
-    monkeypatch.setenv("CURE_THREADS", value)
-    missing = tmp_path / "missing.csv"
     with pytest.raises(SystemExit) as info:
-        run("fit", "--x", missing, "--y", missing, "--method", "seqstl",
-            "--rank", 1, "--out-dir", tmp_path / "out")
-    assert info.value.code == f"CURE_THREADS must be a positive integer, got {value!r}"
+        run(*fit, "--threads", 0, "--out-dir", tmp_path / "threads0")
+    assert info.value.code == 2
 
 
-def test_bad_cure_threads_exits_1_with_one_line(tmp_path):
+def test_fit_ignores_a_cure_threads_variable(tmp_path):
     x, y, _ = simulate_into(tmp_path / "sim")
-    proc = subprocess.run(
-        [sys.executable, "-m", "curereg", "fit", "--x", str(x), "--y", str(y),
-         "--method", "seqstl", "--rank", "1", "--out-dir", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "CURE_THREADS": "abc"},
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == ["CURE_THREADS must be a positive integer, got 'abc'"]
+    env = {k: v for k, v in os.environ.items() if k != "CURE_THREADS"}
+    models = []
+    for extra in ({}, {"CURE_THREADS": "abc"}):
+        out = tmp_path / f"out{len(models)}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "curereg", "fit", "--x", str(x), "--y", str(y),
+             "--method", "seqstl", "--rank", "1", "--out-dir", str(out)],
+            capture_output=True, text=True, timeout=120, env={**env, **extra},
+        )
+        assert proc.returncode == 0, proc.stderr
+        models.append((out / "model.json").read_bytes())
+    assert models[0] == models[1]
+
+
+def test_no_module_reads_the_environment():
+    package = os.path.dirname(cli.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        used |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not used & {"environ", "environb", "getenv", "getenvb"}, name
 
 
 def test_benchmark_workers_are_capped(monkeypatch):
