@@ -379,6 +379,27 @@ def _load_truth(path):
     return model
 
 
+def _check_shapes(ref, models):
+    """Raise one ValueError line unless every layer of every model has the
+    p and q of ``ref``.
+
+    ``ref`` maps "p" (and "q") to a ``(size, source)`` pair, where source
+    names the flag and the file that fix the size; ``models`` holds
+    ``(flag, path, model)`` triples.  A rank-0 model has no shape and passes.
+    """
+    for flag, path, model in models:
+        for lay in model.layers:
+            for dim, size in (("p", lay.u.size), ("q", lay.v.size)):
+                want, source = ref.get(dim, (size, None))
+                if size != want:
+                    raise ValueError(f"{source}, but {flag} {path} has {dim} = {size}")
+
+
+def _csv_width(flag, path, M):
+    """The ``_check_shapes`` entry of a matrix read from ``path``."""
+    return M.shape[1], f"{flag} {path} has {M.shape[1]} columns"
+
+
 def _cmd_simulate(opts):
     out = opts["out_dir"]
     truth = gen_dataset(_from_opts(SimSpec, opts))
@@ -408,7 +429,12 @@ def _cmd_fit(opts):
         raise SystemExit("--method is required")
     times = {}
     X, Y, mask = _read_xy(opts, times)
-    truth_model = _load_truth(opts["truth"]) if opts["truth"] else None
+    truth_model = None
+    if opts["truth"]:
+        truth_model = _load_truth(opts["truth"])
+        _check_shapes({"p": _csv_width("--x", opts["x"], X),
+                       "q": _csv_width("--y", opts["y"], Y)},
+                      [("--truth", opts["truth"], truth_model)])
     with _stage(times, "fit"):
         model = fit_method(X, Y, mask, opts["method"], opts)
     with _stage(times, "write"):
@@ -445,6 +471,12 @@ def _cmd_eval(opts):
     model, _ = load_factor_model(opts["model_json"])
     truth_model = _load_truth(opts["truth"])
     X, _ = read_matrix_csv(opts["x"])
+    ref = {"p": _csv_width("--x", opts["x"], X)}
+    if truth_model.rank:
+        q = truth_model.layers[0].v.size
+        ref["q"] = (q, f"--truth {opts['truth']} has q = {q}")
+    _check_shapes(ref, [("--model-json", opts["model_json"], model),
+                        ("--truth", opts["truth"], truth_model)])
     report = score_model(model, truth_model, X)
     _write_report(os.path.join(out, "report.csv"), report)
     return 0

@@ -155,9 +155,12 @@ def gen_coefficient(spec, rng):
 
 
 def _ar1_cov(dim, rho):
-    idx = np.arange(dim)
-    # A table of the dim distinct powers gives the bits of the elementwise power.
-    return (rho ** idx)[np.abs(idx[:, None] - idx[None, :])]
+    # Entry (i, j) is rho ** |i - j|, taken from a table of the dim distinct
+    # powers (so its bits are those of the elementwise power): row i is the
+    # window at dim - 1 - i of [rho**(dim-1) .. rho**1, rho**0 .. rho**(dim-1)].
+    powers = rho ** np.arange(dim)
+    table = np.concatenate([powers[:0:-1], powers])
+    return np.lib.stride_tricks.sliding_window_view(table, dim)[::-1].copy()
 
 
 def gen_design(U_star, spec, rng):

@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import hashlib
 import json
 import os
 import re
@@ -562,6 +563,39 @@ def test_fit_reruns_are_byte_identical(tmp_path):
     assert (a / "timing.csv").exists()
 
 
+# sha256 of the files `curereg simulate` writes for one seeded spec of each
+# model, so that a change to simgen or to the writers that moves one byte
+# fails here by name.
+GOLDEN_SIMULATE = {
+    "I": (["--n", 30, "--p", 20, "--q", 25, "--snr", 0.7, "--rho", 0.4, "--seed", 3], {
+        "X.csv": "779c5071752d37ef35175983bc5088863b6a80a3b4cac770eebc29f010900f4c",
+        "Y.csv": "f1a74d2927908f4aae9f1ee062728698fa9af19198acd60545c3a7a89ba9182a",
+        "truth.json": "87d9e8995280e47faf54f7815c958cce9845e98f80ee24faca7823f3ec4d5940",
+    }),
+    "II": (["--n", 25, "--p", 12, "--q", 10, "--r-star", 3, "--snr", 1.3, "--rho", 0.5,
+            "--seed", 4], {
+        "X.csv": "e9478525740b3ab84fefc22b9dc71ef42f870077ee23e5cca244f23adbacb197",
+        "Y.csv": "612b09257560fe34878e7ad1fa29e1614a9def21d1bc2890060a75e79c2e4278",
+        "truth.json": "eb156f1c7242aff0a596c5018cc14745dfadd8541de8142febdd6cecd135b54d",
+    }),
+    "III": (["--n", 25, "--p", 12, "--q", 16, "--r-star", 3, "--snr", 0.9, "--rho", -0.3,
+             "--seed", 5], {
+        "X.csv": "cb95e1bfbaf2e8e75d191d8d01e0cbe73f98a0858313cc5f38d45f68af276b0a",
+        "Y.csv": "5dd241d92da13511d297387e310221bccb88cd95a720a49c1f3e4907c4b496f7",
+        "truth.json": "652b955612393dd0fe50fa4045165111e98b7b6240ec17fda46b4b4c0f98dc5d",
+    }),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_SIMULATE))
+def test_simulate_output_matches_its_golden_digests(tmp_path, model):
+    args, digests = GOLDEN_SIMULATE[model]
+    assert run("simulate", "--model", model, *args, "--out-dir", tmp_path) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in digests}
+    assert got == digests
+
+
 def test_benchmark_rerun_is_byte_identical(tmp_path):
     argv = ["benchmark", "--model", "I", "--n", 35, "--p", 20, "--q", 30,
             "--methods", "rrr", "--reps", 2, "--rank", 1, "--seed", 7]
@@ -705,6 +739,65 @@ def test_malformed_json_inputs_give_one_line_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("curereg fit: ") and "'sigma'" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_truncated_json_names_its_file(tmp_path, capsys, command):
+    x, y, truth = simulate_into(tmp_path / "sim")
+    assert run("fit", "--x", x, "--y", y, "--method", "rrr", "--rank", 1,
+               "--out-dir", tmp_path / "fit") == 0
+    source = tmp_path / "fit" / "model.json" if command == "eval" else truth
+    cut = tmp_path / "cut.json"
+    cut.write_text(source.read_text()[:100])
+    if command == "eval":
+        args = ["--model-json", cut, "--truth", truth, "--x", x]
+    else:
+        args = ["--x", x, "--y", y, "--method", "rrr", "--rank", 1, "--truth", cut]
+    capsys.readouterr()
+    assert run(command, *args, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"curereg {command}: {cut}: invalid JSON: ")
+    assert os.listdir(tmp_path / "out") == []
+
+
+def _other_draws(tmp_path):
+    """X, Y and truth of a p=10, q=8 draw, with the truths of a p=12 and of
+    a q=9 draw."""
+    x, y, truth = simulate_into(tmp_path / "a")
+    wide_p = simulate_into(tmp_path / "p12", p=12, seed=4)[2]
+    wide_q = simulate_into(tmp_path / "q9", q=9, seed=5)[2]
+    return x, y, truth, wide_p, wide_q
+
+
+def test_fit_checks_the_truth_shape_before_fitting(tmp_path, capsys):
+    x, y, _, wide_p, wide_q = _other_draws(tmp_path)
+    base = ["fit", "--x", x, "--y", y, "--method", "seqstl", "--rank", 2]
+    for truth, want in ((wide_p, f"--x {x} has 10 columns, but --truth {wide_p} has p = 12"),
+                        (wide_q, f"--y {y} has 8 columns, but --truth {wide_q} has q = 9")):
+        out = tmp_path / f"out_{truth.parent.name}"
+        capsys.readouterr()
+        assert run(*base, "--truth", truth, "--out-dir", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"curereg fit: {want}"]
+        assert os.listdir(out) == []
+
+
+def test_eval_checks_every_shape_before_scoring(tmp_path, capsys):
+    x, y, truth, wide_p, wide_q = _other_draws(tmp_path)
+    assert run("fit", "--x", x, "--y", y, "--method", "rrr", "--rank", 2,
+               "--out-dir", tmp_path / "fit") == 0
+    model = tmp_path / "fit" / "model.json"
+    x12 = tmp_path / "p12" / "X.csv"
+    cases = [
+        (model, truth, x12, f"--x {x12} has 12 columns, but --model-json {model} has p = 10"),
+        (model, wide_p, x, f"--x {x} has 10 columns, but --truth {wide_p} has p = 12"),
+        (model, wide_q, x, f"--truth {wide_q} has q = 9, but --model-json {model} has q = 8"),
+    ]
+    for i, (model_json, truth_json, x_csv, want) in enumerate(cases):
+        capsys.readouterr()
+        assert run("eval", "--model-json", model_json, "--truth", truth_json,
+                   "--x", x_csv, "--out-dir", tmp_path / f"eval{i}") == 1
+        assert capsys.readouterr().err.splitlines() == [f"curereg eval: {want}"]
+        assert os.listdir(tmp_path / f"eval{i}") == []
 
 
 # ---------------------------------------------------------------------------

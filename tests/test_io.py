@@ -1,6 +1,9 @@
 import csv
 import dataclasses
+import decimal
+import fractions
 import json
+import math
 import os
 import re
 import tracemalloc
@@ -337,6 +340,98 @@ def test_block_writer_matches_cell_writer_at_its_block_size(tmp_path):
         write_matrix_csv(got, M, mask=mask)
         reference_write_matrix_csv(want, M, mask=mask)
         assert got.read_bytes() == want.read_bytes()
+
+
+def _fmt17_csv(M):
+    """The CSV bytes of a NaN-free matrix, cell by cell through fmt17."""
+    return "".join(",".join(map(fmt17, row)) + "\n" for row in M.tolist()).encode()
+
+
+def test_writer_matches_fmt17_on_a_million_cells(tmp_path):
+    rng = np.random.default_rng(10)
+    # uniform bit patterns over magnitudes 1e-5..1e17 (the bits of positive
+    # doubles grow with their values), then normal draws scaled by 1e-3..1e6
+    lo, hi = np.array([1e-5, 1e17]).view(np.int64)
+    spread = rng.integers(lo, hi, 400_000).view(np.float64)
+    normal = rng.standard_normal(600_000) * 10.0 ** rng.integers(-3, 7, 600_000)
+    cells = np.concatenate([spread, normal]) * rng.choice([-1.0, 1.0], 1_000_000)
+    M = cells.reshape(-1, 250)
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, M)
+    assert path.read_bytes() == _fmt17_csv(M)
+
+
+def test_writer_matches_fmt17_next_to_powers_of_ten(tmp_path):
+    powers = np.concatenate([10.0 ** np.arange(-5, 18), [1e-4, 1e16]])
+    cells = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    M = np.concatenate([cells, -cells]).reshape(-1, 6)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_matrix_csv(got, M)
+    reference_write_matrix_csv(want, M)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_writer_matches_fmt17_on_exact_ties(tmp_path):
+    # An odd N over 2**(17 - k), of decimal exponent k, has 18 significant
+    # digits, the last a 5: the 17th digit is a tie, rounded to even.
+    rng = np.random.default_rng(11)
+    cells = []
+    for k in range(-4, 16):
+        lo, hi = (math.ceil(fractions.Fraction(10) ** e * 2 ** (17 - k)) for e in (k, k + 1))
+        if lo < min(hi, 2**53):
+            cells.append(np.ldexp(rng.integers(lo, min(hi, 2**53), 200) | 1, k - 17))
+    cells = np.concatenate(cells)
+    for x in cells.tolist():
+        digits = decimal.Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+    M = np.concatenate([cells, -cells]).reshape(-1, 8)
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, M)
+    assert path.read_bytes() == _fmt17_csv(M)
+
+
+def _every_cell_class(rng, shape):
+    """A matrix and mask that mix printed cells with every cell class that
+    is not printed in arrays: NaN, masked, +-0, +-inf, subnormals and
+    magnitudes that %.17g spells with an exponent."""
+    specials = np.array([
+        np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308,
+        1e-5, -9.999999999999999e-5, 1e17, -1.2345678901234567e200, 1.7976931348623157e308,
+    ])
+    M = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 17, shape)
+    special = rng.random(shape) < 0.5
+    special[:, 0] = special[:, -1] = True
+    M[special] = rng.choice(specials, int(special.sum()))
+    return M, rng.random(shape) > 0.1
+
+
+def test_block_writer_matches_cell_writer_with_every_cell_class(tmp_path, monkeypatch):
+    # 9 rows of 7 a block: special cells at both ends of every block
+    monkeypatch.setattr(curereg_io, "_WRITE_BLOCK", 64)
+    M, keep = _every_cell_class(np.random.default_rng(12), (40, 7))
+    for mask in (None, keep):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_matrix_csv(got, M, mask=mask)
+        reference_write_matrix_csv(want, M, mask=mask)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_writer_spells_every_cell_alike_through_fmt17(tmp_path, monkeypatch):
+    rng = np.random.default_rng(13)
+    M, keep = _every_cell_class(rng, (60, 50))
+    M[:30] = rng.standard_normal((30, 50)) * 10.0 ** rng.integers(-4, 17, (30, 50))
+    fast = tmp_path / "fast.csv"
+    write_matrix_csv(fast, M, mask=keep)
+    significands = curereg_io._significands
+
+    def nothing_printed_in_arrays(a):
+        D, k, ok = significands(a)
+        return D, k, np.zeros_like(ok)
+
+    monkeypatch.setattr(curereg_io, "_significands", nothing_printed_in_arrays)
+    slow = tmp_path / "slow.csv"
+    write_matrix_csv(slow, M, mask=keep)
+    assert slow.read_bytes() == fast.read_bytes()
 
 
 @pytest.mark.parametrize("shape,mask_shape", [
