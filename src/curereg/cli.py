@@ -223,6 +223,15 @@ def build_parser():
 _PARSER = build_parser()
 
 
+def _read_input(flag, path, reader, **kw):
+    """``reader(path, **kw)``, with an OS error naming the flag of the file:
+    ``--x nope.csv: No such file or directory``."""
+    try:
+        return reader(path, **kw)
+    except OSError as exc:
+        raise OSError(f"{flag} {path}: {exc.strerror or exc}") from None
+
+
 def _config_tokens(command, config_path):
     """A JSON config file as flag tokens, so it meets the flags' own checks.
 
@@ -230,7 +239,7 @@ def _config_tokens(command, config_path):
     value leaves the built-in default.
     """
     try:
-        with open(config_path) as fh:
+        with _read_input("--config", config_path, open) as fh:
             doc = json.load(fh)
     except ValueError as exc:
         raise ValueError(f"config {config_path}: {exc}") from None
@@ -332,8 +341,17 @@ def score_model(model, truth_model, X):
     ground truth (else None), its errors and selection rates.
 
     Layers are aligned to the truth by descending d before the selection
-    rates are pooled; a rank-0 model has no layer to align.
+    rates are pooled; a rank-0 model has no layer to align.  A layer whose
+    p or q is not the truth's raises a ValueError naming it; a rank-0 model
+    carries no shape and is scored as a zero of the truth's.
     """
+    if truth_model is not None and truth_model.rank:
+        want = truth_model.layers[0].u.size, truth_model.layers[0].v.size
+        for k, lay in enumerate(model.layers, 1):
+            got = lay.u.size, lay.v.size
+            if got != want:
+                raise ValueError(f"model layer {k} has p = {got[0]} and q = {got[1]},"
+                                 f" but the truth has p = {want[0]} and q = {want[1]}")
     report = EvalReport()
     report.u_l0, report.u_l20, report.v_l0, report.v_l20 = sparsity_summary(model)
     if truth_model is None:
@@ -373,7 +391,7 @@ def _stage(times, name):
 
 
 def _load_truth(path):
-    model, doc = load_factor_model(path)
+    model, doc = _read_input("--truth", path, load_factor_model)
     if not isinstance(doc.get("sigma"), (int, float)):
         raise ValueError(f"{path}: truth needs a numeric 'sigma' field")
     return model
@@ -417,9 +435,9 @@ def _read_xy(opts, times):
     if not opts["x"] or not opts["y"]:
         raise SystemExit("--x and --y are required")
     with _stage(times, "read_x"):
-        X, _ = read_matrix_csv(opts["x"])
+        X, _ = _read_input("--x", opts["x"], read_matrix_csv)
     with _stage(times, "read_y"):
-        Y, mask = read_matrix_csv(opts["y"], allow_missing=True)
+        Y, mask = _read_input("--y", opts["y"], read_matrix_csv, allow_missing=True)
     return X, Y, mask
 
 
@@ -468,9 +486,9 @@ def _cmd_eval(opts):
     for key in ("model_json", "truth", "x"):
         if not opts[key]:
             raise SystemExit("--model-json, --truth and --x are required")
-    model, _ = load_factor_model(opts["model_json"])
+    model, _ = _read_input("--model-json", opts["model_json"], load_factor_model)
     truth_model = _load_truth(opts["truth"])
-    X, _ = read_matrix_csv(opts["x"])
+    X, _ = _read_input("--x", opts["x"], read_matrix_csv)
     ref = {"p": _csv_width("--x", opts["x"], X)}
     if truth_model.rank:
         q = truth_model.layers[0].v.size

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 # Unused here: no layer runs on a thread pool.  perfbench/tracer.py still
-# replaces this name and fails to install without it (ROADMAP item 1a).
+# replaces this name and fails to install without it (ROADMAP item 2).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 
@@ -44,7 +44,7 @@ from .stagewise import StagewiseConfig, run_path, run_paths, select_on_path
 from .tuning import CRITERIA, GridScan, kfold_cv_select
 # Unused here.  perfbench/tracer.py still wraps this name to count criterion
 # evaluations, so its tuning.ic count reads 0 until the tracer wraps the one
-# in tuning (ROADMAP item 1a); the tracer fails to install without the name.
+# in tuning (ROADMAP item 2); the tracer fails to install without the name.
 from .tuning import information_criterion  # noqa: F401
 
 __all__ = [

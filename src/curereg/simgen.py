@@ -18,6 +18,8 @@ order, so each piece is reproducible on its own.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +165,28 @@ def _ar1_cov(dim, rho):
     return np.lib.stride_tricks.sliding_window_view(table, dim)[::-1].copy()
 
 
+def _ar1_factor(dim, rho):
+    """Lower Cholesky factor of ``_ar1_cov(dim, rho)``, shared and read-only.
+
+    It is LAPACK's own factor, so its bits are those of a fresh
+    factorization.  Replicated draws ask for the same (dim, rho) again and
+    again, and at small |rho| the factorization is slow: the powers of rho
+    and their products run into subnormal numbers, which the processor
+    handles slowly.
+    """
+    return _ar1_factor_keyed(dim, rho, math.copysign(1.0, rho) < 0.0)
+
+
+# Two entries, so that draws alternating two widths (the two instances of a
+# benchmark set) still hit.  The sign is part of the key: -0.0 == 0.0 and
+# both hash alike, but _ar1_cov spells their zero entries differently.
+@functools.lru_cache(maxsize=2)
+def _ar1_factor_keyed(dim, rho, negative):
+    L = np.linalg.cholesky(_ar1_cov(dim, rho))
+    L.flags.writeable = False
+    return L
+
+
 def gen_design(U_star, spec, rng):
     """Sample the design so the latent factors X u_k are iid standard normal.
 
@@ -232,7 +256,8 @@ def gen_response(X, c_star, spec, rng, last_layer=None):
     set so the spectral norm of the weakest layer's signal over the Frobenius
     norm of the realized noise equals ``spec.snr`` exactly.  ``last_layer``
     is that weakest unit-rank factor; by default it is recovered from the
-    smallest-d layer of ``c_star`` when c_star is a FactorModel.
+    smallest-d layer of ``c_star`` when c_star is a FactorModel.  Delta's
+    Cholesky factor is reused across calls (``_ar1_factor``).
     """
     X = np.asarray(X, dtype=float)
     if isinstance(c_star, FactorModel):
@@ -248,9 +273,7 @@ def gen_response(X, c_star, spec, rng, last_layer=None):
     s_norm = operator_norm(signal)
     if s_norm <= 0.0:
         raise ValueError("the weakest layer has zero signal; snr calibration impossible")
-    Delta = _ar1_cov(q, spec.rho)
-    L = np.linalg.cholesky(Delta)
-    E0 = rng.standard_normal((n, q)) @ L.T
+    E0 = rng.standard_normal((n, q)) @ _ar1_factor(q, spec.rho).T
     e_norm = float(np.linalg.norm(E0))
     if e_norm == 0.0:
         raise ValueError("degenerate zero noise draw")

@@ -187,7 +187,9 @@ class _Engine:
     def __init__(self, problems):
         self.p, self.q = problems[0].p, problems[0].q
         self.X = [np.asfortranarray(pb.X) for pb in problems]
-        self.Y0 = [pb.observed_response() for pb in problems]
+        # Only read, so an unmasked problem's Y is kept, not copied.
+        self.Y0 = [np.ascontiguousarray(pb.Y) if pb.mask is None
+                   else pb.observed_response() for pb in problems]
         self.n = [pb.n for pb in problems]
         self.S = [X.T @ Y0 / n for X, Y0, n in zip(self.X, self.Y0, self.n)]
         self.y2 = [float(np.vdot(Y0, Y0)) for Y0 in self.Y0]

@@ -7,14 +7,21 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import curereg.cli as cli
 from curereg import baselines, deflation
-from curereg.cli import _benchmark_workers, fit_method, main
-from curereg.core import ProblemData, column_normalize, residual
+from curereg.cli import _benchmark_workers, fit_method, main, score_model
+from curereg.core import (
+    FactorModel,
+    ProblemData,
+    UnitRankFactor,
+    column_normalize,
+    residual,
+)
 from curereg.io import load_factor_model, read_matrix_csv, write_matrix_csv
 from curereg.simgen import SimSpec, gen_dataset
 from curereg.stagewise import StagewiseConfig, run_path
@@ -584,12 +591,20 @@ GOLDEN_SIMULATE = {
         "Y.csv": "5dd241d92da13511d297387e310221bccb88cd95a720a49c1f3e4907c4b496f7",
         "truth.json": "652b955612393dd0fe50fa4045165111e98b7b6240ec17fda46b4b4c0f98dc5d",
     }),
+    # 0.3 ** k is subnormal from k = 589 on, so the noise factor is too
+    "II-q700": (["--n", 20, "--p", 10, "--q", 700, "--r-star", 2, "--snr", 1.1,
+                 "--rho", 0.3, "--seed", 6], {
+        "X.csv": "401dcf5fc78bc5fb7217f131df78b22716cca0c75d3ce2666030b7595a193d52",
+        "Y.csv": "b1ab3a1e20778c7e518c709526b6577abd2fd243d1946d31b12c0cacaf99d041",
+        "truth.json": "56b2bf575f0d6d0c1e8368a96b433638afe186366db7074aee38dd694974a143",
+    }),
 }
 
 
-@pytest.mark.parametrize("model", sorted(GOLDEN_SIMULATE))
-def test_simulate_output_matches_its_golden_digests(tmp_path, model):
-    args, digests = GOLDEN_SIMULATE[model]
+@pytest.mark.parametrize("key", sorted(GOLDEN_SIMULATE))
+def test_simulate_output_matches_its_golden_digests(tmp_path, key):
+    args, digests = GOLDEN_SIMULATE[key]
+    model = key.partition("-")[0]
     assert run("simulate", "--model", model, *args, "--out-dir", tmp_path) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in digests}
@@ -798,6 +813,46 @@ def test_eval_checks_every_shape_before_scoring(tmp_path, capsys):
                    "--x", x_csv, "--out-dir", tmp_path / f"eval{i}") == 1
         assert capsys.readouterr().err.splitlines() == [f"curereg eval: {want}"]
         assert os.listdir(tmp_path / f"eval{i}") == []
+
+
+def test_score_model_checks_every_layer_shape(tmp_path):
+    spec = SimSpec(model="II", n=20, p=10, q=8, r_star=2, snr=5.0, seed=3)
+    truth = gen_dataset(spec)
+    other = gen_dataset(replace(spec, p=12, seed=4)).factors
+    mixed = FactorModel((truth.factors.layers[0], UnitRankFactor.zero(10, 9)))
+    for model, want in (
+        (other, "model layer 1 has p = 12 and q = 8, but the truth has p = 10 and q = 8"),
+        (mixed, "model layer 2 has p = 10 and q = 9, but the truth has p = 10 and q = 8"),
+    ):
+        with pytest.raises(ValueError) as info:
+            score_model(model, truth.factors, truth.X)
+        assert str(info.value) == want
+    # a rank-0 model carries no shape and scores as a zero of the truth's
+    report = score_model(FactorModel(()), truth.factors, truth.X)
+    assert report.er_c == float(np.vdot(truth.c_star, truth.c_star)) / (10 * 8)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("fit", "--x"), ("fit", "--y"), ("fit", "--truth"), ("fit", "--config"),
+    ("paths", "--x"), ("paths", "--y"), ("paths", "--config"),
+    ("eval", "--model-json"), ("eval", "--truth"), ("eval", "--x"), ("eval", "--config"),
+])
+def test_a_missing_input_names_its_flag(tmp_path, capsys, command, flag):
+    x, y, truth = simulate_into(tmp_path / "sim")
+    args = {
+        "fit": {"--x": x, "--y": y, "--truth": truth, "--method": "rrr", "--rank": 1},
+        "paths": {"--x": x, "--y": y, "--max-steps": 5},
+        # a truth.json is a model file too
+        "eval": {"--model-json": truth, "--truth": truth, "--x": x},
+    }[command]
+    missing = tmp_path / "nope.csv"
+    args[flag] = missing
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, *[a for item in args.items() for a in item], "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"curereg {command}: {flag} {missing}: No such file or directory"]
+    assert list(out.glob("*")) == []
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from curereg.core import FactorModel, UnitRankFactor
 from curereg.simgen import (
     SimSpec,
     _ar1_cov,
+    _ar1_factor,
+    _ar1_factor_keyed,
     gen_coefficient,
     gen_dataset,
     gen_design,
@@ -215,6 +217,38 @@ def test_ar1_cov_power_table_matches_elementwise_power(dim, rho):
     got = _ar1_cov(dim, rho)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 200, 700])
+@pytest.mark.parametrize("rho", [-0.3, -0.0, 0.0, 0.3, 0.5])
+def test_ar1_factor_is_lapacks_factor_and_read_only(dim, rho):
+    got = _ar1_factor(dim, rho)
+    assert got.tobytes() == np.linalg.cholesky(_ar1_cov(dim, rho)).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        got[0, 0] = 1.0
+
+
+def test_ar1_factor_keys_the_sign_of_a_zero_rho():
+    # -0.0 == 0.0, but the factors differ in the signs of their zeros
+    neg, pos = _ar1_factor(3, -0.0), _ar1_factor(3, 0.0)
+    assert neg.tobytes() == np.linalg.cholesky(_ar1_cov(3, -0.0)).tobytes()
+    assert pos.tobytes() == np.linalg.cholesky(_ar1_cov(3, 0.0)).tobytes()
+    assert neg.tobytes() != pos.tobytes()
+
+
+def test_reused_noise_factor_draws_the_same_bytes():
+    # 0.3 ** k is subnormal from k = 589 on, so q = 700 factors through them
+    wide = SimSpec(model="II", n=20, p=10, q=700, r_star=2, rho=0.3, seed=6)
+    narrow = SimSpec(model="II", n=20, p=10, q=200, r_star=2, rho=0.3, seed=7)
+    _ar1_factor_keyed.cache_clear()
+    cold = gen_dataset(wide)
+    gen_dataset(narrow)
+    warm = gen_dataset(wide)
+    info = _ar1_factor_keyed.cache_info()
+    assert (info.maxsize, info.misses, info.hits) == (2, 2, 1)
+    for field in ("X", "Y", "E"):
+        assert getattr(warm, field).tobytes() == getattr(cold, field).tobytes()
+    assert warm.sigma == cold.sigma
 
 
 SPECS_BY_MODEL = [
