@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "baselines": (
-        "AcsConfig", "LassoConfig", "acs_cure", "acs_path", "default_lambda_grid",
+        "AcsConfig", "acs_cure", "acs_path", "default_lambda_grid",
         "default_rrr_ridge", "fit_rrr", "lasso_cd", "lasso_gic_path",
         "lasso_objective", "select_rank_cv", "svd_of_ols_factor",
     ),

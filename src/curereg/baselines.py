@@ -41,10 +41,9 @@ from .core import (
     p_orthogonal_svd,
     renormalize_factor,
 )
-from .tuning import GRID_STOP_WINDOW, GridScan, fold_indices
+from .tuning import GridScan, fold_indices
 
 __all__ = [
-    "LassoConfig",
     "lasso_cd",
     "lasso_gic_path",
     "lasso_objective",
@@ -64,6 +63,11 @@ __all__ = [
 # every a-block of that fit within 14.  The margin is for singular blocks,
 # which fall back to plain passes.
 ACS_MAX_SWEEPS = 20_000
+# The lasso's stopping rule: every entry meets its subgradient condition
+# within LASSO_TOL * min(1, lam_max), or a response column's solve ends,
+# with a warning, after LASSO_MAX_SWEEPS passes plus exact solves.
+LASSO_TOL = 1e-8
+LASSO_MAX_SWEEPS = 2000
 
 
 def _soft(x, t):
@@ -221,35 +225,25 @@ def _sign_solve(gram, P, s, c, b, pen, x, budget):
     return x, Hc @ x, solves, exact
 
 
-@dataclass
-class LassoConfig:
-    tol: float = 1e-8
-    max_sweeps: int = 2000
-
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf or self.max_sweeps < 1:
-            raise ValueError("tol must be positive and finite, and max_sweeps at least 1")
-
-
 def lasso_objective(problem, C, lam):
     return problem.rss(problem.X @ C) / (2.0 * problem.n) + lam * float(np.abs(C).sum())
 
 
-def lasso_cd(problem, lam, config=None, warm=None, return_info=False):
+def lasso_cd(problem, lam, warm=None, return_info=False):
     """Entrywise-l1 multivariate lasso by coordinate descent.
 
     Minimizes ``||P(Y - XC)||_F^2 / (2n) + lam ||C||_1``.  Response column k
     is a weighted lasso whose weights are the mask column (none when fully
     observed).  On convergence every entry meets the subgradient condition
-    within ``tol' = tol * min(1, lam_max)``: ``|g_jk + lam sign(C_jk)| <= tol'``
-    where ``C_jk != 0`` and ``|g_jk| <= lam + tol'`` elsewhere, with
-    ``g = -X^T P(Y - XC) / n`` and ``lam_max = max |X^T P(Y) / n|`` (``tol``
-    itself when that is 0).  The gradients scale with Y, so an absolute
-    ``tol`` would stop a small-Y fit early.  Otherwise the last iterate is
-    returned with a warning.  With ``return_info``, ``info["sweeps"]`` is
+    within ``tol = LASSO_TOL * min(1, lam_max)``: ``|g_jk + lam sign(C_jk)| <= tol``
+    where ``C_jk != 0`` and ``|g_jk| <= lam + tol`` elsewhere, with
+    ``g = -X^T P(Y - XC) / n`` and ``lam_max = max |X^T P(Y) / n|``
+    (``LASSO_TOL`` itself when that is 0).  The gradients scale with Y, so
+    an absolute tolerance would stop a small-Y fit early.  A column that
+    takes ``LASSO_MAX_SWEEPS`` passes plus exact solves first leaves the
+    last iterate, with a warning.  With ``return_info``, ``info["sweeps"]`` is
     the most passes plus exact solves that any response column took.
     """
-    config = config or LassoConfig()
     if not 0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     X = problem.X
@@ -269,7 +263,7 @@ def lasso_cd(problem, lam, config=None, warm=None, return_info=False):
         live = np.stack([gram.diag for gram in grams], axis=1) > 0.0
     abs_B = np.abs(B)
     lam_max = float(abs_B.max(initial=0.0))
-    tol = config.tol * min(1.0, lam_max) if lam_max > 0.0 else config.tol
+    tol = LASSO_TOL * min(1.0, lam_max) if lam_max > 0.0 else LASSO_TOL
     zero_worst = np.where(live, abs_B - lam, 0.0).max(axis=0, initial=0.0)
     screened = ~C.any(axis=0) & (zero_worst <= tol)
     trace = [lasso_objective(problem, C, lam)] if return_info else []
@@ -279,7 +273,7 @@ def lasso_cd(problem, lam, config=None, warm=None, return_info=False):
     for k, gram in enumerate(grams):
         if not screened[k]:
             C[:, k], viol, used = _weighted_lasso(
-                gram, 1.0, 0.0, B[:, k], lam, C[:, k], tol, config.max_sweeps
+                gram, 1.0, 0.0, B[:, k], lam, C[:, k], tol, LASSO_MAX_SWEEPS
             )
             worst = max(worst, viol)
             sweeps = max(sweeps, used)
@@ -289,7 +283,7 @@ def lasso_cd(problem, lam, config=None, warm=None, return_info=False):
     if not converged:
         warnings.warn(
             f"lasso_cd did not meet the stationarity tolerance in "
-            f"{config.max_sweeps} sweeps (violation={worst:.3e}, lam={lam:.3e})",
+            f"{LASSO_MAX_SWEEPS} sweeps (violation={worst:.3e}, lam={lam:.3e})",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -317,26 +311,27 @@ def _penalty_grid(grid, name):
     return g
 
 
-def lasso_gic_path(problem, grid=None, config=None, criterion="gic", *, _whole_grid=False):
+def lasso_gic_path(problem, grid=None, criterion="gic", *, _whole_grid=False):
     """Warm-started lasso path with information-criterion selection.
 
     Degrees of freedom is the nonzero entry count; the first argmin wins.
     The path stops ``tuning.GRID_STOP_WINDOW`` levels after the last
     improvement of the criterion (:class:`~curereg.tuning.GridScan`).
-    ``_whole_grid`` solves every level instead; CV needs it, because its
-    folds are aligned to the full-data grid.  Returns
+    ``_whole_grid`` keeps solving past that stop, to the end of the grid;
+    CV needs it, because its folds are aligned to the full-data grid.  Returns
     ``(C_best, lam_best, path)`` where path is the list of ``(lam, C)``
     solved down the grid.
     """
     grid = default_lambda_grid(problem) if grid is None else _penalty_grid(grid, "grid")
-    scan = GridScan(problem, criterion, None if _whole_grid else GRID_STOP_WINDOW)
+    scan = GridScan(problem, criterion)
     warm = None
     path = []
     for lam in grid:
-        C = lasso_cd(problem, float(lam), config=config, warm=warm)
+        C = lasso_cd(problem, float(lam), warm=warm)
         warm = C
         path.append((float(lam), C))
-        if scan.update(problem.rss(problem.X @ C), int(np.count_nonzero(C))):
+        stalled = scan.update(problem.rss(problem.X @ C), int(np.count_nonzero(C)))
+        if stalled and not _whole_grid:
             break
     lam_best, C_best = path[scan.best]
     return C_best, lam_best, path

@@ -232,6 +232,22 @@ def _read_input(flag, path, reader, **kw):
         raise OSError(f"{flag} {path}: {exc.strerror or exc}") from None
 
 
+def _read_csv(flag, path, allow_missing=False):
+    """``read_matrix_csv`` of the file of ``flag``; a cell that must hold a
+    value (any cell of X, an observed cell of Y) and is not finite raises one
+    line: ``--x X.csv: row 4, column 3 is not finite (nan)``.  Rows count
+    data rows."""
+    M, mask = _read_input(flag, path, read_matrix_csv, allow_missing=allow_missing)
+    bad = ~np.isfinite(M)
+    if mask is not None:
+        bad &= mask
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"{flag} {path}: row {i + 1}, column {j + 1} is not finite"
+                         f" ({M[i, j]})")
+    return M, mask
+
+
 def _config_tokens(command, config_path):
     """A JSON config file as flag tokens, so it meets the flags' own checks.
 
@@ -435,9 +451,9 @@ def _read_xy(opts, times):
     if not opts["x"] or not opts["y"]:
         raise SystemExit("--x and --y are required")
     with _stage(times, "read_x"):
-        X, _ = _read_input("--x", opts["x"], read_matrix_csv)
+        X, _ = _read_csv("--x", opts["x"])
     with _stage(times, "read_y"):
-        Y, mask = _read_input("--y", opts["y"], read_matrix_csv, allow_missing=True)
+        Y, mask = _read_csv("--y", opts["y"], allow_missing=True)
     return X, Y, mask
 
 
@@ -488,7 +504,7 @@ def _cmd_eval(opts):
             raise SystemExit("--model-json, --truth and --x are required")
     model, _ = _read_input("--model-json", opts["model_json"], load_factor_model)
     truth_model = _load_truth(opts["truth"])
-    X, _ = _read_input("--x", opts["x"], read_matrix_csv)
+    X, _ = _read_csv("--x", opts["x"])
     ref = {"p": _csv_width("--x", opts["x"], X)}
     if truth_model.rank:
         q = truth_model.layers[0].v.size

@@ -390,23 +390,29 @@ def factor_model_to_dict(model):
 
 
 def factor_model_from_dict(doc):
-    """Rebuild a FactorModel; a missing or ill-typed field raises ValueError."""
+    """Rebuild a FactorModel; a missing or ill-typed field, or a loading that
+    is not finite, raises ValueError (the latter naming its layer)."""
     try:
-        layers = tuple(
-            UnitRankFactor(
+        layers = []
+        for k, entry in enumerate(doc["layers"], 1):
+            layer = UnitRankFactor(
                 float(entry["d"]),
                 np.asarray(entry["u"], dtype=float),
                 np.asarray(entry["v"], dtype=float),
                 NormMode(entry["norm_mode"]),
             )
-            for entry in doc["layers"]
-        )
+            for name, vec in (("u", layer.u), ("v", layer.v)):
+                bad = np.flatnonzero(~np.isfinite(vec))
+                if bad.size:
+                    raise ValueError(f"layer {k}: entry {bad[0] + 1} of {name}"
+                                     f" is not finite ({vec[bad[0]]})")
+            layers.append(layer)
         rank = int(doc["rank"])
     except KeyError as exc:
         raise ValueError(f"factor model has no {exc.args[0]!r} field") from None
     except TypeError as exc:
         raise ValueError(f"factor model has an ill-typed field: {exc}") from None
-    model = FactorModel(layers)
+    model = FactorModel(tuple(layers))
     if model.rank != rank:
         raise ValueError(f"rank field {rank} does not match {model.rank} layers")
     return model

@@ -88,16 +88,15 @@ class GridScan:
     a time through :meth:`update`, as its ``rss`` and ``df``, it scores the
     level with :func:`information_criterion` (an rss of 0 scores -inf), keeps
     the index of the first argmin in ``best`` and returns True once
-    :class:`EarlyStop` with ``window`` levels (default
-    :data:`GRID_STOP_WINDOW`) finds the criterion stalled.  A window of None
-    never stops.  Levels past the stop cannot change the pick unless the
-    criterion improves again after ``window`` levels without improvement.
+    :class:`EarlyStop` with :data:`GRID_STOP_WINDOW` levels finds the
+    criterion stalled.  Levels past the stop cannot change the pick unless
+    the criterion improves again after that many levels without improvement.
     """
 
-    def __init__(self, problem, criterion, window=GRID_STOP_WINDOW):
+    def __init__(self, problem, criterion):
         self.criterion = criterion
         self.shape = (problem.p, problem.q, problem.n_observed)
-        self.stop = None if window is None else EarlyStop(window)
+        self.stop = EarlyStop(GRID_STOP_WINDOW)
         self.best = None
         self.best_value = None
         self.levels = 0
@@ -110,7 +109,7 @@ class GridScan:
         if self.best is None or value < self.best_value:
             self.best, self.best_value = self.levels, value
         self.levels += 1
-        return self.stop is not None and self.stop.update(value)
+        return self.stop.update(value)
 
 
 class CvSelection(NamedTuple):
@@ -123,11 +122,7 @@ def fold_indices(n, folds, seed):
     if folds < 2 or folds > n:
         raise ValueError(f"folds must be in [2, n]; got {folds} with n={n}")
     order = np.random.default_rng(seed).permutation(n)
-    parts = np.array_split(order, folds)
-    for part in parts:
-        if part.size == 0:
-            raise ValueError("a fold came out empty; reduce the number of folds")
-    return parts
+    return np.array_split(order, folds)
 
 
 def _predict(X, model):

@@ -5,7 +5,6 @@ import pytest
 
 from curereg.baselines import (
     AcsConfig,
-    LassoConfig,
     acs_cure,
     acs_path,
     default_lambda_grid,
@@ -77,34 +76,33 @@ def test_lasso_beats_random_sparse_candidates():
     assert best <= objs.min() + 1e-12
 
 
-def test_lasso_stationarity_bound_and_trace():
+def test_lasso_stationarity_bound_and_trace(monkeypatch):
     rng = np.random.default_rng(3)
     X = rng.standard_normal((15, 8))
     Y = rng.standard_normal((15, 4))
-    cfg = LassoConfig(tol=1e-9)
+    monkeypatch.setattr(baselines, "LASSO_TOL", 1e-9)
     for mask in (None, rng.uniform(size=(15, 4)) > 0.3):
         prob = ProblemData(X, Y, mask)
         lam = 0.1
-        C, info = lasso_cd(prob, lam, config=cfg, return_info=True)
+        C, info = lasso_cd(prob, lam, return_info=True)
         R = prob.observed_response() - X @ C
         if prob.mask is not None:
             R[~prob.mask] = 0.0
-        assert np.abs(X.T @ R).max() / 15 <= lam + cfg.tol
+        assert np.abs(X.T @ R).max() / 15 <= lam + 1e-9
         assert info["converged"]
         tr = info["objective_trace"]
         assert all(b <= a + 1e-12 for a, b in zip(tr, tr[1:]))
 
 
-def test_lasso_nonconvergence_warns_and_flags():
+def test_lasso_nonconvergence_warns_and_flags(monkeypatch):
     rng = np.random.default_rng(4)
     base = rng.standard_normal((20, 1))
     X = base + 0.01 * rng.standard_normal((20, 10))  # nearly collinear
     Y = rng.standard_normal((20, 3))
     prob = ProblemData(X, Y)
+    monkeypatch.setattr(baselines, "LASSO_MAX_SWEEPS", 1)
     with pytest.warns(RuntimeWarning, match="lasso_cd"):
-        C, info = lasso_cd(
-            prob, 0.0, config=LassoConfig(max_sweeps=1), return_info=True
-        )
+        C, info = lasso_cd(prob, 0.0, return_info=True)
     assert not info["converged"]
     assert C.shape == (10, 3)
 
@@ -116,10 +114,6 @@ def test_lasso_rejects_bad_arguments():
         lasso_cd(prob, -0.1)
     with pytest.raises(ValueError):
         lasso_cd(prob, 0.1, warm=np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        LassoConfig(tol=0.0)
-    with pytest.raises(ValueError, match="tol"):
-        LassoConfig(tol=np.nan)
     for lam in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             lasso_cd(prob, lam)
@@ -216,7 +210,7 @@ def test_lasso_path_levels_meet_the_subgradient_condition():
     truth = gen_dataset(SimSpec(model="II", n=40, p=12, q=8, r_star=2, seed=3))
     X, _ = column_normalize(truth.X)
     mask = np.random.default_rng(3).random(truth.Y.shape) >= 0.2
-    tol = LassoConfig().tol
+    tol = baselines.LASSO_TOL
     for m in (None, mask):
         prob = ProblemData(X, truth.Y, m)
         _, _, path = lasso_gic_path(prob, grid=default_lambda_grid(prob, num=20))
@@ -238,7 +232,7 @@ def test_whole_lasso_path_meets_the_subgradient_condition(masked):
     X, _ = column_normalize(truth.X)
     m = np.random.default_rng(3).random(truth.Y.shape) >= 0.2 if masked else None
     prob = ProblemData(X, truth.Y, m)
-    tol = LassoConfig().tol
+    tol = baselines.LASSO_TOL
     _, _, path = lasso_gic_path(prob, grid=default_lambda_grid(prob, num=20),
                                 _whole_grid=True)
     assert len(path) == 20
@@ -279,7 +273,7 @@ def test_lasso_converges_on_an_ill_conditioned_design():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         C, info = lasso_cd(ProblemData(X, Y[:, :1]), 1e-3, return_info=True)
-    assert info["converged"]  # within LassoConfig().max_sweeps
+    assert info["converged"]  # within LASSO_MAX_SWEEPS
     assert np.count_nonzero(C) > 10
 
 
@@ -340,7 +334,7 @@ def test_degenerate_inputs_converge_or_warn(monkeypatch, name, masked):
 
     monkeypatch.setattr(baselines, "_weighted_lasso", checked)
     lam_max = float(np.abs(prob.X.T @ prob.observed_response()).max()) / prob.n
-    tol = LassoConfig().tol
+    tol = baselines.LASSO_TOL
     for lam in (0.0, 1e-3 * lam_max, 0.3 * lam_max):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -473,9 +467,9 @@ def _oracle_sign_solve(gram, P, s, c, b, pen, x, budget):
     return x, Hc @ x, solves, exact
 
 
-def _oracle_lasso_cd(problem, lam, config=None, warm=None, return_info=False):
+def _oracle_lasso_cd(problem, lam, warm=None, return_info=False):
     """``lasso_cd`` as one kernel call per response column, with no screen."""
-    config = config or baselines.LassoConfig()
+    tol, max_sweeps = baselines.LASSO_TOL, baselines.LASSO_MAX_SWEEPS
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     X = problem.X
@@ -489,17 +483,17 @@ def _oracle_lasso_cd(problem, lam, config=None, warm=None, return_info=False):
     sweeps = 0
     for k, gram in enumerate(problem.column_grams):
         C[:, k], viol, used = _oracle_weighted_lasso(
-            gram, 1.0, 0.0, B[:, k], lam, C[:, k], config.tol, config.max_sweeps
+            gram, 1.0, 0.0, B[:, k], lam, C[:, k], tol, max_sweeps
         )
         worst = max(worst, viol)
         sweeps = max(sweeps, used)
         if return_info:
             trace.append(baselines.lasso_objective(problem, C, lam))
-    converged = worst <= config.tol
+    converged = worst <= tol
     if not converged:
         warnings.warn(
             f"lasso_cd did not meet the stationarity tolerance in "
-            f"{config.max_sweeps} sweeps (violation={worst:.3e}, lam={lam:.3e})",
+            f"{max_sweeps} sweeps (violation={worst:.3e}, lam={lam:.3e})",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -621,7 +615,7 @@ def _solve_recorded(fn, *args, **kwargs):
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
-def test_lasso_screen_matches_a_kernel_loop(masked):
+def test_lasso_screen_matches_a_kernel_loop(monkeypatch, masked):
     prob = _screen_draw(masked)
     lam_max = default_lambda_grid(prob)[0]
     negzero = np.zeros((prob.p, prob.q))
@@ -630,14 +624,15 @@ def test_lasso_screen_matches_a_kernel_loop(masked):
     warm = lasso_cd(prob, 0.3 * lam_max)
     warm[:, 2] = -0.0
     assert np.any(warm) and not np.all(warm.any(axis=0))
+    caps = (baselines.LASSO_MAX_SWEEPS, 1)
     for lam in (2.0 * lam_max, lam_max, 0.6 * lam_max, 0.1 * lam_max, 0.0):
         for start in (None, negzero, warm):
-            for config in (None, LassoConfig(max_sweeps=1)):
+            for cap in caps:
+                monkeypatch.setattr(baselines, "LASSO_MAX_SWEEPS", cap)
                 (C, info), caught = _solve_recorded(
-                    lasso_cd, prob, lam, config=config, warm=start, return_info=True)
+                    lasso_cd, prob, lam, warm=start, return_info=True)
                 (want_C, want_info), want_caught = _solve_recorded(
-                    _oracle_lasso_cd, prob, lam, config=config, warm=start,
-                    return_info=True)
+                    _oracle_lasso_cd, prob, lam, warm=start, return_info=True)
                 assert _same_bits(C, want_C)
                 assert info["sweeps"] == want_info["sweeps"]
                 assert info["converged"] == want_info["converged"]
@@ -650,11 +645,12 @@ def test_lasso_screen_matches_a_kernel_loop(masked):
 def test_lasso_path_screen_matches_a_kernel_loop(monkeypatch, masked, whole):
     prob = _screen_draw(masked)
     grid = default_lambda_grid(prob, num=25)
-    for config in (None, LassoConfig(max_sweeps=2)):
-        got, caught = _solve_recorded(lasso_gic_path, prob, grid, config, _whole_grid=whole)
+    for cap in (baselines.LASSO_MAX_SWEEPS, 2):
+        monkeypatch.setattr(baselines, "LASSO_MAX_SWEEPS", cap)
+        got, caught = _solve_recorded(lasso_gic_path, prob, grid, _whole_grid=whole)
         with monkeypatch.context() as m:
             m.setattr(baselines, "lasso_cd", _oracle_lasso_cd)
-            want, want_caught = _solve_recorded(lasso_gic_path, prob, grid, config,
+            want, want_caught = _solve_recorded(lasso_gic_path, prob, grid,
                                                 _whole_grid=whole)
         assert _same_bits(got[0], want[0]) and got[1] == want[1]
         assert len(got[2]) == len(want[2])

@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import curereg.cli as cli
-from curereg import baselines, deflation
+from curereg import baselines, deflation, tuning
 from curereg.cli import _benchmark_workers, fit_method, main, score_model
 from curereg.core import (
     FactorModel,
@@ -25,7 +26,6 @@ from curereg.core import (
 from curereg.io import load_factor_model, read_matrix_csv, write_matrix_csv
 from curereg.simgen import SimSpec, gen_dataset
 from curereg.stagewise import StagewiseConfig, run_path
-from curereg.tuning import GridScan
 
 
 def run(*argv):
@@ -504,9 +504,7 @@ def test_grid_stop_writes_the_whole_grid_model(tmp_path, monkeypatch, method, ex
     argv = ["fit", "--x", x, "--y", y, "--method", method, *extra]
     assert run(*argv, "--out-dir", tmp_path / "stop") == 0
     # Every penalty grid of the fit solved to its last level.
-    for module in (baselines, deflation):
-        monkeypatch.setattr(module, "GridScan",
-                            lambda pb, crit, window=None: GridScan(pb, crit, None))
+    monkeypatch.setattr(tuning, "GRID_STOP_WINDOW", math.inf)
     assert run(*argv, "--out-dir", tmp_path / "whole") == 0
     stop, whole = (tmp_path / name / "model.json" for name in ("stop", "whole"))
     assert stop.read_bytes() == whole.read_bytes()
@@ -852,6 +850,43 @@ def test_a_missing_input_names_its_flag(tmp_path, capsys, command, flag):
     assert run(command, *[a for item in args.items() for a in item], "--out-dir", out) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"curereg {command}: {flag} {missing}: No such file or directory"]
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command, flag, token", [
+    ("eval", "--x", "nan"), ("eval", "--x", "inf"), ("eval", "--model-json", "NaN"),
+    ("eval", "--truth", "Infinity"), ("fit", "--truth", "Infinity"), ("fit", "--x", "nan"),
+    ("fit", "--y", "-inf"), ("paths", "--x", "inf"), ("paths", "--y", "nan"),
+])
+def test_a_non_finite_input_exits_1_naming_its_file(tmp_path, capsys, command, flag, token):
+    x, y, truth = simulate_into(tmp_path / "sim")
+    assert run("fit", "--x", x, "--y", y, "--method", "rrr", "--rank", 1,
+               "--out-dir", tmp_path / "fit") == 0
+    args = {
+        "fit": {"--x": x, "--y": y, "--truth": truth, "--method": "rrr", "--rank": 1},
+        "paths": {"--x": x, "--y": y, "--max-steps": 5},
+        "eval": {"--model-json": tmp_path / "fit" / "model.json", "--truth": truth, "--x": x},
+    }[command]
+    source = args[flag]
+    bad = tmp_path / f"bad{source.suffix}"
+    if source.suffix == ".csv":  # a literal token in data row 4, column 3
+        lines = source.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = token
+        lines[3] = ",".join(cells)
+        bad.write_text("\n".join(lines) + "\n")
+        want = f"{flag} {bad}: row 4, column 3 is not finite ({float(token)})"
+    else:  # json reads NaN and Infinity as numbers
+        doc = json.loads(source.read_text())
+        doc["layers"][0]["u"][2] = float(token)
+        bad.write_text(json.dumps(doc))
+        assert token in bad.read_text()
+        want = f"{bad}: layer 1: entry 3 of u is not finite ({float(token)})"
+    args[flag] = bad
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, *[a for item in args.items() for a in item], "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [f"curereg {command}: {want}"]
     assert list(out.glob("*")) == []
 
 

@@ -1,9 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from curereg import deflation
+from curereg import deflation, tuning
 from curereg.baselines import (
     AcsConfig,
     acs_path,
@@ -29,7 +30,7 @@ from curereg.deflation import (
 from curereg.metrics import estimation_errors
 from curereg.simgen import SimSpec, gen_dataset
 from curereg.stagewise import StagewiseConfig, run_path, select_on_path
-from curereg.tuning import GRID_STOP_WINDOW, GridScan, information_criterion
+from curereg.tuning import GRID_STOP_WINDOW, information_criterion
 
 EXACT_ACS = AcsConfig(lambda_grid=np.array([0.0]), mu=0.0, tol=1e-12, max_iters=2000)
 
@@ -286,13 +287,11 @@ def _gic_scan(prob, pairs):
 
 @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
 def test_acs_selection_without_grid_stop_solves_every_level(monkeypatch, masked):
-    import curereg.deflation as dfl
-
     prob = _grid_draw(1, masked)
     grid = default_lambda_grid(prob)
     full = acs_path(prob, grid)
     paths = _record_acs_paths(monkeypatch)
-    monkeypatch.setattr(dfl, "GridScan", lambda pb, crit: GridScan(pb, crit, None))
+    monkeypatch.setattr(tuning, "GRID_STOP_WINDOW", math.inf)  # never stops
     model = sequential_pursuit(prob, DeflationConfig("sequential", 1, AcsConfig()))
     (solved,) = paths
     assert len(solved) == grid.size

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from curereg import tuning
 from curereg.core import ProblemData
 from curereg.tuning import (
     GRID_STOP_WINDOW,
     CvSelection,
     EarlyStop,
     GridScan,
+    fold_indices,
     information_criterion,
     kfold_cv_select,
 )
@@ -170,15 +172,17 @@ def test_early_stop_is_monotone_under_nonimproving_extension():
         early_stop_check([1.0], 0)
 
 
-def test_grid_scan_keeps_the_first_argmin_and_stops_after_the_window():
+def test_grid_scan_keeps_the_first_argmin_and_stops_after_the_window(monkeypatch):
     prob = ProblemData(np.ones((10, 2)), np.ones((10, 3)))
     # gic = log(rss) + c * df: equal values at levels 1 and 3, worse after.
     levels = [(4.0, 0), (2.0, 1), (3.0, 1), (2.0, 1)] + [(5.0, 1)] * 5
-    scan = GridScan(prob, "gic", window=3)
+    monkeypatch.setattr(tuning, "GRID_STOP_WINDOW", 3)
+    scan = GridScan(prob, "gic")
     stops = [scan.update(rss, df) for rss, df in levels]
     assert scan.best == 1
     assert stops.index(True) == 1 + 3
-    full = GridScan(prob, "gic", window=None)
+    monkeypatch.setattr(tuning, "GRID_STOP_WINDOW", math.inf)  # never stops
+    full = GridScan(prob, "gic")
     assert not any(full.update(rss, df) for rss, df in levels)
     assert full.best == 1
 
@@ -190,9 +194,10 @@ def test_grid_scan_stops_after_the_default_window():
     assert scan.best == 0 and stops.index(True) == GRID_STOP_WINDOW
 
 
-def test_grid_scan_prefers_a_perfect_fit():
+def test_grid_scan_prefers_a_perfect_fit(monkeypatch):
     prob = ProblemData(np.ones((10, 2)), np.ones((10, 3)))
-    scan = GridScan(prob, "aic", window=2)
+    monkeypatch.setattr(tuning, "GRID_STOP_WINDOW", 2)
+    scan = GridScan(prob, "aic")
     assert [scan.update(rss, 0) for rss in (3.0, 0.0, 4.0)] == [False, False, True]
     assert scan.best == 1
 
@@ -279,6 +284,16 @@ def test_cv_fold_validation():
         kfold_cv_select(prob, [], per_fold(two_model_fit_fn), folds=2)
     with pytest.raises(ValueError):
         kfold_cv_select(prob, two_model_fit_fn(prob), per_fold(lambda pb: []), folds=2)
+
+
+def test_folds_are_nonempty_balanced_and_cover_every_row():
+    for n in range(2, 61):
+        for folds in range(2, n + 1):
+            parts = fold_indices(n, folds, seed=n + folds)
+            sizes = [part.size for part in parts]
+            assert len(parts) == folds and min(sizes) >= 1
+            assert max(sizes) - min(sizes) <= 1
+            assert sorted(np.concatenate(parts).tolist()) == list(range(n))
 
 
 def test_cv_scores_a_factor_like_its_matrix():
