@@ -37,11 +37,12 @@ import numpy as np
 from .core import (
     GramCache,
     NormMode,
+    ProblemData,
     UnitRankFactor,
     p_orthogonal_svd,
     renormalize_factor,
 )
-from .tuning import GridScan, fold_indices
+from .tuning import GridScan, kfold_cv_select
 
 __all__ = [
     "lasso_cd",
@@ -545,17 +546,12 @@ def acs_path(problem, grid=None, config=None, stop=None):
 # reduced-rank regression
 
 
-def _rrr_fits(X, Y, ranks):
-    """Rank-r RRR coefficient matrices, one per r in ``ranks``, from one fit.
-
-    Each is ``B V_r V_r^T``: the ridge-OLS fit ``B`` (:func:`_ridge_ols`)
-    projected onto the top r right singular vectors of ``X B``.
-    """
+def _rrr_basis(X, Y):
+    """``(B, Vt)``: the ridge-OLS fit ``B`` (:func:`_ridge_ols`) and the right
+    singular vectors of ``X B``.  The rank-r RRR coefficient matrix is
+    ``B V_r V_r^T``, with ``V_r = Vt[:r].T``."""
     B = _ridge_ols(X, Y)
-    _, _, Vt = np.linalg.svd(X @ B, full_matrices=False)
-    for r in ranks:
-        Vr = Vt[:r].T
-        yield B @ Vr @ Vr.T
+    return B, np.linalg.svd(X @ B, full_matrices=False)[2]
 
 
 def fit_rrr(X, Y, r):
@@ -573,34 +569,31 @@ def fit_rrr(X, Y, r):
         raise ValueError(f"rank must lie in [0, min(p, q)] = [0, {min(p, q)}]")
     if r == 0:
         return np.zeros((p, q))
-    return next(_rrr_fits(X, Y, (r,)))
+    B, Vt = _rrr_basis(X, Y)
+    Vr = Vt[:r].T
+    return B @ Vr @ Vr.T
 
 
 def select_rank_cv(X, Y, r_max, folds=5, seed=0):
     """Pick the RRR rank by K-fold CV over rows.
 
-    Mean held-out squared error (scaled by ``1/(2 n_test)``) is computed for
-    ranks 0..r_max; the smallest rank within a relative 1e-8 of the minimum
+    :func:`~curereg.tuning.kfold_cv_select` scores ranks r_max..0 (returned
+    for 0..r_max); the smallest rank within a relative 1e-8 of the minimum
     wins, so exact ties (noiseless data) resolve to the most parsimonious
     model.  Each training fold picks its own ridge by :func:`_ridge_ols`'s
     rule, so a fold with no more rows than p takes the default ridge.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    n = X.shape[0]
-    if r_max < 0 or r_max > min(X.shape[1], Y.shape[1]):
+    problem = ProblemData(X, Y)
+    if r_max < 0 or r_max > min(problem.p, problem.q):
         raise ValueError("r_max out of range")
-    parts = fold_indices(n, folds, seed)
-    errs = np.zeros((folds, r_max + 1))
-    all_rows = np.arange(n)
-    for f, test in enumerate(parts):
-        train = np.setdiff1d(all_rows, test)
-        Xte, Yte = X[test], Y[test]
-        fits = _rrr_fits(X[train], Y[train], range(r_max + 1))
-        for r, C in enumerate(fits):
-            R = Yte - Xte @ C
-            errs[f, r] = float(np.vdot(R, R)) / (2.0 * test.size)
-    mean_err = errs.mean(axis=0)
-    lo = float(mean_err.min())
-    good = np.nonzero(mean_err <= lo * (1 + 1e-8) + 1e-12)[0]
+    ranks = range(r_max, -1, -1)
+
+    def rank_path(B, Vt):
+        return [(r, lambda X, Vr=Vt[:r].T: X @ (B @ Vr @ Vr.T)) for r in ranks]
+
+    # One fold's fit is alive at a time, and a rank's matrix only while it is scored.
+    sel = kfold_cv_select(problem, [(r, None) for r in ranks], lambda trains: (
+        rank_path(*_rrr_basis(pb.X, pb.Y)) for pb in trains), folds, seed)
+    mean_err = sel.cv_errors[::-1].copy()
+    good = np.nonzero(mean_err <= mean_err.min() * (1 + 1e-8) + 1e-12)[0]
     return int(good[0]), mean_err

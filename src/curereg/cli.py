@@ -89,15 +89,24 @@ def _opt(parser, defaults, flag, default=None, help="", **kw):
     parser.add_argument(flag, dest=dest, default=argparse.SUPPRESS, help=help, **kw)
 
 
-def _positive_int(text):
-    """The type of a count flag: an integer of at least 1."""
+def _int_at_least(text, low, what):
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
     return value
+
+
+def _positive_int(text):
+    """The type of a count flag: an integer of at least 1."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _fold_count(text):
+    """The type of ``--cv-folds``: an integer of at least 2."""
+    return _int_at_least(text, 2, "an integer of at least 2")
 
 
 def _add_common(parser, defaults):
@@ -150,8 +159,8 @@ def _add_solver_flags(parser, defaults):
     _add_path_flags(parser, defaults)
     _opt(parser, defaults, "--criterion", default=StagewiseConfig.criterion,
          choices=SELECTIONS, help="per-layer tuning rule")
-    _opt(parser, defaults, "--cv-folds", default=DeflationConfig.cv_folds, type=int,
-         help="CV fold count")
+    _opt(parser, defaults, "--cv-folds", default=DeflationConfig.cv_folds,
+         type=_fold_count, help="CV fold count, at most the rows of Y")
     _opt(parser, defaults, "--s-threshold", type=int,
          help="keep only this many largest entries of each pilot layer"
               " (parallel methods)")
@@ -224,12 +233,16 @@ _PARSER = build_parser()
 
 
 def _read_input(flag, path, reader, **kw):
-    """``reader(path, **kw)``, with an OS error naming the flag of the file:
-    ``--x nope.csv: No such file or directory``."""
+    """``reader(path, **kw)``, with an OS error naming the flag of the file,
+    ``--x nope.csv: No such file or directory``, and the reader's own
+    ValueError (which names the file first) naming it too:
+    ``--model-json m.json: layer 2: d must be ...``."""
     try:
         return reader(path, **kw)
     except OSError as exc:
         raise OSError(f"{flag} {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{flag} {exc}") from None
 
 
 def _read_csv(flag, path, allow_missing=False):
@@ -311,8 +324,8 @@ def _fit_scaled(problem, method, opts):
             sel = kfold_cv_select(
                 problem,
                 path,
-                lambda folds: [lasso_gic_path(pb, grid, _whole_grid=True)[2]
-                               for pb in folds],
+                lambda folds: (lasso_gic_path(pb, grid, _whole_grid=True)[2]
+                               for pb in folds),
                 folds=opts["cv_folds"],
                 seed=opts["seed"],
             )
@@ -336,8 +349,10 @@ def _fit_scaled(problem, method, opts):
 def fit_method(X_raw, Y, mask, method, opts):
     """Column-normalize, fit by name, return the model on the raw X scale.
 
-    Every method but ``lasso`` rejects a rank above min(p, q), and every
-    method rejects a Y with no observed entry.
+    Every method but ``lasso`` rejects a rank above min(p, q), every method
+    rejects a Y with no observed entry, and a fit that cross-validates
+    (``criterion`` cv, or ``rrr`` without a rank) rejects a fold count outside
+    [2, n], all before any work.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -347,6 +362,10 @@ def fit_method(X_raw, Y, mask, method, opts):
     problem = ProblemData(X_raw, Y, mask)
     if problem.n_observed == 0:
         raise ValueError("no observed entries in Y")
+    n, folds = problem.n, opts["cv_folds"]
+    cv = opts["rank"] is None if method == "rrr" else opts["criterion"] == "cv"
+    if cv and not 2 <= folds <= n:
+        raise ValueError(f"--cv-folds must lie in [2, n] = [2, {n}], got {folds}")
     Xn, scale = column_normalize(problem.X)
     model = _fit_scaled(replace(problem, X=Xn), method, opts)
     return FactorModel(tuple(rescale_factor_rows(lay, scale) for lay in model.layers))
@@ -409,7 +428,7 @@ def _stage(times, name):
 def _load_truth(path):
     model, doc = _read_input("--truth", path, load_factor_model)
     if not isinstance(doc.get("sigma"), (int, float)):
-        raise ValueError(f"{path}: truth needs a numeric 'sigma' field")
+        raise ValueError(f"--truth {path}: truth needs a numeric 'sigma' field")
     return model
 
 

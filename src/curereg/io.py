@@ -389,29 +389,43 @@ def factor_model_to_dict(model):
     }
 
 
+def _layer_from_dict(entry):
+    layer = UnitRankFactor(
+        float(entry["d"]),
+        np.asarray(entry["u"], dtype=float),
+        np.asarray(entry["v"], dtype=float),
+        NormMode(entry["norm_mode"]),
+    )
+    for name, vec in (("u", layer.u), ("v", layer.v)):
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if bad.size:
+            raise ValueError(f"entry {bad[0] + 1} of {name} is not finite ({vec[bad[0]]})")
+    return layer
+
+
+def _field_error(exc):
+    """The ValueError text of a missing (KeyError) or ill-typed field."""
+    if isinstance(exc, KeyError):
+        return f"no {exc.args[0]!r} field"
+    if isinstance(exc, TypeError):
+        return f"an ill-typed field: {exc}"
+    return str(exc)
+
+
 def factor_model_from_dict(doc):
     """Rebuild a FactorModel; a missing or ill-typed field, or a loading that
-    is not finite, raises ValueError (the latter naming its layer)."""
+    is not finite, raises ValueError, which names the layer (``layer 2: d
+    must be a finite nonnegative scalar, got nan``) when it is a layer's."""
     try:
         layers = []
         for k, entry in enumerate(doc["layers"], 1):
-            layer = UnitRankFactor(
-                float(entry["d"]),
-                np.asarray(entry["u"], dtype=float),
-                np.asarray(entry["v"], dtype=float),
-                NormMode(entry["norm_mode"]),
-            )
-            for name, vec in (("u", layer.u), ("v", layer.v)):
-                bad = np.flatnonzero(~np.isfinite(vec))
-                if bad.size:
-                    raise ValueError(f"layer {k}: entry {bad[0] + 1} of {name}"
-                                     f" is not finite ({vec[bad[0]]})")
-            layers.append(layer)
+            try:
+                layers.append(_layer_from_dict(entry))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"layer {k}: {_field_error(exc)}") from None
         rank = int(doc["rank"])
-    except KeyError as exc:
-        raise ValueError(f"factor model has no {exc.args[0]!r} field") from None
-    except TypeError as exc:
-        raise ValueError(f"factor model has an ill-typed field: {exc}") from None
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"factor model has {_field_error(exc)}") from None
     model = FactorModel(tuple(layers))
     if model.rank != rank:
         raise ValueError(f"rank field {rank} does not match {model.rank} layers")

@@ -187,16 +187,16 @@ class _Engine:
     def __init__(self, problems):
         self.p, self.q = problems[0].p, problems[0].q
         self.X = [np.asfortranarray(pb.X) for pb in problems]
-        # Only read, so an unmasked problem's Y is kept, not copied.
-        self.Y0 = [np.ascontiguousarray(pb.Y) if pb.mask is None
-                   else pb.observed_response() for pb in problems]
+        self.problems = problems
         self.n = [pb.n for pb in problems]
-        self.S = [X.T @ Y0 / n for X, Y0, n in zip(self.X, self.Y0, self.n)]
-        self.y2 = [float(np.vdot(Y0, Y0)) for Y0 in self.Y0]
+        Y0 = [self._observed(b) for b in range(len(problems))]
+        self.S = [X.T @ Y / n for X, Y, n in zip(self.X, Y0, self.n)]
+        self.y2 = [float(np.vdot(Y, Y)) for Y in Y0]
+        del Y0
         B = len(problems)
         self.Sdv = np.zeros((B, self.p))
         self.Stdu = np.zeros((B, self.q))
-        listed = ["X", "Y0", "n", "S", "y2", "x2h"]
+        listed = ["X", "problems", "n", "S", "y2", "x2h"]
         stacked = ["Sdv", "Stdu", "ww"]
         if problems[0].mask is None:
             self.H = None
@@ -218,6 +218,11 @@ class _Engine:
             stacked.append("qdv2")
         self._fields = (listed, stacked)
         self._shape()
+
+    def _observed(self, b):
+        """Row ``b``'s ``Y0``; a masked row's is formed on each call, not kept."""
+        pb = self.problems[b]
+        return np.ascontiguousarray(pb.Y) if pb.mask is None else pb.observed_response()
 
     def _shape(self):
         """The column of n, ``ww`` as a column, and the buffers of each
@@ -386,7 +391,7 @@ class _Engine:
             self.qdv2[b] = self.x2h[b] @ (dv * dv)
             self.ww[b] = H.T @ (w * w) / n
             fit *= H
-        E = self.Y0[b] - fit
+        E = self._observed(b) - fit
         return float(np.vdot(E, E))
 
     def tracked(self, b, state):

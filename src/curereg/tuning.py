@@ -126,10 +126,10 @@ def fold_indices(n, folds, seed):
 
 
 def _predict(X, model):
-    """``X C`` for a coefficient matrix, ``d (X u) v^T`` for a unit-rank factor."""
+    """``X C`` for a matrix, ``d (X u) v^T`` for a factor, ``model(X)`` for a function."""
     if isinstance(model, UnitRankFactor):
         return np.outer(model.d * (X @ model.u), model.v)
-    return X @ model
+    return model(X) if callable(model) else X @ model
 
 
 def kfold_cv_select(problem, full_path, fit_folds, folds=5, seed=0):
@@ -140,8 +140,10 @@ def kfold_cv_select(problem, full_path, fit_folds, folds=5, seed=0):
     ``full_path[sel.index]`` is the pick.  ``fit_folds(problems)`` gets the
     K training folds at once, as a list of problems, and must return one
     path per fold, in order, each a list of ``(lam, model)`` pairs; a model
-    is a p x q coefficient matrix or a :class:`UnitRankFactor` (scored
-    without forming its matrix).  It may solve the folds together.
+    is a p x q coefficient matrix, a :class:`UnitRankFactor` (scored
+    without forming its matrix) or a function of X that returns ``X C``.
+    It may solve the folds together, or yield their paths one at a time:
+    each fold is scored as its path arrives.
     A fold path is aligned to the grid by nearest lambda (earlier point on
     ties).  Held-out error for a candidate C is
     ``||P(Y_test - X_test C)||_F^2 / (2 * n_test)`` summed over observed
@@ -152,21 +154,26 @@ def kfold_cv_select(problem, full_path, fit_folds, folds=5, seed=0):
         raise ValueError("the full-data path is empty")
     grid = np.array([lam for lam, _ in full_path], dtype=float)
     parts = fold_indices(problem.n, folds, seed)
-    all_rows = np.arange(problem.n)
-    trains = [problem.rows(np.setdiff1d(all_rows, test_rows)) for test_rows in parts]
-    fold_paths = [list(path) for path in fit_folds(trains)]
-    if len(fold_paths) != len(parts):
-        raise ValueError(
-            f"fit_folds returned {len(fold_paths)} paths for {len(parts)} folds")
+    outside = np.ones((len(parts), problem.n), dtype=bool)
+    for f, test_rows in enumerate(parts):
+        outside[f, test_rows] = False  # np.setdiff1d's rows, without loading numpy.ma
+    trains = [problem.rows(np.flatnonzero(rows)) for rows in outside]
     errors = np.zeros((len(parts), grid.size))
-    for f, (test_rows, fold_path) in enumerate(zip(parts, fold_paths)):
+    f = 0  # counted by hand: enumerate would hold the last path while the next is made
+    for fold_path in map(list, fit_folds(trains)):
+        if f == len(parts):
+            raise ValueError(f"fit_folds returned more than {f} paths for {f} folds")
         if not fold_path:
             raise ValueError("fit_folds returned an empty path for a training fold")
         fold_lams = np.array([lam for lam, _ in fold_path], dtype=float)
-        test = problem.rows(test_rows)
+        test = problem.rows(parts[f])
         for g, lam in enumerate(grid):
             j = int(np.argmin(np.abs(fold_lams - lam)))
             errors[f, g] = test.rss(_predict(test.X, fold_path[j][1])) / (2.0 * test.n)
+        f += 1
+        del fold_path  # not held while a lazy fit_folds makes the next path
+    if f != len(parts):
+        raise ValueError(f"fit_folds returned {f} paths for {len(parts)} folds")
     mean_err = errors.mean(axis=0)
     best = int(np.argmin(mean_err))
     return CvSelection(best, float(grid[best]), mean_err)

@@ -27,7 +27,7 @@ from curereg.core import (
     eval_penalty,
 )
 from curereg.simgen import SimSpec, gen_dataset
-from curereg.tuning import GRID_STOP_WINDOW, information_criterion
+from curereg.tuning import GRID_STOP_WINDOW, fold_indices, information_criterion
 
 
 def acs_objective(prob, fac, lam, mu):
@@ -1001,6 +1001,43 @@ def test_select_rank_cv_fits_training_folds_shorter_than_p():
         warnings.simplefilter("error")
         rank, errs = select_rank_cv(truth.X, truth.Y, r_max=10, folds=5, seed=1)
     assert 0 <= rank <= 10 and errs.shape == (11,) and np.all(np.isfinite(errs))
+
+
+def select_rank_cv_by_its_own_loop(X, Y, r_max, folds, seed):
+    """select_rank_cv as it was before it scored ranks through
+    kfold_cv_select: its own loop over the folds, rows by np.setdiff1d."""
+    errs = np.zeros((folds, r_max + 1))
+    for f, test in enumerate(fold_indices(X.shape[0], folds, seed)):
+        train = np.setdiff1d(np.arange(X.shape[0]), test)
+        B = baselines._ridge_ols(X[train], Y[train])
+        _, _, Vt = np.linalg.svd(X[train] @ B, full_matrices=False)
+        for r in range(r_max + 1):
+            Vr = Vt[:r].T
+            R = Y[test] - X[test] @ (B @ Vr @ Vr.T)
+            errs[f, r] = float(np.vdot(R, R)) / (2.0 * test.size)
+    mean_err = errs.mean(axis=0)
+    lo = float(mean_err.min())
+    good = np.nonzero(mean_err <= lo * (1 + 1e-8) + 1e-12)[0]
+    return int(good[0]), mean_err
+
+
+@pytest.mark.parametrize("draw", range(6))
+def test_select_rank_cv_matches_its_own_fold_loop_bit_for_bit(draw):
+    rng = np.random.default_rng(900 + draw)
+    n, p, q = [(40, 6, 5), (20, 4, 3), (12, 5, 4), (30, 8, 6), (9, 3, 3), (50, 45, 10)][draw]
+    X = rng.standard_normal((n, p))
+    Y = X @ rng.standard_normal((p, 2)) @ rng.standard_normal((2, q))
+    Y += [0.0, 0.0, 0.5, 1.0, 0.1, 2.0][draw] * rng.standard_normal((n, q))
+    if draw == 1:
+        Y[:] = 0.0
+    folds = n if draw in (2, 4) else 5
+    r_max = min(p, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # folds shorter than p
+        rank, errs = select_rank_cv(X, Y, r_max, folds=folds, seed=draw)
+        want_rank, want_errs = select_rank_cv_by_its_own_loop(X, Y, r_max, folds, draw)
+    assert rank == want_rank
+    assert errs.tobytes() == want_errs.tobytes()
 
 
 def test_select_rank_cv_validates_folds():

@@ -539,13 +539,56 @@ def test_lasso_cv_fits_the_full_data_path_once(tmp_path, monkeypatch):
     assert rows.count(20) == 1
 
 
-def test_runtime_imports_no_scipy():
-    code = ("import sys, curereg, curereg.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_lasso_cv_holds_one_fold_path_at_a_time(tmp_path, monkeypatch):
+    import weakref
+
+    x, y, _ = simulate_into(tmp_path)
+    orig = cli.lasso_gic_path
+    fold_matrices = []
+
+    def tracked(problem, *args, **kwargs):
+        out = orig(problem, *args, **kwargs)
+        if problem.n < 20:  # a training fold, not the full data
+            assert not any(ref() is not None for ref in fold_matrices)
+            fold_matrices.extend(weakref.ref(C) for _, C in out[2])
+        return out
+
+    monkeypatch.setattr(cli, "lasso_gic_path", tracked)
+    assert run("fit", "--x", x, "--y", y, "--method", "lasso", "--criterion", "cv",
+               "--cv-folds", 3, "--out-dir", tmp_path / "fit") == 0
+    assert len(fold_matrices) > 3
+
+
+def modules_loaded_after(code, *watch):
+    """Of ``watch`` and scipy's modules, those loaded in a fresh interpreter
+    that imports curereg and curereg.cli, then runs ``code``."""
+    code = (f"import sys, curereg, curereg.cli; {code}; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            f" or m in {watch!r}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_runtime_imports_no_scipy():
+    assert modules_loaded_after("pass", "numpy.ma", "numpy.random") == "[]"
+
+
+def test_cross_validated_fits_leave_numpy_ma_unimported(tmp_path):
+    # np.setdiff1d (through np.unique) would load numpy.ma on every CV fit.
+    x, y, _ = simulate_into(tmp_path)
+    Y, _ = read_matrix_csv(y)
+    observed = np.random.default_rng(5).random(Y.shape) >= 0.2
+    write_matrix_csv(tmp_path / "Ym.csv", Y, mask=observed)
+    fits = [["--y", tmp_path / "Ym.csv", "--method", method, "--rank", 1,
+             "--criterion", "cv", "--epsilon", 0.5] for method in ("seqstl", "seqacs")]
+    fits += [["--y", tmp_path / "Ym.csv", "--method", "lasso", "--criterion", "cv"],
+             ["--y", y, "--method", "rrr"]]
+    runs = [[str(a) for a in ["fit", "--x", x, *argv, "--out-dir", tmp_path / f"fit{i}"]]
+            for i, argv in enumerate(fits)]
+    code = f"assert all(curereg.cli.main(argv) == 0 for argv in {runs!r})"
+    assert modules_loaded_after(code, "numpy.ma") == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +714,7 @@ def test_an_na_in_x_exits_1_naming_its_cell(tmp_path, capsys, command):
     capsys.readouterr()
     assert run(command, "--x", x_na, *args, "--out-dir", tmp_path / "out") == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"curereg {command}: {x_na}: line 3, column 5: NA not allowed here"]
+        f"curereg {command}: --x {x_na}: line 3, column 5: NA not allowed here"]
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -769,7 +812,9 @@ def test_truncated_json_names_its_file(tmp_path, capsys, command):
     capsys.readouterr()
     assert run(command, *args, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"curereg {command}: {cut}: invalid JSON: ")
+    flag = "--model-json" if command == "eval" else "--truth"
+    assert len(err) == 1 and err[0].startswith(
+        f"curereg {command}: {flag} {cut}: invalid JSON: ")
     assert os.listdir(tmp_path / "out") == []
 
 
@@ -881,13 +926,81 @@ def test_a_non_finite_input_exits_1_naming_its_file(tmp_path, capsys, command, f
         doc["layers"][0]["u"][2] = float(token)
         bad.write_text(json.dumps(doc))
         assert token in bad.read_text()
-        want = f"{bad}: layer 1: entry 3 of u is not finite ({float(token)})"
+        want = f"{flag} {bad}: layer 1: entry 3 of u is not finite ({float(token)})"
     args[flag] = bad
     out = tmp_path / "out"
     capsys.readouterr()
     assert run(command, *[a for item in args.items() for a in item], "--out-dir", out) == 1
     assert capsys.readouterr().err.splitlines() == [f"curereg {command}: {want}"]
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("edit, want", [
+    ({"d": math.nan}, "d must be a finite nonnegative scalar, got nan"),
+    ({"u": None}, "u and v must be 1-d arrays"),
+    ({"norm_mode": "zz"}, "'zz' is not a valid NormMode"),
+    ({"v": "drop"}, "no 'v' field"),
+    ({"d": [1.0]}, "an ill-typed field: "),
+])
+def test_a_bad_model_layer_is_named_with_its_flag_and_file(tmp_path, capsys, edit, want):
+    x, y, truth = simulate_into(tmp_path / "sim")
+    assert run("fit", "--x", x, "--y", y, "--method", "rrr", "--rank", 2,
+               "--out-dir", tmp_path / "fit") == 0
+    doc = json.loads((tmp_path / "fit" / "model.json").read_text())
+    layer = doc["layers"][1]
+    for key, value in edit.items():
+        if value == "drop":
+            del layer[key]
+        else:
+            layer[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("eval", "--model-json", bad, "--truth", truth, "--x", x, "--out-dir", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"curereg eval: --model-json {bad}: layer 2: {want}")
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("folds", ["1", "0", "-3", "two"])
+def test_cv_folds_below_two_is_a_usage_error(tmp_path, capsys, folds):
+    x, y, _ = simulate_into(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        run("fit", "--x", x, "--y", y, "--method", "lasso", "--criterion", "cv",
+            "--cv-folds", folds, "--out-dir", tmp_path / "out")
+    assert info.value.code == 2
+    assert (f"argument --cv-folds: must be an integer of at least 2, got {folds}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("seqstl", ["--rank", 1, "--criterion", "cv"]),
+    ("paracs_r", ["--rank", 1, "--criterion", "cv"]),
+    ("lasso", ["--criterion", "cv"]),
+    ("rrr", []),
+])
+def test_cv_folds_above_n_fails_before_any_fit(tmp_path, capsys, monkeypatch, method, extra):
+    x, y, _ = simulate_into(tmp_path)  # n = 20
+    fits = []
+    monkeypatch.setattr(cli, "_fit_scaled", lambda *args: fits.append(args))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("fit", "--x", x, "--y", y, "--method", method, *extra,
+               "--cv-folds", 21, "--out-dir", out) == 1
+    assert capsys.readouterr().err == (
+        "curereg fit: --cv-folds must lie in [2, n] = [2, 20], got 21\n")
+    assert fits == [] and list(out.glob("*")) == []
+
+
+def test_cv_folds_above_n_is_ignored_by_a_fit_that_does_not_cross_validate(tmp_path):
+    x, y, _ = simulate_into(tmp_path)
+    for extra in (["--method", "rrr", "--rank", 1],
+                  ["--method", "seqstl", "--rank", 1, "--criterion", "gic"]):
+        assert run("fit", "--x", x, "--y", y, *extra, "--cv-folds", 21,
+                   "--out-dir", tmp_path / extra[1]) == 0
 
 
 # ---------------------------------------------------------------------------

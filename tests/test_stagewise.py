@@ -24,7 +24,7 @@ from curereg.stagewise import (
     run_path,
     select_on_path,
 )
-from curereg.tuning import EarlyStop, information_criterion
+from curereg.tuning import EarlyStop, fold_indices, information_criterion
 
 
 def rank1_problem(rng, n, p, q, noise=0.3, mask_frac=0.0):
@@ -772,6 +772,59 @@ def test_bookkeeping_drift_is_measured_and_small(masked):
     path = run_path(ProblemData(X, Y, mask), cfg)
     assert len(path) - 1 >= 3 * RECOMPUTE_EVERY
     assert 0.0 < path.max_drift <= 1e-9
+
+
+class KeptY0Engine(stagewise._Engine):
+    """The masked engine as it was when each row kept a copy of its observed
+    response ``Y0`` for :meth:`rebuild`, which is that version's, verbatim."""
+
+    def __init__(self, problems):
+        super().__init__(problems)
+        self.Y0 = [pb.observed_response() for pb in problems]
+        self._fields[0].append("Y0")
+
+    def rebuild(self, b, du, dv, d):
+        if d <= 0.0:
+            self._clear(b)
+            return self.y2[b]
+        X, S, n = self.X[b], self.S[b], self.n[b]
+        w = X @ du
+        self.Sdv[b] = S @ dv
+        self.Stdu[b] = S.T @ du
+        fit = np.outer(w, dv / d)
+        H = self.H[b]
+        self.w[b] = w
+        self.hdv2[b] = H @ (dv * dv)
+        self.qdv2[b] = self.x2h[b] @ (dv * dv)
+        self.ww[b] = H.T @ (w * w) / n
+        fit *= H
+        E = self.Y0[b] - fit
+        return float(np.vdot(E, E))
+
+
+def test_masked_rows_rebuild_as_with_a_kept_y0(monkeypatch):
+    # Five masked training folds in lockstep cross two rebuilds, beside a
+    # zero response that stops at its start (so the rows are re-kept).
+    rng = np.random.default_rng(20)
+    X = rng.standard_normal((30, 12))
+    Y = X[:, :3] @ rng.standard_normal((3, 8)) + rng.standard_normal((30, 8))
+    mask = rng.random((30, 8)) > 0.2
+    problems = [ProblemData(X, np.zeros((30, 8)), mask)]
+    for test in fold_indices(30, 5, 3):
+        train = np.setdiff1d(np.arange(30), test)
+        problems.append(ProblemData(X[train], Y[train], mask[train]))
+    cfg = StagewiseConfig(epsilon=0.005, criterion="none", max_steps=2 * RECOMPUTE_EVERY + 5)
+
+    def records(paths):
+        return [([(s.t, s.lam, s.move, s.d, s.index.tobytes(), s.value.tobytes(), s.loss,
+                   s.rss, s.df, s.criterion_value) for s in path.steps],
+                 path.max_drift, path.terminated_by) for path in paths]
+
+    got = records(stagewise.run_paths(problems, cfg))
+    monkeypatch.setattr(stagewise, "_Engine", KeptY0Engine)
+    assert got == records(stagewise.run_paths(problems, cfg))
+    assert [len(steps) for steps, _, _ in got] == [1] + [cfg.max_steps + 1] * 5
+    assert all(drift > 0.0 for _, drift, _ in got[1:])
 
 
 def test_recorded_steps_are_sparse_and_detached():

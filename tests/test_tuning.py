@@ -296,6 +296,28 @@ def test_folds_are_nonempty_balanced_and_cover_every_row():
             assert sorted(np.concatenate(parts).tolist()) == list(range(n))
 
 
+def test_training_folds_hold_the_rows_setdiff1d_gives():
+    # Row i of X holds i, so a training fold's X names its rows, in order.
+    zero = [(1.0, np.zeros((1, 1)))]
+    trains = []
+
+    def fit_folds(problems):
+        trains.extend(problems)
+        return [zero] * len(problems)
+
+    for n in range(2, 61):
+        prob = ProblemData(np.arange(n, dtype=float)[:, None], np.zeros((n, 1)))
+        for folds in range(2, min(n, 8) + 1):
+            for seed in range(5):
+                trains.clear()
+                kfold_cv_select(prob, zero, fit_folds, folds, seed)
+                tests = fold_indices(n, folds, seed)
+                assert len(trains) == len(tests) == folds
+                for train, test in zip(trains, tests):
+                    np.testing.assert_array_equal(train.X[:, 0],
+                                                  np.setdiff1d(np.arange(n), test))
+
+
 def test_cv_scores_a_factor_like_its_matrix():
     # a unit-rank candidate is scored as d (X u) v^T without forming C; the
     # errors match scoring its p x q matrix, masked entries included
@@ -318,6 +340,48 @@ def test_cv_scores_a_factor_like_its_matrix():
     b = kfold_cv_select(prob, factors(prob), per_fold(matrices), folds=4, seed=2)
     assert a.index == b.index
     np.testing.assert_allclose(a.cv_errors, b.cv_errors, rtol=1e-12)
+
+
+def test_cv_scores_a_lazy_fold_path_before_it_asks_for_the_next():
+    # A fit_folds that yields its paths has one alive at a time; a model
+    # that is a function of X scores as the matrix it multiplies by.
+    import weakref
+
+    rng = np.random.default_rng(8)
+    prob = ProblemData(rng.standard_normal((15, 3)), rng.standard_normal((15, 2)))
+    alive = []
+
+    class Product:
+        def __init__(self, C):
+            self.C = C
+
+        def __call__(self, X):
+            return X @ self.C
+
+    def path_of(pb):
+        path = [(lam, Product(C)) for lam, C in two_model_fit_fn(pb)]
+        alive.extend(weakref.ref(model) for _, model in path)
+        return path
+
+    def fit_folds(folds):
+        for pb in folds:
+            assert not any(ref() for ref in alive)
+            yield path_of(pb)
+
+    a = kfold_cv_select(prob, two_model_fit_fn(prob), fit_folds, folds=3, seed=4)
+    b = kfold_cv_select(prob, two_model_fit_fn(prob), per_fold(two_model_fit_fn), folds=3,
+                        seed=4)
+    assert len(alive) == 6 and a.index == b.index
+    assert a.cv_errors.tobytes() == b.cv_errors.tobytes()
+
+
+def test_cv_rejects_more_fold_paths_than_folds():
+    rng = np.random.default_rng(9)
+    prob = ProblemData(rng.standard_normal((12, 2)), rng.standard_normal((12, 2)))
+    with pytest.raises(ValueError, match="more than 3 paths for 3 folds"):
+        kfold_cv_select(prob, two_model_fit_fn(prob),
+                        lambda folds: [two_model_fit_fn(pb) for pb in folds + folds[:1]],
+                        folds=3)
 
 
 def test_cv_needs_one_fold_path_per_training_fold():
