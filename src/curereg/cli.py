@@ -473,6 +473,9 @@ def _read_xy(opts, times):
         X, _ = _read_csv("--x", opts["x"])
     with _stage(times, "read_y"):
         Y, mask = _read_csv("--y", opts["y"], allow_missing=True)
+    if X.shape[0] != Y.shape[0]:
+        raise ValueError(f"--x {opts['x']} has {X.shape[0]} rows,"
+                         f" but --y {opts['y']} has {Y.shape[0]}")
     return X, Y, mask
 
 
@@ -482,6 +485,8 @@ def _cmd_fit(opts):
         raise SystemExit("--method is required")
     times = {}
     X, Y, mask = _read_xy(opts, times)
+    if opts["method"] == "rrr" and mask is not None:
+        raise ValueError(f"--y {opts['y']}: method rrr requires a fully observed Y")
     truth_model = None
     if opts["truth"]:
         truth_model = _load_truth(opts["truth"])

@@ -171,6 +171,7 @@ def _fit_unit_rank(problem, cfg, explain_zero=False):
             return [_stagewise_grid_points(p) for p in run_paths(folds, solver)]
 
         points = _stagewise_grid_points(path)
+        del path  # the grid points are all that CV reads of it
     else:
         grid = solver.lambda_grid
         if grid is None:
@@ -183,8 +184,9 @@ def _fit_unit_rank(problem, cfg, explain_zero=False):
                              stop=lambda fac: scan.update(*_acs_rss_df(problem, fac)))
             return pairs[scan.best][1]
         # The folds are aligned to the full-data grid, so all of it is solved.
+        # One fold is drawn and solved at a time.
         def fit_folds(folds):
-            return [acs_path(pb, grid, config=solver) for pb in folds]
+            return (acs_path(pb, grid, config=solver) for pb in folds)
 
         points = acs_path(problem, grid, config=solver)
     sel = kfold_cv_select(problem, points, fit_folds, cfg.cv_folds, cfg.cv_seed)

@@ -137,8 +137,31 @@ def read_matrix_csv(path, allow_missing=False):
     taken from their positions.  Anything the bulk parse rejects (a blank
     or ragged row, a bad cell), and a file whose NaN count is not its
     ``NA`` count (a literal ``nan`` cell), is parsed again cell by cell, so
-    the result and the error are those of the cell parser.
+    the result and the error are those of the cell parser.  A byte that the
+    text encoding cannot decode raises a ValueError naming its line.
     """
+    try:
+        return _read_matrix(path, allow_missing)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
+
+
+def _undecodable(path, exc):
+    """The error for ``exc``, raised while decoding ``path``, naming the line
+    of the first byte the codec rejects; ``exc``'s own position counts from
+    the start of a decode buffer, not of the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as whole:
+        line = data.count(b"\n", 0, whole.start) + 1
+        return ValueError(f"{path}: line {line} is not {exc.encoding} text"
+                          f" (byte 0x{data[whole.start]:02x})")
+    return exc
+
+
+def _read_matrix(path, allow_missing):
     with open(path, newline="") as fh:
         first = next(csv.reader(fh), [])
     if first and not _row_is_header(first):

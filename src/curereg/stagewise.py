@@ -71,7 +71,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -970,6 +970,12 @@ def _run_rows(problems, config):
     return paths
 
 
+def _column_major(problem):
+    """``problem`` with the column-major X that :class:`_Engine` works on."""
+    X = np.asfortranarray(problem.X)
+    return problem if X is problem.X else replace(problem, X=X)
+
+
 def run_paths(problems, config=None):
     """Trace the paths of several problems in lockstep; see the module docstring.
 
@@ -977,9 +983,13 @@ def run_paths(problems, config=None):
     the rows of one engine, so each step prices all of them at once; every
     path equals the one :func:`run_path` traces for its problem alone.
     Returns one :class:`StagewisePath` per problem, in order.
+
+    Each problem is held, from the moment it is drawn from ``problems``,
+    with its X in the engine's column-major layout, so a caller that builds
+    its problems as they are drawn keeps one copy of each design.
     """
     config = config or StagewiseConfig()
-    problems = list(problems)
+    problems = [_column_major(pb) for pb in problems]
     groups = {}
     for i, problem in enumerate(problems):
         groups.setdefault((problem.mask is None, problem.p, problem.q), []).append(i)

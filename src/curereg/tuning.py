@@ -137,13 +137,16 @@ def kfold_cv_select(problem, full_path, fit_folds, folds=5, seed=0):
 
     ``full_path`` is the caller's full-data path of ``(lam, model)`` pairs,
     ``lam`` nonincreasing; its lambdas fix the grid, and
-    ``full_path[sel.index]`` is the pick.  ``fit_folds(problems)`` gets the
-    K training folds at once, as a list of problems, and must return one
-    path per fold, in order, each a list of ``(lam, model)`` pairs; a model
-    is a p x q coefficient matrix, a :class:`UnitRankFactor` (scored
-    without forming its matrix) or a function of X that returns ``X C``.
-    It may solve the folds together, or yield their paths one at a time:
-    each fold is scored as its path arrives.
+    ``full_path[sel.index]`` is the pick.  ``fit_folds(problems)`` draws the
+    K training folds, in order, from an iterator that builds each fold's
+    problem only when it is drawn, and must return one path per fold, in
+    order, each a list of ``(lam, model)`` pairs; a model is a p x q
+    coefficient matrix, a :class:`UnitRankFactor` (scored without forming
+    its matrix) or a function of X that returns ``X C``.  It may draw every
+    fold and solve them together, or yield their paths one at a time: each
+    fold is scored as its path arrives, and no fold is kept here, so a
+    fitter that yields a path per fold holds one training fold while it
+    solves it (two while it draws the next).
     A fold path is aligned to the grid by nearest lambda (earlier point on
     ties).  Held-out error for a candidate C is
     ``||P(Y_test - X_test C)||_F^2 / (2 * n_test)`` summed over observed
@@ -157,7 +160,7 @@ def kfold_cv_select(problem, full_path, fit_folds, folds=5, seed=0):
     outside = np.ones((len(parts), problem.n), dtype=bool)
     for f, test_rows in enumerate(parts):
         outside[f, test_rows] = False  # np.setdiff1d's rows, without loading numpy.ma
-    trains = [problem.rows(np.flatnonzero(rows)) for rows in outside]
+    trains = (problem.rows(np.flatnonzero(rows)) for rows in outside)
     errors = np.zeros((len(parts), grid.size))
     f = 0  # counted by hand: enumerate would hold the last path while the next is made
     for fold_path in map(list, fit_folds(trains)):

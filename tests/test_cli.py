@@ -23,7 +23,8 @@ from curereg.core import (
     column_normalize,
     residual,
 )
-from curereg.io import load_factor_model, read_matrix_csv, write_matrix_csv
+from curereg.io import load_factor_model, read_matrix_csv, read_path_jsonl, write_matrix_csv
+from curereg.metrics import EvalReport
 from curereg.simgen import SimSpec, gen_dataset
 from curereg.stagewise import StagewiseConfig, run_path
 
@@ -694,7 +695,8 @@ def test_a_row_mismatch_exits_1_with_one_line(tmp_path, capsys, command):
     assert run(command, "--x", tmp_path / "X.csv", "--y", tmp_path / "Y.csv", *extra,
                "--out-dir", tmp_path / "out") == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"curereg {command}: X and Y must have the same number of rows, got 5 and 6"]
+        f"curereg {command}: --x {tmp_path / 'X.csv'} has 5 rows,"
+        f" but --y {tmp_path / 'Y.csv'} has 6"]
 
 
 @pytest.mark.parametrize("command", ["fit", "eval"])
@@ -755,7 +757,8 @@ def test_usage_errors(tmp_path, capsys):
     assert run("fit", "--x", x, "--y", tmp_path / "Ym.csv",
                "--method", "rrr", "--rank", 1, "--out-dir", tmp_path) == 1
     err = capsys.readouterr().err
-    assert err == "curereg fit: method rrr requires a fully observed Y\n"
+    assert err == (f"curereg fit: --y {tmp_path / 'Ym.csv'}:"
+                   " method rrr requires a fully observed Y\n")
 
 
 def test_fit_method_raises_value_error_for_bad_requests():
@@ -962,6 +965,135 @@ def test_a_bad_model_layer_is_named_with_its_flag_and_file(tmp_path, capsys, edi
     assert len(err) == 1
     assert err[0].startswith(f"curereg eval: --model-json {bad}: layer 2: {want}")
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command, flag", [("fit", "--x"), ("paths", "--y"), ("eval", "--x")])
+def test_an_undecodable_byte_names_its_file_and_line(tmp_path, capsys, command, flag):
+    # n = 60 makes X.csv longer than one 8 KiB decode buffer, so the line
+    # is counted from the start of the file, not of the buffer.
+    x, y, truth = simulate_into(tmp_path / "sim", n=60)
+    assert run("fit", "--x", x, "--y", y, "--method", "rrr", "--rank", 1,
+               "--out-dir", tmp_path / "fit") == 0
+    args = {
+        "fit": {"--x": x, "--y": y, "--method": "rrr", "--rank": 1},
+        "paths": {"--x": x, "--y": y, "--max-steps": 5},
+        "eval": {"--model-json": tmp_path / "fit" / "model.json", "--truth": truth, "--x": x},
+    }[command]
+    lines = args[flag].read_bytes().split(b"\n")
+    lines[49] = lines[49][:7] + b"\x94" + lines[49][8:]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines))
+    assert bad.stat().st_size > 8192
+    args[flag] = bad
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, *[a for item in args.items() for a in item], "--out-dir", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(rf"curereg {command}: {flag} {re.escape(str(bad))}: line 50 is not"
+                        r" \S+ text \(byte 0x94\)", err[0])
+    assert list(out.glob("*")) == []
+
+
+# The command-line fuzz: each case mutates one input file of one command.
+CSV_MUTATIONS = ("truncate", "drop_row", "add_column", "na", "inf", "text", "empty", "bytes")
+JSON_MUTATIONS = ("truncate", "other_draw", "bytes")
+FUZZ_INPUTS = {
+    "fit": ("--x", "--y", "--truth"),
+    "paths": ("--x", "--y"),
+    "eval": ("--model-json", "--truth", "--x"),
+}
+FUZZ_CASES = [
+    (command, flag, kind)
+    for command, flags in FUZZ_INPUTS.items()
+    for flag in flags
+    for kind in (CSV_MUTATIONS if flag in ("--x", "--y") else JSON_MUTATIONS)
+]
+FUZZ_ARTIFACTS = {
+    "fit": ["model.json", "report.csv", "timing.csv"],
+    "paths": ["path.jsonl", "timing.csv"],
+    "eval": ["report.csv"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_draws(tmp_path_factory):
+    """The inputs of a draw by flag, and under ``("other", flag)`` the
+    truth and model of another draw, of a wider p."""
+    root = tmp_path_factory.mktemp("fuzz")
+    x, y, truth = simulate_into(root / "a", seed=6)
+    other_x, other_y, other_truth = simulate_into(root / "b", p=12, seed=7)
+    files = {"--x": x, "--y": y, "--truth": truth, ("other", "--truth"): other_truth}
+    for key, fx, fy in (("--model-json", x, y), (("other", "--model-json"), other_x, other_y)):
+        out = root / f"fit{len(files)}"
+        assert run("fit", "--x", fx, "--y", fy, "--method", "rrr", "--rank", 2,
+                   "--out-dir", out) == 0
+        files[key] = out / "model.json"
+    return files
+
+
+def _mutate(rng, kind, data, other):
+    """``data``, the bytes of an input file, mutated by ``kind``; ``other``
+    is the same file of another draw."""
+    if kind == "truncate":
+        return data[:rng.integers(len(data))]
+    if kind == "bytes":
+        data = bytearray(data)
+        for at in rng.integers(len(data), size=rng.integers(1, 4)):
+            data[at] = rng.integers(256)
+        return bytes(data)
+    if kind == "other_draw":
+        return other.read_bytes()
+    rows = [line.split(b",") for line in data.splitlines()]
+    i = rng.integers(len(rows))
+    if kind == "drop_row":
+        del rows[i]
+    elif kind == "add_column":
+        rows = [row + [b"0.5"] for row in rows]
+    else:
+        token = {"na": b"NA", "inf": b"inf", "text": b"abc", "empty": b""}[kind]
+        rows[i][rng.integers(len(rows[i]))] = token
+    return b"\n".join(b",".join(row) for row in rows) + b"\n"
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("command, flag, kind", FUZZ_CASES)
+def test_seeded_cli_fuzz_gives_valid_artifacts_or_one_line_naming_a_file(
+        tmp_path, capsys, fuzz_draws, command, flag, kind, seed):
+    rng = np.random.default_rng([seed, FUZZ_CASES.index((command, flag, kind))])
+    source = fuzz_draws[flag]
+    bad = tmp_path / f"bad{source.suffix}"
+    bad.write_bytes(_mutate(rng, kind, source.read_bytes(), fuzz_draws.get(("other", flag))))
+    args = {name: fuzz_draws[name] for name in FUZZ_INPUTS[command]}
+    args[flag] = bad
+    extra = {
+        "fit": ["--method", ("seqstl", "seqacs", "rrr", "lasso")[rng.integers(4)],
+                "--rank", 1, "--max-steps", 200],
+        "paths": ["--max-steps", 50],
+        "eval": [],
+    }[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = run(command, *[a for item in args.items() for a in item], *extra,
+                   "--out-dir", out)
+    err = capsys.readouterr().err.splitlines()
+    if code == 0:
+        assert sorted(os.listdir(out)) == sorted(FUZZ_ARTIFACTS[command])
+        if command == "fit":
+            load_factor_model(out / "model.json")
+        if command == "paths":
+            assert [step["t"] for step in read_path_jsonl(out / "path.jsonl")][0] == 0
+        if command != "paths":
+            header, row = (out / "report.csv").read_text().splitlines()
+            assert header.split(",") == EvalReport.csv_header()
+            assert len(row.split(",")) == len(header.split(","))
+    else:
+        assert code in (1, 2)
+        assert len(err) == 1 and err[0].startswith(f"curereg {command}: "), err
+        assert any(str(path) in err[0] for path in args.values()), err
+        assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("folds", ["1", "0", "-3", "two"])

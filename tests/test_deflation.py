@@ -354,6 +354,7 @@ def _count_calls(monkeypatch, module, name, batched=None):
         orig_batched = getattr(module, batched)
 
         def counted_batch(problems, *args, **kwargs):
+            problems = list(problems)
             rows.extend(pb.n for pb in problems)
             return orig_batched(problems, *args, **kwargs)
 
@@ -379,6 +380,87 @@ def test_cv_layer_fits_the_full_data_path_once(monkeypatch, solver):
     assert deflate(prob, cfg).rank == 1
     assert len(rows) == folds + 1
     assert rows.count(prob.n) == 1
+
+
+def _on_rows(monkeypatch, on_build):
+    """Wrap ``ProblemData.rows`` so ``on_build(problem)`` sees each problem
+    it builds."""
+    orig = ProblemData.rows
+
+    def rows(self, index):
+        pb = orig(self, index)
+        on_build(pb)
+        return pb
+
+    monkeypatch.setattr(ProblemData, "rows", rows)
+
+
+def test_a_stagewise_cv_layer_holds_each_fold_design_once(monkeypatch):
+    # The fold engine works on column-major copies of the training designs;
+    # no row-major design that ProblemData.rows built is alive by then.
+    import weakref
+
+    import curereg.stagewise as sw
+
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((30, 6))
+    Y = X[:, :2] @ rng.standard_normal((2, 5)) + 0.3 * rng.standard_normal((30, 5))
+    mask = rng.uniform(size=Y.shape) > 0.2
+    prob = ProblemData(X, np.where(mask, Y, np.nan), mask)
+    designs = []
+    _on_rows(monkeypatch, lambda pb: designs.append(weakref.ref(pb.X)))
+    engines = []
+    orig_init = sw._Engine.__init__
+
+    def init(self, problems):
+        engines.append((len(problems), [ref() is not None for ref in designs]))
+        orig_init(self, problems)
+
+    monkeypatch.setattr(sw._Engine, "__init__", init)
+    cfg = DeflationConfig(strategy="sequential", rank=1, solver=StagewiseConfig(epsilon=0.25),
+                          criterion="cv", cv_folds=4)
+    assert deflate(prob, cfg).rank == 1
+    assert engines == [(1, []), (4, [False] * 4)]
+
+
+def _acs_layer(prob, folds):
+    cfg = DeflationConfig(strategy="sequential", rank=1, solver=AcsConfig(),
+                          criterion="cv", cv_folds=folds)
+    deflate(prob, cfg)
+
+
+def _lasso_cv(prob, folds):
+    from curereg.cli import _DEFAULTS, fit_method
+
+    fit_method(prob.X, prob.Y, None, "lasso",
+               {**_DEFAULTS["fit"], "criterion": "cv", "cv_folds": folds})
+
+
+def _rrr_rank_search(prob, folds):
+    from curereg.baselines import select_rank_cv
+
+    select_rank_cv(prob.X, prob.Y, r_max=3, folds=folds)
+
+
+@pytest.mark.parametrize("fit", [_acs_layer, _lasso_cv, _rrr_rank_search])
+def test_a_fitter_that_yields_a_path_per_fold_holds_two_training_folds(monkeypatch, fit):
+    # Each training fold is built when the fitter draws it, so at most the
+    # fold just solved and the one just drawn are alive, not all K.
+    import weakref
+
+    rng = np.random.default_rng(32)
+    prob, _ = lowrank_instance(rng, 30, 6, 5, 1, noise=0.5)
+    folds = 5
+    trains, alive = [], []
+
+    def count(pb):
+        if pb.n > prob.n // 2:  # a training fold, not a test fold
+            trains.append(weakref.ref(pb))
+            alive.append(sum(ref() is not None for ref in trains))
+
+    _on_rows(monkeypatch, count)
+    fit(prob, folds)
+    assert len(alive) == folds and max(alive) <= 2
 
 
 def test_masked_deflation_recovers_structure():

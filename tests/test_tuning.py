@@ -302,6 +302,7 @@ def test_training_folds_hold_the_rows_setdiff1d_gives():
     trains = []
 
     def fit_folds(problems):
+        problems = list(problems)
         trains.extend(problems)
         return [zero] * len(problems)
 
@@ -380,7 +381,7 @@ def test_cv_rejects_more_fold_paths_than_folds():
     prob = ProblemData(rng.standard_normal((12, 2)), rng.standard_normal((12, 2)))
     with pytest.raises(ValueError, match="more than 3 paths for 3 folds"):
         kfold_cv_select(prob, two_model_fit_fn(prob),
-                        lambda folds: [two_model_fit_fn(pb) for pb in folds + folds[:1]],
+                        lambda folds: [two_model_fit_fn(pb) for pb in [*folds, prob]],
                         folds=3)
 
 
@@ -390,6 +391,7 @@ def test_cv_needs_one_fold_path_per_training_fold():
     seen = []
 
     def fit_folds(folds):
+        folds = list(folds)
         seen.append([pb.n for pb in folds])
         return [two_model_fit_fn(pb) for pb in folds[:-1]]
 
