@@ -268,7 +268,7 @@ def _config_tokens(command, config_path):
     value leaves the built-in default.
     """
     try:
-        with _read_input("--config", config_path, open) as fh:
+        with _read_input("--config", config_path, open, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except ValueError as exc:
         raise ValueError(f"config {config_path}: {exc}") from None

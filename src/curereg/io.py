@@ -4,13 +4,15 @@ All writers are atomic (write to a temp file in the same directory, then
 rename), and every float they write reads back as the same double: CSV cells
 carry 17 significant digits, byte for byte as ``%.17g`` spells them, and
 JSON numbers the shortest round-trip ``repr`` (as :mod:`json` writes them).
-Missing response entries are spelled ``NA`` in CSV.  The CSV writer builds
-the text of a block of rows in numpy arrays (see :func:`_format_cells`);
-only infinities, subnormals and the magnitudes that ``%.17g`` spells with an
-exponent go through ``%.17g`` one cell at a time.  On 2 shared cores
-(Python 3.11, numpy 2.4) it wrote a 100x1000 matrix at about 340 ns a cell,
-against 910 for a ``%.17g`` row template.  A path dump logs moves;
-:func:`read_path_jsonl` expands it.
+Missing response entries are spelled ``NA`` in CSV.  Input is read as UTF-8,
+a byte-order mark skipped; a CSV matrix in one streamed ``np.loadtxt`` pass,
+and cell by cell only if that pass rejects it (:func:`read_matrix_csv`).  The
+CSV writer builds the text of a block of rows in numpy arrays (see
+:func:`_format_cells`); only infinities, subnormals and the magnitudes that
+``%.17g`` spells with an exponent go through ``%.17g`` one cell at a time.
+On 2 shared cores (Python 3.11, numpy 2.4) it wrote a 100x1000 matrix at
+about 340 ns a cell, against 910 for a ``%.17g`` row template.  A path dump
+logs moves; :func:`read_path_jsonl` expands it.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import os
 import re
 import tempfile
 import types
+import warnings
 
 import numpy as np
 
@@ -70,7 +74,8 @@ def _atomic_open(path, binary=False):
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", newline="") as fh:
+        with (os.fdopen(fd, "wb") if binary
+              else os.fdopen(fd, "w", newline="", encoding="utf-8")) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -110,18 +115,6 @@ def _parse_row(row, where, allow_missing):
     return values, missing
 
 
-def _row_is_header(row):
-    for tok in row:
-        tok = tok.strip()
-        if tok == NA_TOKEN:
-            continue
-        try:
-            float(tok)
-        except ValueError:
-            return True
-    return False
-
-
 def read_matrix_csv(path, allow_missing=False):
     """Read a numeric CSV matrix.
 
@@ -131,83 +124,89 @@ def read_matrix_csv(path, allow_missing=False):
     ValueError naming the offending line (as numbered in the file) and
     column.
 
-    A file whose first line is numeric is parsed in bulk by ``np.loadtxt``,
-    which converts cells as ``float`` does.  When missing entries are
-    allowed, ``NA`` cells are read as NaN in bulk too, and the mask is
-    taken from their positions.  Anything the bulk parse rejects (a blank
-    or ragged row, a bad cell), and a file whose NaN count is not its
-    ``NA`` count (a literal ``nan`` cell), is parsed again cell by cell, so
-    the result and the error are those of the cell parser.  A byte that the
-    text encoding cannot decode raises a ValueError naming its line.
+    The input is UTF-8 text, with or without a byte-order mark.  It is
+    opened once and streamed through ``np.loadtxt``, which converts cells as
+    ``float`` does.  When missing entries are allowed, ``NA`` cells become
+    NaN line by line on the way in, and the mask is taken from their
+    positions.  Input the bulk parse rejects (a header, a blank or ragged
+    row, a bad cell or byte), and input whose NaN count is not its ``NA``
+    count (a literal ``nan`` cell), is read again from its start cell by
+    cell, so the result and the error are those of the cell parser.  Only
+    an input that cannot seek, such as a pipe, is held whole.  A byte that
+    is not UTF-8 raises a ValueError naming its line.
     """
-    try:
-        return _read_matrix(path, allow_missing)
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from None
+    with open(path, "rb") as raw:
+        data = raw if raw.seekable() else io.BytesIO(raw.read())
+        with io.TextIOWrapper(data, encoding="utf-8-sig") as fh:
+            try:
+                parsed = _read_bulk(fh, allow_missing)
+                if parsed is None:
+                    fh.seek(0)
+                    parsed = _read_cells(fh, path, allow_missing)
+            except UnicodeDecodeError as exc:
+                raise _undecodable(path, data, exc) from None
+    return parsed
 
 
-def _undecodable(path, exc):
-    """The error for ``exc``, raised while decoding ``path``, naming the line
-    of the first byte the codec rejects; ``exc``'s own position counts from
-    the start of a decode buffer, not of the file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode(exc.encoding)
-    except UnicodeDecodeError as whole:
-        line = data.count(b"\n", 0, whole.start) + 1
-        return ValueError(f"{path}: line {line} is not {exc.encoding} text"
-                          f" (byte 0x{data[whole.start]:02x})")
+def _undecodable(path, data, exc):
+    """The error for ``exc``, raised while decoding ``data``, naming the line
+    of the first byte that is not UTF-8 (no newline byte is part of a
+    multi-byte character); ``exc``'s own position is in a decode buffer."""
+    data.seek(0)
+    for no, line in enumerate(data, 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            return ValueError(f"{path}: line {no} is not utf-8 text"
+                              f" (byte 0x{line[bad.start]:02x})")
     return exc
 
 
-def _read_matrix(path, allow_missing):
-    with open(path, newline="") as fh:
-        first = next(csv.reader(fh), [])
-    if first and not _row_is_header(first):
-        try:
-            M = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=float)
-            return M, None
-        except ValueError:
-            pass
-        if allow_missing:
-            parsed = _read_bulk_na(path)
-            if parsed is not None:
-                return parsed
-    return _read_cells(path, allow_missing)
+def _read_bulk(fh, allow_missing):
+    """``(M, mask)`` from one ``np.loadtxt`` pass over ``fh``, ``NA`` cells
+    read as NaN when ``allow_missing``; None when the parse fails, finds no
+    row, or finds a NaN that was not an ``NA`` cell."""
+    na = 0
 
+    def lines():
+        nonlocal na
+        for line in fh:
+            # a one-character test is a memchr; the pattern's own scan of
+            # every line made a dense 100x1000 read 5% slower
+            if "N" in line:
+                line, count = _NA_CELL.subn("nan", line)
+                na += count
+            yield line
 
-def _read_bulk_na(path):
-    """``(M, mask)`` with ``NA`` cells read as NaN by ``np.loadtxt``, or None
-    when the file has no ``NA`` cell, fails to parse, or holds other NaNs."""
     try:
-        with open(path) as fh:
-            text, count = _NA_CELL.subn("nan", fh.read())
-        if not count:
-            return None
-        M = np.loadtxt(text.split("\n"), delimiter=",", comments=None, ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            # an input of empty lines: the cell parser names the error
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            M = np.loadtxt(lines() if allow_missing else fh, delimiter=",",
+                           comments=None, ndmin=2, dtype=float)
     except ValueError:
         return None
     missing = np.isnan(M)
-    if int(missing.sum()) != count:
+    if not len(M) or int(missing.sum()) != na:
         return None
-    return M, ~missing
+    return M, (~missing if na else None)
 
 
-def _read_cells(path, allow_missing):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, r) for r in reader if any(c.strip() for c in r)]
+def _read_cells(fh, path, allow_missing):
+    reader = csv.reader(fh)
+    rows = [(reader.line_num, r) for r in reader if any(c.strip() for c in r)]
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
-    start = 1 if _row_is_header(rows[0][1]) else 0
-    data_rows = rows[start:]
+    try:  # a header row has a cell that is neither a number nor NA
+        _parse_row(rows[0][1], "", True)
+        data_rows = rows
+    except ValueError:
+        data_rows = rows[1:]
     if not data_rows:
         raise ValueError(f"{path}: header but no data rows")
     width = len(data_rows[0][1])
     out = np.empty((len(data_rows), width))
     observed = np.ones((len(data_rows), width), dtype=bool)
-    any_missing = False
     for i, (line_no, row) in enumerate(data_rows):
         if len(row) != width:
             raise ValueError(
@@ -218,8 +217,7 @@ def _read_cells(path, allow_missing):
         except ValueError:  # an NA or a bad cell
             out[i], missing = _parse_row(row, f"{path}: line {line_no}", allow_missing)
             observed[i, missing] = False
-            any_missing = any_missing or bool(missing)
-    return out, (observed if any_missing else None)
+    return out, (None if observed.all() else observed)
 
 
 def _row_words(cond, byte):
@@ -470,7 +468,7 @@ def load_factor_model(path):
     """``(model, doc)`` from a model JSON file; malformed JSON or a malformed
     model raises ValueError naming the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except ValueError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
@@ -537,7 +535,7 @@ def read_path_jsonl(path):
     so ``json.dumps`` of it spells the line of the dump before moves were
     logged.  Malformed input raises ValueError naming the line.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for no, line in enumerate(fh, 1):
             try:
                 rec = json.loads(line)

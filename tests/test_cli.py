@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -993,6 +994,79 @@ def test_an_undecodable_byte_names_its_file_and_line(tmp_path, capsys, command, 
     assert re.fullmatch(rf"curereg {command}: {flag} {re.escape(str(bad))}: line 50 is not"
                         r" \S+ text \(byte 0x94\)", err[0])
     assert list(out.glob("*")) == []
+
+
+def test_a_byte_order_mark_on_every_input_changes_no_output(tmp_path):
+    # Spreadsheets start a "CSV UTF-8" export with one.
+    x, y, truth = simulate_into(tmp_path / "plain", n=30)
+    cfg = tmp_path / "plain" / "cfg.json"
+    cfg.write_text(json.dumps({"method": "seqstl", "rank": 1, "max_steps": 200}))
+    assert run("fit", "--x", x, "--y", y, "--method", "rrr", "--rank", 1,
+               "--out-dir", tmp_path / "model") == 0
+    assert run("paths", "--x", x, "--y", y, "--max-steps", 20,
+               "--out-dir", tmp_path / "plain") == 0
+    model = tmp_path / "model" / "model.json"
+    (tmp_path / "plain" / "model.json").write_bytes(model.read_bytes())
+    (tmp_path / "bom").mkdir()
+    for path in (tmp_path / "plain").iterdir():
+        (tmp_path / "bom" / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    outputs = []
+    for name in ("plain", "bom"):
+        x, y, truth, cfg, model = (tmp_path / name / f for f in (
+            "X.csv", "Y.csv", "truth.json", "cfg.json", "model.json"))
+        assert run("fit", "--x", x, "--y", y, "--truth", truth, "--config", cfg,
+                   "--out-dir", tmp_path / name / "fit") == 0
+        assert run("eval", "--model-json", model, "--truth", truth, "--x", x,
+                   "--out-dir", tmp_path / name / "eval") == 0
+        outputs.append([(tmp_path / name / f).read_bytes() for f in (
+            "fit/model.json", "fit/report.csv", "eval/report.csv")])
+        outputs[-1].append(list(read_path_jsonl(tmp_path / name / "path.jsonl")))
+    assert outputs[0] == outputs[1]
+
+
+def _feed(fd, data):
+    """Write ``data`` to the pipe ``fd`` and close it; a reader that exits
+    early ends the writing."""
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    except BrokenPipeError:
+        pass
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_inputs_can_be_pipes(tmp_path):
+    # As `--x <(gunzip -c X.csv.gz)` passes them.  A 300 x 200 X is more than
+    # a pipe buffer, so a reader that opened its input twice would miss rows.
+    x, y, _ = simulate_into(tmp_path / "sim", n=300, p=200, q=5)
+    args = ["--method", "rrr", "--rank", "1"]
+    assert run("fit", "--x", x, "--y", y, *args, "--out-dir", tmp_path / "file") == 0
+    pipes = [os.pipe() for _ in (x, y)]
+    reads = [r for r, _ in pipes]
+    out = tmp_path / "pipe"
+    with subprocess.Popen(
+            [sys.executable, "-m", "curereg", "fit", "--x", f"/dev/fd/{reads[0]}",
+             "--y", f"/dev/fd/{reads[1]}", *args, "--out-dir", str(out)],
+            pass_fds=reads, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) as proc:
+        for r in reads:
+            os.close(r)
+        writers = [threading.Thread(target=_feed, args=(w, path.read_bytes()), daemon=True)
+                   for (_, w), path in zip(pipes, (x, y))]
+        for writer in writers:
+            writer.start()
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    for writer in writers:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert proc.returncode == 0, err
+    assert (out / "model.json").read_bytes() == (tmp_path / "file" / "model.json").read_bytes()
 
 
 # The command-line fuzz: each case mutates one input file of one command.

@@ -149,7 +149,7 @@ def test_fast_row_parse_matches_cell_parser(tmp_path):
 
 def reference_read_matrix_csv(path, allow_missing=False):
     """The cell-by-cell reader: csv.reader, then float() or NA per cell."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, r) for r in reader if any(c.strip() for c in r)]
     if not rows:
@@ -228,6 +228,9 @@ def _outcome(reader, path, allow_missing):
     ("na_ragged", "1,NA\n3\n"),
     ("na_bad_cell", "1,NA\n3,x\n"),
     ("na_header", "a,b\n1,NA\n3,4\n"),
+    ("bom", "\ufeff1,2\n3,4\n5,6\n"),
+    ("bom_header", "\ufeffa,b\n1,2\n"),
+    ("bom_na", "\ufeffNA,2\n3,NA\n"),
 ])
 @pytest.mark.parametrize("allow_missing", [False, True])
 def test_bulk_reader_matches_cell_reader(tmp_path, name, text, allow_missing):
@@ -254,6 +257,27 @@ def test_bulk_reader_matches_cell_reader_on_written_matrices(tmp_path):
             assert got == _outcome(reference_read_matrix_csv, path, allow_missing)
         if not mask.all():
             assert got[2] == mask.tobytes()
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_reader_memory_does_not_hold_the_text(tmp_path, masked):
+    # A written cell takes about 20 bytes of text, its double 8.  A reader
+    # that holds the whole text, or a list of its lines, needs more than the
+    # file's size on top of the matrix and its mask; a streamed one, a few
+    # lines and loadtxt's growing buffer.
+    rng = np.random.default_rng(10)
+    M = rng.standard_normal((250, 400))
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, M, mask=(rng.random(M.shape) >= 0.2) if masked else None)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back, mask = read_matrix_csv(path, allow_missing=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = back.nbytes + (0 if mask is None else mask.nbytes)
+    assert peak - held < 0.5 * path.stat().st_size, (peak, held)
 
 
 def test_csv_errors_name_the_physical_line(tmp_path):
