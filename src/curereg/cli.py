@@ -429,6 +429,8 @@ def _load_truth(path):
     model, doc = _read_input("--truth", path, load_factor_model)
     if not isinstance(doc.get("sigma"), (int, float)):
         raise ValueError(f"--truth {path}: truth needs a numeric 'sigma' field")
+    if not model.rank:
+        raise ValueError(f"--truth {path}: truth needs at least one layer")
     return model
 
 
@@ -529,10 +531,8 @@ def _cmd_eval(opts):
     model, _ = _read_input("--model-json", opts["model_json"], load_factor_model)
     truth_model = _load_truth(opts["truth"])
     X, _ = _read_csv("--x", opts["x"])
-    ref = {"p": _csv_width("--x", opts["x"], X)}
-    if truth_model.rank:
-        q = truth_model.layers[0].v.size
-        ref["q"] = (q, f"--truth {opts['truth']} has q = {q}")
+    q = truth_model.layers[0].v.size
+    ref = {"p": _csv_width("--x", opts["x"], X), "q": (q, f"--truth {opts['truth']} has q = {q}")}
     _check_shapes(ref, [("--model-json", opts["model_json"], model),
                         ("--truth", opts["truth"], truth_model)])
     report = score_model(model, truth_model, X)

@@ -59,8 +59,8 @@ class SimSpec:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if min(self.n, self.p, self.q) < 1:
             raise ValueError("n, p, q must be positive")
-        if self.snr <= 0:
-            raise ValueError("snr must be positive")
+        if not 0 < self.snr < math.inf:
+            raise ValueError("snr must be positive and finite")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
         if self.r_star < 1:
@@ -278,6 +278,8 @@ def gen_response(X, c_star, spec, rng, last_layer=None):
     if e_norm == 0.0:
         raise ValueError("degenerate zero noise draw")
     sigma = s_norm / (spec.snr * e_norm)
+    if not math.isfinite(sigma):
+        raise ValueError(f"snr {spec.snr} gives a noise scale sigma of {sigma}")
     E = sigma * E0
     return X @ C + E, E, float(sigma)
 

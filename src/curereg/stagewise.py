@@ -129,6 +129,11 @@ class StagewiseConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
+        try:
+            self.epsilon ** 2  # as xi_resolved and the engine square it
+        except OverflowError:
+            raise ValueError(f"epsilon {self.epsilon} is too large:"
+                             " its square overflows") from None
         if self.xi is not None and not 0 <= self.xi < math.inf:
             raise ValueError("xi must be finite and nonnegative")
         if not 0 <= self.mu < math.inf:
@@ -1013,24 +1018,18 @@ def select_on_path(path):
     """Return the recorded step minimizing the criterion the path ran with.
 
     That criterion also early-stopped the path, so the step is picked from
-    the path it recorded; a perfect fit counts as minus infinity (it cannot
-    be beaten).  Ties resolve to the earliest step.  A path run with
-    criterion "none" has nothing to select on.
+    the path it recorded, by :class:`~curereg.tuning.EarlyStop`; a perfect
+    fit counts as minus infinity.  A path run with criterion "none" has
+    nothing to select on.
     """
     if not path.steps:
         raise ValueError("empty path")
     if path.config is not None and path.config.criterion == "none":
         raise ValueError("cannot select with criterion 'none'")
-    best = None
-    for idx, step in enumerate(path.steps):
-        if step.criterion_value is not None:
-            val = float(step.criterion_value)
-        elif step.rss <= 0.0:
-            val = -math.inf
-        else:
-            continue
-        if not math.isnan(val) and (best is None or val < best[0]):
-            best = (val, idx)
-    if best is None:
+    scan = EarlyStop(math.inf)
+    for step in path.steps:
+        value = step.criterion_value
+        scan.update(-math.inf if value is None and step.rss <= 0.0 else value)
+    if scan.best is None:
         raise ValueError("no step has a usable criterion value")
-    return path.steps[best[1]]
+    return path.steps[scan.best]

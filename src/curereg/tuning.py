@@ -10,6 +10,13 @@ with ``N`` the number of observed response entries,
 AIC and BIC use the usual Gaussian profile forms on the same ``N``.  All
 logs are natural.  :func:`information_criterion` takes these as plain
 numbers, so a grid level and a path step are scored by the same call.
+
+Every criterion path, stagewise steps or a penalty grid, is picked and
+stopped by one rule, :class:`EarlyStop`.  The pick is the first minimum of
+the criterion: ties go to the earliest entry, None and NaN are never
+picked, and a perfect fit enters as -inf, which beats every other value.
+The path stops once the running minimum of the finite values has not
+improved for a window of entries; a -inf does not restart that window.
 """
 
 from __future__ import annotations
@@ -60,56 +67,50 @@ def information_criterion(kind, rss, df, p, q, n_observed):
 
 
 class EarlyStop:
-    """Incremental early-stop rule, fed one criterion value per step.
+    """The pick and the stop of one criterion path; see the module docstring.
 
-    :meth:`update` returns True once the running minimum has not improved in
-    the last ``window`` entries.  None or non-finite values never improve it.
+    :meth:`update` takes the next entry and returns True once the path has
+    stalled.  ``best`` is the index of the pick, None until an entry can be
+    picked, and ``best_value`` its value.
     """
 
     def __init__(self, window):
         if window < 1:
             raise ValueError("window must be a positive integer")
         self.window = window
-        self.best = math.inf
+        self.best = None
+        self.best_value = self.floor = math.inf
         self.count = self.last_improve = 0
 
     def update(self, value):
-        if value is not None and math.isfinite(value) and value < self.best:
-            self.best = float(value)
-            self.last_improve = self.count
+        if value is not None and value < self.floor:  # finite or -inf
+            if value < self.best_value:
+                self.best, self.best_value = self.count, value
+            if value > -math.inf:
+                self.floor, self.last_improve = value, self.count
+        elif self.best is None and value == math.inf:
+            self.best = self.count
         self.count += 1
         return self.count - 1 - self.last_improve >= self.window
 
 
-class GridScan:
-    """Information-criterion selection down a penalty grid, with a stop rule.
+class GridScan(EarlyStop):
+    """:class:`EarlyStop` down a penalty grid, with :data:`GRID_STOP_WINDOW`.
 
-    It keeps ``(p, q, n_observed)`` of ``problem``.  Fed one solved level at
-    a time through :meth:`update`, as its ``rss`` and ``df``, it scores the
-    level with :func:`information_criterion` (an rss of 0 scores -inf), keeps
-    the index of the first argmin in ``best`` and returns True once
-    :class:`EarlyStop` with :data:`GRID_STOP_WINDOW` levels finds the
-    criterion stalled.  Levels past the stop cannot change the pick unless
-    the criterion improves again after that many levels without improvement.
+    It keeps ``(p, q, n_observed)`` of ``problem``, and :meth:`update` takes
+    one solved level as its ``rss`` and ``df``, scored by
+    :func:`information_criterion` (an rss of 0 scores -inf).
     """
 
     def __init__(self, problem, criterion):
+        super().__init__(GRID_STOP_WINDOW)
         self.criterion = criterion
         self.shape = (problem.p, problem.q, problem.n_observed)
-        self.stop = EarlyStop(GRID_STOP_WINDOW)
-        self.best = None
-        self.best_value = None
-        self.levels = 0
 
     def update(self, rss, df):
         if rss <= 0.0:
-            value = -math.inf
-        else:
-            value = information_criterion(self.criterion, rss, df, *self.shape)
-        if self.best is None or value < self.best_value:
-            self.best, self.best_value = self.levels, value
-        self.levels += 1
-        return self.stop.update(value)
+            return super().update(-math.inf)
+        return super().update(information_criterion(self.criterion, rss, df, *self.shape))
 
 
 class CvSelection(NamedTuple):

@@ -862,6 +862,52 @@ def test_eval_checks_every_shape_before_scoring(tmp_path, capsys):
         assert os.listdir(tmp_path / f"eval{i}") == []
 
 
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_a_truth_with_no_layers_is_rejected_before_any_work(tmp_path, capsys, command):
+    x, y, truth = simulate_into(tmp_path / "sim")
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"rank": 0, "layers": [], "sigma": 1.0}), encoding="utf-8")
+    if command == "eval":
+        assert run("fit", "--x", x, "--y", y, "--method", "rrr", "--rank", 1,
+                   "--out-dir", tmp_path / "fit") == 0
+        args = ["--model-json", tmp_path / "fit" / "model.json", "--truth", empty, "--x", x]
+    else:
+        args = ["--x", x, "--y", y, "--method", "seqstl", "--rank", 1, "--truth", empty]
+    capsys.readouterr()
+    assert run(command, *args, "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"curereg {command}: --truth {empty}: truth needs at least one layer"]
+    assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+@pytest.mark.parametrize("snr, want", [
+    pytest.param("nan", "snr must be positive and finite", id="nan"),
+    pytest.param("inf", "snr must be positive and finite", id="inf"),
+    pytest.param("1e-320", "snr 1e-320 gives a noise scale sigma of inf", id="subnormal"),
+])
+def test_an_snr_that_gives_no_finite_noise_is_one_line(tmp_path, capsys, command, snr, want):
+    extra = ["--methods", "rrr", "--reps", 1, "--rank", 1] if command == "benchmark" else []
+    capsys.readouterr()
+    assert run(command, "--model", "II", "--n", 20, "--p", 10, "--q", 8, "--snr", snr,
+               *extra, "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err.splitlines() == [f"curereg {command}: {want}"]
+    assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("xi", [[], ["--xi", 0]], ids=["default_xi", "xi_0"])
+@pytest.mark.parametrize("command", ["paths", "fit"])
+def test_an_epsilon_whose_square_overflows_is_one_line(tmp_path, capsys, command, xi):
+    x, y, _ = simulate_into(tmp_path / "sim")
+    extra = ["--method", "seqstl", "--rank", 1] if command == "fit" else []
+    capsys.readouterr()
+    assert run(command, "--x", x, "--y", y, "--epsilon", 1e200, *xi, *extra,
+               "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"curereg {command}: epsilon 1e+200 is too large: its square overflows"]
+    assert os.listdir(tmp_path / "out") == []
+
+
 def test_score_model_checks_every_layer_shape(tmp_path):
     spec = SimSpec(model="II", n=20, p=10, q=8, r_star=2, snr=5.0, seed=3)
     truth = gen_dataset(spec)
@@ -1071,7 +1117,7 @@ def test_inputs_can_be_pipes(tmp_path):
 
 # The command-line fuzz: each case mutates one input file of one command.
 CSV_MUTATIONS = ("truncate", "drop_row", "add_column", "na", "inf", "text", "empty", "bytes")
-JSON_MUTATIONS = ("truncate", "other_draw", "bytes")
+JSON_MUTATIONS = ("truncate", "other_draw", "bytes", "no_layers")
 FUZZ_INPUTS = {
     "fit": ("--x", "--y", "--truth"),
     "paths": ("--x", "--y"),
@@ -1118,6 +1164,8 @@ def _mutate(rng, kind, data, other):
         return bytes(data)
     if kind == "other_draw":
         return other.read_bytes()
+    if kind == "no_layers":
+        return json.dumps({**json.loads(data), "rank": 0, "layers": []}).encode()
     rows = [line.split(b",") for line in data.splitlines()]
     i = rng.integers(len(rows))
     if kind == "drop_row":
@@ -1153,6 +1201,8 @@ def test_seeded_cli_fuzz_gives_valid_artifacts_or_one_line_naming_a_file(
         code = run(command, *[a for item in args.items() for a in item], *extra,
                    "--out-dir", out)
     err = capsys.readouterr().err.splitlines()
+    if kind == "no_layers":  # a rank-0 model scores; a truth needs a layer
+        assert (code == 0) == (flag == "--model-json"), err
     if code == 0:
         assert sorted(os.listdir(out)) == sorted(FUZZ_ARTIFACTS[command])
         if command == "fit":

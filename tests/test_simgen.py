@@ -174,6 +174,19 @@ def test_high_snr_means_negligible_noise():
     assert sigma > 0
 
 
+@pytest.mark.parametrize("snr", [math.nan, math.inf])
+def test_spec_rejects_a_non_finite_snr(snr):
+    with pytest.raises(ValueError, match="snr must be positive and finite"):
+        SimSpec(model="II", n=10, p=10, q=10, snr=snr)
+
+
+def test_an_snr_too_small_for_a_finite_sigma_raises():
+    spec = SimSpec(model="II", n=30, p=10, q=8, r_star=2, snr=1e-320)
+    model, X = make_truth(spec)
+    with pytest.raises(ValueError, match="sigma of inf"):
+        gen_response(X, model, spec, np.random.default_rng(2))
+
+
 def test_realized_snr_is_exact():
     spec = SimSpec(model="II", n=25, p=9, q=7, r_star=2, snr=1.7, rho=0.4)
     model, X = make_truth(spec, seeds=(3, 4))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curereg import stagewise
+from curereg import stagewise, tuning
 from curereg.core import (
     NormMode,
     ProblemData,
@@ -24,7 +24,7 @@ from curereg.stagewise import (
     run_path,
     select_on_path,
 )
-from curereg.tuning import EarlyStop, fold_indices, information_criterion
+from curereg.tuning import EarlyStop, GridScan, fold_indices, information_criterion
 
 
 def rank1_problem(rng, n, p, q, noise=0.3, mask_frac=0.0):
@@ -551,6 +551,31 @@ def test_select_perfect_fit_wins():
     assert select_on_path(path).t == 1
 
 
+PERFECT = "perfect fit"
+
+
+@pytest.mark.parametrize("values, want", [
+    ([3.0, 2.0, 2.0, 4.0], 1),  # a tie goes to the earliest
+    ([3.0, PERFECT, 1.0, PERFECT], 1),
+    ([None, 4.0, None, 3.0], 3),
+    ([math.nan, 5.0, 6.0], 1),
+    ([math.nan, None, 2.0, math.nan, 2.0], 2),
+    ([math.inf, math.inf, 7.0], 2),
+    ([math.inf, math.nan], 0),
+])
+def test_grid_scan_and_select_on_path_pick_alike(monkeypatch, values, want):
+    # GridScan scores level i as values[i] (an rss of 0 for a perfect fit);
+    # the path records the same values as its steps' criteria.
+    monkeypatch.setattr(tuning, "information_criterion", lambda kind, rss, df, *_: values[df])
+    scan = GridScan(ProblemData(np.ones((4, 2)), np.ones((4, 3))), "gic")
+    for i, value in enumerate(values):
+        scan.update(0.0 if value is PERFECT else 1.0, i)
+    steps = [make_step(i, None, rss=0.0) if value is PERFECT else make_step(i, value)
+             for i, value in enumerate(values)]
+    path = StagewisePath(steps=steps, config=StagewiseConfig(criterion="gic"))
+    assert scan.best == select_on_path(path).t == want
+
+
 def test_select_rejects_none_criterion_and_empty_path():
     cfg = StagewiseConfig(criterion="none")
     path = StagewisePath(steps=[make_step(0, None)], config=cfg)
@@ -558,6 +583,14 @@ def test_select_rejects_none_criterion_and_empty_path():
         select_on_path(path)
     with pytest.raises(ValueError):
         select_on_path(StagewisePath(steps=[], config=cfg))
+
+
+@pytest.mark.parametrize("values", [[None, None], [math.nan]])
+def test_select_rejects_a_path_with_nothing_to_pick(values):
+    path = StagewisePath(steps=[make_step(i, v) for i, v in enumerate(values)],
+                         config=StagewiseConfig(criterion="gic"))
+    with pytest.raises(ValueError, match="no step has a usable criterion value"):
+        select_on_path(path)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +618,13 @@ def test_select_rejects_none_criterion_and_empty_path():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         StagewiseConfig(**kwargs)
+
+
+def test_config_rejects_an_epsilon_whose_square_overflows():
+    top = math.sqrt(np.finfo(float).max)
+    assert StagewiseConfig(epsilon=top, xi=0.0).epsilon == top
+    with pytest.raises(ValueError, match="its square overflows"):
+        StagewiseConfig(epsilon=math.nextafter(top, math.inf), xi=0.0)
 
 
 def test_config_default_tolerance_scales_with_step():
