@@ -64,6 +64,11 @@ __all__ = [
 # every a-block of that fit within 14.  The margin is for singular blocks,
 # which fall back to plain passes.
 ACS_MAX_SWEEPS = 20_000
+# The alternating search's stopping rule: the objective moves by at most
+# ACS_TOL relative to its scale (see acs_cure), or the search ends, with a
+# warning, after ACS_MAX_ITERS alternations.
+ACS_TOL = 1e-8
+ACS_MAX_ITERS = 500
 # The lasso's stopping rule: every entry meets its subgradient condition
 # within LASSO_TOL * min(1, lam_max), or a response column's solve ends,
 # with a warning, after LASSO_MAX_SWEEPS passes plus exact solves.
@@ -348,17 +353,14 @@ class AcsConfig:
 
     ``lambda_grid`` is only consumed by path/deflation drivers; a single
     call works at one penalty level.  The starting point is the rank-1
-    layer of a ridge-OLS fit unless a factor is passed.
+    layer of a ridge-OLS fit unless a factor is passed.  The stopping rule
+    is the module constants ``ACS_TOL`` and ``ACS_MAX_ITERS``.
     """
 
     lambda_grid: np.ndarray | None = None
     mu: float = 1e-4
-    tol: float = 1e-8
-    max_iters: int = 500
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf or self.max_iters < 1:
-            raise ValueError("tol must be positive and finite, and max_iters at least 1")
         if not 0 <= self.mu < math.inf:
             raise ValueError("mu must be finite and nonnegative")
         if self.lambda_grid is not None:
@@ -450,12 +452,12 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
     """Alternating block minimization of the unit-rank objective at one lam.
 
     ``init`` is a UnitRankFactor starting point (default: rank-1 layer of a
-    ridge-OLS fit); ``mu``, ``tol`` and ``max_iters`` come from ``config``.
+    ridge-OLS fit); ``mu`` comes from ``config``.
     Alternates exact a- and v-blocks until the objective moves by at most
-    ``config.tol`` times the larger of the previous objective and the zero
+    ``ACS_TOL`` times the larger of the previous objective and the zero
     model's ``||P Y||^2 / (2n)`` capped at 1, or the factor collapses to zero;
     each a-block solves to a tolerance relative to its ``||b||_inf``, so a
-    small Y keeps its layers.  Warns when ``max_iters`` runs out first or an
+    small Y keeps its layers.  Warns when ``ACS_MAX_ITERS`` runs out first or an
     a-block solve hits its sweep cap.  Returns the factor in L1 normalization
     (plus the objective trace when asked).
     """
@@ -479,12 +481,13 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
     mu = config.mu
     Y0 = problem.observed_response()
     Hf = None if problem.mask is None else problem.mask.astype(float)
-    inner_tol = min(1e-9, config.tol)
+    tol, max_iters = ACS_TOL, ACS_MAX_ITERS
+    inner_tol = min(1e-9, tol)
     floor = min(1.0, float(np.vdot(Y0, Y0)) / (2.0 * problem.n))
     trace = [_acs_objective(problem, a, v, lam, mu)]
     result = None
     capped = 0
-    for _ in range(config.max_iters):
+    for _ in range(max_iters):
         a, ok = _a_step(problem, Y0, Hf, a, v, lam, mu, inner_tol)
         capped += not ok
         if not np.any(a):
@@ -499,10 +502,10 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
         v = b / nb
         q_now = _acs_objective(problem, a, v, lam, mu)
         trace.append(q_now)
-        if abs(trace[-2] - q_now) <= config.tol * max(abs(trace[-2]), floor):
+        if abs(trace[-2] - q_now) <= tol * max(abs(trace[-2]), floor):
             break
     else:
-        warnings.warn(f"acs_cure did not converge in {config.max_iters} iterations"
+        warnings.warn(f"acs_cure did not converge in {max_iters} iterations"
                       f" at lam={lam:.3e}", RuntimeWarning, stacklevel=2)
     if capped:
         warnings.warn(f"acs_cure: {capped} a-block solves hit the {ACS_MAX_SWEEPS}"

@@ -63,7 +63,7 @@ from .metrics import (
     sparsity_summary,
 )
 from .simgen import MODELS, SimSpec, gen_dataset
-from .stagewise import CRITERIA as PATH_CRITERIA, StagewiseConfig, run_path
+from .stagewise import CRITERIA as PATH_CRITERIA, EARLY_STOP_WINDOW, StagewiseConfig, run_path
 from .tuning import kfold_cv_select
 
 METHODS = (
@@ -144,10 +144,6 @@ def _add_path_flags(parser, defaults):
          help="stagewise slack; default 1e-6 * epsilon^2")
     _opt(parser, defaults, "--mu", default=StagewiseConfig.mu, type=float,
          help="ridge weight")
-    _opt(parser, defaults, "--early-stop-window",
-         default=StagewiseConfig.early_stop_window, type=int,
-         help="stop a stagewise path after this many steps without"
-              " criterion improvement")
     _opt(parser, defaults, "--max-steps", default=StagewiseConfig.max_steps,
          type=int, help="stagewise step budget")
 
@@ -201,7 +197,7 @@ def build_parser():
     _opt(pp, d, "--criterion", default=StagewiseConfig.criterion,
          choices=PATH_CRITERIA,
          help="criterion recorded along the path; the path also ends after"
-              " --early-stop-window steps without improvement, while none runs"
+              f" {EARLY_STOP_WINDOW} steps without improvement, while none runs"
               " until lambda reaches 0 or --max-steps runs out")
     _add_common(pp, d)
 
@@ -378,9 +374,12 @@ def score_model(model, truth_model, X):
     Layers are aligned to the truth by descending d before the selection
     rates are pooled; a rank-0 model has no layer to align.  A layer whose
     p or q is not the truth's raises a ValueError naming it; a rank-0 model
-    carries no shape and is scored as a zero of the truth's.
+    carries no shape and is scored as a zero of the truth's.  A truth with
+    no layers raises a ValueError before any scoring.
     """
-    if truth_model is not None and truth_model.rank:
+    if truth_model is not None:
+        if not truth_model.rank:
+            raise ValueError("the truth has no layers; it needs at least one")
         want = truth_model.layers[0].u.size, truth_model.layers[0].v.size
         for k, lay in enumerate(model.layers, 1):
             got = lay.u.size, lay.v.size

@@ -63,7 +63,7 @@ The per-step objective bookkeeping gives, by construction,
 for every executed step, where ``Q = loss + lam * d`` is the penalized
 objective; tests assert this on recorded paths.  The path terminates when
 lam reaches zero, when ``max_steps`` is hit, or when the tracked information
-criterion has not improved for ``early_stop_window`` consecutive steps.
+criterion has not improved for ``EARLY_STOP_WINDOW`` consecutive steps.
 """
 
 from __future__ import annotations
@@ -97,6 +97,9 @@ SNAP_TOL = 1e-12
 SMALLEST = math.ulp(0.0)
 FORWARD_TIE_TOL = 1e-12
 RECOMPUTE_EVERY = 1000
+# A path with a criterion stops once it has not improved for this many
+# steps; read by each path as it starts.
+EARLY_STOP_WINDOW = 300
 # Entries of S per block of the first search, whose temporaries then take
 # two blocks instead of two p x q arrays.
 _SEARCH_BLOCK = 1 << 15
@@ -113,22 +116,27 @@ CRITERIA = tuning.CRITERIA + ("none",)
 class StagewiseConfig:
     """Knobs for the path solver.
 
-    ``xi`` defaults to ``1e-6 * epsilon**2`` when left as None; it must stay
-    well below ``epsilon * lam`` scales or every move would be rejected.
-    ``criterion`` selects the per-step information criterion used for early
-    stopping and path selection ("none" disables both).
+    ``epsilon`` must exceed ``SNAP_TOL``, below which a move off zero would
+    be snapped back to zero.  ``xi`` defaults to ``1e-6 * epsilon**2`` when
+    left as None; it must stay well below ``epsilon * lam`` scales or every
+    move would be rejected.  ``criterion`` selects the per-step information
+    criterion used for early stopping and path selection ("none" disables
+    both).  ``max_steps`` is the one per-call step budget; the early-stop
+    window is the module constant ``EARLY_STOP_WINDOW``.
     """
 
     epsilon: float = 1.0
     xi: float | None = None
     mu: float = 1e-4
     max_steps: int = 100_000
-    early_stop_window: int = 300
     criterion: str = "gic"
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
+        if self.epsilon <= SNAP_TOL:
+            raise ValueError(f"epsilon {self.epsilon} is too small:"
+                             f" it must exceed the snap tolerance {SNAP_TOL}")
         try:
             self.epsilon ** 2  # as xi_resolved and the engine square it
         except OverflowError:
@@ -140,8 +148,6 @@ class StagewiseConfig:
             raise ValueError("mu must be finite and nonnegative")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.early_stop_window < 1:
-            raise ValueError("early_stop_window must be at least 1")
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
 
@@ -945,7 +951,7 @@ def _run_rows(problems, config):
         if state.lam <= 0.0:
             path.terminated_by = "lambda_nonpositive"
             continue
-        stop = None if config.criterion == "none" else EarlyStop(config.early_stop_window)
+        stop = None if config.criterion == "none" else EarlyStop(EARLY_STOP_WINDOW)
         if stop is not None:
             stop.update(step0.criterion_value)
         live.append((state, path, stop))

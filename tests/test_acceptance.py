@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from curereg import baselines, stagewise
 from curereg.baselines import (
     AcsConfig,
     acs_cure,
@@ -86,7 +87,7 @@ def _bench_one(seed):
     grid = default_lambda_grid(prob, num=20, floor=1e-2)
 
     def stl():
-        return StagewiseConfig(epsilon=1.0, mu=MU, criterion="gic", early_stop_window=300)
+        return StagewiseConfig(epsilon=1.0, mu=MU, criterion="gic")
 
     def acs():
         return AcsConfig(mu=MU, lambda_grid=grid)
@@ -213,14 +214,16 @@ def test_criterion_2_objective_bookkeeping(convergence_runs):
 # 3: exact sequential fits reproduce the best rank-3 approximation
 
 
-def test_criterion_3_sequential_exact_fit_is_eckart_young():
+def test_criterion_3_sequential_exact_fit_is_eckart_young(monkeypatch):
     t0 = time.perf_counter()
     spec = SimSpec(model="II", n=40, p=20, q=15, r_star=3, seed=2)
     model = gen_coefficient(spec, np.random.default_rng(21))
     X = gen_design(model.stacked_u(), spec, np.random.default_rng(22))
     Y = X @ model.to_matrix(shape=(20, 15))
 
-    exact = AcsConfig(lambda_grid=np.array([0.0]), mu=0.0, tol=1e-12, max_iters=2000)
+    monkeypatch.setattr(baselines, "ACS_TOL", 1e-12)
+    monkeypatch.setattr(baselines, "ACS_MAX_ITERS", 2000)
+    exact = AcsConfig(lambda_grid=np.array([0.0]), mu=0.0)
     fitted = deflate(
         ProblemData(X, Y),
         DeflationConfig(strategy="sequential", rank=3, solver=exact),
@@ -405,7 +408,7 @@ def close(got, want, tol=1e-10):
     return abs(got - want) <= tol * max(1.0, abs(want))
 
 
-def test_criterion_8_formula_property_checks():
+def test_criterion_8_formula_property_checks(monkeypatch):
     rng = np.random.default_rng(41)
     counts = {}
 
@@ -466,6 +469,7 @@ def test_criterion_8_formula_property_checks():
     # recorded model size along stagewise paths
     df_cases = 0
     seed = 0
+    monkeypatch.setattr(stagewise, "EARLY_STOP_WINDOW", 50)
     while df_cases < 1000:
         seed += 1
         g = np.random.default_rng(seed)
@@ -474,8 +478,7 @@ def test_criterion_8_formula_property_checks():
         eps = (0.3, 0.5, 1.0)[seed % 3]
         path = run_path(
             ProblemData(X, Y),
-            StagewiseConfig(epsilon=eps, mu=MU, criterion="gic",
-                            max_steps=150, early_stop_window=50),
+            StagewiseConfig(epsilon=eps, mu=MU, criterion="gic", max_steps=150),
         )
         for step in path.steps:
             fac = step.factor

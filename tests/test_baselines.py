@@ -758,8 +758,10 @@ def test_acs_warns_instead_of_stopping_silently(monkeypatch):
     prob, _ = rank1_instance(rng, noise=0.5)
     _, trace = acs_cure(prob, 0.05, return_trace=True)
     assert len(trace) > 2  # this draw needs more than one outer iteration
-    with pytest.warns(RuntimeWarning, match="acs_cure did not converge in 1 iterations"):
-        acs_cure(prob, 0.05, config=AcsConfig(max_iters=1))
+    with (monkeypatch.context() as m,
+          pytest.warns(RuntimeWarning, match="acs_cure did not converge in 1 iterations")):
+        m.setattr(baselines, "ACS_MAX_ITERS", 1)
+        acs_cure(prob, 0.05)
     monkeypatch.setattr(baselines, "ACS_MAX_SWEEPS", 1)
     with pytest.warns(RuntimeWarning, match="acs_cure: .*sweep cap"):
         acs_cure(prob, 0.05)
@@ -776,10 +778,6 @@ def test_acs_rejects_degenerate_and_misconfigured_input():
         acs_cure(prob, -1.0)
     with pytest.raises(ValueError):
         AcsConfig(lambda_grid=[0.1, 0.2])  # must decrease
-    with pytest.raises(ValueError):
-        AcsConfig(tol=0.0)
-    with pytest.raises(ValueError, match="tol"):
-        AcsConfig(tol=np.nan)
     with pytest.raises(ValueError, match="mu"):
         AcsConfig(mu=np.nan)
     with pytest.raises(ValueError, match="finite"):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import concurrent.futures
 import hashlib
@@ -10,6 +11,7 @@ import sys
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -604,7 +606,7 @@ def test_fit_reruns_are_byte_identical(tmp_path):
         out = tmp_path / name
         assert run("fit", "--x", x, "--y", y, "--method", "seqstl", "--rank", 1,
                    "--truth", truth, "--epsilon", "0.5", "--max-steps", "400",
-                   "--early-stop-window", "80", "--out-dir", out) == 0
+                   "--out-dir", out) == 0
         outs.append(out)
     a, b = outs
     assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
@@ -906,6 +908,27 @@ def test_an_epsilon_whose_square_overflows_is_one_line(tmp_path, capsys, command
     assert capsys.readouterr().err.splitlines() == [
         f"curereg {command}: epsilon 1e+200 is too large: its square overflows"]
     assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("command, epsilon", [("paths", "1e-200"), ("fit", "1e-13")])
+def test_an_epsilon_at_or_below_the_snap_tolerance_is_one_line(tmp_path, capsys,
+                                                               command, epsilon):
+    x, y, _ = simulate_into(tmp_path / "sim")
+    extra = ["--method", "seqstl", "--rank", 1] if command == "fit" else []
+    capsys.readouterr()
+    assert run(command, "--x", x, "--y", y, "--epsilon", epsilon, *extra,
+               "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"curereg {command}: epsilon {epsilon} is too small:"
+        " it must exceed the snap tolerance 1e-12"]
+    assert os.listdir(tmp_path / "out") == []
+
+
+def test_score_model_rejects_a_truth_with_no_layers():
+    truth = gen_dataset(SimSpec(model="II", n=20, p=10, q=8, r_star=1, seed=3))
+    with pytest.raises(ValueError) as info:
+        score_model(truth.factors, FactorModel(()), truth.X)
+    assert str(info.value) == "the truth has no layers; it needs at least one"
 
 
 def test_score_model_checks_every_layer_shape(tmp_path):
@@ -1440,6 +1463,23 @@ def test_help_documents_solver_defaults(capsys):
     assert "--epsilon" in text and "default: 1.0" in text
     assert "--xi" in text
     assert "--mu" in text and "default: 0.0001" in text
+
+
+def _parser_flags():
+    """Every long flag of every subcommand, but argparse's own ``--help``."""
+    subs, = (a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction))
+    return {flag for sub in subs.choices.values() for action in sub._actions
+            for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+
+
+def test_the_readme_names_every_command_line_flag():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    flags = _parser_flags()
+    assert sorted(flags - named) == [], "flags the README does not name"
+    assert sorted(named - flags) == [], "README flags no command has"
 
 
 def test_module_entry_point(tmp_path):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from curereg import deflation, tuning
+from curereg import baselines, deflation, stagewise, tuning
 from curereg.baselines import (
     AcsConfig,
     acs_path,
@@ -32,7 +32,13 @@ from curereg.simgen import SimSpec, gen_dataset
 from curereg.stagewise import StagewiseConfig, run_path, select_on_path
 from curereg.tuning import GRID_STOP_WINDOW, information_criterion
 
-EXACT_ACS = AcsConfig(lambda_grid=np.array([0.0]), mu=0.0, tol=1e-12, max_iters=2000)
+
+@pytest.fixture
+def exact_acs(monkeypatch):
+    """An unpenalized alternating solver run to a tight stop."""
+    monkeypatch.setattr(baselines, "ACS_TOL", 1e-12)
+    monkeypatch.setattr(baselines, "ACS_MAX_ITERS", 2000)
+    return AcsConfig(lambda_grid=np.array([0.0]), mu=0.0)
 
 
 def lowrank_instance(rng, n, p, q, r, noise=0.0, scale=1.0):
@@ -67,12 +73,12 @@ def test_sequential_rank_one_equals_single_fit():
     models_bitwise_equal(model, type(model)((want,)))
 
 
-def test_sequential_unpenalized_acs_recovers_svd_layers():
+def test_sequential_unpenalized_acs_recovers_svd_layers(exact_acs):
     rng = np.random.default_rng(1)
     prob, C0 = lowrank_instance(rng, 30, 8, 6, 3)
     ols = np.linalg.lstsq(prob.X, prob.Y, rcond=None)[0]
     oracle = p_orthogonal_svd(prob.X, ols, 3)
-    cfg = DeflationConfig(strategy="sequential", rank=3, solver=EXACT_ACS)
+    cfg = DeflationConfig(strategy="sequential", rank=3, solver=exact_acs)
     model = sequential_pursuit(prob, cfg)
     assert model.rank == 3
     for got, want in zip(model.layers, oracle.layers):
@@ -165,11 +171,11 @@ def test_parallel_rank_one_with_zero_pilot_equals_single_fit(monkeypatch):
     models_bitwise_equal(model, type(model)((direct,)))
 
 
-def test_parallel_unpenalized_recovers_noiseless_truth():
+def test_parallel_unpenalized_recovers_noiseless_truth(exact_acs):
     rng = np.random.default_rng(6)
     prob, C0 = lowrank_instance(rng, 30, 8, 6, 2)
     cfg = DeflationConfig(
-        strategy="parallel", rank=2, solver=EXACT_ACS, initializer="rrr"
+        strategy="parallel", rank=2, solver=exact_acs, initializer="rrr"
     )
     model = parallel_pursuit(prob, cfg)
     assert model.rank == 2
@@ -177,11 +183,11 @@ def test_parallel_unpenalized_recovers_noiseless_truth():
     assert fit_gap <= 1e-5 * np.linalg.norm(prob.X @ C0)
 
 
-def test_parallel_pilot_rank_below_target_warns_and_shrinks():
+def test_parallel_pilot_rank_below_target_warns_and_shrinks(exact_acs):
     rng = np.random.default_rng(8)
     prob, _ = lowrank_instance(rng, 25, 6, 5, 1)  # exactly rank one
     cfg = DeflationConfig(
-        strategy="parallel", rank=2, solver=EXACT_ACS, initializer="rrr"
+        strategy="parallel", rank=2, solver=exact_acs, initializer="rrr"
     )
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
@@ -207,13 +213,13 @@ def test_parallel_threshold_noop_when_loose():
     models_bitwise_equal(plain, loose)
 
 
-def test_parallel_threshold_sparsifies_pilot():
+def test_parallel_threshold_sparsifies_pilot(exact_acs):
     rng = np.random.default_rng(10)
     prob, C0 = lowrank_instance(rng, 30, 8, 6, 2)
     cfg = DeflationConfig(
         strategy="parallel",
         rank=2,
-        solver=EXACT_ACS,
+        solver=exact_acs,
         initializer="rrr",
         s_threshold=12,
     )
@@ -479,10 +485,10 @@ def test_masked_deflation_recovers_structure():
     assert gap <= 0.5 * np.linalg.norm(X @ C0)
 
 
-def test_orthogonality_diagnostics_near_identity_for_exact_layers():
+def test_orthogonality_diagnostics_near_identity_for_exact_layers(exact_acs):
     rng = np.random.default_rng(14)
     prob, _ = lowrank_instance(rng, 28, 7, 6, 2)
-    cfg = DeflationConfig(strategy="sequential", rank=2, solver=EXACT_ACS)
+    cfg = DeflationConfig(strategy="sequential", rank=2, solver=exact_acs)
     model = sequential_pursuit(prob, cfg)
     Gu, Gv = orthogonality_diagnostics(model, prob.X)
     assert Gu.shape == Gv.shape == (2, 2)
@@ -533,13 +539,14 @@ def test_strategy_mismatch_is_rejected():
         sequential_pursuit(prob, par)
 
 
-def test_the_layer_criterion_runs_and_picks_each_stagewise_path():
+def test_the_layer_criterion_runs_and_picks_each_stagewise_path(monkeypatch):
     # The solver config's own criterion is never read: each layer's path runs
     # and is picked by DeflationConfig.criterion, so a short early-stop window
     # cannot end it on one criterion and then pick it by another.
     rng = np.random.default_rng(8)
     prob, _ = lowrank_instance(rng, 20, 6, 5, 1, noise=0.5)
-    knobs = dict(epsilon=0.2, early_stop_window=5)
+    monkeypatch.setattr(stagewise, "EARLY_STOP_WINDOW", 5)
+    knobs = dict(epsilon=0.2)
     for crit, other in (("bic", "gic"), ("aic", "bic"), ("gic", "none")):
         cfg = DeflationConfig(strategy="sequential", rank=1, criterion=crit,
                               solver=StagewiseConfig(criterion=other, **knobs))

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from curereg import deflation
+from curereg import deflation, stagewise
 from curereg.cli import main
 from curereg.core import ProblemData, column_normalize
 from curereg.io import write_matrix_csv
@@ -95,7 +95,7 @@ def test_a_fold_with_an_all_true_mask_runs_unmasked_among_masked_folds():
     assert_same_paths(folds, StagewiseConfig(epsilon=0.1, criterion="gic"))
 
 
-def test_rows_that_stop_early_or_restart_from_zero():
+def test_rows_that_stop_early_or_restart_from_zero(monkeypatch):
     # With xi = 0, rows 0 and 2 keep collapsing to the zero state and
     # entering again while the others go on; row 1 ends on lambda <= 0
     # after a few steps, rows 3 and 4 (a zero response) at their start.
@@ -113,8 +113,9 @@ def test_rows_that_stop_early_or_restart_from_zero():
         for _ in range(3)
     ]
     problems.append(ProblemData(X, np.zeros((4, 1)), mask))
+    monkeypatch.setattr(stagewise, "EARLY_STOP_WINDOW", 30)
     cfg = StagewiseConfig(epsilon=0.5, mu=0.0, xi=0.0, criterion="aic",
-                          max_steps=150, early_stop_window=30)
+                          max_steps=150)
     paths = assert_same_paths(problems, cfg)
     restarts = [sum(s.d == 0.0 for s in p.steps[1:-1]) for p in paths]
     assert restarts[0] > 5 and restarts[2] > 5 and restarts[1] == restarts[3] == 0
@@ -122,12 +123,12 @@ def test_rows_that_stop_early_or_restart_from_zero():
     assert len({len(p) for p in paths}) >= 3
 
 
-def test_gic_early_stop_per_row():
+def test_gic_early_stop_per_row(monkeypatch):
     X, Y = model_two(120, 200, 100, 1878216440)
     mask = np.random.default_rng(3561458197).random(Y.shape) >= 0.2
     folds = training_folds(X, Y, mask, seed=2)
-    paths = assert_same_paths(
-        folds, StagewiseConfig(epsilon=0.2, criterion="gic", early_stop_window=40))
+    monkeypatch.setattr(stagewise, "EARLY_STOP_WINDOW", 40)
+    paths = assert_same_paths(folds, StagewiseConfig(epsilon=0.2, criterion="gic"))
     assert {p.terminated_by for p in paths} == {"early_stop"}
     assert len({len(p) for p in paths}) > 1
 

@@ -475,15 +475,16 @@ def test_run_path_max_steps_termination():
     assert len(path) == 6  # init record plus five moves
 
 
-def test_run_path_early_stop_on_noise():
+def test_run_path_early_stop_on_noise(monkeypatch):
     rng = np.random.default_rng(10)
     X = rng.standard_normal((20, 15))
     Y = rng.standard_normal((20, 12))
-    cfg = StagewiseConfig(epsilon=0.1, early_stop_window=10)
+    monkeypatch.setattr(stagewise, "EARLY_STOP_WINDOW", 10)
+    cfg = StagewiseConfig(epsilon=0.1)
     path = run_path(ProblemData(X, Y), cfg)
     assert path.terminated_by == "early_stop"
     assert len(path) < cfg.max_steps
-    stop = EarlyStop(cfg.early_stop_window)
+    stop = EarlyStop(stagewise.EARLY_STOP_WINDOW)
     stalled = [stop.update(s.criterion_value) for s in path.steps]
     assert stalled[-1] is True
     assert not any(stalled[:-1])
@@ -605,7 +606,6 @@ def test_select_rejects_a_path_with_nothing_to_pick(values):
         {"xi": -1e-9},
         {"mu": -0.1},
         {"max_steps": 0},
-        {"early_stop_window": 0},
         {"criterion": "mdl"},
         {"epsilon": math.nan},
         {"epsilon": math.inf},
@@ -613,6 +613,9 @@ def test_select_rejects_a_path_with_nothing_to_pick(values):
         {"xi": math.inf},
         {"mu": math.nan},
         {"mu": math.inf},
+        {"epsilon": 1e-12},
+        {"epsilon": 1e-13},
+        {"epsilon": 1e-200},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -1044,8 +1047,9 @@ def test_rows_that_restart_from_zero_replay(monkeypatch):
         for _ in range(3)
     ]
     problems.append(ProblemData(X, np.zeros((4, 1)), mask))
+    monkeypatch.setattr(stagewise, "EARLY_STOP_WINDOW", 30)
     cfg = StagewiseConfig(epsilon=0.5, mu=0.0, xi=0.0, criterion="aic",
-                          max_steps=150, early_stop_window=30)
+                          max_steps=150)
     paths = stagewise.run_paths(problems, cfg)
     assert sum(s.d == 0.0 for s in paths[0].steps[1:-1]) > 5
     assert len(seen) == sum(len(path) for path in paths)
