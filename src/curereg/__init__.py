@@ -31,8 +31,7 @@ _EXPORTS = {
         "p_orthogonal_svd", "renormalize_factor", "rescale_factor_rows", "residual",
     ),
     "deflation": (
-        "DeflationConfig", "deflate", "orthogonality_diagnostics",
-        "parallel_pursuit", "sequential_pursuit",
+        "DeflationConfig", "deflate", "parallel_pursuit", "sequential_pursuit",
     ),
     "metrics": (
         "EvalReport", "SelectionRates", "aggregate_reports", "estimation_errors",

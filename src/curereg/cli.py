@@ -41,6 +41,8 @@ from .baselines import (
 from .core import (
     FactorModel,
     ProblemData,
+    check_finite,
+    check_xy,
     column_normalize,
     p_orthogonal_svd,
     rescale_factor_rows,
@@ -241,22 +243,6 @@ def _read_input(flag, path, reader, **kw):
         raise ValueError(f"{flag} {exc}") from None
 
 
-def _read_csv(flag, path, allow_missing=False):
-    """``read_matrix_csv`` of the file of ``flag``; a cell that must hold a
-    value (any cell of X, an observed cell of Y) and is not finite raises one
-    line: ``--x X.csv: row 4, column 3 is not finite (nan)``.  Rows count
-    data rows."""
-    M, mask = _read_input(flag, path, read_matrix_csv, allow_missing=allow_missing)
-    bad = ~np.isfinite(M)
-    if mask is not None:
-        bad &= mask
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(f"{flag} {path}: row {i + 1}, column {j + 1} is not finite"
-                         f" ({M[i, j]})")
-    return M, mask
-
-
 def _config_tokens(command, config_path):
     """A JSON config file as flag tokens, so it meets the flags' own checks.
 
@@ -372,20 +358,13 @@ def score_model(model, truth_model, X):
     ground truth (else None), its errors and selection rates.
 
     Layers are aligned to the truth by descending d before the selection
-    rates are pooled; a rank-0 model has no layer to align.  A layer whose
-    p or q is not the truth's raises a ValueError naming it; a rank-0 model
-    carries no shape and is scored as a zero of the truth's.  A truth with
-    no layers raises a ValueError before any scoring.
+    rates are pooled; a rank-0 model has no layer to align, and is scored as
+    a zero of the truth's.  Before any scoring, a truth with no layers, or a
+    layer of the model or the truth whose p is not X's column count or whose
+    q is not the truth's, raises one ValueError line (``_check_layers``).
     """
     if truth_model is not None:
-        if not truth_model.rank:
-            raise ValueError("the truth has no layers; it needs at least one")
-        want = truth_model.layers[0].u.size, truth_model.layers[0].v.size
-        for k, lay in enumerate(model.layers, 1):
-            got = lay.u.size, lay.v.size
-            if got != want:
-                raise ValueError(f"model layer {k} has p = {got[0]} and q = {got[1]},"
-                                 f" but the truth has p = {want[0]} and q = {want[1]}")
+        _check_layers(("X", X), ("the truth", truth_model), [("the model", model)])
     report = EvalReport()
     report.u_l0, report.u_l20, report.v_l0, report.v_l20 = sparsity_summary(model)
     if truth_model is None:
@@ -428,30 +407,33 @@ def _load_truth(path):
     model, doc = _read_input("--truth", path, load_factor_model)
     if not isinstance(doc.get("sigma"), (int, float)):
         raise ValueError(f"--truth {path}: truth needs a numeric 'sigma' field")
-    if not model.rank:
-        raise ValueError(f"--truth {path}: truth needs at least one layer")
     return model
 
 
-def _check_shapes(ref, models):
-    """Raise one ValueError line unless every layer of every model has the
-    p and q of ``ref``.
+def _check_layers(x, truth, models=(), y=None):
+    """Raise one ValueError line unless the truth has a layer and every layer
+    of each model and of the truth has p equal to X's column count, and q
+    equal to Y's, or with no Y to the truth's q.
 
-    ``ref`` maps "p" (and "q") to a ``(size, source)`` pair, where source
-    names the flag and the file that fix the size; ``models`` holds
-    ``(flag, path, model)`` triples.  A rank-0 model has no shape and passes.
+    Each argument is a ``(name, value)`` pair, and ``models`` a sequence of
+    them; the names say which input is at fault: ``X has 10 columns, but the
+    model has p = 12``.  A rank-0 model has no shape and passes.
     """
-    for flag, path, model in models:
+    truth_name, truth_model = truth
+    if not truth_model.rank:
+        raise ValueError(f"{truth_name} has no layers; it needs at least one")
+
+    def width(name, M):
+        return np.shape(M)[1], f"{name} has {np.shape(M)[1]} columns"
+
+    q = truth_model.layers[0].v.size
+    ref = {"p": width(*x), "q": width(*y) if y else (q, f"{truth_name} has q = {q}")}
+    for name, model in (*models, truth):
         for lay in model.layers:
             for dim, size in (("p", lay.u.size), ("q", lay.v.size)):
-                want, source = ref.get(dim, (size, None))
+                want, source = ref[dim]
                 if size != want:
-                    raise ValueError(f"{source}, but {flag} {path} has {dim} = {size}")
-
-
-def _csv_width(flag, path, M):
-    """The ``_check_shapes`` entry of a matrix read from ``path``."""
-    return M.shape[1], f"{flag} {path} has {M.shape[1]} columns"
+                    raise ValueError(f"{source}, but {name} has {dim} = {size}")
 
 
 def _cmd_simulate(opts):
@@ -471,12 +453,10 @@ def _read_xy(opts, times):
     if not opts["x"] or not opts["y"]:
         raise SystemExit("--x and --y are required")
     with _stage(times, "read_x"):
-        X, _ = _read_csv("--x", opts["x"])
+        X, _ = _read_input("--x", opts["x"], read_matrix_csv)
     with _stage(times, "read_y"):
-        Y, mask = _read_csv("--y", opts["y"], allow_missing=True)
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError(f"--x {opts['x']} has {X.shape[0]} rows,"
-                         f" but --y {opts['y']} has {Y.shape[0]}")
+        Y, mask = _read_input("--y", opts["y"], read_matrix_csv, allow_missing=True)
+    check_xy(X, Y, mask, names=(f"--x {opts['x']}", f"--y {opts['y']}"))
     return X, Y, mask
 
 
@@ -491,9 +471,8 @@ def _cmd_fit(opts):
     truth_model = None
     if opts["truth"]:
         truth_model = _load_truth(opts["truth"])
-        _check_shapes({"p": _csv_width("--x", opts["x"], X),
-                       "q": _csv_width("--y", opts["y"], Y)},
-                      [("--truth", opts["truth"], truth_model)])
+        _check_layers((f"--x {opts['x']}", X), (f"--truth {opts['truth']}", truth_model),
+                      y=(f"--y {opts['y']}", Y))
     with _stage(times, "fit"):
         model = fit_method(X, Y, mask, opts["method"], opts)
     with _stage(times, "write"):
@@ -529,11 +508,10 @@ def _cmd_eval(opts):
             raise SystemExit("--model-json, --truth and --x are required")
     model, _ = _read_input("--model-json", opts["model_json"], load_factor_model)
     truth_model = _load_truth(opts["truth"])
-    X, _ = _read_csv("--x", opts["x"])
-    q = truth_model.layers[0].v.size
-    ref = {"p": _csv_width("--x", opts["x"], X), "q": (q, f"--truth {opts['truth']} has q = {q}")}
-    _check_shapes(ref, [("--model-json", opts["model_json"], model),
-                        ("--truth", opts["truth"], truth_model)])
+    X, _ = _read_input("--x", opts["x"], read_matrix_csv)
+    check_finite(X, f"--x {opts['x']}")
+    _check_layers((f"--x {opts['x']}", X), (f"--truth {opts['truth']}", truth_model),
+                  [(f"--model-json {opts['model_json']}", model)])
     report = score_model(model, truth_model, X)
     _write_report(os.path.join(out, "report.csv"), report)
     return 0

@@ -60,6 +60,29 @@ def _as_float_matrix(a, name):
     return a
 
 
+def check_finite(M, name, observed=None):
+    """Raise one ValueError line naming the first cell of ``M`` that must
+    hold a value (any cell, or one that ``observed`` marks) and is not
+    finite: ``X: row 4, column 3 is not finite (nan)``.  Rows and columns
+    count from 1."""
+    ok = np.isfinite(M)
+    if observed is not None:
+        ok |= ~observed
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        raise ValueError(f"{name}: row {i + 1}, column {j + 1} is not finite ({M[i, j]})")
+
+
+def check_xy(X, Y, mask, names=("X", "Y")):
+    """Raise one ValueError line unless X and Y have the same rows and every
+    cell of X and every observed cell of Y is finite; ``names`` name the two
+    in it: ``X has 5 rows, but Y has 6``."""
+    if X.shape[0] != Y.shape[0]:
+        raise ValueError(f"{names[0]} has {X.shape[0]} rows, but {names[1]} has {Y.shape[0]}")
+    check_finite(X, names[0])
+    check_finite(Y, names[1], mask)
+
+
 @dataclass(frozen=True)
 class ProblemData:
     """A regression problem: design X (n x p), response Y (n x q).
@@ -77,13 +100,6 @@ class ProblemData:
     def __post_init__(self):
         X = _as_float_matrix(self.X, "X")
         Y = _as_float_matrix(self.Y, "Y")
-        if X.shape[0] != Y.shape[0]:
-            raise ValueError(
-                f"X and Y must have the same number of rows, "
-                f"got {X.shape[0]} and {Y.shape[0]}"
-            )
-        if not np.all(np.isfinite(X)):
-            raise ValueError("X contains non-finite entries")
         mask = self.mask
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
@@ -93,12 +109,7 @@ class ProblemData:
                 )
             if mask.all():
                 mask = None  # all-true mask is the same problem as no mask
-        if mask is None:
-            if not np.all(np.isfinite(Y)):
-                raise ValueError("Y contains non-finite entries but no mask")
-        else:
-            if not np.all(np.isfinite(Y[mask])):
-                raise ValueError("Y contains non-finite entries at observed positions")
+        check_xy(X, Y, mask)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "mask", mask)

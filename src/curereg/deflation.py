@@ -52,7 +52,6 @@ __all__ = [
     "deflate",
     "sequential_pursuit",
     "parallel_pursuit",
-    "orthogonality_diagnostics",
 ]
 
 STRATEGIES = ("sequential", "parallel")
@@ -278,16 +277,3 @@ def parallel_pursuit(problem, cfg):
             continue
         layers.append(renormalize_factor(fac, NormMode.PORTH, X))
     return FactorModel(tuple(layers))
-
-
-def orthogonality_diagnostics(model, X):
-    """Gram matrices of the fitted loadings in the predictor metric.
-
-    Returns ``((XU)^T XU / n, V^T V)``; both are the identity for an exact
-    predictor-metric SVD, and their off-diagonal mass measures how far a
-    deflated fit drifts from orthogonality.
-    """
-    U = model.stacked_u()
-    V = model.stacked_v()
-    XU = X @ U
-    return XU.T @ XU / X.shape[0], V.T @ V

@@ -72,11 +72,11 @@ def test_simulate_fit_eval_pipeline(tmp_path):
     assert doc["method"] == "rrr"
     assert model.rank == 1
 
-    header, row = (fit_dir / "report.csv").read_text().splitlines()
+    header, row = (fit_dir / "report.csv").read_text(encoding="utf-8").splitlines()
     assert header.split(",")[0] == "er_c"
     er_c = float(row.split(",")[0])
     assert np.isfinite(er_c) and er_c >= 0.0
-    assert (fit_dir / "timing.csv").read_text().startswith("stage,seconds\nfit,")
+    assert (fit_dir / "timing.csv").read_text(encoding="utf-8").startswith("stage,seconds\nfit,")
 
     eval_dir = tmp_path / "eval"
     assert run("eval", "--model-json", fit_dir / "model.json", "--truth", truth,
@@ -85,7 +85,7 @@ def test_simulate_fit_eval_pipeline(tmp_path):
 
 
 def _timing_rows(path):
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "stage,seconds"
     rows = [line.split(",") for line in lines[1:]]
     assert all(float(sec) >= 0.0 for _, sec in rows)
@@ -114,7 +114,7 @@ def test_fit_zero_response_writes_zero_model(tmp_path):
     assert code == 0
     model, _ = load_factor_model(tmp_path / "model.json")
     assert model.rank == 0
-    row = (tmp_path / "report.csv").read_text().splitlines()[1]
+    row = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()[1]
     assert row == "NA,NA,NA,NA,0,0,0,0"
 
 
@@ -130,7 +130,7 @@ def test_a_zero_model_report_scores_the_truth(tmp_path):
                    "--out-dir", tmp_path / "fit") == 0
     model, _ = load_factor_model(tmp_path / "fit" / "model.json")
     assert model.rank == 0
-    header, row = (tmp_path / "fit" / "report.csv").read_text().splitlines()
+    header, row = (tmp_path / "fit" / "report.csv").read_text(encoding="utf-8").splitlines()
     report = dict(zip(header.split(","), row.split(",")))
     C_star = load_factor_model(truth)[0].to_matrix()
     assert float(report["er_c"]) == pytest.approx(np.mean(C_star ** 2), rel=0, abs=1e-12)
@@ -211,7 +211,7 @@ def test_fit_defaults_are_filled_at_import():
             "m = cli.fit_method(t.X, t.Y, None, 'seqstl', "
             "{**cli._DEFAULTS['fit'], 'rank': 2}); print(m.rank)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "2"
 
@@ -522,7 +522,7 @@ def test_paths_command_accepts_missing_entries(tmp_path):
     assert run("paths", "--x", x, "--y", tmp_path / "Ymiss.csv",
                "--epsilon", "0.5", "--max-steps", "30", "--criterion", "none",
                "--out-dir", tmp_path) == 0
-    lines = (tmp_path / "path.jsonl").read_text().splitlines()
+    lines = (tmp_path / "path.jsonl").read_text(encoding="utf-8").splitlines()
     assert 0 < len(lines) <= 31
     assert json.loads(lines[0])["t"] == 0
 
@@ -570,7 +570,7 @@ def modules_loaded_after(code, *watch):
             f"print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
             f" or m in {watch!r}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -675,13 +675,13 @@ def test_benchmark_rerun_is_byte_identical(tmp_path):
 
 def test_malformed_csv_reports_location(tmp_path, capsys):
     write_matrix_csv(tmp_path / "X.csv", np.eye(3))
-    (tmp_path / "ragged.csv").write_text("1,2\n3\n4,5\n")
+    (tmp_path / "ragged.csv").write_text("1,2\n3\n4,5\n", encoding="utf-8")
     code = run("fit", "--x", tmp_path / "X.csv", "--y", tmp_path / "ragged.csv",
                "--method", "rrr", "--rank", 1, "--out-dir", tmp_path)
     assert code == 1
     assert "line 2" in capsys.readouterr().err
 
-    (tmp_path / "bad.csv").write_text("1,2\n3,oops\n4,5\n")
+    (tmp_path / "bad.csv").write_text("1,2\n3,oops\n4,5\n", encoding="utf-8")
     code = run("fit", "--x", tmp_path / "bad.csv", "--y", tmp_path / "X.csv",
                "--method", "rrr", "--rank", 1, "--out-dir", tmp_path)
     assert code == 1
@@ -785,17 +785,17 @@ def test_fit_method_raises_value_error_for_bad_requests():
 def test_malformed_json_inputs_give_one_line_errors(tmp_path, capsys):
     x, y, truth = simulate_into(tmp_path)
     bad_model = tmp_path / "model.json"
-    bad_model.write_text(json.dumps({"rank": 1}))
+    bad_model.write_text(json.dumps({"rank": 1}), encoding="utf-8")
     assert run("eval", "--model-json", bad_model, "--truth", truth, "--x", x,
                "--out-dir", tmp_path / "eval") == 1
     err = capsys.readouterr().err
     assert err.startswith("curereg eval: ") and "'layers'" in err
     assert len(err.splitlines()) == 1
 
-    doc = json.loads(truth.read_text())
+    doc = json.loads(truth.read_text(encoding="utf-8"))
     del doc["sigma"]
     no_sigma = tmp_path / "no_sigma.json"
-    no_sigma.write_text(json.dumps(doc))
+    no_sigma.write_text(json.dumps(doc), encoding="utf-8")
     assert run("fit", "--x", x, "--y", y, "--method", "rrr", "--rank", 1,
                "--truth", no_sigma, "--out-dir", tmp_path / "fit") == 1
     err = capsys.readouterr().err
@@ -810,7 +810,7 @@ def test_truncated_json_names_its_file(tmp_path, capsys, command):
                "--out-dir", tmp_path / "fit") == 0
     source = tmp_path / "fit" / "model.json" if command == "eval" else truth
     cut = tmp_path / "cut.json"
-    cut.write_text(source.read_text()[:100])
+    cut.write_text(source.read_text(encoding="utf-8")[:100], encoding="utf-8")
     if command == "eval":
         args = ["--model-json", cut, "--truth", truth, "--x", x]
     else:
@@ -878,7 +878,7 @@ def test_a_truth_with_no_layers_is_rejected_before_any_work(tmp_path, capsys, co
     capsys.readouterr()
     assert run(command, *args, "--out-dir", tmp_path / "out") == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"curereg {command}: --truth {empty}: truth needs at least one layer"]
+        f"curereg {command}: --truth {empty} has no layers; it needs at least one"]
     assert os.listdir(tmp_path / "out") == []
 
 
@@ -936,12 +936,13 @@ def test_score_model_checks_every_layer_shape(tmp_path):
     truth = gen_dataset(spec)
     other = gen_dataset(replace(spec, p=12, seed=4)).factors
     mixed = FactorModel((truth.factors.layers[0], UnitRankFactor.zero(10, 9)))
-    for model, want in (
-        (other, "model layer 1 has p = 12 and q = 8, but the truth has p = 10 and q = 8"),
-        (mixed, "model layer 2 has p = 10 and q = 9, but the truth has p = 10 and q = 8"),
+    for model, X, want in (
+        (other, truth.X, "X has 10 columns, but the model has p = 12"),
+        (mixed, truth.X, "the truth has q = 8, but the model has q = 9"),
+        (truth.factors, truth.X[:, :9], "X has 9 columns, but the model has p = 10"),
     ):
         with pytest.raises(ValueError) as info:
-            score_model(model, truth.factors, truth.X)
+            score_model(model, truth.factors, X)
         assert str(info.value) == want
     # a rank-0 model carries no shape and scores as a zero of the truth's
     report = score_model(FactorModel(()), truth.factors, truth.X)
@@ -988,17 +989,17 @@ def test_a_non_finite_input_exits_1_naming_its_file(tmp_path, capsys, command, f
     source = args[flag]
     bad = tmp_path / f"bad{source.suffix}"
     if source.suffix == ".csv":  # a literal token in data row 4, column 3
-        lines = source.read_text().splitlines()
+        lines = source.read_text(encoding="utf-8").splitlines()
         cells = lines[3].split(",")
         cells[2] = token
         lines[3] = ",".join(cells)
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
         want = f"{flag} {bad}: row 4, column 3 is not finite ({float(token)})"
     else:  # json reads NaN and Infinity as numbers
-        doc = json.loads(source.read_text())
+        doc = json.loads(source.read_text(encoding="utf-8"))
         doc["layers"][0]["u"][2] = float(token)
-        bad.write_text(json.dumps(doc))
-        assert token in bad.read_text()
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert token in bad.read_text(encoding="utf-8")
         want = f"{flag} {bad}: layer 1: entry 3 of u is not finite ({float(token)})"
     args[flag] = bad
     out = tmp_path / "out"
@@ -1019,7 +1020,7 @@ def test_a_bad_model_layer_is_named_with_its_flag_and_file(tmp_path, capsys, edi
     x, y, truth = simulate_into(tmp_path / "sim")
     assert run("fit", "--x", x, "--y", y, "--method", "rrr", "--rank", 2,
                "--out-dir", tmp_path / "fit") == 0
-    doc = json.loads((tmp_path / "fit" / "model.json").read_text())
+    doc = json.loads((tmp_path / "fit" / "model.json").read_text(encoding="utf-8"))
     layer = doc["layers"][1]
     for key, value in edit.items():
         if value == "drop":
@@ -1027,7 +1028,7 @@ def test_a_bad_model_layer_is_named_with_its_flag_and_file(tmp_path, capsys, edi
         else:
             layer[key] = value
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
     capsys.readouterr()
     assert run("eval", "--model-json", bad, "--truth", truth, "--x", x, "--out-dir", out) == 1
@@ -1069,7 +1070,7 @@ def test_a_byte_order_mark_on_every_input_changes_no_output(tmp_path):
     # Spreadsheets start a "CSV UTF-8" export with one.
     x, y, truth = simulate_into(tmp_path / "plain", n=30)
     cfg = tmp_path / "plain" / "cfg.json"
-    cfg.write_text(json.dumps({"method": "seqstl", "rank": 1, "max_steps": 200}))
+    cfg.write_text(json.dumps({"method": "seqstl", "rank": 1, "max_steps": 200}), encoding="utf-8")
     assert run("fit", "--x", x, "--y", y, "--method", "rrr", "--rank", 1,
                "--out-dir", tmp_path / "model") == 0
     assert run("paths", "--x", x, "--y", y, "--max-steps", 20,
@@ -1120,7 +1121,7 @@ def test_inputs_can_be_pipes(tmp_path):
             [sys.executable, "-m", "curereg", "fit", "--x", f"/dev/fd/{reads[0]}",
              "--y", f"/dev/fd/{reads[1]}", *args, "--out-dir", str(out)],
             pass_fds=reads, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True) as proc:
+            text=True, encoding="utf-8") as proc:
         for r in reads:
             os.close(r)
         writers = [threading.Thread(target=_feed, args=(w, path.read_bytes()), daemon=True)
@@ -1233,7 +1234,7 @@ def test_seeded_cli_fuzz_gives_valid_artifacts_or_one_line_naming_a_file(
         if command == "paths":
             assert [step["t"] for step in read_path_jsonl(out / "path.jsonl")][0] == 0
         if command != "paths":
-            header, row = (out / "report.csv").read_text().splitlines()
+            header, row = (out / "report.csv").read_text(encoding="utf-8").splitlines()
             assert header.split(",") == EvalReport.csv_header()
             assert len(row.split(",")) == len(header.split(","))
     else:
@@ -1292,25 +1293,25 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfg.write_text(json.dumps(
         {"epsilon": 0.25, "criterion": "none", "max_steps": 5,
          "out_dir": str(tmp_path / "from_config")}
-    ))
+    ), encoding="utf-8")
     assert run("paths", "--x", x, "--y", y, "--config", cfg) == 0
     rec = json.loads(
-        (tmp_path / "from_config" / "path.jsonl").read_text().splitlines()[0]
+        (tmp_path / "from_config" / "path.jsonl").read_text(encoding="utf-8").splitlines()[0]
     )
     assert rec["d"] == 0.25  # the first step moves one entry by epsilon
 
     override_dir = tmp_path / "from_flag"
     assert run("paths", "--x", x, "--y", y, "--config", cfg,
                "--epsilon", "0.75", "--out-dir", override_dir) == 0
-    rec = json.loads((override_dir / "path.jsonl").read_text().splitlines()[0])
+    rec = json.loads((override_dir / "path.jsonl").read_text(encoding="utf-8").splitlines()[0])
     assert rec["d"] == 0.75
 
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"no_such_option": 1}))
+    bad.write_text(json.dumps({"no_such_option": 1}), encoding="utf-8")
     with pytest.raises(SystemExit, match="unknown option"):
         run("paths", "--x", x, "--y", y, "--config", bad)
     notdict = tmp_path / "list.json"
-    notdict.write_text("[1, 2]")
+    notdict.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(SystemExit, match="JSON object"):
         run("paths", "--x", x, "--y", y, "--config", notdict)
 
@@ -1330,7 +1331,7 @@ def test_config_values_meet_the_flags_checks(tmp_path, capsys, doc, same_as, err
     x, y, _ = simulate_into(tmp_path / "sim")
     cfg = tmp_path / "cfg.json"
     if doc is not None:
-        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     base = ["fit", "--x", x, "--y", y, "--method", "seqstl"]
     try:
         code = run(*base, "--config", cfg, "--out-dir", tmp_path / "cfg")
@@ -1390,7 +1391,7 @@ def test_fit_ignores_a_cure_threads_variable(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "curereg", "fit", "--x", str(x), "--y", str(y),
              "--method", "seqstl", "--rank", "1", "--out-dir", str(out)],
-            capture_output=True, text=True, timeout=120, env={**env, **extra},
+            capture_output=True, text=True, timeout=120, env={**env, **extra}, encoding="utf-8",
         )
         assert proc.returncode == 0, proc.stderr
         models.append((out / "model.json").read_bytes())
@@ -1402,7 +1403,7 @@ def test_no_module_reads_the_environment():
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
-        with open(os.path.join(package, name)) as fh:
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), name)
         used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         used |= {alias.name for node in ast.walk(tree)
@@ -1487,7 +1488,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "curereg", "simulate", "--model", "II",
          "--n", "12", "--p", "8", "--q", "6", "--r-star", "2",
          "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, encoding="utf-8",
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "X.csv").exists()

@@ -97,6 +97,34 @@ def test_problem_rejects_bad_shapes():
         ProblemData(X, rng.standard_normal((4, 2)))
 
 
+def test_problem_names_both_row_counts():
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError) as info:
+        ProblemData(rng.standard_normal((5, 2)), rng.standard_normal((6, 2)))
+    assert str(info.value) == "X has 5 rows, but Y has 6"
+
+
+@pytest.mark.parametrize("role, row, col, value, hidden", [
+    pytest.param("X", 3, 2, np.nan, None, id="x_nan"),
+    pytest.param("Y", 1, 0, -np.inf, None, id="y_inf"),
+    pytest.param("X", 2, 0, np.inf, (4, 1), id="x_inf_masked"),
+    pytest.param("Y", 4, 1, np.nan, (0, 1), id="y_observed_nan_masked"),
+])
+def test_problem_names_the_first_non_finite_cell(role, row, col, value, hidden):
+    rng = np.random.default_rng(6)
+    data = {"X": rng.standard_normal((6, 3)), "Y": rng.standard_normal((6, 2))}
+    mask = None
+    if hidden is not None:  # a NaN at an unobserved cell of Y is not named
+        mask = np.ones((6, 2), dtype=bool)
+        mask[hidden] = False
+        data["Y"][hidden] = np.nan
+    data[role][row, col] = value
+    data[role][-1, -1] = np.nan  # nor is a later bad cell
+    with pytest.raises(ValueError) as info:
+        ProblemData(data["X"], data["Y"], mask)
+    assert str(info.value) == f"{role}: row {row + 1}, column {col + 1} is not finite ({value})"
+
+
 # ---------------------------------------------------------------------------
 # eval_loss / eval_penalty / residual
 

@@ -16,5 +16,5 @@ def test_demo_exits_0(script, tmp_path):
     path = ROOT / "demos" / script
     command = ["sh", path] if script.endswith(".sh") else [sys.executable, path]
     proc = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr

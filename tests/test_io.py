@@ -60,7 +60,7 @@ def test_masked_round_trip(tmp_path):
     keep = rng.random((6, 5)) > 0.3
     path = tmp_path / "y.csv"
     write_matrix_csv(path, M, mask=keep)
-    assert "NA" in path.read_text()
+    assert "NA" in path.read_text(encoding="utf-8")
     back, observed = read_matrix_csv(path, allow_missing=True)
     np.testing.assert_array_equal(observed, keep)
     np.testing.assert_array_equal(back[keep], M[keep])
@@ -79,39 +79,39 @@ def test_nan_entries_written_as_na(tmp_path):
 
 def test_header_row_is_skipped(tmp_path):
     path = tmp_path / "h.csv"
-    path.write_text("a,b\n1.5,2.5\n")
+    path.write_text("a,b\n1.5,2.5\n", encoding="utf-8")
     back, _ = read_matrix_csv(path)
     np.testing.assert_array_equal(back, [[1.5, 2.5]])
     # an all-numeric first row is data, not a header
     path2 = tmp_path / "nh.csv"
-    path2.write_text("1,2\n3,4\n")
+    path2.write_text("1,2\n3,4\n", encoding="utf-8")
     back2, _ = read_matrix_csv(path2)
     assert back2.shape == (2, 2)
 
 
 def test_malformed_csv_errors_name_the_location(tmp_path):
     ragged = tmp_path / "ragged.csv"
-    ragged.write_text("1,2,3\n4,5\n")
+    ragged.write_text("1,2,3\n4,5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2 has 2 columns"):
         read_matrix_csv(ragged)
 
     bad = tmp_path / "bad.csv"
-    bad.write_text("1,2\n3,oops\n")
+    bad.write_text("1,2\n3,oops\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"line 2, column 2.*'oops'"):
         read_matrix_csv(bad)
 
     na = tmp_path / "na.csv"
-    na.write_text("1,NA\n")
+    na.write_text("1,NA\n", encoding="utf-8")
     with pytest.raises(ValueError, match="NA not allowed"):
         read_matrix_csv(na, allow_missing=False)
 
     empty = tmp_path / "empty.csv"
-    empty.write_text("\n\n")
+    empty.write_text("\n\n", encoding="utf-8")
     with pytest.raises(ValueError, match="empty matrix"):
         read_matrix_csv(empty)
 
     header_only = tmp_path / "ho.csv"
-    header_only.write_text("a,b\n")
+    header_only.write_text("a,b\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no data rows"):
         read_matrix_csv(header_only)
 
@@ -133,7 +133,7 @@ def test_fast_row_parse_matches_cell_parser(tmp_path):
                 cells.append(pads[rng.integers(4)] + tok + pads[rng.integers(4)])
             lines.append(",".join(cells))
         path = tmp_path / f"t{trial}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         got, observed = read_matrix_csv(path, allow_missing=True)
         want = np.empty((n, m))
         want_obs = np.ones((n, m), dtype=bool)
@@ -282,18 +282,18 @@ def test_reader_memory_does_not_hold_the_text(tmp_path, masked):
 
 def test_csv_errors_name_the_physical_line(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("1,2\n\n\n3,x\n")
+    bad.write_text("1,2\n\n\n3,x\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"line 4, column 2.*'x'"):
         read_matrix_csv(bad)
     ragged = tmp_path / "ragged.csv"
-    ragged.write_text("a,b\n\n1,2\n3\n")
+    ragged.write_text("a,b\n\n1,2\n3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 4 has 1 columns"):
         read_matrix_csv(ragged)
 
 
 def reference_write_matrix_csv(path, M, mask=None):
     """The cell-by-cell writer: NA for masked or NaN cells, else 17 digits."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for i in range(M.shape[0]):
             cells = []
             for j in range(M.shape[1]):
@@ -493,9 +493,9 @@ def test_writer_memory_does_not_grow_with_rows(tmp_path):
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = tmp_path / "out.txt"
     atomic_write_text(path, "hello\n")
-    assert path.read_text() == "hello\n"
+    assert path.read_text(encoding="utf-8") == "hello\n"
     atomic_write_text(path, "replaced\n")
-    assert path.read_text() == "replaced\n"
+    assert path.read_text(encoding="utf-8") == "replaced\n"
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
@@ -567,7 +567,7 @@ def test_path_jsonl_records_every_step(tmp_path):
     )
     out = tmp_path / "path.jsonl"
     write_path_jsonl(out, path_obj)
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == len(path_obj.steps)
     for rec, step in zip(read_path_jsonl(out), path_obj.steps):
         assert rec["t"] == step.t
@@ -592,13 +592,13 @@ def test_path_jsonl_without_criterion(tmp_path):
     )
     out = tmp_path / "path.jsonl"
     write_path_jsonl(out, path_obj)
-    rec = json.loads(out.read_text().splitlines()[0])
+    rec = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
     assert rec["criterion"] is None
 
 
 def reference_write_path_jsonl(path, sw_path):
     """The dense writer: ``json.dumps`` of each step's ``factor``."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for step in sw_path.steps:
             factor = step.factor
             rec = {
@@ -626,7 +626,7 @@ def assert_path_files_equal(tmp_path, path_obj):
     write_path_jsonl(got, path_obj)
     reference_write_path_jsonl(want, path_obj)
     expanded = "".join(json.dumps(rec) + "\n" for rec in read_path_jsonl(got))
-    assert expanded == want.read_text()
+    assert expanded == want.read_text(encoding="utf-8")
     return want
 
 
@@ -646,7 +646,7 @@ def test_path_writer_matches_dense_writer(tmp_path, masked, criterion):
     assert len(path_obj.steps) > 10
     want = assert_path_files_equal(tmp_path, path_obj)
     if criterion == "none":
-        assert "\"criterion\": null" in want.read_text()
+        assert "\"criterion\": null" in want.read_text(encoding="utf-8")
 
 
 def test_path_writer_matches_dense_writer_through_zero_and_specials(tmp_path):
@@ -671,9 +671,9 @@ def test_path_writer_matches_dense_writer_through_zero_and_specials(tmp_path):
     ]
     path_obj = StagewisePath(steps=steps[:3] + edited + steps[7:])
     want = assert_path_files_equal(tmp_path, path_obj)
-    line = (tmp_path / "got.jsonl").read_text().splitlines()[6]
+    line = (tmp_path / "got.jsonl").read_text(encoding="utf-8").splitlines()[6]
     assert '"duv": [[' in line and "1e-320" in line
-    text = want.read_text()
+    text = want.read_text(encoding="utf-8")
     assert '"d": 0.0, "u_nonzeros": [], "v_nonzeros": []' in text
     assert "Infinity" in text and "NaN" in text
     bad = StagewisePath(steps=[dataclasses.replace(steps[1], d=float("nan"))])
@@ -685,7 +685,7 @@ def test_path_writer_matches_dense_writer_through_zero_and_specials(tmp_path):
 def test_path_expansion_matches_dense_writer_on_a_long_path(tmp_path):
     path_obj = small_path(9, n=30, p=40, q=30, steps=400)
     want = assert_path_files_equal(tmp_path, path_obj)
-    lines = (tmp_path / "got.jsonl").read_text().splitlines()
+    lines = (tmp_path / "got.jsonl").read_text(encoding="utf-8").splitlines()
     moves = sum('"set": ' in line for line in lines)
     assert len(lines) == 401 and moves > 350
     assert (tmp_path / "got.jsonl").stat().st_size < want.stat().st_size / 2
@@ -696,7 +696,7 @@ def _edited_dump(tmp_path, line_no, edit):
     (a dict to edit in place, or a function of the text)."""
     path = tmp_path / "path.jsonl"
     write_path_jsonl(path, small_path(7))
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert '"duv": ' in lines[0] and '"set": ' in lines[2]
     if isinstance(edit, dict):
         rec = json.loads(lines[line_no - 1])
@@ -708,7 +708,7 @@ def _edited_dump(tmp_path, line_no, edit):
         lines[line_no - 1] = json.dumps(rec)
     else:
         lines[line_no - 1] = edit(lines[line_no - 1])
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 

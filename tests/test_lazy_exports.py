@@ -13,7 +13,7 @@ def test_names_resolve_on_first_use():
         "print(set(curereg.__all__) <= set(dir(curereg)), hasattr(curereg, 'bogus'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     bare, after_run_path, resolved, listed = proc.stdout.splitlines()
     assert bare == "[]"
