@@ -27,8 +27,8 @@ _EXPORTS = {
     ),
     "core": (
         "FactorModel", "NormMode", "ProblemData", "UnitRankFactor",
-        "column_normalize", "eval_loss", "eval_penalty", "hard_threshold_layer",
-        "p_orthogonal_svd", "renormalize_factor", "rescale_factor_rows", "residual",
+        "column_normalize", "hard_threshold_layer", "p_orthogonal_svd",
+        "renormalize_factor", "rescale_factor_rows", "residual",
     ),
     "deflation": (
         "DeflationConfig", "deflate", "parallel_pursuit", "sequential_pursuit",

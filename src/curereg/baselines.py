@@ -351,10 +351,11 @@ def lasso_gic_path(problem, grid=None, criterion="gic", *, _whole_grid=False):
 class AcsConfig:
     """Controls for the alternating solver.
 
-    ``lambda_grid`` is only consumed by path/deflation drivers; a single
-    call works at one penalty level.  The starting point is the rank-1
-    layer of a ridge-OLS fit unless a factor is passed.  The stopping rule
-    is the module constants ``ACS_TOL`` and ``ACS_MAX_ITERS``.
+    ``lambda_grid`` is only read by deflation, which falls back to
+    :func:`default_lambda_grid`; a single call works at one penalty level.
+    The starting point is the rank-1 layer of a ridge-OLS fit unless a
+    factor is passed.  The stopping rule is the module constants
+    ``ACS_TOL`` and ``ACS_MAX_ITERS``.
     """
 
     lambda_grid: np.ndarray | None = None
@@ -516,7 +517,7 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
     return (result, trace) if return_trace else result
 
 
-def acs_path(problem, grid=None, config=None, stop=None):
+def acs_path(problem, grid, config=None, stop=None):
     """Warm-started alternating solves down a decreasing penalty grid.
 
     Returns a list of ``(lam, factor)``; a zero factor at one level does not
@@ -525,13 +526,11 @@ def acs_path(problem, grid=None, config=None, stop=None):
     is called with each level's factor as soon as it is solved, and the path
     ends after the first level on which it returns True; deflation passes
     the update of a :class:`~curereg.tuning.GridScan`, so selection happens
-    in the same pass.  Without it the whole grid is solved.  An explicit
-    grid must be 1-d, nonempty, finite and strictly decreasing.
+    in the same pass.  Without it the whole grid is solved.  The grid must
+    be 1-d, nonempty, finite and strictly decreasing.
     """
     config = config or AcsConfig()
-    if grid is None:
-        grid = config.lambda_grid
-    grid = default_lambda_grid(problem) if grid is None else _penalty_grid(grid, "grid")
+    grid = _penalty_grid(grid, "grid")
     cold = svd_of_ols_factor(problem)
     warm = None
     out = []

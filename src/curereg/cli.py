@@ -142,8 +142,6 @@ def _add_path_flags(parser, defaults):
     """The stagewise path settings; their defaults are StagewiseConfig's."""
     _opt(parser, defaults, "--epsilon", default=StagewiseConfig.epsilon, type=float,
          help="stagewise step size")
-    _opt(parser, defaults, "--xi", type=float,
-         help="stagewise slack; default 1e-6 * epsilon^2")
     _opt(parser, defaults, "--mu", default=StagewiseConfig.mu, type=float,
          help="ridge weight")
     _opt(parser, defaults, "--max-steps", default=StagewiseConfig.max_steps,

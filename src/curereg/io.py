@@ -555,7 +555,7 @@ def read_path_jsonl(path):
                     (i, x), r = rec["set"], rec["scale"]
                     log.append((_index(i, p + q), _finite(x, "set"), _finite(r, "scale")))
                 d = float(rec["d"])
-                if not math.isfinite(d):
+                if not 0.0 <= d < math.inf:
                     raise ValueError(f"d must be a finite nonnegative scalar, got {d}")
                 out = {key: [] if key.endswith("nonzeros") else rec[key] for key in (
                     "t", "lambda", "move", "d", "u_nonzeros", "v_nonzeros", "loss",

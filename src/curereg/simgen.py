@@ -65,21 +65,19 @@ class SimSpec:
             raise ValueError("rho must lie in (-1, 1)")
         if self.r_star < 1:
             raise ValueError("r_star must be at least 1")
+        # Each rule below also keeps r_star within min(p, q).
         if self.model == "I":
             if self.r_star != 1:
                 raise ValueError("model I is unit rank; r_star must be 1")
             if self.p < 16 or self.q < 25:
                 raise ValueError("model I needs p >= 16 and q >= 25")
+        elif self.s_u < 1 or self.s_v < 1:
+            raise ValueError("support sizes must be positive")
         elif self.model == "II":
-            if self.s_u < 1 or self.s_v < 1:
-                raise ValueError("support sizes must be positive")
             if self.s_u + self.r_star - 1 > self.p or self.s_v + self.r_star - 1 > self.q:
                 raise ValueError("staggered supports exceed the dimensions")
-        else:
-            if self.r_star * self.s_u > self.p or self.r_star * self.s_v > self.q:
-                raise ValueError("disjoint supports exceed the dimensions")
-        if self.r_star > min(self.p, self.q):
-            raise ValueError("r_star cannot exceed min(p, q)")
+        elif self.r_star * self.s_u > self.p or self.r_star * self.s_v > self.q:
+            raise ValueError("disjoint supports exceed the dimensions")
 
 
 @dataclass(frozen=True)

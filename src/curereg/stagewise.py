@@ -97,6 +97,9 @@ SNAP_TOL = 1e-12
 SMALLEST = math.ulp(0.0)
 FORWARD_TIE_TOL = 1e-12
 RECOMPUTE_EVERY = 1000
+# The slack xi of the backward test and the lambda update is this share of
+# epsilon squared, so it follows the step size.
+XI_SHARE = 1e-6
 # A path with a criterion stops once it has not improved for this many
 # steps; read by each path as it starts.
 EARLY_STOP_WINDOW = 300
@@ -117,16 +120,14 @@ class StagewiseConfig:
     """Knobs for the path solver.
 
     ``epsilon`` must exceed ``SNAP_TOL``, below which a move off zero would
-    be snapped back to zero.  ``xi`` defaults to ``1e-6 * epsilon**2`` when
-    left as None; it must stay well below ``epsilon * lam`` scales or every
-    move would be rejected.  ``criterion`` selects the per-step information
-    criterion used for early stopping and path selection ("none" disables
-    both).  ``max_steps`` is the one per-call step budget; the early-stop
-    window is the module constant ``EARLY_STOP_WINDOW``.
+    be snapped back to zero; the slack xi is ``XI_SHARE * epsilon**2``.
+    ``criterion`` selects the per-step information criterion used for early
+    stopping and path selection ("none" disables both).  ``max_steps`` is
+    the one per-call step budget; the early-stop window is the module
+    constant ``EARLY_STOP_WINDOW``.
     """
 
     epsilon: float = 1.0
-    xi: float | None = None
     mu: float = 1e-4
     max_steps: int = 100_000
     criterion: str = "gic"
@@ -138,22 +139,16 @@ class StagewiseConfig:
             raise ValueError(f"epsilon {self.epsilon} is too small:"
                              f" it must exceed the snap tolerance {SNAP_TOL}")
         try:
-            self.epsilon ** 2  # as xi_resolved and the engine square it
+            self.epsilon ** 2  # as the engine squares it
         except OverflowError:
             raise ValueError(f"epsilon {self.epsilon} is too large:"
                              " its square overflows") from None
-        if self.xi is not None and not 0 <= self.xi < math.inf:
-            raise ValueError("xi must be finite and nonnegative")
         if not 0 <= self.mu < math.inf:
             raise ValueError("mu must be finite and nonnegative")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
-
-    @property
-    def xi_resolved(self):
-        return 1e-6 * self.epsilon ** 2 if self.xi is None else self.xi
 
 
 def _cols(*values):
@@ -538,7 +533,7 @@ class _Rows:
         # Constants of every path, spelled as their formulas spell them; the
         # scans take 0-d arrays, which numpy reads faster than Python floats.
         eps, mu = config.epsilon, config.mu
-        self.eps, self.mu, self.xi = eps, mu, config.xi_resolved
+        self.eps, self.mu, self.xi = eps, mu, XI_SHARE * eps ** 2
         self.c, self.half_mu = 0.5 * mu * eps ** 2, 0.5 * mu
         self._scan = tuple(np.array(x) for x in (
             eps, mu, mu * eps, self.c, max(eps - SNAP_TOL, SMALLEST), math.inf))
@@ -642,8 +637,6 @@ def _best_shrinks(rows, pr):
     dl = np.where(ax >= shrink_min, dl, inf)
     # du candidates come first, so du wins ties
     if B == 1:
-        if not dl.size:
-            return [(0, math.inf)]
         i = int(dl.argmin())
         return [(nz.item(i), dl.item(i))]
     first = dl.argmin(axis=1)
@@ -815,8 +808,8 @@ def _start(problems, config):
         j, k, s, lam0, G_jk, quad_jk = _init_search(engine, b, eps, rows.mu)
         if xi >= eps * max(lam0, 1.0):
             raise ValueError(
-                f"xi={xi} is too large for epsilon={eps} at lam0={lam0}; "
-                "every move would be rejected"
+                f"epsilon {eps} is too large at lam0={lam0}: its slack"
+                f" xi={xi} would reject every move"
             )
         state = StagewiseState(rows, b, config, lam0, problem.n_observed)
         rows.states.append(state)

@@ -29,8 +29,6 @@ from curereg.core import (
     ProblemData,
     UnitRankFactor,
     column_normalize,
-    eval_loss,
-    eval_penalty,
     p_orthogonal_svd,
     rescale_factor_rows,
 )
@@ -46,6 +44,7 @@ from curereg.stagewise import (
     select_on_path,
 )
 from curereg.tuning import information_criterion
+from oracles import eval_loss, eval_penalty
 
 MU = 1e-4
 STEP_SIZES = (2.0, 1.0, 0.5, 0.1)
@@ -181,7 +180,7 @@ def test_criterion_2_objective_bookkeeping(convergence_runs):
     _, paths, _ = convergence_runs
     path = paths[0.5]
     eps = 0.5
-    xi = path.config.xi_resolved
+    xi = stagewise.XI_SHARE * eps ** 2
     steps = path.steps
     assert len(steps) > 100
 

@@ -23,11 +23,10 @@ from curereg.core import (
     ProblemData,
     UnitRankFactor,
     column_normalize,
-    eval_loss,
-    eval_penalty,
 )
 from curereg.simgen import SimSpec, gen_dataset
 from curereg.tuning import GRID_STOP_WINDOW, fold_indices, information_criterion
+from oracles import eval_loss, eval_penalty
 
 
 def acs_objective(prob, fac, lam, mu):
@@ -693,12 +692,28 @@ def rank1_instance(rng, n=14, p=6, q=5, noise=0.0):
     return ProblemData(X, Y), C
 
 
-def test_acs_full_shrinkage_gives_zero_factor():
+def test_acs_full_shrinkage_gives_zero_factor(monkeypatch):
     rng = np.random.default_rng(8)
     prob, _ = rank1_instance(rng, noise=0.2)
     lam_max = float(np.abs(prob.X.T @ prob.Y).max()) / prob.n
     fac = acs_cure(prob, 50 * lam_max)
     assert fac.is_zero
+    init = svd_of_ols_factor(prob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the first a-block is zero
+        fac, trace = acs_cure(prob, 50 * lam_max, return_trace=True)
+        assert fac.is_zero and fac.norm_mode == NormMode.L1 and len(trace) == 1
+        # a start whose v loading is zero
+        zero_v = UnitRankFactor(init.d, init.u, np.zeros(prob.q))
+        fac, trace = acs_cure(prob, 0.05, init=zero_v, return_trace=True)
+        assert fac.is_zero and fac.norm_mode == NormMode.L1 and trace == [0.0]
+        # After a nonzero a-block the a-block's optimality conditions put some
+        # |c_k| above the v-block's threshold, so only a stub gives a zero
+        # v-block; the factor is then zero, not divided by its zero norm.
+        monkeypatch.setattr(baselines, "_b_step", lambda *args: np.zeros(prob.q))
+        fac, trace = acs_cure(prob, 0.05, return_trace=True)
+        assert fac.is_zero and fac.norm_mode == NormMode.L1 and len(trace) == 1
 
 
 def test_acs_unpenalized_recovers_noiseless_truth():

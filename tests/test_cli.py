@@ -373,13 +373,31 @@ def test_lasso_fit_scales_with_a_small_y(scale):
     assert gap <= 1e-12 * np.linalg.norm(want)
 
 
+# The alternating search stops once its objective moves by at most ACS_TOL of
+# itself or of a floor capped at 1, so a scaled Y may stop one iteration
+# earlier or later.  Near its minimum the objective is quadratic in the
+# factor, which then lies within about sqrt(ACS_TOL) of the other stop's.
+ACS_SCALE_TOL = baselines.ACS_TOL ** 0.5
+
+
 @pytest.mark.parametrize("method", cli.METHODS)
-def test_a_rescaled_y_gives_the_rescaled_fit_or_a_warning(method):
+def test_a_rescaled_y_rescales_the_fit_but_stagewise_warns_at_extreme_scales(method):
     truth = gen_dataset(SimSpec(model="II", n=60, p=20, q=15, r_star=2, seed=1))
     opts = fit_opts(rank=2, epsilon=0.2)
+    stagewise = "stl" in method
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the Y x 1 reference fit is clean
         base = fit_method(truth.X, truth.Y, None, method, opts).to_matrix(shape=(20, 15))
+    # epsilon is absolute, so a stagewise fit of 2^+-1 or 2^+-3 times Y is a
+    # different fit (up to 12% off on this draw, with no warning): only the
+    # others are checked.
+    tol = 1e-12 if method in ("lasso", "rrr") else ACS_SCALE_TOL
+    for scale in () if stagewise else (2.0, 0.5, 8.0, 0.125):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_method(truth.X, scale * truth.Y, None, method, opts)
+        C = model.to_matrix(shape=(20, 15)) / scale
+        assert np.linalg.norm(C - base) <= tol * np.linalg.norm(base), scale
     for scale in (2.0 ** 10, 2.0 ** -10, 1e3, 1e-3):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -387,7 +405,7 @@ def test_a_rescaled_y_gives_the_rescaled_fit_or_a_warning(method):
         C = model.to_matrix(shape=(20, 15)) / scale
         rel = np.linalg.norm(C - base) / np.linalg.norm(base)
         warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
-        assert warned or rel <= 1e-6, (scale, rel)
+        assert warned if stagewise else warned or rel <= 1e-6, (scale, rel)
 
 
 @pytest.mark.parametrize("method", ["lasso", "rrr"])
@@ -897,13 +915,12 @@ def test_an_snr_that_gives_no_finite_noise_is_one_line(tmp_path, capsys, command
     assert os.listdir(tmp_path / "out") == []
 
 
-@pytest.mark.parametrize("xi", [[], ["--xi", 0]], ids=["default_xi", "xi_0"])
 @pytest.mark.parametrize("command", ["paths", "fit"])
-def test_an_epsilon_whose_square_overflows_is_one_line(tmp_path, capsys, command, xi):
+def test_an_epsilon_whose_square_overflows_is_one_line(tmp_path, capsys, command):
     x, y, _ = simulate_into(tmp_path / "sim")
     extra = ["--method", "seqstl", "--rank", 1] if command == "fit" else []
     capsys.readouterr()
-    assert run(command, "--x", x, "--y", y, "--epsilon", 1e200, *xi, *extra,
+    assert run(command, "--x", x, "--y", y, "--epsilon", 1e200, *extra,
                "--out-dir", tmp_path / "out") == 1
     assert capsys.readouterr().err.splitlines() == [
         f"curereg {command}: epsilon 1e+200 is too large: its square overflows"]
@@ -1325,8 +1342,9 @@ def test_config_file_and_flag_precedence(tmp_path):
     (None, None, "No such file"),
     ("{bad", None, "cfg.json: Expecting property name"),
     ({"rank": 1, "mu": "nan"}, None, "mu must be finite and nonnegative"),
+    ({"rank": 1, "xi": 0}, None, "unknown option(s) xi"),
 ], ids=["str-float", "str-int", "float-int", "bad-choice", "zero-threads",
-        "missing-file", "bad-json", "nan-mu"])
+        "missing-file", "bad-json", "nan-mu", "xi"])
 def test_config_values_meet_the_flags_checks(tmp_path, capsys, doc, same_as, error):
     x, y, _ = simulate_into(tmp_path / "sim")
     cfg = tmp_path / "cfg.json"
@@ -1462,7 +1480,6 @@ def test_help_documents_solver_defaults(capsys):
     assert info.value.code == 0
     text = capsys.readouterr().out
     assert "--epsilon" in text and "default: 1.0" in text
-    assert "--xi" in text
     assert "--mu" in text and "default: 0.0001" in text
 
 

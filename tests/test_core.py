@@ -10,14 +10,13 @@ from curereg.core import (
     ProblemData,
     UnitRankFactor,
     column_normalize,
-    eval_loss,
-    eval_penalty,
     hard_threshold_layer,
     p_orthogonal_svd,
     renormalize_factor,
     rescale_factor_rows,
     residual,
 )
+from oracles import eval_loss
 
 
 def random_factor(rng, p, q, mode=NormMode.RAW):
@@ -95,6 +94,9 @@ def test_problem_rejects_bad_shapes():
     X[0, 0] = np.inf
     with pytest.raises(ValueError):
         ProblemData(X, rng.standard_normal((4, 2)))
+    with pytest.raises(ValueError, match=r"^mask shape \(4, 3\) does not match Y shape \(4, 2\)$"):
+        ProblemData(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)),
+                    np.ones((4, 3), dtype=bool))
 
 
 def test_problem_names_both_row_counts():
@@ -126,81 +128,7 @@ def test_problem_names_the_first_non_finite_cell(role, row, col, value, hidden):
 
 
 # ---------------------------------------------------------------------------
-# eval_loss / eval_penalty / residual
-
-
-def test_loss_zero_model_zero_data():
-    X = np.eye(3)
-    Y = np.zeros((3, 2))
-    fac = UnitRankFactor.zero(3, 2)
-    assert eval_loss(ProblemData(X, Y), fac, mu=0.7) == 0.0
-
-
-def test_loss_zero_factor_is_scaled_response_norm():
-    X = np.sqrt(2.0) * np.eye(2)
-    Y = np.eye(2)
-    fac = UnitRankFactor.zero(2, 2)
-    # (2n)^{-1} ||Y||_F^2 with n = 2
-    assert eval_loss(ProblemData(X, Y), fac, mu=3.3) == pytest.approx(0.5, abs=1e-15)
-
-
-def loss_oracle(X, Y, mask, d, u, v, mu):
-    """Scalar-loop evaluation of the penalized squared-error loss."""
-    n, q = Y.shape
-    total = 0.0
-    for i in range(n):
-        for k in range(q):
-            if mask is not None and not mask[i, k]:
-                continue
-            fit = 0.0
-            for j in range(X.shape[1]):
-                fit += X[i, j] * d * u[j] * v[k]
-            total += (Y[i, k] - fit) ** 2
-    ridge = 0.0
-    for j in range(len(u)):
-        for k in range(len(v)):
-            ridge += (d * u[j] * v[k]) ** 2
-    return total / (2.0 * n) + 0.5 * mu * ridge
-
-
-def test_loss_matches_scalar_oracle():
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((2, 2))
-    Y = rng.standard_normal((2, 2))
-    fac = random_factor(rng, 2, 2)
-    got = eval_loss(ProblemData(X, Y), fac, mu=0.1)
-    want = loss_oracle(X, Y, None, fac.d, fac.u, fac.v, 0.1)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_loss_matches_scalar_oracle_masked():
-    rng = np.random.default_rng(5)
-    X = rng.standard_normal((6, 4))
-    Y = rng.standard_normal((6, 3))
-    mask = rng.uniform(size=(6, 3)) > 0.4
-    mask[0, 0] = True  # keep at least one observation
-    fac = random_factor(rng, 4, 3)
-    got = eval_loss(ProblemData(X, Y, mask), fac, mu=0.05)
-    want = loss_oracle(X, Y, mask, fac.d, fac.u, fac.v, 0.05)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_penalty_examples_and_oracle():
-    assert eval_penalty(UnitRankFactor.zero(3, 2), lam=5.0) == 0.0
-    fac = UnitRankFactor(2.0, np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-    assert eval_penalty(fac, lam=3.0) == pytest.approx(6.0, abs=1e-15)
-    rng = np.random.default_rng(6)
-    fac = random_factor(rng, 4, 5)
-    lam = 1.7
-    want = lam * sum(
-        abs(fac.d * fac.u[j] * fac.v[k]) for j in range(4) for k in range(5)
-    )
-    assert eval_penalty(fac, lam) == pytest.approx(want, rel=1e-12)
-
-
-def test_penalty_rejects_negative_lambda():
-    with pytest.raises(ValueError):
-        eval_penalty(UnitRankFactor.zero(2, 2), lam=-1.0)
+# residual
 
 
 def test_residual_zero_factor_is_projected_response():
@@ -230,6 +158,9 @@ def test_residual_matches_entrywise_oracle():
     # with no mask the residual is the plain difference
     R_full = residual(ProblemData(X, Y), fac)
     np.testing.assert_allclose(R_full, Y - fit, rtol=1e-14)
+    with pytest.raises(ValueError, match=r"^factor shapes u\(4,\), v\(4,\) do not match "
+                                         r"problem \(p=3, q=4\)$"):
+        residual(ProblemData(X, Y), random_factor(rng, 4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +185,10 @@ def test_porth_svd_rank_zero_is_empty():
     X = np.eye(3)
     C = np.ones((3, 2))
     assert p_orthogonal_svd(X, C, 0).rank == 0
+    with pytest.raises(ValueError, match="^r must be nonnegative$"):
+        p_orthogonal_svd(X, C, -1)
+    with pytest.raises(ValueError, match="^X and C have incompatible shapes$"):
+        p_orthogonal_svd(X, np.ones((2, 2)), 1)
 
 
 def test_porth_svd_full_rank_reconstruction():
@@ -306,6 +241,8 @@ def test_hard_threshold_examples():
     )
     np.testing.assert_allclose(hard_threshold_layer(M, 4), M)
     np.testing.assert_allclose(hard_threshold_layer(M, 99), M)
+    with pytest.raises(ValueError, match="^s must be nonnegative$"):
+        hard_threshold_layer(M, -1)
 
 
 def test_hard_threshold_matches_full_sort_oracle():
@@ -400,11 +337,15 @@ def test_renormalize_rejects_degenerate_input():
         renormalize_factor(fac, NormMode.PORTH, X)
     with pytest.raises(ValueError):
         renormalize_factor(fac, NormMode.PORTH)  # X required
+    with pytest.raises(ValueError, match="^target must be L1 or PORTH$"):
+        renormalize_factor(fac, NormMode.RAW)
 
 
 def test_zero_factor_renormalizes_to_zero():
-    out = renormalize_factor(UnitRankFactor.zero(3, 2), NormMode.L1)
+    zero = UnitRankFactor.zero(3, 2)
+    out = renormalize_factor(zero, NormMode.L1)
     assert out.is_zero
+    assert rescale_factor_rows(zero, np.array([2.0, 3.0, 4.0])) is zero
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +390,23 @@ def test_factor_validation_modes():
         bad.validate()
 
 
+@pytest.mark.parametrize("u, v, mode, X, error", [
+    ([0.0, 0.0], [1.0, 0.0], NormMode.RAW, None, "nonzero d with a zero loading vector"),
+    ([1.0, 0.0], [0.0, 0.0], NormMode.L1, None, "nonzero d with a zero loading vector"),
+    ([1.0, 0.0], [0.5, 0.25], NormMode.L1, None, "||v||_1 = 0.75, expected 1 under L1 mode"),
+    ([1.0, 0.0], [1.0, 0.0], NormMode.PORTH, None, "validating PORTH mode requires X"),
+    ([1.0, 0.0], [1.0, 0.0], NormMode.PORTH, np.full((4, 2), 3.0),
+     "||X u||_2 / sqrt(n) = 3.0, expected 1 under PORTH mode"),
+    ([1.0, 0.0], [0.6, 0.0], NormMode.PORTH, np.ones((4, 2)),
+     "||v||_2 = 0.6, expected 1 under PORTH mode"),
+], ids=["zero-u", "zero-v", "l1-v", "porth-no-x", "porth-xu", "porth-v"])
+def test_validate_names_the_broken_invariant(u, v, mode, X, error):
+    fac = UnitRankFactor(1.0, np.array(u), np.array(v), mode)
+    with pytest.raises(ValueError) as info:
+        fac.validate(X)
+    assert str(info.value) == error
+
+
 def test_factor_model_roundup():
     rng = np.random.default_rng(16)
     lays = tuple(random_factor(rng, 3, 2) for _ in range(2))
@@ -460,4 +418,9 @@ def test_factor_model_roundup():
     empty = FactorModel(())
     with pytest.raises(ValueError):
         empty.to_matrix()
+    for stacked in (empty.stacked_u, empty.stacked_v):
+        with pytest.raises(ValueError, match="^empty model has no loadings$"):
+            stacked()
+    with pytest.raises(TypeError, match="^layers must be UnitRankFactor instances$"):
+        FactorModel((lays[0], lays[1].to_matrix()))
     np.testing.assert_allclose(empty.to_matrix(shape=(3, 2)), np.zeros((3, 2)))

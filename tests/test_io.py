@@ -726,6 +726,9 @@ def _edited_dump(tmp_path, line_no, edit):
     (3, {"set": [0, np.nan]}, "set must be finite, got nan"),
     (3, {"scale": -np.inf}, "scale must be finite, got -inf"),
     (3, {"scale": np.nan}, "scale must be finite, got nan"),
+    (3, {"d": np.inf}, "d must be a finite nonnegative scalar, got inf"),
+    (3, {"d": -0.5}, "d must be a finite nonnegative scalar, got -0.5"),
+    (2, {"loss": None}, "has no 'loss' field"),
 ])
 def test_path_reader_names_the_line_of_bad_input(tmp_path, line_no, edit, message):
     path = _edited_dump(tmp_path, line_no, edit)

@@ -114,8 +114,8 @@ def test_rows_that_stop_early_or_restart_from_zero(monkeypatch):
     ]
     problems.append(ProblemData(X, np.zeros((4, 1)), mask))
     monkeypatch.setattr(stagewise, "EARLY_STOP_WINDOW", 30)
-    cfg = StagewiseConfig(epsilon=0.5, mu=0.0, xi=0.0, criterion="aic",
-                          max_steps=150)
+    monkeypatch.setattr(stagewise, "XI_SHARE", 0.0)
+    cfg = StagewiseConfig(epsilon=0.5, mu=0.0, criterion="aic", max_steps=150)
     paths = assert_same_paths(problems, cfg)
     restarts = [sum(s.d == 0.0 for s in p.steps[1:-1]) for p in paths]
     assert restarts[0] > 5 and restarts[2] > 5 and restarts[1] == restarts[3] == 0

@@ -87,6 +87,15 @@ def test_spec_validation():
         SimSpec(model="II", n=10, p=10, q=10, rho=1.0)
     with pytest.raises(ValueError):
         SimSpec(model="II", n=10, p=10, q=2, r_star=3, s_v=1)
+    with pytest.raises(ValueError, match="^n, p, q must be positive$"):
+        SimSpec(model="II", n=0, p=10, q=10)
+    with pytest.raises(ValueError, match="^r_star must be at least 1$"):
+        SimSpec(model="II", n=10, p=10, q=10, r_star=0)
+    # Model III checks its support sizes too: with s_u = 0 it used to pass
+    # and then fail in the SVD of its zero layers.
+    for model, sizes in [("II", {"s_v": 0}), ("III", {"s_u": 0}), ("III", {"s_v": 0})]:
+        with pytest.raises(ValueError, match="^support sizes must be positive$"):
+            SimSpec(model=model, n=10, p=2, q=10, r_star=2, **sizes)
 
 
 # ---------------------------------------------------------------------------

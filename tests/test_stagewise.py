@@ -8,12 +8,11 @@ from curereg.core import (
     NormMode,
     ProblemData,
     UnitRankFactor,
-    eval_loss,
-    eval_penalty,
     residual,
 )
 from curereg.stagewise import (
     RECOMPUTE_EVERY,
+    XI_SHARE,
     MoveLog,
     PathStep,
     StagewiseConfig,
@@ -25,6 +24,7 @@ from curereg.stagewise import (
     select_on_path,
 )
 from curereg.tuning import EarlyStop, GridScan, fold_indices, information_criterion
+from oracles import eval_loss, eval_penalty
 
 
 def rank1_problem(rng, n, p, q, noise=0.3, mask_frac=0.0):
@@ -99,7 +99,7 @@ def drive_and_check(prob, cfg, max_moves):
     acceptance rule it claims, and (c) leave the recorded loss, penalty, rss
     and the d-consistency invariant exact.
     """
-    eps, mu, xi = cfg.epsilon, cfg.mu, cfg.xi_resolved
+    eps, mu, xi = cfg.epsilon, cfg.mu, XI_SHARE * cfg.epsilon ** 2
     state, step0 = initialize_path(prob, cfg)
     steps = [step0]
     for _ in range(max_moves):
@@ -157,7 +157,7 @@ def drive_and_check(prob, cfg, max_moves):
 
 
 def check_descent_and_lambda(steps, cfg):
-    xi = cfg.xi_resolved
+    xi = XI_SHARE * cfg.epsilon ** 2
     lams = [s.lam for s in steps]
     assert all(b <= a + 1e-12 for a, b in zip(lams, lams[1:]))
     for prev, cur in zip(steps, steps[1:]):
@@ -244,11 +244,13 @@ def test_init_rejects_fully_masked_response():
         initialize_path(prob, StagewiseConfig())
 
 
-def test_init_rejects_oversized_xi():
+def test_init_rejects_an_epsilon_whose_slack_rejects_every_move():
+    # xi = XI_SHARE * eps^2 reaches eps * max(lam0, 1) once eps is at least
+    # max(lam0, 1) / XI_SHARE
     rng = np.random.default_rng(2)
     prob = rank1_problem(rng, 8, 4, 3)
-    with pytest.raises(ValueError, match="xi"):
-        initialize_path(prob, StagewiseConfig(epsilon=1.0, xi=50.0))
+    with pytest.raises(ValueError, match=r"^epsilon 1e\+16 is too large at lam0=.*: its slack xi="):
+        initialize_path(prob, StagewiseConfig(epsilon=1e16))
 
 
 # ---------------------------------------------------------------------------
@@ -603,14 +605,11 @@ def test_select_rejects_a_path_with_nothing_to_pick(values):
     [
         {"epsilon": 0.0},
         {"epsilon": -1.0},
-        {"xi": -1e-9},
         {"mu": -0.1},
         {"max_steps": 0},
         {"criterion": "mdl"},
         {"epsilon": math.nan},
         {"epsilon": math.inf},
-        {"xi": math.nan},
-        {"xi": math.inf},
         {"mu": math.nan},
         {"mu": math.inf},
         {"epsilon": 1e-12},
@@ -625,14 +624,15 @@ def test_config_rejects_bad_values(kwargs):
 
 def test_config_rejects_an_epsilon_whose_square_overflows():
     top = math.sqrt(np.finfo(float).max)
-    assert StagewiseConfig(epsilon=top, xi=0.0).epsilon == top
+    assert StagewiseConfig(epsilon=top).epsilon == top
     with pytest.raises(ValueError, match="its square overflows"):
-        StagewiseConfig(epsilon=math.nextafter(top, math.inf), xi=0.0)
+        StagewiseConfig(epsilon=math.nextafter(top, math.inf))
 
 
 def test_config_default_tolerance_scales_with_step():
-    assert StagewiseConfig(epsilon=0.5).xi_resolved == pytest.approx(2.5e-7)
-    assert StagewiseConfig(epsilon=0.5, xi=1e-9).xi_resolved == 1e-9
+    prob = rank1_problem(np.random.default_rng(2), 8, 4, 3)
+    state, _ = initialize_path(prob, StagewiseConfig(epsilon=0.5))
+    assert state._rows.xi == pytest.approx(2.5e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -1048,8 +1048,8 @@ def test_rows_that_restart_from_zero_replay(monkeypatch):
     ]
     problems.append(ProblemData(X, np.zeros((4, 1)), mask))
     monkeypatch.setattr(stagewise, "EARLY_STOP_WINDOW", 30)
-    cfg = StagewiseConfig(epsilon=0.5, mu=0.0, xi=0.0, criterion="aic",
-                          max_steps=150)
+    monkeypatch.setattr(stagewise, "XI_SHARE", 0.0)
+    cfg = StagewiseConfig(epsilon=0.5, mu=0.0, criterion="aic", max_steps=150)
     paths = stagewise.run_paths(problems, cfg)
     assert sum(s.d == 0.0 for s in paths[0].steps[1:-1]) > 5
     assert len(seen) == sum(len(path) for path in paths)
