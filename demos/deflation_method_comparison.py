@@ -19,7 +19,6 @@ from curereg import (
     SimSpec,
     StagewiseConfig,
     column_normalize,
-    default_lambda_grid,
     deflate,
     estimation_errors,
     fit_rrr,
@@ -59,14 +58,13 @@ def main():
     truth = gen_dataset(spec)
     Xn, scale = column_normalize(truth.X)
     problem = ProblemData(Xn, truth.Y)
-    grid = default_lambda_grid(problem, num=20, floor=1e-2)
 
     d_star = " ".join(f"{d:6.2f}" for d in truth.factors.d_values())
     print(f"truth: rank {RANK}, d=[{d_star}]")
     print()
 
     stl = StagewiseConfig(epsilon=1.0, criterion="gic")
-    acs = AcsConfig(lambda_grid=grid)
+    acs = AcsConfig()
     configs = {
         "seqstl": DeflationConfig(strategy="sequential", rank=RANK, solver=stl),
         "seqacs": DeflationConfig(strategy="sequential", rank=RANK, solver=acs),

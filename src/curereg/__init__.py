@@ -23,7 +23,7 @@ _EXPORTS = {
     "baselines": (
         "AcsConfig", "acs_cure", "acs_path", "default_lambda_grid",
         "default_rrr_ridge", "fit_rrr", "lasso_cd", "lasso_gic_path",
-        "lasso_objective", "select_rank_cv", "svd_of_ols_factor",
+        "select_rank_cv", "svd_of_ols_factor",
     ),
     "core": (
         "FactorModel", "NormMode", "ProblemData", "UnitRankFactor",

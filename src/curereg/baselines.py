@@ -47,7 +47,6 @@ from .tuning import GridScan, kfold_cv_select
 __all__ = [
     "lasso_cd",
     "lasso_gic_path",
-    "lasso_objective",
     "AcsConfig",
     "acs_cure",
     "acs_path",
@@ -231,11 +230,7 @@ def _sign_solve(gram, P, s, c, b, pen, x, budget):
     return x, Hc @ x, solves, exact
 
 
-def lasso_objective(problem, C, lam):
-    return problem.rss(problem.X @ C) / (2.0 * problem.n) + lam * float(np.abs(C).sum())
-
-
-def lasso_cd(problem, lam, warm=None, return_info=False):
+def lasso_cd(problem, lam, warm=None):
     """Entrywise-l1 multivariate lasso by coordinate descent.
 
     Minimizes ``||P(Y - XC)||_F^2 / (2n) + lam ||C||_1``.  Response column k
@@ -247,8 +242,7 @@ def lasso_cd(problem, lam, warm=None, return_info=False):
     (``LASSO_TOL`` itself when that is 0).  The gradients scale with Y, so
     an absolute tolerance would stop a small-Y fit early.  A column that
     takes ``LASSO_MAX_SWEEPS`` passes plus exact solves first leaves the
-    last iterate, with a warning.  With ``return_info``, ``info["sweeps"]`` is
-    the most passes plus exact solves that any response column took.
+    last iterate, with a warning.
     """
     if not 0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
@@ -272,29 +266,21 @@ def lasso_cd(problem, lam, warm=None, return_info=False):
     tol = LASSO_TOL * min(1.0, lam_max) if lam_max > 0.0 else LASSO_TOL
     zero_worst = np.where(live, abs_B - lam, 0.0).max(axis=0, initial=0.0)
     screened = ~C.any(axis=0) & (zero_worst <= tol)
-    trace = [lasso_objective(problem, C, lam)] if return_info else []
     C[~live & screened] = 0.0
     worst = 0.0
-    sweeps = 0
     for k, gram in enumerate(grams):
         if not screened[k]:
-            C[:, k], viol, used = _weighted_lasso(
+            C[:, k], viol, _ = _weighted_lasso(
                 gram, 1.0, 0.0, B[:, k], lam, C[:, k], tol, LASSO_MAX_SWEEPS
             )
             worst = max(worst, viol)
-            sweeps = max(sweeps, used)
-        if return_info:
-            trace.append(lasso_objective(problem, C, lam))
-    converged = worst <= tol
-    if not converged:
+    if worst > tol:
         warnings.warn(
             f"lasso_cd did not meet the stationarity tolerance in "
             f"{LASSO_MAX_SWEEPS} sweeps (violation={worst:.3e}, lam={lam:.3e})",
             RuntimeWarning,
             stacklevel=2,
         )
-    if return_info:
-        return C, {"converged": converged, "sweeps": sweeps, "objective_trace": trace}
     return C
 
 
@@ -306,14 +292,14 @@ def default_lambda_grid(problem, num=50, floor=1e-3):
     return np.geomspace(lam_max, floor * lam_max, num)
 
 
-def _penalty_grid(grid, name):
+def _penalty_grid(grid):
     """``grid`` as a float array, checked to be 1-d, nonempty, finite and
     strictly decreasing."""
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d sequence")
+        raise ValueError("grid must be a nonempty 1-d sequence")
     if not np.isfinite(g).all() or np.any(np.diff(g) >= 0):
-        raise ValueError(f"{name} must be finite and strictly decreasing")
+        raise ValueError("grid must be finite and strictly decreasing")
     return g
 
 
@@ -328,7 +314,7 @@ def lasso_gic_path(problem, grid=None, criterion="gic", *, _whole_grid=False):
     ``(C_best, lam_best, path)`` where path is the list of ``(lam, C)``
     solved down the grid.
     """
-    grid = default_lambda_grid(problem) if grid is None else _penalty_grid(grid, "grid")
+    grid = default_lambda_grid(problem) if grid is None else _penalty_grid(grid)
     scan = GridScan(problem, criterion)
     warm = None
     path = []
@@ -349,23 +335,19 @@ def lasso_gic_path(problem, grid=None, criterion="gic", *, _whole_grid=False):
 
 @dataclass
 class AcsConfig:
-    """Controls for the alternating solver.
+    """Controls for the alternating solver: the ridge weight ``mu``.
 
-    ``lambda_grid`` is only read by deflation, which falls back to
-    :func:`default_lambda_grid`; a single call works at one penalty level.
-    The starting point is the rank-1 layer of a ridge-OLS fit unless a
-    factor is passed.  The stopping rule is the module constants
-    ``ACS_TOL`` and ``ACS_MAX_ITERS``.
+    Deflation solves each layer down :func:`default_lambda_grid`.  The
+    starting point is the rank-1 layer of a ridge-OLS fit unless a factor is
+    passed.  The stopping rule is the module constants ``ACS_TOL`` and
+    ``ACS_MAX_ITERS``.
     """
 
-    lambda_grid: np.ndarray | None = None
     mu: float = 1e-4
 
     def __post_init__(self):
         if not 0 <= self.mu < math.inf:
             raise ValueError("mu must be finite and nonnegative")
-        if self.lambda_grid is not None:
-            self.lambda_grid = _penalty_grid(self.lambda_grid, "lambda_grid")
 
 
 def default_rrr_ridge(X):
@@ -449,7 +431,7 @@ def _b_step(problem, Y0, Hf, a, lam, mu):
     return _soft(c, lam * a1) / denom
 
 
-def acs_cure(problem, lam, init=None, config=None, return_trace=False):
+def acs_cure(problem, lam, init=None, config=None):
     """Alternating block minimization of the unit-rank objective at one lam.
 
     ``init`` is a UnitRankFactor starting point (default: rank-1 layer of a
@@ -459,8 +441,7 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
     model's ``||P Y||^2 / (2n)`` capped at 1, or the factor collapses to zero;
     each a-block solves to a tolerance relative to its ``||b||_inf``, so a
     small Y keeps its layers.  Warns when ``ACS_MAX_ITERS`` runs out first or an
-    a-block solve hits its sweep cap.  Returns the factor in L1 normalization
-    (plus the objective trace when asked).
+    a-block solve hits its sweep cap.  Returns the factor in L1 normalization.
     """
     config = config or AcsConfig()
     if not 0 <= lam < math.inf:
@@ -469,14 +450,14 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
         init = svd_of_ols_factor(problem)
     zero = UnitRankFactor.zero(problem.p, problem.q, NormMode.L1)
     if init.is_zero:
-        return (zero, [0.0]) if return_trace else zero
+        return zero
     if not np.any(problem.X @ init.u):
         raise ValueError("degenerate init: X @ u is identically zero")
     a = init.d * init.u.astype(float).copy()
     v = init.v.astype(float).copy()
     nv = np.linalg.norm(v)
     if nv == 0:
-        return (zero, [0.0]) if return_trace else zero
+        return zero
     a *= nv
     v = v / nv
     mu = config.mu
@@ -514,7 +495,7 @@ def acs_cure(problem, lam, init=None, config=None, return_trace=False):
     if result is None:
         raw = UnitRankFactor(1.0, a, v, NormMode.RAW)
         result = renormalize_factor(raw, NormMode.L1)
-    return (result, trace) if return_trace else result
+    return result
 
 
 def acs_path(problem, grid, config=None, stop=None):
@@ -530,7 +511,7 @@ def acs_path(problem, grid, config=None, stop=None):
     be 1-d, nonempty, finite and strictly decreasing.
     """
     config = config or AcsConfig()
-    grid = _penalty_grid(grid, "grid")
+    grid = _penalty_grid(grid)
     cold = svd_of_ols_factor(problem)
     warm = None
     out = []

@@ -371,11 +371,7 @@ def hard_threshold_layer(M, s):
     if s < 0:
         raise ValueError("s must be nonnegative")
     out = np.zeros_like(M)
-    if s == 0:
-        return out
     flat = M.ravel()
-    if s >= flat.size:
-        return M.copy()
     order = np.argsort(-np.abs(flat), kind="stable")
     keep = order[:s]
     out_flat = out.ravel()

@@ -172,11 +172,7 @@ def _fit_unit_rank(problem, cfg, explain_zero=False):
         points = _stagewise_grid_points(path)
         del path  # the grid points are all that CV reads of it
     else:
-        grid = solver.lambda_grid
-        if grid is None:
-            grid = default_lambda_grid(problem)
-        if len(grid) == 1:
-            return acs_path(problem, grid, config=solver)[0][1]
+        grid = default_lambda_grid(problem)
         if criterion != "cv":
             scan = GridScan(problem, criterion)
             pairs = acs_path(problem, grid, config=solver,

@@ -247,27 +247,18 @@ def operator_norm(M):
     return float(est)
 
 
-def gen_response(X, c_star, spec, rng, last_layer=None):
+def gen_response(X, C, spec, rng, weakest):
     """Add correlated noise calibrated to the target snr.
 
-    Noise rows are iid N(0, sigma^2 * Delta) with AR(1) Delta(rho); sigma is
-    set so the spectral norm of the weakest layer's signal over the Frobenius
-    norm of the realized noise equals ``spec.snr`` exactly.  ``last_layer``
-    is that weakest unit-rank factor; by default it is recovered from the
-    smallest-d layer of ``c_star`` when c_star is a FactorModel.  Delta's
-    Cholesky factor is reused across calls (``_ar1_factor``).
+    ``C`` is the coefficient matrix and ``weakest`` its smallest-d unit-rank
+    layer.  Noise rows are iid N(0, sigma^2 * Delta) with AR(1) Delta(rho);
+    sigma is set so the spectral norm of the weakest layer's signal over the
+    Frobenius norm of the realized noise equals ``spec.snr`` exactly.
+    Delta's Cholesky factor is reused across calls (``_ar1_factor``).
     """
     X = np.asarray(X, dtype=float)
-    if isinstance(c_star, FactorModel):
-        C = c_star.to_matrix((spec.p, spec.q))
-        if last_layer is None and c_star.rank:
-            last_layer = min(c_star.layers, key=lambda lay: lay.d)
-    else:
-        C = np.asarray(c_star, dtype=float)
-    if last_layer is None:
-        raise ValueError("need the weakest layer (pass a FactorModel or last_layer)")
     n, q = X.shape[0], C.shape[1]
-    signal = last_layer.d * np.outer(X @ last_layer.u, last_layer.v)
+    signal = weakest.d * np.outer(X @ weakest.u, weakest.v)
     s_norm = operator_norm(signal)
     if s_norm <= 0.0:
         raise ValueError("the weakest layer has zero signal; snr calibration impossible")
@@ -292,5 +283,5 @@ def gen_dataset(spec):
     X = gen_design(factors.stacked_u(), spec, rng_design)
     C = factors.to_matrix((spec.p, spec.q))
     Y, E, sigma = gen_response(X, C, spec, rng_noise,
-                               last_layer=min(factors.layers, key=lambda lay: lay.d))
+                               min(factors.layers, key=lambda lay: lay.d))
     return SimTruth(spec, factors, C, X, Y, E, sigma)

@@ -1,4 +1,4 @@
-"""Reference evaluations of the unit-rank objective.
+"""Reference evaluations of the unit-rank and lasso objectives.
 
 The tests check the solvers' incremental bookkeeping against these plain,
 from-scratch formulas; no code of the package calls them.
@@ -39,3 +39,8 @@ def eval_penalty(factor, lam):
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     return lam * factor.d * float(np.abs(factor.u).sum()) * float(np.abs(factor.v).sum())
+
+
+def lasso_objective(problem, C, lam):
+    """Multivariate lasso objective ``||P(Y - XC)||_F^2 / (2n) + lam ||C||_1``."""
+    return problem.rss(problem.X @ C) / (2.0 * problem.n) + lam * float(np.abs(C).sum())

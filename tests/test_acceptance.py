@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from curereg import baselines, stagewise
+from curereg import baselines, deflation, stagewise
 from curereg.baselines import (
     AcsConfig,
     acs_cure,
@@ -89,7 +89,7 @@ def _bench_one(seed):
         return StagewiseConfig(epsilon=1.0, mu=MU, criterion="gic")
 
     def acs():
-        return AcsConfig(mu=MU, lambda_grid=grid)
+        return AcsConfig(mu=MU)
 
     configs = {
         "seqstl": DeflationConfig(strategy="sequential", rank=3, solver=stl()),
@@ -103,7 +103,10 @@ def _bench_one(seed):
     }
     reports = {}
     for name, cfg in configs.items():
-        model = deflate(prob, cfg)
+        # Every ACS layer solves down the full problem's coarse grid.
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(deflation, "default_lambda_grid", lambda problem: grid)
+            model = deflate(prob, cfg)
         raw = FactorModel(tuple(rescale_factor_rows(l, scale) for l in model.layers))
         reports[name] = score_model(raw, truth.factors, truth.X)
     C_rrr = fit_rrr(Xn, truth.Y, 3)
@@ -222,7 +225,8 @@ def test_criterion_3_sequential_exact_fit_is_eckart_young(monkeypatch):
 
     monkeypatch.setattr(baselines, "ACS_TOL", 1e-12)
     monkeypatch.setattr(baselines, "ACS_MAX_ITERS", 2000)
-    exact = AcsConfig(lambda_grid=np.array([0.0]), mu=0.0)
+    monkeypatch.setattr(deflation, "default_lambda_grid", lambda problem: np.array([0.0]))
+    exact = AcsConfig(mu=0.0)
     fitted = deflate(
         ProblemData(X, Y),
         DeflationConfig(strategy="sequential", rank=3, solver=exact),

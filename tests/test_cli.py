@@ -358,7 +358,17 @@ def test_seeded_fuzz_fits_are_valid_or_a_documented_error(seed):
                 continue
         for layer in model.layers:
             layer.validate()
-        assert np.all(np.isfinite(model.to_matrix(shape=(p, q)))), method
+        base = model.to_matrix(shape=(p, q))
+        assert np.all(np.isfinite(base)), method
+        if method not in ("lasso", "rrr"):
+            continue  # the alternating stop rule and the absolute epsilon are not exact
+        # The two exact families fit 2^k times Y as 2^k times the fit, silently.
+        for scale in (2.0, 0.5, 8.0, 0.125, 2.0 ** 10, 2.0 ** -10):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                C = fit_method(X, scale * Y, mask, method, opts).to_matrix(shape=(p, q))
+            gap = np.linalg.norm(C / scale - base)
+            assert gap <= 1e-12 * np.linalg.norm(base), (method, scale)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 2.0 ** -20, 1e-9])

@@ -34,10 +34,12 @@ from curereg.tuning import GRID_STOP_WINDOW, information_criterion
 
 @pytest.fixture
 def exact_acs(monkeypatch):
-    """An unpenalized alternating solver run to a tight stop."""
+    """An unpenalized alternating solver run to a tight stop, on a grid of
+    the one level 0."""
     monkeypatch.setattr(baselines, "ACS_TOL", 1e-12)
     monkeypatch.setattr(baselines, "ACS_MAX_ITERS", 2000)
-    return AcsConfig(lambda_grid=np.array([0.0]), mu=0.0)
+    monkeypatch.setattr(deflation, "default_lambda_grid", lambda problem: np.array([0.0]))
+    return AcsConfig(mu=0.0)
 
 
 def lowrank_instance(rng, n, p, q, r, noise=0.0, scale=1.0):
@@ -230,11 +232,12 @@ def test_parallel_threshold_sparsifies_pilot(exact_acs):
 # tuning plumbing shared by both strategies
 
 
-def test_acs_layer_selection_matches_manual_gic_scan():
+def test_acs_layer_selection_matches_manual_gic_scan(monkeypatch):
     rng = np.random.default_rng(11)
     prob, _ = lowrank_instance(rng, 26, 7, 5, 1, noise=0.5)
     grid = np.geomspace(0.5, 0.01, 12)
-    solver = AcsConfig(lambda_grid=grid)
+    monkeypatch.setattr(deflation, "default_lambda_grid", lambda problem: grid)
+    solver = AcsConfig()
     cfg = DeflationConfig(strategy="sequential", rank=1, solver=solver)
     model = sequential_pursuit(prob, cfg)
     best = None

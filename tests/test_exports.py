@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -53,6 +54,17 @@ def test_no_module_imports_a_name_it_never_uses():
                 bound = [(a.asname or a.name).split(".")[0] for a in node.names]
                 unused += [f"{path.name}: {name}" for name in bound if name not in used]
     assert sorted(set(unused) - set(TRACER_ONLY_IMPORTS)) == []
+
+
+def test_every_tracer_only_import_is_one_the_tracer_replaces():
+    tracer_path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    replaced = set(tracer.targets())
+    exempt = {(path.removesuffix(".py"), name)
+              for path, name in (key.split(": ") for key in TRACER_ONLY_IMPORTS)}
+    assert sorted(exempt - replaced) == []
 
 
 # Names in the package's or a submodule's ``__all__`` that no code of the

@@ -174,10 +174,16 @@ def make_truth(spec, seeds=(0, 1)):
     return model, X
 
 
+def respond(X, model, spec, rng):
+    """``gen_response`` on the model's matrix and its weakest layer."""
+    weakest = min(model.layers, key=lambda lay: lay.d)
+    return gen_response(X, model.to_matrix((spec.p, spec.q)), spec, rng, weakest)
+
+
 def test_high_snr_means_negligible_noise():
     spec = SimSpec(model="II", n=30, p=10, q=8, r_star=2, snr=1e9)
     model, X = make_truth(spec)
-    Y, E, sigma = gen_response(X, model, spec, np.random.default_rng(2))
+    Y, E, sigma = respond(X, model, spec, np.random.default_rng(2))
     C = model.to_matrix((10, 8))
     assert np.linalg.norm(E) / np.linalg.norm(X @ C) <= 1e-6
     assert sigma > 0
@@ -193,13 +199,13 @@ def test_an_snr_too_small_for_a_finite_sigma_raises():
     spec = SimSpec(model="II", n=30, p=10, q=8, r_star=2, snr=1e-320)
     model, X = make_truth(spec)
     with pytest.raises(ValueError, match="sigma of inf"):
-        gen_response(X, model, spec, np.random.default_rng(2))
+        respond(X, model, spec, np.random.default_rng(2))
 
 
 def test_realized_snr_is_exact():
     spec = SimSpec(model="II", n=25, p=9, q=7, r_star=2, snr=1.7, rho=0.4)
     model, X = make_truth(spec, seeds=(3, 4))
-    Y, E, sigma = gen_response(X, model, spec, np.random.default_rng(5))
+    Y, E, sigma = respond(X, model, spec, np.random.default_rng(5))
     weakest = min(model.layers, key=lambda l: l.d)
     signal = weakest.d * np.outer(X @ weakest.u, weakest.v)
     snr = np.linalg.norm(signal, 2) / np.linalg.norm(E)
@@ -211,24 +217,21 @@ def test_error_columns_follow_ar_structure():
     n = 20_000
     spec0 = SimSpec(model="II", n=n, p=6, q=5, r_star=2, rho=0.0)
     model, X = make_truth(spec0, seeds=(6, 7))
-    _, E, _ = gen_response(X, model, spec0, np.random.default_rng(8))
+    _, E, _ = respond(X, model, spec0, np.random.default_rng(8))
     for k in range(4):
         assert abs(np.corrcoef(E[:, k], E[:, k + 1])[0, 1]) <= 0.05
     spec6 = SimSpec(model="II", n=n, p=6, q=5, r_star=2, rho=0.6)
-    _, E6, _ = gen_response(X, model, spec6, np.random.default_rng(8))
+    _, E6, _ = respond(X, model, spec6, np.random.default_rng(8))
     for k in range(4):
         assert np.corrcoef(E6[:, k], E6[:, k + 1])[0, 1] == pytest.approx(0.6, abs=0.05)
 
 
 def test_response_rejects_degenerate_signal():
     spec = SimSpec(model="II", n=10, p=6, q=5, r_star=2)
-    model, X = make_truth(spec, seeds=(9, 10))
-    rng = np.random.default_rng(11)
+    _, X = make_truth(spec, seeds=(9, 10))
     zero_layer = FactorModel((UnitRankFactor.zero(6, 5),))
     with pytest.raises(ValueError, match="zero signal"):
-        gen_response(X, zero_layer, spec, rng)
-    with pytest.raises(ValueError, match="weakest layer"):
-        gen_response(X, model.to_matrix((6, 5)), spec, rng)  # bare matrix
+        respond(X, zero_layer, spec, np.random.default_rng(11))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 37, 1000])
@@ -281,19 +284,11 @@ SPECS_BY_MODEL = [
 
 
 @pytest.mark.parametrize("spec", SPECS_BY_MODEL, ids=lambda s: s.model)
-def test_matrix_form_response_matches_factor_form(spec):
-    model, X = make_truth(spec, seeds=(spec.seed, spec.seed + 1))
-    weakest = min(model.layers, key=lambda lay: lay.d)
-    want = gen_response(X, model, spec, np.random.default_rng(6))
-    got = gen_response(X, model.to_matrix((spec.p, spec.q)), spec,
-                       np.random.default_rng(6), last_layer=weakest)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
-    assert got[2] == want[2]
+def test_gen_dataset_draws_the_response_from_the_third_stream(spec):
     # gen_dataset passes its C and weakest layer; the noise stream is the third
     truth = gen_dataset(spec)
     rng_noise = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(3)[2])
-    Y, E, sigma = gen_response(truth.X, truth.factors, spec, rng_noise)
+    Y, E, sigma = respond(truth.X, truth.factors, spec, rng_noise)
     assert truth.Y.tobytes() == Y.tobytes() and truth.E.tobytes() == E.tobytes()
     assert truth.sigma == sigma
 
